@@ -60,9 +60,6 @@ from .procedure import (
     keep_probability,
     list_size_order,
     pipeline_color,
-    sample_equalized,
-    sample_naive,
-    savings_of,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from .procedure import keep_constant
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -113,13 +115,6 @@ def savings_gap_certificate(
         min(vals) >= target,
         {"sparsity": (sp1, sp2), "value": vals, "K": k},
     )
-
-
-def keep_constant(eps: float, rho: float) -> float:
-    # re-exported from procedure to keep this module handle-free
-    from .procedure import keep_constant as _kc  # noqa: PLC0415
-
-    return _kc(eps, rho)
 
 
 # --- concentration ------------------------------------------------------------

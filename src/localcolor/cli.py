@@ -22,7 +22,6 @@ from .experiment import (
     build_graph,
     build_params,
     parse_fraction,
-    run_experiment,
 )
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs

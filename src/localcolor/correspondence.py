@@ -11,7 +11,7 @@ Matchings are stored sparsely per normalized edge (u < v) as sets of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graph import Graph
 from .lists import Color, Coloring, ListAssignment
@@ -40,14 +40,6 @@ class CorrespondenceAssignment:
         if u < v:
             return self.matchings[(u, v)]
         return frozenset((cv, cu) for cu, cv in self.matchings[(v, u)])
-
-    def match_map(self, u: int, v: int) -> dict[Color, Color]:
-        """c_u -> c_v over the matched colors of u on edge uv."""
-        return dict(self.pairs(u, v))
-
-    def matched_colors(self, u: int, v: int) -> frozenset[Color]:
-        """Colors of u that are matched on edge uv (u's side of V(M_uv))."""
-        return frozenset(cu for cu, _ in self.pairs(u, v))
 
 
 def validate(g: Graph, ca: CorrespondenceAssignment) -> None:

@@ -36,6 +36,9 @@ def parse_fraction(s: str | int) -> Fraction:
 
 
 def build_params(raw: dict) -> ProcedureParams:
+    unknown = set(raw) - {"eps", "sigma", "alpha", "beta", "rho"}
+    if unknown:
+        raise ValueError(f"unknown procedure parameters: {', '.join(sorted(map(str, unknown)))}")
     kw: dict = {}
     for key in ("eps", "sigma", "alpha", "beta"):
         if key in raw:
@@ -45,9 +48,6 @@ def build_params(raw: dict) -> ProcedureParams:
             kw["rho"] = default_rho(kw.get("alpha", Fraction(1, 50)))
         else:
             kw["rho"] = float(parse_fraction(raw["rho"]))
-    for key in ("gap_exp", "conc_exp"):
-        if key in raw:
-            kw[key] = int(raw[key])
     return ProcedureParams(**kw)
 
 

@@ -3,9 +3,6 @@ and complete-graph-minus-matching instances."""
 
 from __future__ import annotations
 
-import json
-from typing import TextIO
-
 from .correspondence import CorrespondenceAssignment, validate
 from .graph import Graph, Matching
 from .knm import KnmInstance
@@ -121,10 +118,3 @@ def knm_from_json(obj: dict) -> KnmInstance:
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad instance object: {exc}") from exc
-
-
-def load_json(f: TextIO) -> dict:
-    try:
-        return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc

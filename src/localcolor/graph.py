@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 

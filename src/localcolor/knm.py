@@ -7,7 +7,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from .graph import Graph, Matching, complement_edge_count, degree
+from .graph import Graph, Matching, complement_edge_count
 from .lists import Color, Coloring, ListAssignment, save
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import Graph, GraphError, degree, local_clique_number
 

@@ -1,140 +1,19 @@
-"""Vectorized Monte Carlo estimation of the procedure's random variables.
+"""Monte Carlo estimation of the procedure's random variables.
 
-All trials of a batch are sampled at once with numpy; a batch is fully
-determined by its seed.  Colors are handled as indices into each vertex's
-sorted list, with per-directed-edge lookup tables mapping a color index at
-one endpoint to the matched color index at the other (or -1).
+Batches come from the procedure's vectorized sampler (`sample_batch`, also
+importable from here); a batch is fully determined by its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .correspondence import CorrespondenceAssignment
 from .graph import Graph
 from .lists import Color
-from .procedure import (
-    Precedes,
-    ProcedureParams,
-    check_equalization_precondition,
-)
-
-
-def _match_tables(g: Graph, ca: CorrespondenceAssignment):
-    """index_of[v]: color -> index; fwd[(v, u)][i] = index in L(u) of the color
-    matched to the i-th color of L(v), or -1."""
-    sorted_lists = [sorted(ca.lists[v]) for v in range(g.n)]
-    index_of = [{c: i for i, c in enumerate(row)} for row in sorted_lists]
-    fwd: dict[tuple[int, int], np.ndarray] = {}
-    for v in range(g.n):
-        for u in g.adj[v]:
-            tab = np.full(len(sorted_lists[v]), -1, dtype=np.int64)
-            for cv, cu in ca.pairs(v, u):
-                tab[index_of[v][cv]] = index_of[u][cu]
-            fwd[(v, u)] = tab
-    return sorted_lists, fwd
-
-
-@dataclass(frozen=True)
-class BatchSample:
-    """Arrays of shape (n, trials) describing a batch of equalized trials."""
-
-    phi_idx: np.ndarray  # chosen color index per vertex per trial
-    activated: np.ndarray  # bool
-    uncolored: np.ndarray  # bool
-    aberrance: np.ndarray
-    pairs: np.ndarray
-    trips: np.ndarray
-    unact: np.ndarray
-    save_drop: np.ndarray  # Save_L(v) - Save_L'(v), only meaningful where uncolored
-
-    @property
-    def savings(self) -> np.ndarray:
-        return self.aberrance + self.unact + self.pairs - self.trips
-
-
-def sample_batch(
-    g: Graph,
-    ca: CorrespondenceAssignment,
-    params: ProcedureParams,
-    prec: Precedes,
-    trials: int,
-    seed: int,
-    equalize: bool = True,
-) -> BatchSample:
-    """Sample `trials` independent equalized trials (naive if equalize=False)."""
-    rng = np.random.default_rng(np.random.Philox(seed))
-    n = g.n
-    sorted_lists, fwd = _match_tables(g, ca)
-    sizes = [len(row) for row in sorted_lists]
-    table = check_equalization_precondition(g, ca, params) if equalize else None
-
-    act = rng.random((n, trials)) < params.rho
-    phi_idx = np.empty((n, trials), dtype=np.int64)
-    for v in range(n):
-        phi_idx[v] = rng.integers(sizes[v], size=trials)
-    # only the flip at the chosen color matters, so draw just that one
-    heads = np.zeros((n, trials), dtype=bool)
-    if equalize:
-        k = params.keep
-        for v in range(n):
-            pflip = np.array(
-                [1 - k / table[v][c] if table[v][c] > 0 else 0.0 for c in sorted_lists[v]],
-                dtype=np.float64,
-            )
-            heads[v] = rng.random(trials) < pflip[phi_idx[v]]
-
-    uncolored = np.empty((n, trials), dtype=bool)
-    for v in range(n):
-        threatened = np.zeros(trials, dtype=bool)
-        for u in g.adj[v]:
-            if sizes[u] < sizes[v]:
-                continue
-            mv = fwd[(v, u)][phi_idx[v]]
-            threatened |= act[u] & (mv >= 0) & (phi_idx[u] == mv)
-        uncolored[v] = ~act[v] | threatened | heads[v]
-    colored = ~uncolored
-
-    sigma = params.sigma
-    aberr = np.zeros((n, trials), dtype=np.int64)
-    pairs = np.zeros((n, trials), dtype=np.int64)
-    trips = np.zeros((n, trials), dtype=np.int64)
-    unact = np.zeros((n, trials), dtype=np.int64)
-    save_drop = np.zeros((n, trials), dtype=np.int64)
-    tr = np.arange(trials)
-    for v in range(n):
-        egal = [u for u in g.adj[v] if sizes[u] >= (1 - sigma) * sizes[v]]
-        counts = np.zeros((sizes[v], trials), dtype=np.int64)
-        for u in egal:
-            back = fwd[(u, v)]  # u's color index -> v's color index or -1
-            cv = back[phi_idx[u]]
-            hit = colored[u] & (cv >= 0)
-            aberr[v] += colored[u] & (cv < 0)
-            np.add.at(counts, (cv[hit], tr[hit]), 1)
-        pairs[v] = (counts * (counts - 1) // 2).sum(axis=0)
-        trips[v] = (counts * (counts - 1) * (counts - 2) // 6).sum(axis=0)
-        for u in g.adj[v]:
-            if prec(u, v):
-                unact[v] += ~act[u]
-        # residual list size via a removed-color bitmask (list sizes < 64)
-        assert sizes[v] <= 63
-        removed = np.zeros(trials, dtype=np.uint64)
-        d_res = np.zeros(trials, dtype=np.int64)
-        for u in g.adj[v]:
-            cv = fwd[(u, v)][phi_idx[u]]
-            hit = colored[u] & (cv >= 0)
-            removed |= np.where(hit, np.uint64(1) << cv.astype(np.uint64), 0).astype(
-                np.uint64
-            )
-            d_res += uncolored[u]
-        res_size = sizes[v] - np.bitwise_count(removed).astype(np.int64)
-        save_full = len(g.adj[v]) + 1 - sizes[v]
-        save_drop[v] = save_full - (d_res + 1 - res_size)
-
-    return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact, save_drop)
+from .procedure import BatchSample, Precedes, ProcedureParams, sample_batch
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,16 @@ K = 0.999 * rho * exp(-rho / (1 - eps)).
 Savings random variables (aberrance, pairs, trips, unact) measure how much
 a vertex's residual color deficit shrank; the pipeline resamples until every
 vertex's deficit is covered, then finishes greedily on the uncolored part.
+
+Trials are sampled in batches with numpy on a compiled instance: colors are
+indices into each vertex's sorted list, and each directed edge has a table
+mapping a color index at one endpoint to the matched index at the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -27,7 +31,6 @@ from .correspondence import (
     ResidualAssignment,
     identity_correspondence,
     is_lm_coloring,
-    is_naive_partial,
     make_total,
     residual,
     splice,
@@ -47,22 +50,13 @@ def default_rho(alpha: Fraction) -> float:
 
 @dataclass(frozen=True)
 class ProcedureParams:
-    """Knobs of the equalized procedure.
-
-    min_degree_floor is the theoretical minimum-degree requirement
-    ceil(1000 / (1 - eps)^2); at desk scale it is replaced by directly
-    checking every (vertex, color) keep probability against K.
-    """
+    """Knobs of the equalized procedure."""
 
     eps: Fraction = Fraction(1, 330)
     sigma: Fraction = Fraction(0)
     rho: float = default_rho(Fraction(1, 50))
     alpha: Fraction = Fraction(1, 50)
     beta: Fraction = Fraction(1, 50)
-    xi1: float = 1.01
-    xi2: float = float(Fraction(1, 330))
-    gap_exp: int = 10
-    conc_exp: int = 9
 
     def __post_init__(self):
         if not (0 <= self.eps < 1):
@@ -75,10 +69,6 @@ class ProcedureParams:
     @property
     def keep(self) -> float:
         return keep_constant(self.eps, self.rho)
-
-    @property
-    def min_degree_floor(self) -> int:
-        return math.ceil(1000 / float((1 - self.eps) ** 2))
 
 
 def keep_constant(eps: float | Fraction, rho: float) -> float:
@@ -112,118 +102,95 @@ def keep_probability(
     return p
 
 
-def keep_probability_table(
-    g: Graph, ca: CorrespondenceAssignment, rho: float
-) -> list[dict[Color, float]]:
-    return [
-        {c: keep_probability(g, ca, rho, v, c) for c in sorted(ca.lists[v])}
-        for v in range(g.n)
-    ]
+# --- the compiled instance ---------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PartialColoring:
-    """One sampled outcome: full color guess, uncolored set, activated set."""
+class CompiledInstance:
+    """A correspondence assignment as index arrays.
 
-    phi: tuple[Color, ...]
-    uncolored: frozenset[int]
-    activated: frozenset[int]
+    Every directed edge vu has a map in `match`, a flat array:
+    match[out_off[v][j] + i] is the index in lists[u] of the color matched to
+    lists[v][i], where u = nbrs[v][j], or -1 when that color is unmatched.
+    in_off[v][j] is the offset of the reverse map, from u to v.
+    """
+
+    lists: list[list[Color]]  # each vertex's list, sorted
+    sizes: np.ndarray
+    nbrs: list[np.ndarray]  # in adjacency order
+    out_off: list[np.ndarray]
+    in_off: list[np.ndarray]
+    match: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Raw randomness of one equalized trial (colors, activations, all coin flips)."""
-
-    color: tuple[Color, ...]
-    activated: tuple[bool, ...]
-    flip_heads: tuple[dict[Color, bool], ...]
-
-
-def _uncolored_naive(
-    g: Graph, ca: CorrespondenceAssignment, phi: Sequence[Color], activated: Sequence[bool]
-) -> set[int]:
-    u_prime: set[int] = set()
+def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
+    """Index arrays of `ca`, filled in one pass over the edge matchings."""
+    lists = [sorted(ca.lists[v]) for v in range(g.n)]
+    index_of = [{c: i for i, c in enumerate(row)} for row in lists]
+    offset: dict[tuple[int, int], int] = {}
+    total = 0
     for v in range(g.n):
-        if not activated[v]:
-            u_prime.add(v)
-            continue
-        size_v = len(ca.lists[v])
         for u in g.adj[v]:
-            if activated[u] and len(ca.lists[u]) >= size_v:
-                if (phi[v], phi[u]) in ca.pairs(v, u):
-                    u_prime.add(v)
-                    break
-    return u_prime
+            offset[(v, u)] = total
+            total += len(lists[v])
+    match = [-1] * total
+    for (u, v), pairs in ca.matchings.items():
+        fwd, back = offset[(u, v)], offset[(v, u)]
+        for cu, cv in pairs:
+            iu, iv = index_of[u][cu], index_of[v][cv]
+            match[fwd + iu] = iv
+            match[back + iv] = iu
+    return CompiledInstance(
+        lists,
+        np.array([len(row) for row in lists], dtype=np.int64),
+        [np.array(list(g.adj[v]), dtype=np.int64) for v in range(g.n)],
+        [np.array([offset[(v, u)] for u in g.adj[v]], dtype=np.int64) for v in range(g.n)],
+        [np.array([offset[(u, v)] for u in g.adj[v]], dtype=np.int64) for v in range(g.n)],
+        np.array(match, dtype=np.int64),
+    )
 
 
-def sample_naive(
-    g: Graph, ca: CorrespondenceAssignment, rho: float, rng: np.random.Generator
-) -> PartialColoring:
-    """One trial of the naive procedure (no equalizing flips)."""
-    sorted_lists = [sorted(ca.lists[v]) for v in range(g.n)]
-    activated = rng.random(g.n) < rho
-    phi = tuple(sorted_lists[v][rng.integers(len(sorted_lists[v]))] for v in range(g.n))
-    uncolored = _uncolored_naive(g, ca, phi, activated)
-    pc = PartialColoring(phi, frozenset(uncolored), frozenset(np.flatnonzero(activated)))
-    assert is_naive_partial(g, ca, pc.phi, pc.uncolored)
-    return pc
+def keep_table(inst: CompiledInstance, rho: float) -> list[np.ndarray]:
+    """table[v][i] = keep_probability(g, ca, rho, v, lists[v][i]), bit for bit:
+    the factors are multiplied in adjacency order, as keep_probability does."""
+    sizes = inst.sizes.tolist()
+    table = []
+    for v in range(len(sizes)):
+        p = np.full(sizes[v], float(rho))
+        for u, off in zip(inst.nbrs[v].tolist(), inst.out_off[v].tolist()):
+            if sizes[u] >= sizes[v]:
+                p[inst.match[off : off + sizes[v]] >= 0] *= 1 - rho / sizes[u]
+        table.append(p)
+    return table
 
 
 def check_equalization_precondition(
     g: Graph, ca: CorrespondenceAssignment, params: ProcedureParams
-) -> list[dict[Color, float]]:
-    """Per-(v, c) keep probabilities, verified to be at least K.
+) -> tuple[CompiledInstance, list[np.ndarray]]:
+    """The compiled instance and its keep table, every entry verified to be at least K.
 
-    The theoretical minimum-degree floor is astronomically large, so the
-    implementation checks the condition it exists to guarantee: every exact
-    keep probability is at least the keep constant.
+    The theoretical minimum-degree floor ceil(1000 / (1 - eps)^2) is
+    astronomically large, so the implementation checks the condition it
+    exists to guarantee: every exact keep probability is at least the keep
+    constant.
     """
     for v in range(g.n):
         if len(ca.lists[v]) < (1 - params.eps) * len(g.adj[v]):
             raise PreconditionError(
                 f"vertex {v}: |L(v)| = {len(ca.lists[v])} < (1 - eps) d(v)"
             )
-    table = keep_probability_table(g, ca, params.rho)
+    inst = compile_instance(g, ca)
+    table = keep_table(inst, params.rho)
     k = params.keep
     for v, row in enumerate(table):
-        for c, p in row.items():
-            if p < k:
-                raise PreconditionError(
-                    f"keep probability {p:.6f} of vertex {v}, color {c} "
-                    f"is below K = {k:.6f}"
-                )
-    return table
-
-
-def sample_equalized(
-    g: Graph,
-    ca: CorrespondenceAssignment,
-    params: ProcedureParams,
-    rng: np.random.Generator,
-    _table: list[dict[Color, float]] | None = None,
-) -> PartialColoring:
-    """One trial with equalizing coin flips: P[v kept | phi(v) = c] = K exactly."""
-    table = _table if _table is not None else check_equalization_precondition(g, ca, params)
-    k = params.keep
-    sorted_lists = [sorted(ca.lists[v]) for v in range(g.n)]
-    activated = rng.random(g.n) < params.rho
-    phi = tuple(sorted_lists[v][rng.integers(len(sorted_lists[v]))] for v in range(g.n))
-    # one flip per (vertex, color); only the flip at the chosen color can
-    # uncolor, and with rho = 0 the flips are irrelevant anyway
-    heads = [
-        {
-            c: bool(rng.random() < 1 - k / table[v][c]) if table[v][c] > 0 else False
-            for c in sorted_lists[v]
-        }
-        for v in range(g.n)
-    ]
-    uncolored = _uncolored_naive(g, ca, phi, activated)
-    for v in range(g.n):
-        if heads[v][phi[v]]:
-            uncolored.add(v)
-    pc = PartialColoring(phi, frozenset(uncolored), frozenset(np.flatnonzero(activated)))
-    assert is_naive_partial(g, ca, pc.phi, pc.uncolored)
-    return pc
+        low = np.flatnonzero(row < k)
+        if low.size:
+            i = int(low[0])
+            raise PreconditionError(
+                f"keep probability {row[i]:.6f} of vertex {v}, color {inst.lists[v][i]} "
+                f"is below K = {k:.6f}"
+            )
+    return inst, table
 
 
 # --- savings random variables ----------------------------------------------
@@ -240,55 +207,145 @@ def list_size_order(lists: ListAssignment) -> Precedes:
     return prec
 
 
-@dataclass(frozen=True)
-class SavingsSample:
-    """Per-vertex savings components of one trial."""
+# --- the batch sampler -------------------------------------------------------
 
-    aberrance: tuple[int, ...]
-    pairs: tuple[int, ...]
-    trips: tuple[int, ...]
-    unact: tuple[int, ...]
+
+@dataclass(frozen=True)
+class BatchSample:
+    """Arrays of shape (n, trials) describing a batch of equalized trials."""
+
+    phi_idx: np.ndarray  # chosen color index per vertex per trial
+    activated: np.ndarray  # bool
+    uncolored: np.ndarray  # bool
+    aberrance: np.ndarray
+    pairs: np.ndarray
+    trips: np.ndarray
+    unact: np.ndarray
+    save_drop: np.ndarray  # Save_L(v) - Save_L'(v), only meaningful where uncolored
 
     @property
-    def savings(self) -> tuple[int, ...]:
-        return tuple(
-            a + u + p - t
-            for a, u, p, t in zip(self.aberrance, self.unact, self.pairs, self.trips)
-        )
+    def savings(self) -> np.ndarray:
+        return self.aberrance + self.unact + self.pairs - self.trips
 
 
-def savings_of(
+def draw_trials(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    table: list[np.ndarray] | None,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(activated, phi_idx, heads) of `trials` trials, each of shape (n, trials).
+
+    heads[v, t] is the equalizing flip at v's chosen color: only that flip
+    can uncolor v, so only it is drawn.  table=None draws no flips (the
+    naive procedure).
+    """
+    n = len(inst.lists)
+    act = rng.random((n, trials)) < params.rho
+    phi_idx = np.empty((n, trials), dtype=np.int64)
+    for v, size in enumerate(inst.sizes.tolist()):
+        phi_idx[v] = rng.integers(size, size=trials)
+    heads = np.zeros((n, trials), dtype=bool)
+    if table is not None:
+        k = params.keep
+        for v, p in enumerate(table):
+            # with rho = 0 every keep probability is 0 and the flips are irrelevant
+            pflip = np.where(p > 0, 1 - k / np.where(p > 0, p, 1.0), 0.0)
+            heads[v] = rng.random(trials) < pflip[phi_idx[v]]
+    return act, phi_idx, heads
+
+
+def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over colors of C(k, 2) and C(k, 3) per trial, for k = counts[color, trial].
+
+    Every k(k-1) is even and every k(k-1)(k-2) a multiple of 6, so the sums
+    divide exactly.
+    """
+    falling = counts * (counts - 1)
+    pairs = falling.sum(axis=0) // 2
+    falling *= counts - 2
+    return pairs, falling.sum(axis=0) // 6
+
+
+# trials per pass of evaluate_trials; bounds its (neighbor, trial) temporaries
+TRIAL_CHUNK = 1024
+
+
+def evaluate_trials(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    prec: Precedes,
+    act: np.ndarray,
+    phi_idx: np.ndarray,
+    heads: np.ndarray,
+) -> BatchSample:
+    """Uncolored set, savings components and save_drop of the drawn trials.
+
+    Work is vectorized per vertex over (neighbor, trial) arrays, TRIAL_CHUNK
+    trials at a time.
+    """
+    n, trials = phi_idx.shape
+    sizes, match, nbrs = inst.sizes, inst.match, inst.nbrs
+    # neighbors with lists at least as large threaten v
+    big = [sizes[nb] >= sizes[v] for v, nb in enumerate(nbrs)]
+    # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|; sizes are integers
+    not_sigma = 1 - params.sigma
+    egal = [(sizes[nb] >= math.ceil(not_sigma * int(sizes[v])))[:, None] for v, nb in enumerate(nbrs)]
+    earlier = [nb[[prec(u, v) for u in nb.tolist()]] for v, nb in enumerate(nbrs)]
+
+    uncolored = np.empty((n, trials), dtype=bool)
+    aberr, pairs, trips, unact, save_drop = (
+        np.empty((n, trials), dtype=np.int64) for _ in range(5)
+    )
+    for start in range(0, trials, TRIAL_CHUNK):
+        t = slice(start, start + TRIAL_CHUNK)
+        act_t, phi_t = act[:, t], phi_idx[:, t]
+        width = phi_t.shape[1]
+        for v in range(n):
+            threat = nbrs[v][big[v]]
+            mv = match[inst.out_off[v][big[v]][:, None] + phi_t[v]]  # -1 never equals phi_idx
+            threatened = (act_t[threat] & (phi_t[threat] == mv)).any(axis=0)
+            uncolored[v, t] = ~act_t[v] | threatened | heads[v, t]
+        colored = ~uncolored[:, t]
+        tr = np.arange(width)
+        for v in range(n):
+            nb, cells = nbrs[v], int(sizes[v]) * width
+            # per (neighbor u, trial): the index in L(v) matched to phi(u), or -1
+            cell = match[inst.in_off[v][:, None] + phi_t[nb]]
+            on = colored[nb]
+            hit = on & (cell >= 0)
+            aberr[v, t] = (on & egal[v] & (cell < 0)).sum(axis=0)
+            unact[v, t] = (~act_t[earlier[v]]).sum(axis=0)
+            cell *= width
+            cell += tr  # now the flat (color index, trial) cell, meaningful where hit
+            removed = np.bincount(cell[hit], minlength=cells).reshape(-1, width) > 0
+            # Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): colored
+            # neighbors minus the colors of v they remove
+            save_drop[v, t] = on.sum(axis=0) - removed.sum(axis=0)
+            counts = np.bincount(cell[hit & egal[v]], minlength=cells)
+            pairs[v, t], trips[v, t] = _pairs_trips(counts.reshape(-1, width))
+
+    return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact, save_drop)
+
+
+def sample_batch(
     g: Graph,
     ca: CorrespondenceAssignment,
     params: ProcedureParams,
     prec: Precedes,
-    pc: PartialColoring,
-) -> SavingsSample:
-    """Aberrance, pairs, trips, unact for every vertex of one sampled trial."""
-    sigma = params.sigma
-    aberr, pairs, trips, unact = [], [], [], []
-    for v in range(g.n):
-        size_v = len(ca.lists[v])
-        egal = [u for u in g.adj[v] if len(ca.lists[u]) >= (1 - sigma) * size_v]
-        a = 0
-        per_color: dict[Color, int] = {}
-        for u in egal:
-            if u in pc.uncolored:
-                continue
-            back = {cu: cv for cv, cu in ca.pairs(v, u)}  # u's color -> v's color
-            cv = back.get(pc.phi[u])
-            if cv is None:
-                a += 1
-            else:
-                per_color[cv] = per_color.get(cv, 0) + 1
-        p = sum(k * (k - 1) // 2 for k in per_color.values())
-        t = sum(k * (k - 1) * (k - 2) // 6 for k in per_color.values())
-        un = sum(1 for u in g.adj[v] if u not in pc.activated and prec(u, v))
-        aberr.append(a)
-        pairs.append(p)
-        trips.append(t)
-        unact.append(un)
-    return SavingsSample(tuple(aberr), tuple(pairs), tuple(trips), tuple(unact))
+    trials: int,
+    seed: int,
+    equalize: bool = True,
+) -> BatchSample:
+    """Sample `trials` independent equalized trials (naive if equalize=False)."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    if equalize:
+        inst, table = check_equalization_precondition(g, ca, params)
+    else:
+        inst, table = compile_instance(g, ca), None
+    draws = draw_trials(inst, params, table, trials, rng)
+    return evaluate_trials(inst, params, prec, *draws)
 
 
 # --- the end-to-end pipeline ------------------------------------------------
@@ -303,7 +360,6 @@ def greedy_residual_color(
     already-chosen neighbor color.  Returns (coloring, blocked vertex).
     """
     coloring: Coloring = {}
-    in_res = set(res.vertices)
     for v in order:
         forbidden = set()
         for u in g.adj[v]:
@@ -313,7 +369,6 @@ def greedy_residual_color(
         if not avail:
             return None, v
         coloring[v] = avail[0]
-        assert v in in_res
     return coloring, None
 
 
@@ -340,36 +395,44 @@ def pipeline_color(
     """Sample equalized trials until every vertex's residual deficit is covered,
     then color the uncolored part greedily (larger original lists first) and splice.
 
-    Resampling is a full independent resample each round.
+    Each round is a full independent trial.  Trials are drawn from `rng` in
+    batches of 1, 2, 4, ... (capped by the rounds left); the first trial in
+    which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
+    is completed, and the rest of its batch is discarded.
     """
-    for v in range(g.n):
-        if len(L[v]) < (1 - params.eps) * len(g.adj[v]):
-            raise PreconditionError(f"vertex {v}: |L(v)| < (1 - eps) d(v)")
     ca = make_total(g, identity_correspondence(g, L))
-    table = check_equalization_precondition(g, ca, params)
+    inst, table = check_equalization_precondition(g, ca, params)
     prec = list_size_order(L)
-    violations = []
-    for round_no in range(1, max_rounds + 1):
-        pc = sample_equalized(g, ca, params, rng, _table=table)
-        res = residual(g, ca, pc.phi, pc.uncolored)
-        bad = 0
-        for v in res.vertices:
-            d_res = sum(1 for u in g.adj[v] if u in pc.uncolored)
-            save_res = d_res + 1 - len(res.lists[v])
-            unact_v = sum(1 for u in g.adj[v] if u not in pc.activated and prec(u, v))
-            if save_res > unact_v:
-                bad += 1
-        violations.append(bad)
-        if bad:
+    save_full = np.array([len(nb) for nb in inst.nbrs], dtype=np.int64) + 1 - inst.sizes
+    violations: list[int] = []
+    batch = 1
+    while len(violations) < max_rounds:
+        trials = min(batch, max_rounds - len(violations))
+        s = evaluate_trials(inst, params, prec, *draw_trials(inst, params, table, trials, rng))
+        save_res = save_full[:, None] - s.save_drop
+        bad = (s.uncolored & (save_res > s.unact)).sum(axis=0)
+        good = np.flatnonzero(bad == 0)
+        if not good.size:
+            violations.extend(bad.tolist())
+            batch *= 2
             continue
+        t = int(good[0])
+        violations.extend(bad[: t + 1].tolist())
+        phi = [row[i] for row, i in zip(inst.lists, s.phi_idx[:, t].tolist())]
+        uncolored = frozenset(np.flatnonzero(s.uncolored[:, t]).tolist())
+        res = residual(g, ca, phi, uncolored)
         # larger original lists first, ties by id
         order = sorted(res.vertices, key=lambda v: (-len(L[v]), v))
         completion, blocked = greedy_residual_color(g, res, order)
         if completion is None:
-            # the per-vertex check guarantees greedy succeeds; treat as a failed round
-            continue
-        coloring = splice(g, ca, pc.phi, pc.uncolored, completion)
+            # the savings check guarantees greedy succeeds: unact(v) counts
+            # the neighbors that are colored after v
+            raise RuntimeError(
+                f"greedy completion blocked at vertex {blocked} after the savings "
+                "check passed; pipeline fault"
+            )
+        coloring = splice(g, ca, phi, uncolored, completion)
         if not is_lm_coloring(g, ca, coloring):
             raise RuntimeError("spliced coloring is improper; pipeline fault")
-        return PipelineReport(coloring, round_no, tuple(violations))
+        return PipelineReport(coloring, len(violations), tuple(violations))
     return PipelineReport(None, max_rounds, tuple(violations))

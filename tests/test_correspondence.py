@@ -139,7 +139,7 @@ class TestSpliceProperty:
     @settings(max_examples=50, deadline=None)
     def test_residual_coloring_splices_to_proper(self, inst):
         from localcolor.lists import brute_force_L_colorable
-        from localcolor.procedure import sample_naive
+        from scalar_reference import sample_naive
 
         g, L, seed = inst
         ca = make_total(g, identity_correspondence(g, L))

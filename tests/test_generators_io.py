@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from localcolor.formats import (
     parse_dimacs,
 )
 from localcolor.correspondence import identity_correspondence, make_total
+from localcolor.experiment import build_params
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from localcolor.graph import Graph, Matching, max_clique_size
 from localcolor.knm import KnmInstance
@@ -176,3 +178,13 @@ class TestCli:
         r = run_cli("certify-constants")
         assert r.returncode == 0
         assert json.loads(r.stdout)["savings_gap"]["holds"]
+
+
+class TestBuildParams:
+    def test_known_keys(self):
+        params = build_params({"eps": "1/20", "sigma": "1/4", "rho": "auto"})
+        assert params.eps == Fraction(1, 20) and params.sigma == Fraction(1, 4)
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match="gap_exp"):
+            build_params({"eps": "1/20", "gap_exp": 10})

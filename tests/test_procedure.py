@@ -1,26 +1,46 @@
+import hashlib
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localcolor import procedure
 from localcolor.correspondence import (
     CorrespondenceAssignment,
     identity_correspondence,
     is_lm_coloring,
     make_total,
+    residual,
 )
+from localcolor.generators import gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.montecarlo import keep_frequency, mc_estimate, sample_batch
 from localcolor.procedure import (
     PreconditionError,
     ProcedureParams,
+    compile_instance,
     default_rho,
+    draw_trials,
+    evaluate_trials,
     keep_constant,
     keep_probability,
+    keep_table,
     list_size_order,
     pipeline_color,
+)
+from scalar_reference import (
+    PartialColoring,
+    _uncolored_naive,
     sample_equalized,
     sample_naive,
     savings_of,
@@ -176,8 +196,6 @@ class TestSavings:
         return ProcedureParams()
 
     def make_pc(self, g, phi, uncolored, activated):
-        from localcolor.procedure import PartialColoring
-
         return PartialColoring(tuple(phi), frozenset(uncolored), frozenset(activated))
 
     def test_all_uncolored_only_unact(self):
@@ -276,6 +294,21 @@ class TestPipeline:
         r2 = pipeline_color(g, L, ProcedureParams(), 20, rng_of(77))
         assert r1 == r2
 
+    def test_lists_of_64_or_more_colors(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        L = make_lists([range(64), range(70), range(5, 70), range(66)])
+        report = pipeline_color(g, L, ProcedureParams(), 20, rng_of(8))
+        assert report.succeeded
+        assert is_lm_coloring(g, identity_correspondence(g, L), report.coloring)
+
+    def test_blocked_completion_is_a_fault(self, monkeypatch):
+        # the savings check guarantees greedy completion, so a block must surface
+        monkeypatch.setattr(procedure, "greedy_residual_color", lambda g, res, order: (None, 3))
+        g = star(4)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        with pytest.raises(RuntimeError, match="vertex 3"):
+            pipeline_color(g, L, ProcedureParams(), 20, rng_of(0))
+
 
 class TestDeterminism:
     def test_batches_reproduce(self):
@@ -289,3 +322,138 @@ class TestDeterminism:
         e1 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
         e2 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
         assert (e1.savings.mean == e2.savings.mean).all()
+
+
+@st.composite
+def sampler_instance(draw):
+    """A small graph with random partial matchings completed by make_total;
+    some lists have 64 or more colors."""
+    n = draw(st.integers(1, 7))
+    possible = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    g = Graph.from_edges(n, edges)
+    rows = []
+    for _ in range(n):
+        size = draw(st.one_of(st.integers(1, 4), st.integers(64, 67)))
+        start = draw(st.integers(0, 3))
+        rows.append(range(start, start + size))
+    L = make_lists(rows)
+    matchings = {}
+    for u, v in g.edges():
+        cu = draw(st.permutations(sorted(L[u])))
+        cv = draw(st.permutations(sorted(L[v])))
+        k = draw(st.integers(0, min(len(cu), len(cv))))
+        matchings[(u, v)] = frozenset(zip(cu[:k], cv[:k]))
+    ca = make_total(g, CorrespondenceAssignment(L, matchings))
+    params = ProcedureParams(
+        sigma=draw(st.sampled_from([Fraction(0), Fraction(1, 4)])),
+        rho=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+    )
+    return g, ca, params, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSamplerMatchesReference:
+    @given(sampler_instance())
+    @settings(max_examples=80, deadline=None)
+    def test_per_trial(self, inst_case):
+        g, ca, params, equalize, seed = inst_case
+        inst = compile_instance(g, ca)
+        table = keep_table(inst, params.rho)
+        for v in range(g.n):
+            for i, c in enumerate(inst.lists[v]):
+                assert table[v][i] == keep_probability(g, ca, params.rho, v, c)
+        prec = list_size_order(ca.lists)
+        trials = 6
+        act, phi_idx, heads = draw_trials(
+            inst, params, table if equalize else None, trials, np.random.default_rng(seed)
+        )
+        batch = evaluate_trials(inst, params, prec, act, phi_idx, heads)
+        for t in range(trials):
+            phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+            uncolored = frozenset(
+                _uncolored_naive(g, ca, phi, act[:, t])
+                | set(np.flatnonzero(heads[:, t]).tolist())
+            )
+            assert set(np.flatnonzero(batch.uncolored[:, t]).tolist()) == uncolored
+            pc = PartialColoring(phi, uncolored, frozenset(np.flatnonzero(act[:, t]).tolist()))
+            s = savings_of(g, ca, params, prec, pc)
+            assert batch.aberrance[:, t].tolist() == list(s.aberrance)
+            assert batch.pairs[:, t].tolist() == list(s.pairs)
+            assert batch.trips[:, t].tolist() == list(s.trips)
+            assert batch.unact[:, t].tolist() == list(s.unact)
+            res = residual(g, ca, phi, uncolored)
+            for v in res.vertices:
+                d_res = sum(1 for u in g.adj[v] if u in uncolored)
+                save_full = len(g.adj[v]) + 1 - len(ca.lists[v])
+                save_res = d_res + 1 - len(res.lists[v])
+                assert batch.save_drop[v, t] == save_full - save_res
+
+
+# SHA-256 of each BatchSample field (dtype, bytes) of the instance below.
+# They pin the random stream and every value sample_batch returns, which
+# `estimate` output depends on byte for byte.  2500 trials span several
+# evaluation chunks, the last one partial.
+GOLDEN_BATCH = {
+    "phi_idx": ("<i8", "6221cf91a36e198894c9f5ee8e5769537b7a43c01b58dd9b1605a32e84b09f4f"),
+    "activated": ("|b1", "a1fd49c4175b116bcf59d7e014be658c36465212a082e2086411a6001d40dc13"),
+    "uncolored": ("|b1", "685a954145223e2efea6c69295cf73cbabe0c98786ed2d67b313e596e10b4ca7"),
+    "aberrance": ("<i8", "20eae3c2a82105795614248044a112ce003df7606f616733454688a1c174fdba"),
+    "pairs": ("<i8", "9d4c4a9b5cc2dba5acf708f1c07b74df99420a45202623237e258094ac6aa79f"),
+    "trips": ("<i8", "3f285860b95c19d3e480eda2c9c6fe175694098bcaf0acdb5b75ce144b9248d0"),
+    "unact": ("<i8", "6b9f1449134be7a5e9a6aeaf805e2cedf1e7ab76a136617d24251f35f3c6f8dd"),
+    "save_drop": ("<i8", "5bc33e838552e59a0c0c4fd0675b7aa68c4c5cf658e581ca3475ecaf0956fd18"),
+}
+
+
+def test_batch_golden():
+    assert 2 * procedure.TRIAL_CHUNK < 2500
+    g = gen_gnp(30, 0.2, 3)
+    rng = random.Random(3)
+    L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
+    ca = make_total(g, identity_correspondence(g, L))
+    batch = sample_batch(g, ca, ProcedureParams(sigma=Fraction(1, 4)), list_size_order(L), 2500, 11)
+    got = {
+        name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
+        for name, a in vars(batch).items()
+    }
+    assert got == GOLDEN_BATCH
+
+
+# Checks save_drop against residual() on lists of 70 colors.  It runs under
+# `python -O`, so a check that lives in an assert would be gone.
+SAVE_DROP_SCRIPT = """
+import sys
+import numpy as np
+from localcolor.correspondence import identity_correspondence, make_total, residual
+from localcolor.graph import Graph
+from localcolor.lists import make_lists
+from localcolor.montecarlo import sample_batch
+from localcolor.procedure import ProcedureParams, list_size_order
+
+g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
+L = make_lists([range(70)] * 70)
+ca = make_total(g, identity_correspondence(g, L))
+batch = sample_batch(g, ca, ProcedureParams(rho=0.9), list_size_order(L), 300, 5, equalize=False)
+lists = [sorted(row) for row in L]
+bad = 0
+for t in range(300):
+    phi = [lists[v][i] for v, i in enumerate(batch.phi_idx[:, t].tolist())]
+    uncolored = frozenset(np.flatnonzero(batch.uncolored[:, t]).tolist())
+    res = residual(g, ca, phi, uncolored)
+    for v in res.vertices:
+        d_res = sum(1 for u in g.adj[v] if u in uncolored)
+        want = (len(g.adj[v]) + 1 - len(L[v])) - (d_res + 1 - len(res.lists[v]))
+        bad += int(batch.save_drop[v, t] != want)
+print("optimize", sys.flags.optimize, "mismatches", bad)
+"""
+
+
+def test_save_drop_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SAVE_DROP_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["optimize", "1", "mismatches", "0"]
