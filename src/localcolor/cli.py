@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .experiment import (
-    ExperimentConfig,
-    build_graph,
-    build_params,
-    parse_fraction,
-)
+from .experiment import build_graph, build_params, parse_fraction, run_estimate
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
 from .graph import Graph, max_antimatching
@@ -40,6 +35,31 @@ def _load_lists(path: str, g: Graph) -> ListAssignment:
     if len(L) != g.n:
         raise SystemExit(f"lists file has {len(L)} rows, graph has {g.n} vertices")
     return L
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
+def _key_value(item: str) -> tuple[str, str]:
+    """argparse type of one K=V item."""
+    key, sep, value = item.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected K=V, got {item!r}")
+    return key, value
+
+
+def _key_values(text: str) -> dict[str, str]:
+    """argparse type of comma-separated K=V items."""
+    return dict(_key_value(kv) for kv in text.split(",") if kv)
 
 
 def _add_param_args(p: argparse.ArgumentParser):
@@ -61,18 +81,17 @@ def _params_of(args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    spec = {"name": args.name}
-    for kv in args.param or []:
-        k, v = kv.split("=", 1)
-        spec[k] = v
-    g = build_graph(spec)
+    try:
+        g = build_graph({**dict(args.param or []), "name": args.name})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     text = emit_dimacs(g)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if args.lists_out:
-        k = int(args.uniform_lists) if args.uniform_lists else None
+        k = args.uniform_lists
         if k is None:
             rows = [list(range(len(g.adj[v]) + 1)) for v in range(g.n)]
         else:
@@ -98,43 +117,13 @@ def cmd_color(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    g_spec = {"name": "file", "path": args.graph}  # placeholder, replaced below
-    cfg = ExperimentConfig(
-        kind="estimate",
-        generator=g_spec,
-        lists={"kind": "file"},
-        params=_params_of(args),
-        trials=args.trials,
-        seed=args.seed,
-        out_dir=args.out_dir,
-    )
-    # the runner builds from generator specs; for file inputs go direct
-    from .experiment import _content_hash, _estimate_rows  # noqa: PLC0415
-    import csv as _csv
-    import io as _io
-
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
-    params = build_params(cfg.params)
-    rows = _estimate_rows(g, L, params, cfg)
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["vertex", "var", "mean", "se", "bound", "pass"])
-    w.writerows(rows)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "estimate_results.csv").write_text(buf.getvalue())
-    manifest = {
-        "graph": args.graph,
-        "lists": args.lists,
-        "params": cfg.params,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "content_hash": _content_hash(buf.getvalue()),
-    }
-    (out / "estimate_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    passed = all(r[-1] for r in rows)
-    print(f"estimate: {'pass' if passed else 'FAIL'} ({len(rows)} checks)")
+    passed, checks = run_estimate(
+        g, L, _params_of(args), args.trials, args.seed, args.out_dir,
+        {"graph": args.graph, "lists": args.lists},
+    )
+    print(f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)")
     return 0 if passed else 1
 
 
@@ -187,14 +176,22 @@ def _jsonable(x):
 
 
 def cmd_bounds(args) -> int:
-    params = {}
-    for kv in (args.params or "").split(","):
-        if kv:
-            k, v = kv.split("=", 1)
-            params[k] = v
     which = args.which
+    try:
+        rep = _evaluate_bound(which, args.params)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bound {which!r} needs parameter {exc.args[0]!r}"
+        ) from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bound {which!r}: {exc}") from None
+    print(json.dumps(_jsonable(rep), indent=2))
+    return 0
+
+
+def _evaluate_bound(which: str, params: dict[str, str]):
     if which == "talagrand":
-        rep = bounds_mod.talagrand_tail(
+        return bounds_mod.talagrand_tail(
             float(params["t"]),
             int(params["r"]),
             float(params["chg"]),
@@ -202,24 +199,19 @@ def cmd_bounds(args) -> int:
             float(params.get("p_exc", 0)),
             float(params.get("sup_x", 0)),
         )
-    elif which == "talagrand-median":
-        rep = bounds_mod.talagrand_median_tail(
+    if which == "talagrand-median":
+        return bounds_mod.talagrand_median_tail(
             float(params["t"]),
             int(params["r"]),
             float(params["chg"]),
             float(params["med"]),
             float(params.get("p_exc", 0)),
         )
-    elif which == "exceptional":
-        rep = bounds_mod.exceptional_prob_bound(
+    if which == "exceptional":
+        return bounds_mod.exceptional_prob_bound(
             float(params["delta"]), float(params.get("sigma", 0)), float(params.get("eps", 0))
         )
-    elif which == "ky":
-        rep = bounds_mod.ky_bound(int(params["k"]), int(params["n"]))
-    else:
-        raise SystemExit(f"unknown bound {which!r}")
-    print(json.dumps(_jsonable(rep), indent=2))
-    return 0
+    return bounds_mod.ky_bound(int(params["k"]), int(params["n"]))
 
 
 def cmd_certify_constants(args) -> int:
@@ -238,17 +230,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("generate", help="emit a generated graph as DIMACS")
     p.add_argument("--name", required=True, choices=["c5_blowup", "complete_bipartite", "gnp"])
-    p.add_argument("--param", action="append", metavar="K=V")
+    p.add_argument("--param", type=_key_value, action="append", metavar="K=V")
     p.add_argument("--out")
     p.add_argument("--lists-out")
-    p.add_argument("--uniform-lists")
+    p.add_argument("--uniform-lists", type=int)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("color", help="run the coloring pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
     _add_param_args(p)
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--rounds", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=cmd_color)
 
@@ -256,7 +248,7 @@ def main(argv=None) -> int:
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
     _add_param_args(p)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_int_at_least(2), default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_estimate)
@@ -274,8 +266,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("bounds", help="evaluate a named bound")
-    p.add_argument("--which", required=True)
-    p.add_argument("--params", default="")
+    p.add_argument(
+        "--which", required=True, choices=["talagrand", "talagrand-median", "exceptional", "ky"]
+    )
+    p.add_argument("--params", type=_key_values, default="", metavar="K=V,...")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("certify-constants", help="check the parameter certificates")
@@ -283,7 +277,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_certify_constants)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except argparse.ArgumentTypeError as exc:  # a bad value found by the command
+        ap.error(f"{args.cmd}: {exc}")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,6 @@ class CorrespondenceError(ValueError):
     """Raised for assignments whose per-edge pairs do not form a matching."""
 
 
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class CorrespondenceAssignment:
     """Lists plus a per-edge matching; edge keys are exactly E(G), u < v."""

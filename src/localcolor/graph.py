@@ -58,9 +58,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
     def min_degree(self) -> int:
         return min((len(a) for a in self.adj), default=0)
 

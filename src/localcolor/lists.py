@@ -72,10 +72,6 @@ class VertexProfile:
     def egalitarian(self) -> frozenset[int]:
         return self.strong_egal | self.weak_egal
 
-    @property
-    def not_egalitarian(self) -> frozenset[int]:
-        return self.subservient | self.lordlier
-
 
 def profile(
     g: Graph,
@@ -230,24 +226,9 @@ def _connected_subsets(g: Graph) -> list[frozenset[int]]:
     out = []
     for k in range(2, g.n + 1):
         for combo in combinations(range(g.n), k):
-            sub = g.subgraph(combo)
-            if _is_connected(sub):
+            if len(_components(g.subgraph(combo))) == 1:
                 out.append(frozenset(combo))
     return out
-
-
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
 
 
 def _components(g: Graph) -> list[list[int]]:

@@ -50,6 +50,8 @@ def mc_estimate(
     trials: int,
     seed: int,
 ) -> MCEstimate:
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
     batch = sample_batch(g, ca, params, prec, trials, seed)
     return MCEstimate(
         trials,

@@ -400,6 +400,8 @@ def pipeline_color(
     which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
     is completed, and the rest of its batch is discarded.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     ca = make_total(g, identity_correspondence(g, L))
     inst, table = check_equalization_precondition(g, ca, params)
     prec = list_size_order(L)

@@ -301,6 +301,13 @@ class TestPipeline:
         assert report.succeeded
         assert is_lm_coloring(g, identity_correspondence(g, L), report.coloring)
 
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_round_budget_below_one_is_named(self, rounds):
+        g = star(4)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        with pytest.raises(ValueError, match=f"got {rounds}"):
+            pipeline_color(g, L, ProcedureParams(), rounds, rng_of(0))
+
     def test_blocked_completion_is_a_fault(self, monkeypatch):
         # the savings check guarantees greedy completion, so a block must surface
         monkeypatch.setattr(procedure, "greedy_residual_color", lambda g, res, order: (None, 3))
@@ -322,6 +329,13 @@ class TestDeterminism:
         e1 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
         e2 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
         assert (e1.savings.mean == e2.savings.mean).all()
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_is_named(self, trials):
+        g = star(5)
+        ca = make_total(g, identity_correspondence(g, uniform_lists(6, 6)))
+        with pytest.raises(ValueError, match=f"trials={trials}"):
+            mc_estimate(g, ca, ProcedureParams(), list_size_order(ca.lists), trials, 0)
 
 
 @st.composite
