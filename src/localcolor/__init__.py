@@ -18,10 +18,7 @@ from .correspondence import (
     CorrespondenceAssignment,
     identity_correspondence,
     is_lm_coloring,
-    is_naive_partial,
     make_total,
-    residual,
-    splice,
 )
 from .extraction import ExtractionResult, extract_dense_subgraph
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
@@ -58,7 +55,6 @@ from .procedure import (
     default_rho,
     keep_constant,
     keep_probability,
-    list_size_order,
     pipeline_color,
 )
 

@@ -26,14 +26,26 @@ from .lists import ListAssignment, make_lists
 from .procedure import pipeline_color
 
 
+def _read(path: str, parse):
+    """parse(text of the file); an unreadable or malformed file is an argument error."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
 def _load_graph(path: str) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+    return _read(path, parse_dimacs)
 
 
 def _load_lists(path: str, g: Graph) -> ListAssignment:
-    L = lists_from_json(json.loads(Path(path).read_text()))
+    L = _read(path, lambda text: lists_from_json(json.loads(text)))
     if len(L) != g.n:
-        raise SystemExit(f"lists file has {len(L)} rows, graph has {g.n} vertices")
+        raise argparse.ArgumentTypeError(
+            f"{path} has {len(L)} lists, the graph has {g.n} vertices"
+        )
     return L
 
 
@@ -71,13 +83,19 @@ def _add_param_args(p: argparse.ArgumentParser):
 
 
 def _params_of(args) -> dict:
-    return {
+    """The procedure parameters as given, checked: a bad value is an argument error."""
+    raw = {
         "eps": args.eps,
         "alpha": args.alpha,
         "beta": args.beta,
         "sigma": args.sigma,
         "rho": args.rho,
     }
+    try:
+        build_params(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return raw
 
 
 def cmd_generate(args) -> int:

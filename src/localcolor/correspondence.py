@@ -11,10 +11,10 @@ Matchings are stored sparsely per normalized edge (u < v) as sets of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .graph import Graph
-from .lists import Color, Coloring, ListAssignment
+from .lists import Color, ListAssignment
 
 Edge = tuple[int, int]
 Pair = tuple[Color, Color]
@@ -113,87 +113,3 @@ def is_lm_coloring(g: Graph, ca: CorrespondenceAssignment, phi: Mapping[int, Col
         if (phi[u], phi[v]) in ca.pairs(u, v):
             return False
     return True
-
-
-def is_naive_partial(
-    g: Graph,
-    ca: CorrespondenceAssignment,
-    phi: Sequence[Color],
-    uncolored: frozenset[int],
-) -> bool:
-    """phi is a full color guess, proper off the uncolored set."""
-    if len(phi) != g.n:
-        return False
-    for v in range(g.n):
-        if phi[v] not in ca.lists[v]:
-            return False
-    for u, v in g.edges():
-        if u in uncolored or v in uncolored:
-            continue
-        if (phi[u], phi[v]) in ca.pairs(u, v):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class ResidualAssignment:
-    """Correspondence assignment induced on the uncolored set after a partial coloring.
-
-    Vertices keep their original ids; `vertices` is the surviving induced
-    set.  Residual lists may be empty (that is exactly the failure mode the
-    savings analysis guards against).
-    """
-
-    vertices: tuple[int, ...]
-    lists: dict[int, frozenset[Color]]
-    matchings: dict[Edge, frozenset[Pair]]
-
-    def pairs(self, u: int, v: int) -> frozenset[Pair]:
-        if u < v:
-            return self.matchings[(u, v)]
-        return frozenset((cv, cu) for cu, cv in self.matchings[(v, u)])
-
-
-def residual(
-    g: Graph,
-    ca: CorrespondenceAssignment,
-    phi: Sequence[Color],
-    uncolored: frozenset[int],
-) -> ResidualAssignment:
-    """Shrink lists by colors matched to colored neighbors; restrict matchings to G[U]."""
-    if not is_naive_partial(g, ca, phi, uncolored):
-        raise CorrespondenceError("(phi, U) is not a valid naive partial coloring")
-    new_lists: dict[int, frozenset[Color]] = {}
-    for v in sorted(uncolored):
-        dead = set()
-        for u in g.adj[v]:
-            if u in uncolored:
-                continue
-            # the color of v (if any) matched to phi(u)
-            for cv, cu in ca.pairs(v, u):
-                if cu == phi[u]:
-                    dead.add(cv)
-        new_lists[v] = ca.lists[v] - dead
-    new_matchings: dict[Edge, frozenset[Pair]] = {}
-    for u, v in g.edges():
-        if u in uncolored and v in uncolored:
-            new_matchings[(u, v)] = frozenset(
-                (cu, cv)
-                for cu, cv in ca.matchings[(u, v)]
-                if cu in new_lists[u] and cv in new_lists[v]
-            )
-    return ResidualAssignment(tuple(sorted(uncolored)), new_lists, new_matchings)
-
-
-def splice(
-    g: Graph,
-    ca: CorrespondenceAssignment,
-    phi: Sequence[Color],
-    uncolored: frozenset[int],
-    completion: Mapping[int, Color],
-) -> Coloring:
-    """Combine the colored part of a naive partial coloring with a residual coloring."""
-    out: Coloring = {v: phi[v] for v in range(g.n) if v not in uncolored}
-    for v in uncolored:
-        out[v] = completion[v]
-    return out

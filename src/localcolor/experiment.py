@@ -23,7 +23,7 @@ from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph
 from .lists import ListAssignment, profile
 from .montecarlo import mc_estimate
-from .procedure import ProcedureParams, default_rho, list_size_order
+from .procedure import ProcedureParams, default_rho
 
 
 def parse_fraction(s: str | int) -> Fraction:
@@ -35,15 +35,21 @@ def build_params(raw: dict) -> ProcedureParams:
     unknown = set(raw) - {"eps", "sigma", "alpha", "beta", "rho"}
     if unknown:
         raise ValueError(f"unknown procedure parameters: {', '.join(sorted(map(str, unknown)))}")
-    kw: dict = {}
-    for key in ("eps", "sigma", "alpha", "beta"):
-        if key in raw:
-            kw[key] = parse_fraction(raw[key])
+
+    def fraction(key: str) -> Fraction:
+        try:
+            return parse_fraction(raw[key])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"parameter {key}: expected a fraction such as 1/20, got {raw[key]!r}"
+            ) from None
+
+    kw: dict = {key: fraction(key) for key in ("eps", "sigma", "alpha", "beta") if key in raw}
     if "rho" in raw:
         if raw["rho"] == "auto":
             kw["rho"] = default_rho(kw.get("alpha", Fraction(1, 50)))
         else:
-            kw["rho"] = float(parse_fraction(raw["rho"]))
+            kw["rho"] = float(fraction("rho"))
     return ProcedureParams(**kw)
 
 
@@ -66,8 +72,7 @@ def _estimate_rows(
     g: Graph, L: ListAssignment, params: ProcedureParams, trials: int, seed: int
 ) -> list[list]:
     ca = make_total(g, identity_correspondence(g, L))
-    prec = list_size_order(L)
-    est = mc_estimate(g, ca, params, prec, trials, seed)
+    est = mc_estimate(g, ca, params, trials, seed)
     rows = []
     k = params.keep
     for v in range(g.n):

@@ -59,9 +59,7 @@ class VertexProfile:
 
     vertex: int
     degree: int
-    clique: int
     gap: int
-    save: int
     subservient: frozenset[int]
     strong_egal: frozenset[int]
     weak_egal: frozenset[int]
@@ -86,8 +84,7 @@ def profile(
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     d = degree(g, v)
-    omega_v = local_clique_number(g, v)
-    gap_v = d + 1 - omega_v
+    gap_v = d + 1 - local_clique_number(g, v)
     size_v = len(L[v])
     strong_cut = size_v + beta * gap_v        # exact rational thresholds
     lord_cut = (1 + alpha) * size_v
@@ -106,9 +103,7 @@ def profile(
     return VertexProfile(
         vertex=v,
         degree=d,
-        clique=omega_v,
         gap=gap_v,
-        save=d + 1 - size_v,
         subservient=frozenset(sub),
         strong_egal=frozenset(strong),
         weak_egal=frozenset(weak),

@@ -13,7 +13,7 @@ import numpy as np
 from .correspondence import CorrespondenceAssignment
 from .graph import Graph
 from .lists import Color
-from .procedure import BatchSample, Precedes, ProcedureParams, sample_batch
+from .procedure import BatchSample, ProcedureParams, sample_batch
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,12 @@ def mc_estimate(
     g: Graph,
     ca: CorrespondenceAssignment,
     params: ProcedureParams,
-    prec: Precedes,
     trials: int,
     seed: int,
 ) -> MCEstimate:
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
-    batch = sample_batch(g, ca, params, prec, trials, seed)
+    batch = sample_batch(g, ca, params, trials, seed)
     return MCEstimate(
         trials,
         seed,

@@ -10,7 +10,8 @@ K = 0.999 * rho * exp(-rho / (1 - eps)).
 
 Savings random variables (aberrance, pairs, trips, unact) measure how much
 a vertex's residual color deficit shrank; the pipeline resamples until every
-vertex's deficit is covered, then finishes greedily on the uncolored part.
+vertex's deficit is covered, then finishes greedily on the uncolored part,
+on the same compiled instance.
 
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
@@ -22,18 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .correspondence import (
     CorrespondenceAssignment,
-    ResidualAssignment,
     identity_correspondence,
     is_lm_coloring,
     make_total,
-    residual,
-    splice,
 )
 from .graph import Graph
 from .lists import Color, Coloring, ListAssignment
@@ -193,20 +190,6 @@ def check_equalization_precondition(
     return inst, table
 
 
-# --- savings random variables ----------------------------------------------
-
-Precedes = Callable[[int, int], bool]
-
-
-def list_size_order(lists: ListAssignment) -> Precedes:
-    """u precedes v iff |L(u)| < |L(v)| (strict; equal sizes are incomparable)."""
-
-    def prec(u: int, v: int) -> bool:
-        return len(lists[u]) < len(lists[v])
-
-    return prec
-
-
 # --- the batch sampler -------------------------------------------------------
 
 
@@ -275,13 +258,14 @@ TRIAL_CHUNK = 1024
 def evaluate_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
-    prec: Precedes,
     act: np.ndarray,
     phi_idx: np.ndarray,
     heads: np.ndarray,
 ) -> BatchSample:
     """Uncolored set, savings components and save_drop of the drawn trials.
 
+    unact(v) counts the non-activated neighbors with strictly smaller lists:
+    greedy completion colors them after v, so each one leaves v a color.
     Work is vectorized per vertex over (neighbor, trial) arrays, TRIAL_CHUNK
     trials at a time.
     """
@@ -292,7 +276,8 @@ def evaluate_trials(
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|; sizes are integers
     not_sigma = 1 - params.sigma
     egal = [(sizes[nb] >= math.ceil(not_sigma * int(sizes[v])))[:, None] for v, nb in enumerate(nbrs)]
-    earlier = [nb[[prec(u, v) for u in nb.tolist()]] for v, nb in enumerate(nbrs)]
+    # neighbors with strictly smaller lists are colored after v by greedy completion
+    later = [nb[~b] for nb, b in zip(nbrs, big)]
 
     uncolored = np.empty((n, trials), dtype=bool)
     aberr, pairs, trips, unact, save_drop = (
@@ -316,7 +301,7 @@ def evaluate_trials(
             on = colored[nb]
             hit = on & (cell >= 0)
             aberr[v, t] = (on & egal[v] & (cell < 0)).sum(axis=0)
-            unact[v, t] = (~act_t[earlier[v]]).sum(axis=0)
+            unact[v, t] = (~act_t[later[v]]).sum(axis=0)
             cell *= width
             cell += tr  # now the flat (color index, trial) cell, meaningful where hit
             removed = np.bincount(cell[hit], minlength=cells).reshape(-1, width) > 0
@@ -333,7 +318,6 @@ def sample_batch(
     g: Graph,
     ca: CorrespondenceAssignment,
     params: ProcedureParams,
-    prec: Precedes,
     trials: int,
     seed: int,
     equalize: bool = True,
@@ -345,31 +329,36 @@ def sample_batch(
     else:
         inst, table = compile_instance(g, ca), None
     draws = draw_trials(inst, params, table, trials, rng)
-    return evaluate_trials(inst, params, prec, *draws)
+    return evaluate_trials(inst, params, *draws)
 
 
 # --- the end-to-end pipeline ------------------------------------------------
 
 
-def greedy_residual_color(
-    g: Graph, res: ResidualAssignment, order: Sequence[int]
-) -> tuple[Coloring | None, int | None]:
-    """Greedy correspondence coloring of the residual assignment.
+def greedy_complete(
+    inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray
+) -> tuple[np.ndarray | None, int | None]:
+    """Color the uncolored vertices of one trial greedily, in index form.
 
-    Each vertex takes its smallest surviving color not matched to an
-    already-chosen neighbor color.  Returns (coloring, blocked vertex).
+    phi_idx and uncolored are the trial's columns.  Uncolored vertices are
+    taken larger lists first, ties by id; each takes the smallest color index
+    not matched to the color of an already colored neighbor, whether that
+    neighbor kept its trial color or was completed before.  Returns (color
+    index per vertex, blocked vertex).
     """
-    coloring: Coloring = {}
-    for v in order:
-        forbidden = set()
-        for u in g.adj[v]:
-            if u in coloring:
-                forbidden.update(cv for cv, cu in res.pairs(v, u) if cu == coloring[u])
-        avail = sorted(res.lists[v] - forbidden)
-        if not avail:
+    sizes = inst.sizes.tolist()
+    color = np.where(uncolored, -1, phi_idx)
+    for v in sorted(np.flatnonzero(uncolored).tolist(), key=lambda v: (-sizes[v], v)):
+        c = color[inst.nbrs[v]]
+        on = c >= 0
+        taken = inst.match[inst.in_off[v][on] + c[on]]
+        free = np.ones(sizes[v], dtype=bool)
+        free[taken[taken >= 0]] = False
+        i = int(free.argmax())
+        if not free[i]:
             return None, v
-        coloring[v] = avail[0]
-    return coloring, None
+        color[v] = i
+    return color, None
 
 
 @dataclass(frozen=True)
@@ -393,24 +382,25 @@ def pipeline_color(
     rng: np.random.Generator,
 ) -> PipelineReport:
     """Sample equalized trials until every vertex's residual deficit is covered,
-    then color the uncolored part greedily (larger original lists first) and splice.
+    then color the uncolored part greedily (larger original lists first).
 
     Each round is a full independent trial.  Trials are drawn from `rng` in
     batches of 1, 2, 4, ... (capped by the rounds left); the first trial in
     which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
-    is completed, and the rest of its batch is discarded.
+    is completed, and the rest of its batch is discarded.  The completed
+    coloring is checked on the correspondence assignment itself, not on the
+    compiled arrays.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     ca = make_total(g, identity_correspondence(g, L))
     inst, table = check_equalization_precondition(g, ca, params)
-    prec = list_size_order(L)
     save_full = np.array([len(nb) for nb in inst.nbrs], dtype=np.int64) + 1 - inst.sizes
     violations: list[int] = []
     batch = 1
     while len(violations) < max_rounds:
         trials = min(batch, max_rounds - len(violations))
-        s = evaluate_trials(inst, params, prec, *draw_trials(inst, params, table, trials, rng))
+        s = evaluate_trials(inst, params, *draw_trials(inst, params, table, trials, rng))
         save_res = save_full[:, None] - s.save_drop
         bad = (s.uncolored & (save_res > s.unact)).sum(axis=0)
         good = np.flatnonzero(bad == 0)
@@ -420,21 +410,16 @@ def pipeline_color(
             continue
         t = int(good[0])
         violations.extend(bad[: t + 1].tolist())
-        phi = [row[i] for row, i in zip(inst.lists, s.phi_idx[:, t].tolist())]
-        uncolored = frozenset(np.flatnonzero(s.uncolored[:, t]).tolist())
-        res = residual(g, ca, phi, uncolored)
-        # larger original lists first, ties by id
-        order = sorted(res.vertices, key=lambda v: (-len(L[v]), v))
-        completion, blocked = greedy_residual_color(g, res, order)
-        if completion is None:
+        color, blocked = greedy_complete(inst, s.phi_idx[:, t], s.uncolored[:, t])
+        if color is None:
             # the savings check guarantees greedy succeeds: unact(v) counts
             # the neighbors that are colored after v
             raise RuntimeError(
                 f"greedy completion blocked at vertex {blocked} after the savings "
                 "check passed; pipeline fault"
             )
-        coloring = splice(g, ca, phi, uncolored, completion)
+        coloring = {v: inst.lists[v][i] for v, i in enumerate(color.tolist())}
         if not is_lm_coloring(g, ca, coloring):
-            raise RuntimeError("spliced coloring is improper; pipeline fault")
+            raise RuntimeError("completed coloring is improper; pipeline fault")
         return PipelineReport(coloring, len(violations), tuple(violations))
     return PipelineReport(None, max_rounds, tuple(violations))

@@ -1,26 +1,162 @@
-"""Scalar, one-trial-at-a-time reference for the vectorized sampler.
+"""Scalar, one-trial-at-a-time reference for the vectorized sampler and the
+greedy completion.
 
 These functions follow the procedure's definitions directly on the
 frozenset correspondence representation.  The tests use them as the oracle
-that `localcolor.procedure.evaluate_trials` must match trial by trial.
+that `localcolor.procedure.evaluate_trials` and `greedy_complete` must match
+trial by trial: sampling and savings, then the residual assignment, its
+greedy coloring and the splice back onto the colored part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from localcolor.correspondence import CorrespondenceAssignment, is_naive_partial
+from localcolor.correspondence import (
+    CorrespondenceAssignment,
+    CorrespondenceError,
+    Edge,
+    Pair,
+)
 from localcolor.graph import Graph
-from localcolor.lists import Color
+from localcolor.lists import Color, Coloring, ListAssignment
 from localcolor.procedure import (
-    Precedes,
     ProcedureParams,
     check_equalization_precondition,
     keep_probability,
 )
+
+Precedes = Callable[[int, int], bool]
+
+
+def list_size_order(lists: ListAssignment) -> Precedes:
+    """u precedes v iff |L(u)| < |L(v)| (strict; equal sizes are incomparable)."""
+
+    def prec(u: int, v: int) -> bool:
+        return len(lists[u]) < len(lists[v])
+
+    return prec
+
+
+def is_naive_partial(
+    g: Graph,
+    ca: CorrespondenceAssignment,
+    phi: Sequence[Color],
+    uncolored: frozenset[int],
+) -> bool:
+    """phi is a full color guess, proper off the uncolored set."""
+    if len(phi) != g.n:
+        return False
+    for v in range(g.n):
+        if phi[v] not in ca.lists[v]:
+            return False
+    for u, v in g.edges():
+        if u in uncolored or v in uncolored:
+            continue
+        if (phi[u], phi[v]) in ca.pairs(u, v):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class ResidualAssignment:
+    """Correspondence assignment induced on the uncolored set after a partial coloring.
+
+    Vertices keep their original ids; `vertices` is the surviving induced
+    set.  Residual lists may be empty (that is exactly the failure mode the
+    savings analysis guards against).
+    """
+
+    vertices: tuple[int, ...]
+    lists: dict[int, frozenset[Color]]
+    matchings: dict[Edge, frozenset[Pair]]
+
+    def pairs(self, u: int, v: int) -> frozenset[Pair]:
+        if u < v:
+            return self.matchings[(u, v)]
+        return frozenset((cv, cu) for cu, cv in self.matchings[(v, u)])
+
+
+def residual(
+    g: Graph,
+    ca: CorrespondenceAssignment,
+    phi: Sequence[Color],
+    uncolored: frozenset[int],
+) -> ResidualAssignment:
+    """Shrink lists by colors matched to colored neighbors; restrict matchings to G[U]."""
+    if not is_naive_partial(g, ca, phi, uncolored):
+        raise CorrespondenceError("(phi, U) is not a valid naive partial coloring")
+    new_lists: dict[int, frozenset[Color]] = {}
+    for v in sorted(uncolored):
+        dead = set()
+        for u in g.adj[v]:
+            if u in uncolored:
+                continue
+            # the color of v (if any) matched to phi(u)
+            for cv, cu in ca.pairs(v, u):
+                if cu == phi[u]:
+                    dead.add(cv)
+        new_lists[v] = ca.lists[v] - dead
+    new_matchings: dict[Edge, frozenset[Pair]] = {}
+    for u, v in g.edges():
+        if u in uncolored and v in uncolored:
+            new_matchings[(u, v)] = frozenset(
+                (cu, cv)
+                for cu, cv in ca.matchings[(u, v)]
+                if cu in new_lists[u] and cv in new_lists[v]
+            )
+    return ResidualAssignment(tuple(sorted(uncolored)), new_lists, new_matchings)
+
+
+def splice(
+    g: Graph,
+    ca: CorrespondenceAssignment,
+    phi: Sequence[Color],
+    uncolored: frozenset[int],
+    completion: Mapping[int, Color],
+) -> Coloring:
+    """Combine the colored part of a naive partial coloring with a residual coloring."""
+    out: Coloring = {v: phi[v] for v in range(g.n) if v not in uncolored}
+    for v in uncolored:
+        out[v] = completion[v]
+    return out
+
+
+def greedy_residual_color(
+    g: Graph, res: ResidualAssignment, order: Sequence[int]
+) -> tuple[Coloring | None, int | None]:
+    """Greedy correspondence coloring of the residual assignment.
+
+    Each vertex takes its smallest surviving color not matched to an
+    already-chosen neighbor color.  Returns (coloring, blocked vertex).
+    """
+    coloring: Coloring = {}
+    for v in order:
+        forbidden = set()
+        for u in g.adj[v]:
+            if u in coloring:
+                forbidden.update(cv for cv, cu in res.pairs(v, u) if cu == coloring[u])
+        avail = sorted(res.lists[v] - forbidden)
+        if not avail:
+            return None, v
+        coloring[v] = avail[0]
+    return coloring, None
+
+
+def complete_reference(
+    g: Graph, ca: CorrespondenceAssignment, phi: Sequence[Color], uncolored: frozenset[int]
+) -> tuple[Coloring | None, int | None]:
+    """residual -> greedy_residual_color (larger lists first, ties by id) -> splice.
+    Returns (full coloring, blocked vertex)."""
+    res = residual(g, ca, phi, uncolored)
+    order = sorted(res.vertices, key=lambda v: (-len(ca.lists[v]), v))
+    completion, blocked = greedy_residual_color(g, res, order)
+    if completion is None:
+        return None, blocked
+    return splice(g, ca, phi, uncolored, completion), None
 
 
 @dataclass(frozen=True)

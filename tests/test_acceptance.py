@@ -50,7 +50,6 @@ from localcolor.procedure import (
     check_equalization_precondition,
     default_rho,
     keep_constant,
-    list_size_order,
     pipeline_color,
 )
 
@@ -172,7 +171,7 @@ def test_03_equalized_keep_probability(capsys):
         except PreconditionError:
             continue
         tested += 1
-        batch = sample_batch(g, ca, PARAMS, list_size_order(ca.lists), 10**5, seed)
+        batch = sample_batch(g, ca, PARAMS, 10**5, seed)
         # one designated (vertex, color) per instance: vertex 0, least color
         c0 = sorted(ca.lists[0])[0]
         freq, m = keep_frequency(batch, ca, 0)[c0]
@@ -187,11 +186,10 @@ def test_04_unact_exact_expectation(capsys):
     star = Graph.from_edges(9, [(0, i) for i in range(1, 9)])
     L = make_lists([list(range(9))] + [list(range(4))] * 8)
     ca = make_total(star, identity_correspondence(star, L))
-    prec = list_size_order(L)
     bad = []
     for rho in (0.0, 0.3, float(default_rho(Fraction(1, 50))), 1.0):
         params = ProcedureParams(rho=rho)
-        batch = sample_batch(star, ca, params, prec, 50_000, 4042, equalize=False)
+        batch = sample_batch(star, ca, params, 50_000, 4042, equalize=False)
         mean = batch.unact[0].mean()
         want = unact_expectation(rho, 8)
         var = batch.unact[0].var(ddof=1)
@@ -229,7 +227,7 @@ def test_05_savings_lower_bounds(capsys):
     failures = []
     for idx, (g, L, verts) in enumerate(_savings_corpus()):
         ca = make_total(g, identity_correspondence(g, L))
-        batch = sample_batch(g, ca, PARAMS, list_size_order(L), 40_000, 500 + idx)
+        batch = sample_batch(g, ca, PARAMS, 40_000, 500 + idx)
         T = batch.aberrance.shape[1]
         for v in verts:
             prof = profile(g, L, v, PARAMS.alpha, PARAMS.beta, PARAMS.sigma)
@@ -259,7 +257,7 @@ def test_06_per_trial_save_inequality(capsys):
     while checked < 10**6:
         seed += 1
         g, ca = _generous_instance(9000 + seed, n=10)
-        batch = sample_batch(g, ca, PARAMS, list_size_order(ca.lists), 120_000, seed)
+        batch = sample_batch(g, ca, PARAMS, 120_000, seed)
         unc = batch.uncolored
         lhs = batch.save_drop
         rhs = batch.aberrance + batch.pairs - batch.trips
@@ -393,10 +391,9 @@ def test_12_talagrand_star(capsys):
     star = Graph.from_edges(51, [(0, i) for i in range(1, 51)])
     L = make_lists([list(range(51))] + [list(range(4))] * 50)
     ca = make_total(star, identity_correspondence(star, L))
-    prec = list_size_order(L)
     samples = []
     for chunk in range(20):
-        batch = sample_batch(star, ca, PARAMS, prec, 50_000, 7000 + chunk, equalize=False)
+        batch = sample_batch(star, ca, PARAMS, 50_000, 7000 + chunk, equalize=False)
         samples.append(batch.unact[0])
     x = np.concatenate(samples).astype(float)
     assert x.size == 10**6

@@ -1,5 +1,5 @@
-"""The CLI in process: pinned estimate output, and bad arguments rejected at
-the boundary with exit code 2 and a message that names them."""
+"""The CLI in process: pinned estimate and color output, and bad arguments
+rejected at the boundary with exit code 2 and a message that names them."""
 
 import hashlib
 import json
@@ -13,6 +13,11 @@ from localcolor.cli import main
 GOLDEN_CSV_SHA256 = "b15508e4c057aa3219e0d84d66d8244f29adb8d8941b5e8e849fd20ee45770c9"
 GOLDEN_CONTENT_HASH = "8f85d459cb3020cebcf10f0ba65d169a504da78f5820d73b597c3d877706a859"
 GOLDEN_MANIFEST_SHA256 = "8607e14d3989ef7cc2da027aa753ad5702c865896ca288d2e187d9dd3c1cbe86"
+
+# SHA-256 of `color` stdout, measured while the greedy completion still ran on
+# the frozenset residual assignment; the compiled completion must match it.
+GOLDEN_COLOR_GNP40_SHA256 = "84e9f20d7ca1796f079e4dd7ad4ee128318432d1e4558642ba3bf6fbd05a90ff"
+GOLDEN_COLOR_C5_SHA256 = "a6341bb3e1dad1f8ebb3ef2c7937c1ccdd282548abf30fd7a386c85087b87929"
 
 
 def sha256(data: bytes) -> str:
@@ -49,6 +54,32 @@ def test_estimate_output_is_pinned(gnp40, capsys):
     assert capsys.readouterr().out == f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)\n"
 
 
+def test_color_output_is_pinned(gnp40, capsys):
+    capsys.readouterr()
+    rc = main(["color", "--graph", "g.col", "--lists", "l.json", "--seed", "5", "--rounds", "20"])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out)["succeeded"]
+    assert sha256(out.encode()) == GOLDEN_COLOR_GNP40_SHA256
+
+
+def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):
+    """C5 blowup t=6 with 17-color lists at eps 1/20: seed 5 takes 23 rounds."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "generate", "--name", "c5_blowup", "--param", "t=6", "--out", "c5.col",
+        "--lists-out", "c5.json", "--uniform-lists", "17",
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main([
+        "color", "--graph", "c5.col", "--lists", "c5.json", "--eps", "1/20", "--seed", "5",
+        "--rounds", "200",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out)["rounds_used"] == 23
+    assert sha256(out.encode()) == GOLDEN_COLOR_C5_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -66,6 +97,10 @@ def test_estimate_output_is_pinned(gnp40, capsys):
         (["bounds", "--which", "ky", "--params", "k=4"], "bound 'ky' needs parameter 'n'"),
         (["bounds", "--which", "ky", "--params", "k=4,n"], "argument --params: expected K=V"),
         (["bounds", "--which", "ky", "--params", "k=3,n=7"], "bound 'ky': defined for k >= 4"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--eps", "abc"],
+         "parameter eps: expected a fraction such as 1/20, got 'abc'"),
+        (["estimate", "--graph", "missing.col", "--lists", "l.json", "--seed", "1",
+          "--out-dir", "out"], "cannot read missing.col: No such file or directory"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -76,3 +111,26 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     assert exc.value.code == 2
     assert named in err and "Traceback" not in err and out == ""
     assert not (gnp40 / "out").exists() and not (gnp40 / "u.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, named",
+    [
+        ("bad.col", "p edge 3 1\ne 1 7\n",
+         ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
+         "bad.col: line 2: vertex out of range"),
+        ("short.json", '{"lists": [[0, 1], [0, 1]]}',
+         ["estimate", "--graph", "g.col", "--lists", "short.json", "--seed", "1",
+          "--out-dir", "out"],
+         "short.json has 2 lists, the graph has 40 vertices"),
+    ],
+)
+def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):
+    (gnp40 / name).write_text(text)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert named in err and "Traceback" not in err and out == ""
+    assert not (gnp40 / "out").exists()

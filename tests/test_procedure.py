@@ -19,7 +19,6 @@ from localcolor.correspondence import (
     identity_correspondence,
     is_lm_coloring,
     make_total,
-    residual,
 )
 from localcolor.generators import gen_gnp
 from localcolor.graph import Graph
@@ -32,15 +31,18 @@ from localcolor.procedure import (
     default_rho,
     draw_trials,
     evaluate_trials,
+    greedy_complete,
     keep_constant,
     keep_probability,
     keep_table,
-    list_size_order,
     pipeline_color,
 )
 from scalar_reference import (
     PartialColoring,
     _uncolored_naive,
+    complete_reference,
+    list_size_order,
+    residual,
     sample_equalized,
     sample_naive,
     savings_of,
@@ -115,7 +117,7 @@ class TestKeepProbability:
         rng = rng_of(5)
         kept = cond = 0
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=rho), list_size_order(ca.lists), trials, 5,
+            g, ca, ProcedureParams(rho=rho), trials, 5,
             equalize=False,
         )
         sel = batch.phi_idx[1] == 0
@@ -145,7 +147,7 @@ class TestSampleNaive:
         unc = 0
         trials = 100_000
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=1.0), list_size_order(ca.lists), trials, 11,
+            g, ca, ProcedureParams(rho=1.0), trials, 11,
             equalize=False,
         )
         freq = batch.uncolored[0].mean()
@@ -168,7 +170,7 @@ class TestSampleEqualized:
         k = params.keep
         trials = 100_000
         kept = 0
-        batch = sample_batch(g, ca, params, list_size_order(ca.lists), trials, 3)
+        batch = sample_batch(g, ca, params, trials, 3)
         freq = (~batch.uncolored[0]).mean()
         se = math.sqrt(k * (1 - k) / trials)
         assert abs(freq - k) <= 3 * se
@@ -184,7 +186,7 @@ class TestSampleEqualized:
         L = make_lists([[0, 1, 2, 3]] + [[0, 1, 2, 3, 4]] * 3)
         ca = make_total(g, identity_correspondence(g, L))
         params = ProcedureParams()
-        batch = sample_batch(g, ca, params, list_size_order(L), 100_000, 9)
+        batch = sample_batch(g, ca, params, 100_000, 9)
         k = params.keep
         for c, (freq, m) in keep_frequency(batch, ca, 0).items():
             se = math.sqrt(k * (1 - k) / m)
@@ -249,7 +251,7 @@ class TestUnactExpectation:
         ca = make_total(g, identity_correspondence(g, L))
         trials = 50_000
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=rho), list_size_order(L), trials, 21,
+            g, ca, ProcedureParams(rho=rho), trials, 21,
             equalize=False,
         )
         mean = batch.unact[0].mean()
@@ -308,9 +310,27 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"got {rounds}"):
             pipeline_color(g, L, ProcedureParams(), rounds, rng_of(0))
 
+    def test_frozenset_pairs_only_in_the_final_check(self, monkeypatch):
+        # the pipeline works on the compiled instance; the frozenset pairs are
+        # walked once per edge, by the independent is_lm_coloring check
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        calls = 0
+        pairs = CorrespondenceAssignment.pairs
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return pairs(self, u, v)
+
+        monkeypatch.setattr(CorrespondenceAssignment, "pairs", counted)
+        report = pipeline_color(g, L, ProcedureParams(), 20, rng_of(5))
+        assert report.succeeded
+        assert calls <= g.edge_count()
+
     def test_blocked_completion_is_a_fault(self, monkeypatch):
         # the savings check guarantees greedy completion, so a block must surface
-        monkeypatch.setattr(procedure, "greedy_residual_color", lambda g, res, order: (None, 3))
+        monkeypatch.setattr(procedure, "greedy_complete", lambda inst, phi_idx, unc: (None, 3))
         g = star(4)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         with pytest.raises(RuntimeError, match="vertex 3"):
@@ -322,12 +342,12 @@ class TestDeterminism:
         g = star(5)
         ca = make_total(g, identity_correspondence(g, uniform_lists(6, 6)))
         params = ProcedureParams()
-        b1 = sample_batch(g, ca, params, list_size_order(ca.lists), 500, 123)
-        b2 = sample_batch(g, ca, params, list_size_order(ca.lists), 500, 123)
+        b1 = sample_batch(g, ca, params, 500, 123)
+        b2 = sample_batch(g, ca, params, 500, 123)
         assert (b1.phi_idx == b2.phi_idx).all()
         assert (b1.uncolored == b2.uncolored).all()
-        e1 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
-        e2 = mc_estimate(g, ca, params, list_size_order(ca.lists), 500, 123)
+        e1 = mc_estimate(g, ca, params, 500, 123)
+        e2 = mc_estimate(g, ca, params, 500, 123)
         assert (e1.savings.mean == e2.savings.mean).all()
 
     @pytest.mark.parametrize("trials", [0, 1])
@@ -335,7 +355,7 @@ class TestDeterminism:
         g = star(5)
         ca = make_total(g, identity_correspondence(g, uniform_lists(6, 6)))
         with pytest.raises(ValueError, match=f"trials={trials}"):
-            mc_estimate(g, ca, ProcedureParams(), list_size_order(ca.lists), trials, 0)
+            mc_estimate(g, ca, ProcedureParams(), trials, 0)
 
 
 @st.composite
@@ -381,7 +401,7 @@ class TestSamplerMatchesReference:
         act, phi_idx, heads = draw_trials(
             inst, params, table if equalize else None, trials, np.random.default_rng(seed)
         )
-        batch = evaluate_trials(inst, params, prec, act, phi_idx, heads)
+        batch = evaluate_trials(inst, params, act, phi_idx, heads)
         for t in range(trials):
             phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
             uncolored = frozenset(
@@ -401,6 +421,15 @@ class TestSamplerMatchesReference:
                 save_full = len(g.adj[v]) + 1 - len(ca.lists[v])
                 save_res = d_res + 1 - len(res.lists[v])
                 assert batch.save_drop[v, t] == save_full - save_res
+            # the completion, on every trial: those that pass the savings
+            # check (the ones pipeline_color completes) and those that block
+            color, blocked = greedy_complete(inst, phi_idx[:, t], batch.uncolored[:, t])
+            want, want_blocked = complete_reference(g, ca, phi, uncolored)
+            assert blocked == want_blocked
+            if want is None:
+                assert color is None
+            else:
+                assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
 
 
 # SHA-256 of each BatchSample field (dtype, bytes) of the instance below.
@@ -425,7 +454,7 @@ def test_batch_golden():
     rng = random.Random(3)
     L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
     ca = make_total(g, identity_correspondence(g, L))
-    batch = sample_batch(g, ca, ProcedureParams(sigma=Fraction(1, 4)), list_size_order(L), 2500, 11)
+    batch = sample_batch(g, ca, ProcedureParams(sigma=Fraction(1, 4)), 2500, 11)
     got = {
         name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
         for name, a in vars(batch).items()
@@ -438,16 +467,17 @@ def test_batch_golden():
 SAVE_DROP_SCRIPT = """
 import sys
 import numpy as np
-from localcolor.correspondence import identity_correspondence, make_total, residual
+from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.graph import Graph
 from localcolor.lists import make_lists
 from localcolor.montecarlo import sample_batch
-from localcolor.procedure import ProcedureParams, list_size_order
+from localcolor.procedure import ProcedureParams
+from scalar_reference import residual
 
 g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
 L = make_lists([range(70)] * 70)
 ca = make_total(g, identity_correspondence(g, L))
-batch = sample_batch(g, ca, ProcedureParams(rho=0.9), list_size_order(L), 300, 5, equalize=False)
+batch = sample_batch(g, ca, ProcedureParams(rho=0.9), 300, 5, equalize=False)
 lists = [sorted(row) for row in L]
 bad = 0
 for t in range(300):
@@ -463,8 +493,9 @@ print("optimize", sys.flags.optimize, "mismatches", bad)
 
 
 def test_save_drop_under_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SAVE_DROP_SCRIPT],
         env=env, capture_output=True, text=True, timeout=300, check=False,
