@@ -48,14 +48,16 @@ from .lists import (
     save,
     uniform_lists,
 )
-from .montecarlo import BatchSample, MCEstimate, keep_frequency, mc_estimate, sample_batch
 from .procedure import (
+    BatchSample,
     PipelineReport,
     ProcedureParams,
     default_rho,
     keep_constant,
+    keep_frequency,
     keep_probability,
     pipeline_color,
+    sample_batch,
 )
 
 __version__ = "0.1.0"

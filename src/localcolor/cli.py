@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .experiment import build_graph, build_params, parse_fraction, run_estimate
+from .experiment import build_graph, build_params, run_estimate
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
 from .graph import Graph, max_antimatching
 from .knm import density_audit
 from .lists import ListAssignment, make_lists
-from .procedure import pipeline_color
+from .procedure import PreconditionError, pipeline_color
 
 
 def _read(path: str, parse):
@@ -59,6 +59,16 @@ def _int_at_least(low: int):
         return value
 
     return count
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type of an exact rational given as num/den."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction such as 1/20, got {text!r}"
+        ) from None
 
 
 def _key_value(item: str) -> tuple[str, str]:
@@ -149,6 +159,11 @@ def cmd_audit(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
     subset = frozenset(args.subset) if args.subset else frozenset(range(g.n))
+    for v in sorted(subset):
+        if not 0 <= v < g.n:
+            raise argparse.ArgumentTypeError(
+                f"argument --subset: vertex {v} out of range [0, {g.n})"
+            )
     m = max_antimatching(g, subset)
     rec = density_audit(g, L, subset, m)
     print(
@@ -167,7 +182,10 @@ def cmd_audit(args) -> int:
 
 def cmd_extract(args) -> int:
     g = _load_graph(args.graph)
-    res = extract_dense_subgraph(g, parse_fraction(args.alpha), parse_fraction(args.eps))
+    try:
+        res = extract_dense_subgraph(g, args.alpha, args.eps)
+    except ValueError as exc:  # alpha and eps out of range, or the degree hypothesis fails
+        raise argparse.ArgumentTypeError(str(exc)) from None
     print(
         json.dumps(
             {
@@ -279,8 +297,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("extract", help="extract a dense subgraph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--eps", type=_fraction, required=True)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("bounds", help="evaluate a named bound")
@@ -297,7 +315,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except argparse.ArgumentTypeError as exc:  # a bad value found by the command
+    except (argparse.ArgumentTypeError, PreconditionError) as exc:  # found by the command
         ap.error(f"{args.cmd}: {exc}")
 
 

@@ -14,21 +14,18 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import bounds
 from .correspondence import identity_correspondence, make_total
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph
 from .lists import ListAssignment, profile
-from .montecarlo import mc_estimate
-from .procedure import ProcedureParams, default_rho
-
-
-def parse_fraction(s: str | int) -> Fraction:
-    """Exact rational from a "num/den" string (or a bare integer)."""
-    return Fraction(s)
+from .procedure import ProcedureParams, default_rho, sample_batch
 
 
 def build_params(raw: dict) -> ProcedureParams:
@@ -38,19 +35,19 @@ def build_params(raw: dict) -> ProcedureParams:
 
     def fraction(key: str) -> Fraction:
         try:
-            return parse_fraction(raw[key])
+            return Fraction(raw[key])
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f"parameter {key}: expected a fraction such as 1/20, got {raw[key]!r}"
             ) from None
 
     kw: dict = {key: fraction(key) for key in ("eps", "sigma", "alpha", "beta") if key in raw}
-    if "rho" in raw:
-        if raw["rho"] == "auto":
-            kw["rho"] = default_rho(kw.get("alpha", Fraction(1, 50)))
-        else:
-            kw["rho"] = float(fraction("rho"))
-    return ProcedureParams(**kw)
+    if raw.get("rho", "auto") != "auto":
+        kw["rho"] = float(fraction("rho"))
+    params = ProcedureParams(**kw)  # checks alpha before default_rho divides by 1 + alpha
+    if raw.get("rho") == "auto":
+        params = replace(params, rho=default_rho(params.alpha))
+    return params
 
 
 def build_graph(spec: dict) -> Graph:
@@ -62,28 +59,40 @@ def build_graph(spec: dict) -> Graph:
         if name == "complete_bipartite":
             return gen_complete_bipartite(int(spec["a"]), int(spec["b"]))
         if name == "gnp":
-            return gen_gnp(int(spec["n"]), float(parse_fraction(spec["p"])), int(spec["seed"]))
+            return gen_gnp(int(spec["n"]), float(Fraction(spec["p"])), int(spec["seed"]))
     except KeyError as exc:
         raise ValueError(f"generator {name!r} needs parameter {exc.args[0]!r}") from None
     raise ValueError(f"unknown generator {name!r}")
 
 
+def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex mean and standard error of the (n, trials) samples x."""
+    return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
+
+
 def _estimate_rows(
     g: Graph, L: ListAssignment, params: ProcedureParams, trials: int, seed: int
 ) -> list[list]:
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
     ca = make_total(g, identity_correspondence(g, L))
-    est = mc_estimate(g, ca, params, trials, seed)
+    batch = sample_batch(g, ca, params, trials, seed)
+    aberr, aberr_se = _mean_se(batch.aberrance, trials)
+    pairs, pairs_se = _mean_se(batch.pairs, trials)
+    trips, trips_se = _mean_se(batch.trips, trials)
+    unact, unact_se = _mean_se(batch.unact, trials)
     rows = []
     k = params.keep
     for v in range(g.n):
-        prof = profile(g, L, v, params.alpha, params.beta, params.sigma)
+        prof = profile(g, L, v, params.alpha, params.beta)
         d = prof.degree
         egal = sorted(prof.egalitarian)
         e1 = len(egal) * (len(egal) - 1) // 2 - g.subgraph(egal).edge_count() if egal else 0
         checks = [
             (
                 "aberrance",
-                est.aberrance,
+                aberr[v],
+                aberr_se[v],
                 bounds.aberrance_lower_bound(
                     k, params.alpha, params.beta, prof.gap, d,
                     len(prof.lordlier), len(prof.weak_egal),
@@ -91,26 +100,21 @@ def _estimate_rows(
             ),
             (
                 "pairs_minus_trips",
-                None,
+                pairs[v] - trips[v],
+                math.hypot(pairs_se[v], trips_se[v]),
                 bounds.pairs_trips_lower_bound(
                     k, params.alpha, len(L[v]), e1, d * (d - 1) // 2
                 ),
             ),
             (
                 "unact",
-                est.unact,
-                bounds.unact_expectation(
-                    params.rho, sum(1 for u in g.adj[v] if len(L[u]) < len(L[v]))
-                ),
+                unact[v],
+                unact_se[v],
+                bounds.unact_expectation(params.rho, len(prof.subservient)),
             ),
         ]
-        for name, rv, bound in checks:
-            if name == "pairs_minus_trips":
-                mean = float(est.pairs.mean[v] - est.trips.mean[v])
-                se = float(math.hypot(est.pairs.stderr[v], est.trips.stderr[v]))
-            else:
-                mean = float(rv.mean[v])
-                se = float(rv.stderr[v])
+        for name, mean, se, bound in checks:
+            mean, se = float(mean), float(se)
             ok = mean >= bound - 3 * se
             rows.append([v, name, repr(mean), repr(se), repr(float(bound)), ok])
     return rows

@@ -53,8 +53,7 @@ class VertexProfile:
     Neighbors are partitioned by list size relative to |L(v)|: strictly
     smaller (subservient), within [|L(v)|, |L(v)| + beta*gap) (strongly
     egalitarian), up to (1+alpha)|L(v)| (weakly egalitarian), and at least
-    (1+alpha)|L(v)| (lordlier).  egal_sigma collects neighbors with at least
-    (1-sigma)|L(v)| available colors.
+    (1+alpha)|L(v)| (lordlier).
     """
 
     vertex: int
@@ -64,23 +63,13 @@ class VertexProfile:
     strong_egal: frozenset[int]
     weak_egal: frozenset[int]
     lordlier: frozenset[int]
-    egal_sigma: frozenset[int]
 
     @property
     def egalitarian(self) -> frozenset[int]:
         return self.strong_egal | self.weak_egal
 
 
-def profile(
-    g: Graph,
-    L: ListAssignment,
-    v: int,
-    alpha: Fraction,
-    beta: Fraction,
-    sigma: Fraction = Fraction(0),
-) -> VertexProfile:
-    if not (0 <= sigma < 1):
-        raise ValueError("sigma must be in [0, 1)")
+def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction) -> VertexProfile:
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     d = degree(g, v)
@@ -99,7 +88,6 @@ def profile(
             strong.add(u)
         else:
             weak.add(u)
-    egal_sigma = frozenset(u for u in g.adj[v] if len(L[u]) >= (1 - sigma) * size_v)
     return VertexProfile(
         vertex=v,
         degree=d,
@@ -108,7 +96,6 @@ def profile(
         strong_egal=frozenset(strong),
         weak_egal=frozenset(weak),
         lordlier=frozenset(lord),
-        egal_sigma=egal_sigma,
     )
 
 

@@ -62,6 +62,10 @@ class ProcedureParams:
             raise ValueError("sigma must be in [0, 1)")
         if not (0 <= self.rho <= 1):
             raise ValueError("rho must be in [0, 1]")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.beta <= 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
 
     @property
     def keep(self) -> float:
@@ -206,9 +210,18 @@ class BatchSample:
     unact: np.ndarray
     save_drop: np.ndarray  # Save_L(v) - Save_L'(v), only meaningful where uncolored
 
-    @property
-    def savings(self) -> np.ndarray:
-        return self.aberrance + self.unact + self.pairs - self.trips
+
+def keep_frequency(
+    batch: BatchSample, ca: CorrespondenceAssignment, v: int
+) -> dict[Color, tuple[float, int]]:
+    """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning trials)."""
+    out = {}
+    kept = ~batch.uncolored[v]
+    for i, c in enumerate(sorted(ca.lists[v])):
+        sel = batch.phi_idx[v] == i
+        m = int(sel.sum())
+        out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
+    return out
 
 
 def draw_trials(

@@ -43,14 +43,15 @@ from localcolor.lists import (
     profile,
     uniform_lists,
 )
-from localcolor.montecarlo import keep_frequency, sample_batch
 from localcolor.procedure import (
     PreconditionError,
     ProcedureParams,
     check_equalization_precondition,
     default_rho,
     keep_constant,
+    keep_frequency,
     pipeline_color,
+    sample_batch,
 )
 
 PARAMS = ProcedureParams()
@@ -230,7 +231,7 @@ def test_05_savings_lower_bounds(capsys):
         batch = sample_batch(g, ca, PARAMS, 40_000, 500 + idx)
         T = batch.aberrance.shape[1]
         for v in verts:
-            prof = profile(g, L, v, PARAMS.alpha, PARAMS.beta, PARAMS.sigma)
+            prof = profile(g, L, v, PARAMS.alpha, PARAMS.beta)
             ab_bound = aberrance_lower_bound(
                 k, PARAMS.alpha, PARAMS.beta, prof.gap, prof.degree,
                 len(prof.lordlier), len(prof.weak_egal),

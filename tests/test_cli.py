@@ -3,6 +3,7 @@ rejected at the boundary with exit code 2 and a message that names them."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -101,6 +102,19 @@ def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):
          "parameter eps: expected a fraction such as 1/20, got 'abc'"),
         (["estimate", "--graph", "missing.col", "--lists", "l.json", "--seed", "1",
           "--out-dir", "out"], "cannot read missing.col: No such file or directory"),
+        (["extract", "--graph", "g.col", "--alpha", "abc", "--eps", "1/1350"],
+         "argument --alpha: expected a fraction such as 1/20, got 'abc'"),
+        (["audit", "--graph", "g.col", "--lists", "l.json", "--subset", "0", "99"],
+         "argument --subset: vertex 99 out of range [0, 40)"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--alpha", "-1"],
+         "alpha must be positive, got -1"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--beta", "-1"],
+         "beta must be positive, got -1"),
+        (["certify-constants", "--alpha", "0"], "alpha must be positive, got 0"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--alpha", "0",
+          "--out-dir", "out"], "alpha must be positive, got 0"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--beta", "-1",
+          "--out-dir", "out"], "beta must be positive, got -1"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -134,3 +148,22 @@ def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, nam
     assert exc.value.code == 2
     assert named in err and "Traceback" not in err and out == ""
     assert not (gnp40 / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", [["color"], ["estimate", "--out-dir", "out"]])
+def test_unmet_precondition_exits_2_naming_the_vertex(tmp_path, monkeypatch, capsys, cmd):
+    """G(10, 1/2) with 2-color lists: some vertex has far fewer colors than neighbors."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+        "seed=1", "--out", "g.col", "--lists-out", "l.json", "--uniform-lists", "2",
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--graph", "g.col", "--lists", "l.json", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert re.search(r"vertex \d+: \|L\(v\)\| = 2 < \(1 - eps\) d\(v\)", err)
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Static import rules for the package: every import sits at module level,
-and no module imports another module's underscore (private) names."""
+no module imports another module's underscore (private) names, and the
+package exports each name from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,37 @@ def test_package_imports_are_module_level_and_public():
         for line, reason in import_violations(path.read_text())
     ]
     assert found == []
+
+
+def defined_names(source: str) -> set[str]:
+    """Names a module binds at top level itself, not by importing them."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def reexports(init_source: str, module_source) -> list[str]:
+    """".m.name" for each `from .m import name` in init_source that m does not
+    define; module_source(m) is the source of module m."""
+    out = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            defined = defined_names(module_source(node.module))
+            out += [f".{node.module}.{a.name}" for a in node.names if a.name not in defined]
+    return out
+
+
+def test_reexport_guard_catches_a_shim():
+    sources = {"a": "from .b import g\nK: int = 1\ndef f():\n    pass\n"}
+    assert reexports("from .a import K, f, g\n", sources.__getitem__) == [".a.g"]
+
+
+def test_package_exports_come_from_their_defining_modules():
+    init = (PACKAGE_DIR / "__init__.py").read_text()
+    assert reexports(init, lambda m: (PACKAGE_DIR / f"{m}.py").read_text()) == []

@@ -55,14 +55,14 @@ class TestProfile:
     def test_equal_lists_strong_egal(self):
         g = cycle(5)
         L = uniform_lists(5, 3)
-        p = profile(g, L, 0, self.A, self.B, Fraction(0))
+        p = profile(g, L, 0, self.A, self.B)
         assert p.strong_egal == frozenset({1, 4})
         assert not p.subservient and not p.lordlier and not p.weak_egal
 
     def test_smaller_list_subservient(self):
         g = path(2)
         L = make_lists([list(range(10)), list(range(9))])
-        p = profile(g, L, 0, self.A, self.B, Fraction(0))
+        p = profile(g, L, 0, self.A, self.B)
         assert p.subservient == frozenset({1})
 
     def test_weak_egal_boundary(self):
@@ -71,27 +71,26 @@ class TestProfile:
         rows = [list(range(100))] + [list(range(101))] + [list(range(100))] * 50
         L = make_lists(rows)
         assert gap(star, 0) == 50
-        p = profile(star, L, 0, self.A, self.B, Fraction(0))
+        p = profile(star, L, 0, self.A, self.B)
         assert 1 in p.weak_egal
         # one more color reaches (1 + alpha)|L(v)| and flips to lordlier
         rows[1] = list(range(102))
-        p = profile(star, make_lists(rows), 0, self.A, self.B, Fraction(0))
+        p = profile(star, make_lists(rows), 0, self.A, self.B)
         assert 1 in p.lordlier
 
     def test_empty_weak_interval_is_lordlier(self):
         # center list 50, gap 50: [51, 51) is empty, so 51 colors is lordlier
         star = Graph.from_edges(52, [(0, i) for i in range(1, 52)])
         rows = [list(range(50))] + [list(range(51))] + [list(range(50))] * 50
-        p = profile(star, make_lists(rows), 0, self.A, self.B, Fraction(0))
+        p = profile(star, make_lists(rows), 0, self.A, self.B)
         assert 1 in p.lordlier and not p.weak_egal
 
     def test_classes_partition(self):
         g = cycle(5)
         L = make_lists([[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]])
-        p = profile(g, L, 2, self.A, self.B, Fraction(1, 2))
+        p = profile(g, L, 2, self.A, self.B)
         classes = p.subservient | p.strong_egal | p.weak_egal | p.lordlier
         assert classes == g.adj[2]
-        assert p.egalitarian <= p.egal_sigma
 
 
 class TestLocalReed:

@@ -23,7 +23,7 @@ from localcolor.correspondence import (
 from localcolor.generators import gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
-from localcolor.montecarlo import keep_frequency, mc_estimate, sample_batch
+from localcolor.experiment import run_estimate
 from localcolor.procedure import (
     PreconditionError,
     ProcedureParams,
@@ -33,9 +33,11 @@ from localcolor.procedure import (
     evaluate_trials,
     greedy_complete,
     keep_constant,
+    keep_frequency,
     keep_probability,
     keep_table,
     pipeline_color,
+    sample_batch,
 )
 from scalar_reference import (
     PartialColoring,
@@ -346,16 +348,12 @@ class TestDeterminism:
         b2 = sample_batch(g, ca, params, 500, 123)
         assert (b1.phi_idx == b2.phi_idx).all()
         assert (b1.uncolored == b2.uncolored).all()
-        e1 = mc_estimate(g, ca, params, 500, 123)
-        e2 = mc_estimate(g, ca, params, 500, 123)
-        assert (e1.savings.mean == e2.savings.mean).all()
 
     @pytest.mark.parametrize("trials", [0, 1])
-    def test_fewer_than_two_trials_is_named(self, trials):
-        g = star(5)
-        ca = make_total(g, identity_correspondence(g, uniform_lists(6, 6)))
+    def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
         with pytest.raises(ValueError, match=f"trials={trials}"):
-            mc_estimate(g, ca, ProcedureParams(), trials, 0)
+            run_estimate(star(5), uniform_lists(6, 6), {}, trials, 0, tmp_path / "out", {})
+        assert not (tmp_path / "out").exists()
 
 
 @st.composite
@@ -470,8 +468,7 @@ import numpy as np
 from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.graph import Graph
 from localcolor.lists import make_lists
-from localcolor.montecarlo import sample_batch
-from localcolor.procedure import ProcedureParams
+from localcolor.procedure import ProcedureParams, sample_batch
 from scalar_reference import residual
 
 g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
