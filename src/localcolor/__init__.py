@@ -50,8 +50,11 @@ from .lists import (
 )
 from .procedure import (
     BatchSample,
+    CompiledInstance,
     PipelineReport,
     ProcedureParams,
+    compile_instance,
+    compile_lists,
     default_rho,
     keep_constant,
     keep_frequency,

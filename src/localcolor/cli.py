@@ -53,7 +53,10 @@ def _int_at_least(low: int):
     """argparse type: an int no smaller than `low`."""
 
     def count(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -269,7 +272,7 @@ def main(argv=None) -> int:
     p.add_argument("--param", type=_key_value, action="append", metavar="K=V")
     p.add_argument("--out")
     p.add_argument("--lists-out")
-    p.add_argument("--uniform-lists", type=int)
+    p.add_argument("--uniform-lists", type=_int_at_least(1))
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("color", help="run the coloring pipeline")

@@ -21,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .correspondence import identity_correspondence, make_total
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph
 from .lists import ListAssignment, profile
-from .procedure import ProcedureParams, default_rho, sample_batch
+from .procedure import ProcedureParams, compile_lists, default_rho, sample_batch
 
 
 def build_params(raw: dict) -> ProcedureParams:
@@ -75,8 +74,7 @@ def _estimate_rows(
 ) -> list[list]:
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
-    ca = make_total(g, identity_correspondence(g, L))
-    batch = sample_batch(g, ca, params, trials, seed)
+    batch = sample_batch(compile_lists(g, L), params, trials, seed)
     aberr, aberr_se = _mean_se(batch.aberrance, trials)
     pairs, pairs_se = _mean_se(batch.pairs, trials)
     trips, trips_se = _mean_se(batch.trips, trials)

@@ -71,10 +71,21 @@ def lists_to_json(L: ListAssignment) -> dict:
 
 
 def lists_from_json(obj: dict) -> ListAssignment:
+    """The lists of {"lists": [[color, ...], ...]}; every color is a JSON integer,
+    none repeated within a list."""
     try:
-        return make_lists(obj["lists"])
+        rows = [list(row) for row in obj["lists"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad lists object: {exc}") from exc
+    for v, row in enumerate(rows):
+        seen = set()
+        for c in row:
+            if type(c) is not int:  # bool is a subclass of int, and True == 1
+                raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
+            if c in seen:
+                raise FormatError(f"list of vertex {v} repeats color {c}")
+            seen.add(c)
+    return make_lists(rows)
 
 
 def correspondence_to_json(ca: CorrespondenceAssignment) -> dict:

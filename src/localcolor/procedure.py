@@ -16,6 +16,12 @@ on the same compiled instance.
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
+An instance is compiled in one of two ways: `compile_lists` builds the
+tables of a list assignment (the identity correspondence made total)
+straight from the sorted lists, and `compile_instance` reads them off a
+general correspondence assignment.  `pipeline_color` takes lists and checks
+its finished coloring against them: every vertex colored from its own list,
+no edge with equal colors at its ends.
 """
 
 from __future__ import annotations
@@ -26,14 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .correspondence import (
-    CorrespondenceAssignment,
-    identity_correspondence,
-    is_lm_coloring,
-    make_total,
-)
+from .correspondence import CorrespondenceAssignment
 from .graph import Graph
-from .lists import Color, Coloring, ListAssignment
+from .lists import Color, Coloring, ListAssignment, is_proper
 
 
 class PreconditionError(ValueError):
@@ -151,36 +152,105 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
     )
 
 
+def _per_vertex(flat: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """flat[bounds[v]:bounds[v + 1]] for every vertex v."""
+    b = bounds.tolist()
+    return [flat[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
+
+
+def _directed_edges(sizes: np.ndarray, nbrs: list[np.ndarray]):
+    """The directed edges in adjacency order, the order of the blocks of `match`:
+    (tail, head, bounds of each vertex's edges, block start, edge of each cell)."""
+    deg = np.array([len(nb) for nb in nbrs], dtype=np.int64)
+    tail = np.repeat(np.arange(len(nbrs)), deg)
+    head = np.concatenate([np.zeros(0, dtype=np.int64), *nbrs])
+    width = sizes[tail]
+    return (
+        tail,
+        head,
+        np.concatenate(([0], np.cumsum(deg))),
+        np.cumsum(width) - width,
+        np.repeat(np.arange(len(tail)), width),
+    )
+
+
+def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
+    """compile_instance(g, make_total(g, identity_correspondence(g, L))), built
+    straight from the sorted lists.
+
+    On every edge the common colors pair as identity, then each side's
+    remaining colors zip in ascending order.  Colors are replaced by their
+    rank among all colors before any array is formed, so no color value
+    bounds the input.
+    """
+    lists = [sorted(L[v]) for v in range(g.n)]
+    rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
+    sizes = np.array([len(row) for row in lists], dtype=np.int64)
+    ranks = np.array([rank[c] for row in lists for c in row], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    # (vertex, color rank) of every list entry as one key, ascending end to end
+    key = np.repeat(np.arange(g.n), sizes) * len(rank) + ranks
+    nbrs = [np.array(list(g.adj[v]), dtype=np.int64) for v in range(g.n)]
+    tail, head, bounds, block, edge = _directed_edges(sizes, nbrs)
+    # the k-th edge by (tail, head) is the reverse of the k-th by (head, tail)
+    rev = np.empty_like(tail)
+    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
+    # every cell looks its tail's color up in its head's list
+    entry = np.arange(len(edge))
+    entry += (start[tail] - block)[edge]
+    query = ranks[entry]
+    query += (head * len(rank))[edge]
+    pos = np.searchsorted(key, query)
+    np.minimum(pos, len(key) - 1, out=pos)
+    common = key[pos] == query
+    pos -= start[head][edge]
+    match = np.where(common, pos, -1)
+    # the free colors of each block zip in ascending order with those of the
+    # reverse block
+    free = np.flatnonzero(~common)
+    free_edge = edge[free]
+    nfree = np.bincount(free_edge, minlength=len(tail))
+    free_start = np.cumsum(nfree) - nfree
+    free_rank = np.arange(len(free)) - free_start[free_edge]
+    back = rev[free_edge]
+    paired = free_rank < nfree[back]
+    back = back[paired]
+    match[free[paired]] = free[free_start[back] + free_rank[paired]] - block[back]
+    return CompiledInstance(
+        lists, sizes, nbrs, _per_vertex(block, bounds), _per_vertex(block[rev], bounds), match
+    )
+
+
 def keep_table(inst: CompiledInstance, rho: float) -> list[np.ndarray]:
     """table[v][i] = keep_probability(g, ca, rho, v, lists[v][i]), bit for bit:
     the factors are multiplied in adjacency order, as keep_probability does."""
-    sizes = inst.sizes.tolist()
-    table = []
-    for v in range(len(sizes)):
-        p = np.full(sizes[v], float(rho))
-        for u, off in zip(inst.nbrs[v].tolist(), inst.out_off[v].tolist()):
-            if sizes[u] >= sizes[v]:
-                p[inst.match[off : off + sizes[v]] >= 0] *= 1 - rho / sizes[u]
-        table.append(p)
-    return table
+    sizes = inst.sizes
+    tail, head, _, block, edge = _directed_edges(sizes, inst.nbrs)
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    # the table entry of every match cell: its tail's start plus its color index
+    entry = np.arange(len(edge))
+    entry += (start[tail] - block)[edge]
+    threat = np.flatnonzero((sizes[head] >= sizes[tail])[edge] & (inst.match >= 0))
+    flat = np.full(int(start[-1]), float(rho))
+    # ufunc.at applies the factors in cell order, which is adjacency order
+    np.multiply.at(flat, entry[threat], (1 - rho / sizes[head])[edge[threat]])
+    return _per_vertex(flat, start)
 
 
 def check_equalization_precondition(
-    g: Graph, ca: CorrespondenceAssignment, params: ProcedureParams
-) -> tuple[CompiledInstance, list[np.ndarray]]:
-    """The compiled instance and its keep table, every entry verified to be at least K.
+    inst: CompiledInstance, params: ProcedureParams
+) -> list[np.ndarray]:
+    """The keep table of `inst`, every entry verified to be at least K.
 
     The theoretical minimum-degree floor ceil(1000 / (1 - eps)^2) is
     astronomically large, so the implementation checks the condition it
     exists to guarantee: every exact keep probability is at least the keep
     constant.
     """
-    for v in range(g.n):
-        if len(ca.lists[v]) < (1 - params.eps) * len(g.adj[v]):
-            raise PreconditionError(
-                f"vertex {v}: |L(v)| = {len(ca.lists[v])} < (1 - eps) d(v)"
-            )
-    inst = compile_instance(g, ca)
+    share = 1 - params.eps
+    for v, (size, nb) in enumerate(zip(inst.sizes.tolist(), inst.nbrs)):
+        if size < share * len(nb):
+            raise PreconditionError(f"vertex {v}: |L(v)| = {size} < (1 - eps) d(v)")
     table = keep_table(inst, params.rho)
     k = params.keep
     for v, row in enumerate(table):
@@ -191,7 +261,7 @@ def check_equalization_precondition(
                 f"keep probability {row[i]:.6f} of vertex {v}, color {inst.lists[v][i]} "
                 f"is below K = {k:.6f}"
             )
-    return inst, table
+    return table
 
 
 # --- the batch sampler -------------------------------------------------------
@@ -212,12 +282,12 @@ class BatchSample:
 
 
 def keep_frequency(
-    batch: BatchSample, ca: CorrespondenceAssignment, v: int
+    batch: BatchSample, inst: CompiledInstance, v: int
 ) -> dict[Color, tuple[float, int]]:
     """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning trials)."""
     out = {}
     kept = ~batch.uncolored[v]
-    for i, c in enumerate(sorted(ca.lists[v])):
+    for i, c in enumerate(inst.lists[v]):
         sel = batch.phi_idx[v] == i
         m = int(sel.sum())
         out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
@@ -328,8 +398,7 @@ def evaluate_trials(
 
 
 def sample_batch(
-    g: Graph,
-    ca: CorrespondenceAssignment,
+    inst: CompiledInstance,
     params: ProcedureParams,
     trials: int,
     seed: int,
@@ -337,10 +406,7 @@ def sample_batch(
 ) -> BatchSample:
     """Sample `trials` independent equalized trials (naive if equalize=False)."""
     rng = np.random.default_rng(np.random.Philox(seed))
-    if equalize:
-        inst, table = check_equalization_precondition(g, ca, params)
-    else:
-        inst, table = compile_instance(g, ca), None
+    table = check_equalization_precondition(inst, params) if equalize else None
     draws = draw_trials(inst, params, table, trials, rng)
     return evaluate_trials(inst, params, *draws)
 
@@ -400,14 +466,15 @@ def pipeline_color(
     Each round is a full independent trial.  Trials are drawn from `rng` in
     batches of 1, 2, 4, ... (capped by the rounds left); the first trial in
     which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
-    is completed, and the rest of its batch is discarded.  The completed
-    coloring is checked on the correspondence assignment itself, not on the
-    compiled arrays.
+    is completed, and the rest of its batch is discarded.  The lists are
+    compiled by `compile_lists`, and the completed coloring is checked to be
+    a proper coloring from `L` on `g` and `L` themselves, not on the compiled
+    arrays.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    ca = make_total(g, identity_correspondence(g, L))
-    inst, table = check_equalization_precondition(g, ca, params)
+    inst = compile_lists(g, L)
+    table = check_equalization_precondition(inst, params)
     save_full = np.array([len(nb) for nb in inst.nbrs], dtype=np.int64) + 1 - inst.sizes
     violations: list[int] = []
     batch = 1
@@ -432,7 +499,7 @@ def pipeline_color(
                 "check passed; pipeline fault"
             )
         coloring = {v: inst.lists[v][i] for v, i in enumerate(color.tolist())}
-        if not is_lm_coloring(g, ca, coloring):
+        if not (len(coloring) == g.n and is_proper(g, L, coloring)):
             raise RuntimeError("completed coloring is improper; pipeline fault")
         return PipelineReport(coloring, len(violations), tuple(violations))
     return PipelineReport(None, max_rounds, tuple(violations))

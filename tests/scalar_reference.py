@@ -26,6 +26,7 @@ from localcolor.lists import Color, Coloring, ListAssignment
 from localcolor.procedure import (
     ProcedureParams,
     check_equalization_precondition,
+    compile_instance,
     keep_probability,
 )
 
@@ -205,7 +206,7 @@ def sample_equalized(
     rng: np.random.Generator,
 ) -> PartialColoring:
     """One trial with equalizing coin flips: P[v kept | phi(v) = c] = K exactly."""
-    check_equalization_precondition(g, ca, params)
+    check_equalization_precondition(compile_instance(g, ca), params)
     k = params.keep
     sorted_lists = [sorted(ca.lists[v]) for v in range(g.n)]
     table = [

@@ -81,6 +81,24 @@ def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):
     assert sha256(out.encode()) == GOLDEN_COLOR_C5_SHA256
 
 
+def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
+    """Shifting every color by 2**63 keeps their order, so `color` makes the same
+    choices and prints the same coloring, shifted."""
+    lists = json.loads((gnp40 / "l.json").read_text())["lists"]
+    shift = 2**63
+    (gnp40 / "big.json").write_text(json.dumps({"lists": [[c + shift for c in row] for row in lists]}))
+    capsys.readouterr()
+    argv = ["color", "--graph", "g.col", "--seed", "5", "--rounds", "20", "--lists"]
+    assert main([*argv, "l.json"]) == 0
+    small = json.loads(capsys.readouterr().out)
+    assert main([*argv, "big.json"]) == 0
+    big = json.loads(capsys.readouterr().out)
+    assert big["coloring"] == [c + shift for c in small["coloring"]]
+    assert {k: v for k, v in big.items() if k != "coloring"} == {
+        k: v for k, v in small.items() if k != "coloring"
+    }
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -115,6 +133,13 @@ def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):
           "--out-dir", "out"], "alpha must be positive, got 0"),
         (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--beta", "-1",
           "--out-dir", "out"], "beta must be positive, got -1"),
+        # rejected before the graph is written to --out
+        (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+          "seed=1", "--out", "out", "--lists-out", "u.json", "--uniform-lists", "0"],
+         "argument --uniform-lists: must be at least 1, got 0"),
+        (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+          "seed=1", "--out", "out", "--lists-out", "u.json", "--uniform-lists", "-1"],
+         "argument --uniform-lists: must be at least 1, got -1"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -137,6 +162,23 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
          ["estimate", "--graph", "g.col", "--lists", "short.json", "--seed", "1",
           "--out-dir", "out"],
          "short.json has 2 lists, the graph has 40 vertices"),
+        ("str.json", '{"lists": [[0, 1], ["a", 1]]}',
+         ["color", "--graph", "g.col", "--lists", "str.json", "--seed", "1"],
+         "str.json: list of vertex 1: color 'a' is not an integer"),
+        ("str.json", '{"lists": [["a", 1]]}',
+         ["estimate", "--graph", "g.col", "--lists", "str.json", "--seed", "1",
+          "--out-dir", "out"],
+         "str.json: list of vertex 0: color 'a' is not an integer"),
+        ("float.json", '{"lists": [[0, 1.5]]}',
+         ["color", "--graph", "g.col", "--lists", "float.json", "--seed", "1"],
+         "float.json: list of vertex 0: color 1.5 is not an integer"),
+        ("bool.json", '{"lists": [[1, true]]}',
+         ["estimate", "--graph", "g.col", "--lists", "bool.json", "--seed", "1",
+          "--out-dir", "out"],
+         "bool.json: list of vertex 0: color True is not an integer"),
+        ("twice.json", '{"lists": [[0], [2, 1, 2]]}',
+         ["color", "--graph", "g.col", "--lists", "twice.json", "--seed", "1"],
+         "twice.json: list of vertex 1 repeats color 2"),
     ],
 )
 def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localcolor import procedure
+from localcolor import correspondence, experiment, procedure
 from localcolor.correspondence import (
     CorrespondenceAssignment,
     identity_correspondence,
@@ -28,6 +28,7 @@ from localcolor.procedure import (
     PreconditionError,
     ProcedureParams,
     compile_instance,
+    compile_lists,
     default_rho,
     draw_trials,
     evaluate_trials,
@@ -61,6 +62,26 @@ def star(leaves):
 
 def rng_of(seed):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+@pytest.fixture
+def correspondence_calls(monkeypatch):
+    """Names of the CorrespondenceAssignment.pairs, identity_correspondence and
+    make_total calls made from here on, whichever module looks them up."""
+    calls = []
+    pairs = CorrespondenceAssignment.pairs
+
+    def counted(self, u, v):
+        calls.append("pairs")
+        return pairs(self, u, v)
+
+    monkeypatch.setattr(CorrespondenceAssignment, "pairs", counted)
+    for module in (correspondence, experiment, procedure):
+        for name in ("identity_correspondence", "make_total"):
+            monkeypatch.setattr(
+                module, name, lambda *a, name=name: calls.append(name), raising=False
+            )
+    return calls
 
 
 class TestKeepConstant:
@@ -119,7 +140,7 @@ class TestKeepProbability:
         rng = rng_of(5)
         kept = cond = 0
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=rho), trials, 5,
+            compile_instance(g, ca), ProcedureParams(rho=rho), trials, 5,
             equalize=False,
         )
         sel = batch.phi_idx[1] == 0
@@ -149,7 +170,7 @@ class TestSampleNaive:
         unc = 0
         trials = 100_000
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=1.0), trials, 11,
+            compile_instance(g, ca), ProcedureParams(rho=1.0), trials, 11,
             equalize=False,
         )
         freq = batch.uncolored[0].mean()
@@ -172,7 +193,7 @@ class TestSampleEqualized:
         k = params.keep
         trials = 100_000
         kept = 0
-        batch = sample_batch(g, ca, params, trials, 3)
+        batch = sample_batch(compile_instance(g, ca), params, trials, 3)
         freq = (~batch.uncolored[0]).mean()
         se = math.sqrt(k * (1 - k) / trials)
         assert abs(freq - k) <= 3 * se
@@ -186,11 +207,11 @@ class TestSampleEqualized:
     def test_conditional_keep_rate_is_k(self):
         g = star(3)
         L = make_lists([[0, 1, 2, 3]] + [[0, 1, 2, 3, 4]] * 3)
-        ca = make_total(g, identity_correspondence(g, L))
+        inst = compile_lists(g, L)
         params = ProcedureParams()
-        batch = sample_batch(g, ca, params, 100_000, 9)
+        batch = sample_batch(inst, params, 100_000, 9)
         k = params.keep
-        for c, (freq, m) in keep_frequency(batch, ca, 0).items():
+        for c, (freq, m) in keep_frequency(batch, inst, 0).items():
             se = math.sqrt(k * (1 - k) / m)
             assert abs(freq - k) <= 4 * se
 
@@ -250,10 +271,9 @@ class TestUnactExpectation:
     def test_star_with_subservient_leaves(self, rho):
         g = star(3)
         L = make_lists([[0, 1, 2, 3]] + [[0, 1]] * 3)
-        ca = make_total(g, identity_correspondence(g, L))
         trials = 50_000
         batch = sample_batch(
-            g, ca, ProcedureParams(rho=rho), trials, 21,
+            compile_lists(g, L), ProcedureParams(rho=rho), trials, 21,
             equalize=False,
         )
         mean = batch.unact[0].mean()
@@ -303,7 +323,7 @@ class TestPipeline:
         L = make_lists([range(64), range(70), range(5, 70), range(66)])
         report = pipeline_color(g, L, ProcedureParams(), 20, rng_of(8))
         assert report.succeeded
-        assert is_lm_coloring(g, identity_correspondence(g, L), report.coloring)
+        assert is_lm_coloring(g, make_total(g, identity_correspondence(g, L)), report.coloring)
 
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_round_budget_below_one_is_named(self, rounds):
@@ -312,23 +332,14 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"got {rounds}"):
             pipeline_color(g, L, ProcedureParams(), rounds, rng_of(0))
 
-    def test_frozenset_pairs_only_in_the_final_check(self, monkeypatch):
-        # the pipeline works on the compiled instance; the frozenset pairs are
-        # walked once per edge, by the independent is_lm_coloring check
+    def test_builds_no_correspondence_assignment(self, correspondence_calls):
+        # lists compile straight to index arrays and the coloring is checked
+        # on the lists, so no frozenset pair is built or walked
         g = gen_gnp(40, 0.2, 2)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
-        calls = 0
-        pairs = CorrespondenceAssignment.pairs
-
-        def counted(self, u, v):
-            nonlocal calls
-            calls += 1
-            return pairs(self, u, v)
-
-        monkeypatch.setattr(CorrespondenceAssignment, "pairs", counted)
         report = pipeline_color(g, L, ProcedureParams(), 20, rng_of(5))
         assert report.succeeded
-        assert calls <= g.edge_count()
+        assert correspondence_calls == []
 
     def test_blocked_completion_is_a_fault(self, monkeypatch):
         # the savings check guarantees greedy completion, so a block must surface
@@ -342,12 +353,18 @@ class TestPipeline:
 class TestDeterminism:
     def test_batches_reproduce(self):
         g = star(5)
-        ca = make_total(g, identity_correspondence(g, uniform_lists(6, 6)))
+        inst = compile_lists(g, uniform_lists(6, 6))
         params = ProcedureParams()
-        b1 = sample_batch(g, ca, params, 500, 123)
-        b2 = sample_batch(g, ca, params, 500, 123)
+        b1 = sample_batch(inst, params, 500, 123)
+        b2 = sample_batch(inst, params, 500, 123)
         assert (b1.phi_idx == b2.phi_idx).all()
         assert (b1.uncolored == b2.uncolored).all()
+
+    def test_estimate_builds_no_correspondence_assignment(self, correspondence_calls, tmp_path):
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        run_estimate(g, L, {}, 50, 0, tmp_path, {})
+        assert correspondence_calls == []
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
@@ -384,7 +401,69 @@ def sampler_instance(draw):
     return g, ca, params, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
+# color ids: dense, wide enough for lists of 64 or more, and sparse with
+# several at 2**63 or more
+PALETTES = (
+    tuple(range(8)),
+    tuple(range(80)),
+    (0, 3, 2**40) + tuple(2**63 + 7 * i for i in range(80)),
+)
+
+
+@st.composite
+def list_instance(draw):
+    """A small graph, often with isolated vertices or no edges, and lists that
+    are all equal, pairwise disjoint or drawn at random from one palette;
+    some lists have 64 or more colors."""
+    n = draw(st.integers(1, 7))
+    possible = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    g = Graph.from_edges(n, edges)
+    palette = draw(st.sampled_from(PALETTES))
+    sizes = [
+        min(len(palette), draw(st.one_of(st.integers(1, 4), st.integers(64, 67))))
+        for _ in range(n)
+    ]
+    kind = draw(st.sampled_from(["equal", "disjoint", "random"]))
+    if kind == "equal":
+        rows = [palette[: sizes[0]]] * n
+    elif kind == "disjoint":
+        rows = [[c * n + v for c in palette[:k]] for v, k in enumerate(sizes)]
+    else:
+        rows = [draw(st.permutations(palette))[:k] for k in sizes]
+    return g, make_lists(rows)
+
+
+class TestCompileLists:
+    @given(list_instance())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_compiled_identity_made_total(self, case):
+        g, L = case
+        got = compile_lists(g, L)
+        want = compile_instance(g, make_total(g, identity_correspondence(g, L)))
+        assert got.lists == want.lists
+        for name in ("sizes", "match"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for name in ("nbrs", "out_off", "in_off"):
+            rows, want_rows = getattr(got, name), getattr(want, name)
+            assert len(rows) == len(want_rows) == g.n
+            for a, b in zip(rows, want_rows):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestSamplerMatchesReference:
+    @given(list_instance(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_keep_table_of_compiled_lists(self, case, rho):
+        g, L = case
+        ca = make_total(g, identity_correspondence(g, L))
+        inst = compile_lists(g, L)
+        table = keep_table(inst, rho)
+        for v in range(g.n):
+            for i, c in enumerate(inst.lists[v]):
+                assert table[v][i] == keep_probability(g, ca, rho, v, c)
+
     @given(sampler_instance())
     @settings(max_examples=80, deadline=None)
     def test_per_trial(self, inst_case):
@@ -451,8 +530,7 @@ def test_batch_golden():
     g = gen_gnp(30, 0.2, 3)
     rng = random.Random(3)
     L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
-    ca = make_total(g, identity_correspondence(g, L))
-    batch = sample_batch(g, ca, ProcedureParams(sigma=Fraction(1, 4)), 2500, 11)
+    batch = sample_batch(compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4)), 2500, 11)
     got = {
         name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
         for name, a in vars(batch).items()
@@ -468,13 +546,13 @@ import numpy as np
 from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.graph import Graph
 from localcolor.lists import make_lists
-from localcolor.procedure import ProcedureParams, sample_batch
+from localcolor.procedure import ProcedureParams, compile_lists, sample_batch
 from scalar_reference import residual
 
 g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
 L = make_lists([range(70)] * 70)
 ca = make_total(g, identity_correspondence(g, L))
-batch = sample_batch(g, ca, ProcedureParams(rho=0.9), 300, 5, equalize=False)
+batch = sample_batch(compile_lists(g, L), ProcedureParams(rho=0.9), 300, 5, equalize=False)
 lists = [sorted(row) for row in L]
 bad = 0
 for t in range(300):
