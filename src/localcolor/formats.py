@@ -1,11 +1,11 @@
-"""On-disk formats: DIMACS .col graphs and JSON for lists, correspondences,
-and complete-graph-minus-matching instances."""
+"""On-disk formats: DIMACS .col graphs and JSON for lists and correspondences.
+
+Every color read from JSON must be a JSON integer."""
 
 from __future__ import annotations
 
 from .correspondence import CorrespondenceAssignment, validate
-from .graph import Graph, Matching
-from .knm import KnmInstance
+from .graph import Graph
 from .lists import ListAssignment, make_lists
 
 
@@ -52,18 +52,24 @@ def emit_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- JSON graphs and lists --------------------------------------------------
+# --- JSON lists and correspondences -----------------------------------------
 
 
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges())]}
+def _check_color(c, where: str) -> None:
+    if type(c) is not int:  # bool is a subclass of int, and True == 1
+        raise FormatError(f"{where}: color {c!r} is not an integer")
 
 
-def graph_from_json(obj: dict) -> Graph:
-    try:
-        return Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad graph object: {exc}") from exc
+def _read_lists(rows: list[list]) -> ListAssignment:
+    """make_lists(rows), every color a JSON integer, none repeated within a list."""
+    for v, row in enumerate(rows):
+        seen = set()
+        for c in row:
+            _check_color(c, f"list of vertex {v}")
+            if c in seen:
+                raise FormatError(f"list of vertex {v} repeats color {c}")
+            seen.add(c)
+    return make_lists(rows)
 
 
 def lists_to_json(L: ListAssignment) -> dict:
@@ -77,15 +83,7 @@ def lists_from_json(obj: dict) -> ListAssignment:
         rows = [list(row) for row in obj["lists"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad lists object: {exc}") from exc
-    for v, row in enumerate(rows):
-        seen = set()
-        for c in row:
-            if type(c) is not int:  # bool is a subclass of int, and True == 1
-                raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
-            if c in seen:
-                raise FormatError(f"list of vertex {v} repeats color {c}")
-            seen.add(c)
-    return make_lists(rows)
+    return _read_lists(rows)
 
 
 def correspondence_to_json(ca: CorrespondenceAssignment) -> dict:
@@ -99,33 +97,22 @@ def correspondence_to_json(ca: CorrespondenceAssignment) -> dict:
 
 
 def correspondence_from_json(obj: dict, g: Graph) -> CorrespondenceAssignment:
+    """The correspondence of {"lists": ..., "edges": [{"u", "v", "pairs"}, ...]},
+    checked against `g`; every color, in a list or a pair, is a JSON integer."""
     try:
-        lists = make_lists(obj["lists"])
-        matchings = {
-            (rec["u"], rec["v"]): frozenset(tuple(p) for p in rec["pairs"])
-            for rec in obj["edges"]
-        }
+        rows = [list(row) for row in obj["lists"]]
+        edges = [(rec["u"], rec["v"], [tuple(p) for p in rec["pairs"]]) for rec in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad correspondence object: {exc}") from exc
+    lists = _read_lists(rows)
+    # checked before the pairs go into sets, where (True, 2) and (1, 2) are one
+    for u, v, pairs in edges:
+        for pair in pairs:
+            if len(pair) != 2:
+                raise FormatError(f"pair {list(pair)!r} on edge ({u},{v}) is not two colors")
+            for x, c in zip((u, v), pair):
+                _check_color(c, f"pair on edge ({u},{v}) at vertex {x}")
+    matchings = {(u, v): frozenset(pairs) for u, v, pairs in edges}
     ca = CorrespondenceAssignment(lists, matchings)
     validate(g, ca)
     return ca
-
-
-def knm_to_json(inst: KnmInstance) -> dict:
-    return {
-        "n": inst.n,
-        "matching": [list(e) for e in sorted(inst.matching.edges)],
-        "lists": [sorted(row) for row in inst.lists],
-    }
-
-
-def knm_from_json(obj: dict) -> KnmInstance:
-    try:
-        return KnmInstance(
-            obj["n"],
-            Matching.of(tuple(e) for e in obj["matching"]),
-            make_lists(obj["lists"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad instance object: {exc}") from exc

@@ -107,28 +107,6 @@ def local_reed_list_sizes(g: Graph) -> list[int]:
     ]
 
 
-def greedy_color(
-    g: Graph, L: ListAssignment, order: Sequence[int]
-) -> tuple[Coloring | None, int | None]:
-    """Greedy list coloring in the given order.
-
-    Assigns each vertex the smallest color of its list not used by an
-    already-colored neighbor.  Returns (coloring, None) on success and
-    (partial coloring, blocked vertex) when some vertex has no available
-    color.
-    """
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    coloring: Coloring = {}
-    for v in order:
-        used = {coloring[u] for u in g.adj[v] if u in coloring}
-        avail = sorted(L[v] - used)
-        if not avail:
-            return coloring, v
-        coloring[v] = avail[0]
-    return coloring, None
-
-
 def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
     """Proper on its domain and list-respecting."""
     for v, c in coloring.items():

@@ -109,33 +109,51 @@ def keep_probability(
 
 @dataclass(frozen=True)
 class CompiledInstance:
-    """A correspondence assignment as index arrays.
+    """A correspondence assignment as flat index arrays.
 
-    Every directed edge vu has a map in `match`, a flat array:
-    match[out_off[v][j] + i] is the index in lists[u] of the color matched to
-    lists[v][i], where u = nbrs[v][j], or -1 when that color is unmatched.
-    in_off[v][j] is the offset of the reverse map, from u to v.
+    The directed edges are numbered in adjacency order: those of vertex v are
+    ptr[v] .. ptr[v + 1] - 1, and edge e runs from its tail to head[e].  Its
+    map starts at block[e] in `match`, a flat array: match[block[e] + i] is
+    the index in lists[head[e]] of the color matched to the i-th color of the
+    tail, or -1 when that color is unmatched.  back[e] is the block of the
+    reverse edge.  Any flat (vertex, color) table, such as the keep table,
+    holds the entry of lists[v][i] at start[v] + i.
     """
 
     lists: list[list[Color]]  # each vertex's list, sorted
     sizes: np.ndarray
-    nbrs: list[np.ndarray]  # in adjacency order
-    out_off: list[np.ndarray]
-    in_off: list[np.ndarray]
+    start: np.ndarray  # n + 1 offsets into a flat (vertex, color) table
+    ptr: np.ndarray  # n + 1 offsets of each vertex's directed edges
+    head: np.ndarray
+    block: np.ndarray
+    back: np.ndarray
     match: np.ndarray
+
+
+def _layout(g: Graph, sizes: np.ndarray):
+    """The offsets shared by both compile paths: (start, ptr, tail, head,
+    block, rev), where the edges are in adjacency order, the order of the
+    blocks of `match`, and rev[e] is the reverse edge of e."""
+    deg = np.array([len(g.adj[v]) for v in range(g.n)], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    tail = np.repeat(np.arange(g.n), deg)
+    head = np.array([u for v in range(g.n) for u in g.adj[v]], dtype=np.int64)
+    width = sizes[tail]
+    # the k-th edge by (tail, head) is the reverse of the k-th by (head, tail)
+    rev = np.empty_like(tail)
+    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
+    return start, ptr, tail, head, np.cumsum(width) - width, rev
 
 
 def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
     """Index arrays of `ca`, filled in one pass over the edge matchings."""
     lists = [sorted(ca.lists[v]) for v in range(g.n)]
     index_of = [{c: i for i, c in enumerate(row)} for row in lists]
-    offset: dict[tuple[int, int], int] = {}
-    total = 0
-    for v in range(g.n):
-        for u in g.adj[v]:
-            offset[(v, u)] = total
-            total += len(lists[v])
-    match = [-1] * total
+    sizes = np.array([len(row) for row in lists], dtype=np.int64)
+    start, ptr, tail, head, block, rev = _layout(g, sizes)
+    offset = dict(zip(zip(tail.tolist(), head.tolist()), block.tolist()))
+    match = [-1] * int(sizes[tail].sum())
     for (u, v), pairs in ca.matchings.items():
         fwd, back = offset[(u, v)], offset[(v, u)]
         for cu, cv in pairs:
@@ -143,34 +161,7 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
             match[fwd + iu] = iv
             match[back + iv] = iu
     return CompiledInstance(
-        lists,
-        np.array([len(row) for row in lists], dtype=np.int64),
-        [np.array(list(g.adj[v]), dtype=np.int64) for v in range(g.n)],
-        [np.array([offset[(v, u)] for u in g.adj[v]], dtype=np.int64) for v in range(g.n)],
-        [np.array([offset[(u, v)] for u in g.adj[v]], dtype=np.int64) for v in range(g.n)],
-        np.array(match, dtype=np.int64),
-    )
-
-
-def _per_vertex(flat: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """flat[bounds[v]:bounds[v + 1]] for every vertex v."""
-    b = bounds.tolist()
-    return [flat[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
-
-
-def _directed_edges(sizes: np.ndarray, nbrs: list[np.ndarray]):
-    """The directed edges in adjacency order, the order of the blocks of `match`:
-    (tail, head, bounds of each vertex's edges, block start, edge of each cell)."""
-    deg = np.array([len(nb) for nb in nbrs], dtype=np.int64)
-    tail = np.repeat(np.arange(len(nbrs)), deg)
-    head = np.concatenate([np.zeros(0, dtype=np.int64), *nbrs])
-    width = sizes[tail]
-    return (
-        tail,
-        head,
-        np.concatenate(([0], np.cumsum(deg))),
-        np.cumsum(width) - width,
-        np.repeat(np.arange(len(tail)), width),
+        lists, sizes, start, ptr, head, block, block[rev], np.array(match, dtype=np.int64)
     )
 
 
@@ -187,15 +178,11 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
     sizes = np.array([len(row) for row in lists], dtype=np.int64)
     ranks = np.array([rank[c] for row in lists for c in row], dtype=np.int64)
-    start = np.cumsum(sizes) - sizes
     # (vertex, color rank) of every list entry as one key, ascending end to end
     key = np.repeat(np.arange(g.n), sizes) * len(rank) + ranks
-    nbrs = [np.array(list(g.adj[v]), dtype=np.int64) for v in range(g.n)]
-    tail, head, bounds, block, edge = _directed_edges(sizes, nbrs)
-    # the k-th edge by (tail, head) is the reverse of the k-th by (head, tail)
-    rev = np.empty_like(tail)
-    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
+    start, ptr, tail, head, block, rev = _layout(g, sizes)
     # every cell looks its tail's color up in its head's list
+    edge = np.repeat(np.arange(len(tail)), sizes[tail])
     entry = np.arange(len(edge))
     entry += (start[tail] - block)[edge]
     query = ranks[entry]
@@ -212,55 +199,58 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     nfree = np.bincount(free_edge, minlength=len(tail))
     free_start = np.cumsum(nfree) - nfree
     free_rank = np.arange(len(free)) - free_start[free_edge]
-    back = rev[free_edge]
-    paired = free_rank < nfree[back]
-    back = back[paired]
-    match[free[paired]] = free[free_start[back] + free_rank[paired]] - block[back]
-    return CompiledInstance(
-        lists, sizes, nbrs, _per_vertex(block, bounds), _per_vertex(block[rev], bounds), match
-    )
+    other = rev[free_edge]
+    paired = free_rank < nfree[other]
+    other = other[paired]
+    match[free[paired]] = free[free_start[other] + free_rank[paired]] - block[other]
+    return CompiledInstance(lists, sizes, start, ptr, head, block, block[rev], match)
 
 
-def keep_table(inst: CompiledInstance, rho: float) -> list[np.ndarray]:
-    """table[v][i] = keep_probability(g, ca, rho, v, lists[v][i]), bit for bit:
-    the factors are multiplied in adjacency order, as keep_probability does."""
-    sizes = inst.sizes
-    tail, head, _, block, edge = _directed_edges(sizes, inst.nbrs)
-    start = np.concatenate(([0], np.cumsum(sizes)))
+def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
+    """The flat keep table: table[start[v] + i] = keep_probability(g, ca, rho,
+    v, lists[v][i]), bit for bit: the factors are multiplied in adjacency
+    order, as keep_probability does."""
+    sizes, head = inst.sizes, inst.head
+    tail = np.repeat(np.arange(len(sizes)), np.diff(inst.ptr))
+    edge = np.repeat(np.arange(len(tail)), sizes[tail])
     # the table entry of every match cell: its tail's start plus its color index
     entry = np.arange(len(edge))
-    entry += (start[tail] - block)[edge]
+    entry += (inst.start[tail] - inst.block)[edge]
     threat = np.flatnonzero((sizes[head] >= sizes[tail])[edge] & (inst.match >= 0))
-    flat = np.full(int(start[-1]), float(rho))
+    flat = np.full(int(inst.start[-1]), float(rho))
     # ufunc.at applies the factors in cell order, which is adjacency order
     np.multiply.at(flat, entry[threat], (1 - rho / sizes[head])[edge[threat]])
-    return _per_vertex(flat, start)
+    return flat
 
 
 def check_equalization_precondition(
     inst: CompiledInstance, params: ProcedureParams
-) -> list[np.ndarray]:
-    """The keep table of `inst`, every entry verified to be at least K.
+) -> np.ndarray:
+    """The flat keep table of `inst` (see keep_table), every entry verified to
+    be at least K.
 
     The theoretical minimum-degree floor ceil(1000 / (1 - eps)^2) is
     astronomically large, so the implementation checks the condition it
     exists to guarantee: every exact keep probability is at least the keep
-    constant.
+    constant.  A failure names the first offending vertex by id, and for the
+    keep probability its first offending color.
     """
     share = 1 - params.eps
-    for v, (size, nb) in enumerate(zip(inst.sizes.tolist(), inst.nbrs)):
-        if size < share * len(nb):
-            raise PreconditionError(f"vertex {v}: |L(v)| = {size} < (1 - eps) d(v)")
+    # object arrays compare in Python numbers, exactly as share * d(v) is
+    short = np.flatnonzero(inst.sizes.astype(object) < share * np.diff(inst.ptr).astype(object))
+    if short.size:
+        v = int(short[0])
+        raise PreconditionError(f"vertex {v}: |L(v)| = {inst.sizes[v]} < (1 - eps) d(v)")
     table = keep_table(inst, params.rho)
     k = params.keep
-    for v, row in enumerate(table):
-        low = np.flatnonzero(row < k)
-        if low.size:
-            i = int(low[0])
-            raise PreconditionError(
-                f"keep probability {row[i]:.6f} of vertex {v}, color {inst.lists[v][i]} "
-                f"is below K = {k:.6f}"
-            )
+    low = np.flatnonzero(table < k)
+    if low.size:
+        j = int(low[0])
+        v = int(np.searchsorted(inst.start, j, side="right")) - 1
+        raise PreconditionError(
+            f"keep probability {table[j]:.6f} of vertex {v}, "
+            f"color {inst.lists[v][j - int(inst.start[v])]} is below K = {k:.6f}"
+        )
     return table
 
 
@@ -297,7 +287,7 @@ def keep_frequency(
 def draw_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
-    table: list[np.ndarray] | None,
+    table: np.ndarray | None,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,13 +302,12 @@ def draw_trials(
     phi_idx = np.empty((n, trials), dtype=np.int64)
     for v, size in enumerate(inst.sizes.tolist()):
         phi_idx[v] = rng.integers(size, size=trials)
-    heads = np.zeros((n, trials), dtype=bool)
-    if table is not None:
-        k = params.keep
-        for v, p in enumerate(table):
-            # with rho = 0 every keep probability is 0 and the flips are irrelevant
-            pflip = np.where(p > 0, 1 - k / np.where(p > 0, p, 1.0), 0.0)
-            heads[v] = rng.random(trials) < pflip[phi_idx[v]]
+    if table is None:
+        return act, phi_idx, np.zeros((n, trials), dtype=bool)
+    k = params.keep
+    # with rho = 0 every keep probability is 0 and the flips are irrelevant
+    pflip = np.where(table > 0, 1 - k / np.where(table > 0, table, 1.0), 0.0)
+    heads = rng.random((n, trials)) < np.take(pflip, inst.start[:-1, None] + phi_idx)
     return act, phi_idx, heads
 
 
@@ -353,14 +342,16 @@ def evaluate_trials(
     trials at a time.
     """
     n, trials = phi_idx.shape
-    sizes, match, nbrs = inst.sizes, inst.match, inst.nbrs
-    # neighbors with lists at least as large threaten v
-    big = [sizes[nb] >= sizes[v] for v, nb in enumerate(nbrs)]
+    sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
+    ptr = inst.ptr.tolist()
+    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
+    # neighbors with lists at least as large threaten v; those with strictly
+    # smaller lists are colored after v by greedy completion
+    big = sizes[head] >= sizes[tail]
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|; sizes are integers
     not_sigma = 1 - params.sigma
-    egal = [(sizes[nb] >= math.ceil(not_sigma * int(sizes[v])))[:, None] for v, nb in enumerate(nbrs)]
-    # neighbors with strictly smaller lists are colored after v by greedy completion
-    later = [nb[~b] for nb, b in zip(nbrs, big)]
+    least = np.array([math.ceil(not_sigma * s) for s in sizes.tolist()], dtype=np.int64)
+    egal = (sizes[head] >= least[tail])[:, None]
 
     uncolored = np.empty((n, trials), dtype=bool)
     aberr, pairs, trips, unact, save_drop = (
@@ -371,27 +362,31 @@ def evaluate_trials(
         act_t, phi_t = act[:, t], phi_idx[:, t]
         width = phi_t.shape[1]
         for v in range(n):
-            threat = nbrs[v][big[v]]
-            mv = match[inst.out_off[v][big[v]][:, None] + phi_t[v]]  # -1 never equals phi_idx
-            threatened = (act_t[threat] & (phi_t[threat] == mv)).any(axis=0)
+            e = slice(ptr[v], ptr[v + 1])
+            threat = head[e][big[e]]
+            # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
+            # which never equals phi(v)
+            mu = match[back[e][big[e]][:, None] + phi_t[threat]]
+            threatened = (act_t[threat] & (mu == phi_t[v])).any(axis=0)
             uncolored[v, t] = ~act_t[v] | threatened | heads[v, t]
         colored = ~uncolored[:, t]
         tr = np.arange(width)
         for v in range(n):
-            nb, cells = nbrs[v], int(sizes[v]) * width
+            e = slice(ptr[v], ptr[v + 1])
+            nb, cells = head[e], int(sizes[v]) * width
             # per (neighbor u, trial): the index in L(v) matched to phi(u), or -1
-            cell = match[inst.in_off[v][:, None] + phi_t[nb]]
+            cell = match[back[e][:, None] + phi_t[nb]]
             on = colored[nb]
             hit = on & (cell >= 0)
-            aberr[v, t] = (on & egal[v] & (cell < 0)).sum(axis=0)
-            unact[v, t] = (~act_t[later[v]]).sum(axis=0)
+            aberr[v, t] = (on & egal[e] & (cell < 0)).sum(axis=0)
+            unact[v, t] = (~act_t[nb[~big[e]]]).sum(axis=0)
             cell *= width
             cell += tr  # now the flat (color index, trial) cell, meaningful where hit
             removed = np.bincount(cell[hit], minlength=cells).reshape(-1, width) > 0
             # Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): colored
             # neighbors minus the colors of v they remove
             save_drop[v, t] = on.sum(axis=0) - removed.sum(axis=0)
-            counts = np.bincount(cell[hit & egal[v]], minlength=cells)
+            counts = np.bincount(cell[hit & egal[e]], minlength=cells)
             pairs[v, t], trips[v, t] = _pairs_trips(counts.reshape(-1, width))
 
     return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact, save_drop)
@@ -425,12 +420,13 @@ def greedy_complete(
     neighbor kept its trial color or was completed before.  Returns (color
     index per vertex, blocked vertex).
     """
-    sizes = inst.sizes.tolist()
+    sizes, ptr = inst.sizes.tolist(), inst.ptr.tolist()
     color = np.where(uncolored, -1, phi_idx)
     for v in sorted(np.flatnonzero(uncolored).tolist(), key=lambda v: (-sizes[v], v)):
-        c = color[inst.nbrs[v]]
+        e = slice(ptr[v], ptr[v + 1])
+        c = color[inst.head[e]]
         on = c >= 0
-        taken = inst.match[inst.in_off[v][on] + c[on]]
+        taken = inst.match[inst.back[e][on] + c[on]]
         free = np.ones(sizes[v], dtype=bool)
         free[taken[taken >= 0]] = False
         i = int(free.argmax())
@@ -475,7 +471,7 @@ def pipeline_color(
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     inst = compile_lists(g, L)
     table = check_equalization_precondition(inst, params)
-    save_full = np.array([len(nb) for nb in inst.nbrs], dtype=np.int64) + 1 - inst.sizes
+    save_full = np.diff(inst.ptr) + 1 - inst.sizes
     violations: list[int] = []
     batch = 1
     while len(violations) < max_rounds:

@@ -10,7 +10,6 @@ from localcolor.lists import (
     brute_force_L_colorable,
     f_choosable,
     gap,
-    greedy_color,
     is_L_critical,
     is_proper,
     local_reed_list_sizes,
@@ -104,30 +103,6 @@ class TestLocalReed:
         from localcolor.generators import gen_c5_blowup
 
         assert local_reed_list_sizes(gen_c5_blowup(2)) == [5] * 10
-
-
-class TestGreedy:
-    def test_generous_lists_always_succeed(self):
-        g = cycle(6)
-        L = uniform_lists(6, 3)
-        coloring, blocked = greedy_color(g, L, range(6))
-        assert blocked is None and is_proper(g, L, coloring)
-
-    def test_order_dependent_failure(self):
-        g = path(3)
-        L = make_lists([[1], [1, 2], [2]])
-        coloring, blocked = greedy_color(g, L, [0, 2, 1])
-        assert blocked == 1
-        coloring, blocked = greedy_color(g, L, [1, 0, 2])
-        assert blocked is not None or is_proper(g, L, coloring)
-
-    def test_reports_outcome_per_order(self):
-        g = path(3)
-        L = make_lists([[1], [1, 2], [2]])
-        for order in itertools.permutations(range(3)):
-            coloring, blocked = greedy_color(g, L, order)
-            if blocked is None:
-                assert is_proper(g, L, coloring)
 
 
 class TestBruteForce:

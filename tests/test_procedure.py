@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -180,11 +181,32 @@ class TestSampleNaive:
 
 class TestSampleEqualized:
     def test_precondition_failure_names_offender(self):
-        # a big equal-list clique drives keep probability below K
+        # 2-color lists on K4 are too short for (1 - eps) d(v)
         g = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         ca = identity_correspondence(g, uniform_lists(4, 2))
-        with pytest.raises(PreconditionError, match=r"vertex"):
+        want = "vertex 0: |L(v)| = 2 < (1 - eps) d(v)"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
             sample_equalized(g, ca, ProcedureParams(), rng_of(0))
+        # and at the center of a star, vertex 1, only
+        g = Graph.from_edges(4, [(1, 0), (1, 2), (1, 3)])
+        ca = identity_correspondence(g, make_lists([[0], [0, 1], [0], [0]]))
+        want = "vertex 1: |L(v)| = 2 < (1 - eps) d(v)"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+            sample_equalized(g, ca, ProcedureParams(), rng_of(0))
+        # the first keep probability below K is not at vertex 0: two isolated
+        # vertices, then a star whose three leaves share two colors with its
+        # center, so the first shared one is the offender.  With leaves
+        # [11, 12, 15] it is at color index 1; with [10, 11, 15] at index 0,
+        # the first entry of vertex 2 in the flat table.
+        g = Graph.from_edges(6, [(2, 3), (2, 4), (2, 5)])
+        params = ProcedureParams()
+        for leaf, c in (([11, 12, 15], 11), ([10, 11, 15], 10)):
+            ca = identity_correspondence(g, make_lists([[0], [0], [10, 11, 12]] + [leaf] * 3))
+            p = keep_probability(g, ca, params.rho, 2, c)
+            want = f"keep probability {p:.6f} of vertex 2, color {c} "
+            want += f"is below K = {params.keep:.6f}"
+            with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+                sample_equalized(g, ca, params, rng_of(0))
 
     def test_isolated_keep_rate_is_k(self):
         g = Graph.from_edges(2, [])
@@ -442,14 +464,9 @@ class TestCompileLists:
         got = compile_lists(g, L)
         want = compile_instance(g, make_total(g, identity_correspondence(g, L)))
         assert got.lists == want.lists
-        for name in ("sizes", "match"):
+        for name in ("sizes", "start", "ptr", "head", "block", "back", "match"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        for name in ("nbrs", "out_off", "in_off"):
-            rows, want_rows = getattr(got, name), getattr(want, name)
-            assert len(rows) == len(want_rows) == g.n
-            for a, b in zip(rows, want_rows):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestSamplerMatchesReference:
@@ -462,7 +479,7 @@ class TestSamplerMatchesReference:
         table = keep_table(inst, rho)
         for v in range(g.n):
             for i, c in enumerate(inst.lists[v]):
-                assert table[v][i] == keep_probability(g, ca, rho, v, c)
+                assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
 
     @given(sampler_instance())
     @settings(max_examples=80, deadline=None)
@@ -472,7 +489,7 @@ class TestSamplerMatchesReference:
         table = keep_table(inst, params.rho)
         for v in range(g.n):
             for i, c in enumerate(inst.lists[v]):
-                assert table[v][i] == keep_probability(g, ca, params.rho, v, c)
+                assert table[inst.start[v] + i] == keep_probability(g, ca, params.rho, v, c)
         prec = list_size_order(ca.lists)
         trials = 6
         act, phi_idx, heads = draw_trials(
