@@ -98,15 +98,23 @@ def correspondence_to_json(ca: CorrespondenceAssignment) -> dict:
 
 def correspondence_from_json(obj: dict, g: Graph) -> CorrespondenceAssignment:
     """The correspondence of {"lists": ..., "edges": [{"u", "v", "pairs"}, ...]},
-    checked against `g`; every color, in a list or a pair, is a JSON integer."""
+    checked against `g`; every color, in a list or a pair, and every edge end
+    is a JSON integer, and no edge has two records."""
     try:
         rows = [list(row) for row in obj["lists"]]
         edges = [(rec["u"], rec["v"], [tuple(p) for p in rec["pairs"]]) for rec in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad correspondence object: {exc}") from exc
     lists = _read_lists(rows)
-    # checked before the pairs go into sets, where (True, 2) and (1, 2) are one
-    for u, v, pairs in edges:
+    seen = set()
+    for i, (u, v, pairs) in enumerate(edges):
+        if type(u) is not int or type(v) is not int:  # false/true would read as 0/1
+            raise FormatError(f"edge record {i}: u={u!r}, v={v!r} are not both integers")
+        a, b = min(u, v), max(u, v)
+        if (a, b) in seen:  # the dict below would keep only the last
+            raise FormatError(f"edge record {i}: a second record for edge ({a},{b})")
+        seen.add((a, b))
+        # checked before the pairs go into sets, where (True, 2) and (1, 2) are one
         for pair in pairs:
             if len(pair) != 2:
                 raise FormatError(f"pair {list(pair)!r} on edge ({u},{v}) is not two colors")

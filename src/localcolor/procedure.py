@@ -16,6 +16,12 @@ on the same compiled instance.
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
+`draw_trials` draws a batch, and each caller evaluates it with the one
+evaluator that computes what it reads: `evaluate_trials` (per vertex, in
+TRIAL_CHUNK passes) gives `sample_batch` and the estimate the uncolored set
+and the savings components; `settle_trials` (all directed edges at once)
+gives `pipeline_color`'s savings check the uncolored set, unact and
+save_drop.
 An instance is compiled in one of two ways: `compile_lists` builds the
 tables of a list assignment (the identity correspondence made total)
 straight from the sorted lists, and `compile_instance` reads them off a
@@ -235,9 +241,11 @@ def check_equalization_precondition(
     constant.  A failure names the first offending vertex by id, and for the
     keep probability its first offending color.
     """
-    share = 1 - params.eps
-    # object arrays compare in Python numbers, exactly as share * d(v) is
-    short = np.flatnonzero(inst.sizes.astype(object) < share * np.diff(inst.ptr).astype(object))
+    # |L(v)| < (1 - num / den) d(v) as |L(v)| den < (den - num) d(v), on object
+    # arrays of Python ints, so exact for any eps
+    num, den = params.eps.numerator, params.eps.denominator
+    deg = np.diff(inst.ptr).astype(object)
+    short = np.flatnonzero(inst.sizes.astype(object) * den < (den - num) * deg)
     if short.size:
         v = int(short[0])
         raise PreconditionError(f"vertex {v}: |L(v)| = {inst.sizes[v]} < (1 - eps) d(v)")
@@ -259,7 +267,9 @@ def check_equalization_precondition(
 
 @dataclass(frozen=True)
 class BatchSample:
-    """Arrays of shape (n, trials) describing a batch of equalized trials."""
+    """Arrays of shape (n, trials) describing a batch of equalized trials: the
+    draws and what evaluate_trials computes of them.  The residual-list drop
+    save_drop, which only pipeline_color reads, is settle_trials' alone."""
 
     phi_idx: np.ndarray  # chosen color index per vertex per trial
     activated: np.ndarray  # bool
@@ -268,7 +278,6 @@ class BatchSample:
     pairs: np.ndarray
     trips: np.ndarray
     unact: np.ndarray
-    save_drop: np.ndarray  # Save_L(v) - Save_L'(v), only meaningful where uncolored
 
 
 def keep_frequency(
@@ -334,12 +343,13 @@ def evaluate_trials(
     phi_idx: np.ndarray,
     heads: np.ndarray,
 ) -> BatchSample:
-    """Uncolored set, savings components and save_drop of the drawn trials.
+    """Uncolored set and savings components of the drawn trials.
 
     unact(v) counts the non-activated neighbors with strictly smaller lists:
     greedy completion colors them after v, so each one leaves v a color.
     Work is vectorized per vertex over (neighbor, trial) arrays, TRIAL_CHUNK
-    trials at a time.
+    trials at a time: at that width settle_trials' edge-wide layout is 2 to 3
+    times slower, its temporaries too large to stay in cache.
     """
     n, trials = phi_idx.shape
     sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
@@ -348,15 +358,14 @@ def evaluate_trials(
     # neighbors with lists at least as large threaten v; those with strictly
     # smaller lists are colored after v by greedy completion
     big = sizes[head] >= sizes[tail]
-    # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|; sizes are integers
-    not_sigma = 1 - params.sigma
-    least = np.array([math.ceil(not_sigma * s) for s in sizes.tolist()], dtype=np.int64)
+    # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
+    # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
+    num, den = params.sigma.numerator, params.sigma.denominator
+    least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = (sizes[head] >= least[tail])[:, None]
 
     uncolored = np.empty((n, trials), dtype=bool)
-    aberr, pairs, trips, unact, save_drop = (
-        np.empty((n, trials), dtype=np.int64) for _ in range(5)
-    )
+    aberr, pairs, trips, unact = (np.empty((n, trials), dtype=np.int64) for _ in range(4))
     for start in range(0, trials, TRIAL_CHUNK):
         t = slice(start, start + TRIAL_CHUNK)
         act_t, phi_t = act[:, t], phi_idx[:, t]
@@ -376,20 +385,77 @@ def evaluate_trials(
             nb, cells = head[e], int(sizes[v]) * width
             # per (neighbor u, trial): the index in L(v) matched to phi(u), or -1
             cell = match[back[e][:, None] + phi_t[nb]]
-            on = colored[nb]
+            on = colored[nb] & egal[e]
             hit = on & (cell >= 0)
-            aberr[v, t] = (on & egal[e] & (cell < 0)).sum(axis=0)
+            aberr[v, t] = (on & (cell < 0)).sum(axis=0)
             unact[v, t] = (~act_t[nb[~big[e]]]).sum(axis=0)
             cell *= width
             cell += tr  # now the flat (color index, trial) cell, meaningful where hit
-            removed = np.bincount(cell[hit], minlength=cells).reshape(-1, width) > 0
-            # Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): colored
-            # neighbors minus the colors of v they remove
-            save_drop[v, t] = on.sum(axis=0) - removed.sum(axis=0)
-            counts = np.bincount(cell[hit & egal[e]], minlength=cells)
+            counts = np.bincount(cell[hit], minlength=cells)
             pairs[v, t], trips[v, t] = _pairs_trips(counts.reshape(-1, width))
 
-    return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact, save_drop)
+    return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact)
+
+
+def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:
+    """Per (vertex, trial): how many of the flat (row, trial) `cells` have their
+    row owned by that vertex, `owner` giving each row's vertex."""
+    # cell = row * trials + t, and its (vertex, trial) key owner[row] * trials + t
+    # is the cell shifted by (owner[row] - row) * trials
+    shift = (owner - np.arange(len(owner))) * trials
+    key = shift[cells // trials]
+    key += cells
+    return np.bincount(key, minlength=n * trials).reshape(n, trials)
+
+
+def settle_trials(
+    inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(uncolored, unact, save_drop) of the drawn trials, each of shape (n, trials):
+    what pipeline_color's savings check reads, equal to evaluate_trials'
+    uncolored and unact.
+
+    save_drop(v) = Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|):
+    v's colored neighbors minus the distinct colors of v they remove; it is
+    meaningful only where v is uncolored.  Work is vectorized over all
+    directed edges at once, and each (edge, trial) mask is reduced through
+    the flat indices of the cells it hits.
+    """
+    n, trials = phi_idx.shape
+    sizes, head = inst.sizes, inst.head
+    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
+    big = sizes[head] >= sizes[tail]
+    # per (edge, trial): the index in L(tail) matched to phi(head), or -1
+    mu = phi_idx[head]
+    mu += inst.back[:, None]
+    mu = inst.match[mu]
+    # an activated head with a list at least as large, its color matched to the tail's
+    threat = mu == phi_idx[tail]
+    threat &= act[head]
+    threat &= big[:, None]
+    uncolored = _count_by_vertex(tail, np.flatnonzero(threat), n, trials) > 0
+    uncolored |= ~act
+    uncolored |= heads
+    # the colors of the tails that colored heads remove, as one flat (tail
+    # color, trial) mask; mu becomes the flat cell of each, in place
+    off = uncolored[head]
+    hit = mu >= 0
+    hit &= ~off
+    mu += inst.start[tail][:, None]
+    mu *= trials
+    mu += np.arange(trials)
+    removed = np.zeros(int(inst.start[-1]) * trials, dtype=bool)
+    removed[mu[hit]] = True
+    del mu  # the largest array here; the counts below need their own keys
+    owner = np.repeat(np.arange(n), sizes)
+    distinct = _count_by_vertex(owner, np.flatnonzero(removed), n, trials)
+    colored_heads = np.diff(inst.ptr)[:, None] - _count_by_vertex(
+        tail, np.flatnonzero(off), n, trials
+    )
+    # the non-activated heads with strictly smaller lists
+    small = np.flatnonzero(~big)
+    unact = _count_by_vertex(tail[small], np.flatnonzero(~act[head[small]]), n, trials)
+    return uncolored, unact, colored_heads - distinct
 
 
 def sample_batch(
@@ -476,9 +542,9 @@ def pipeline_color(
     batch = 1
     while len(violations) < max_rounds:
         trials = min(batch, max_rounds - len(violations))
-        s = evaluate_trials(inst, params, *draw_trials(inst, params, table, trials, rng))
-        save_res = save_full[:, None] - s.save_drop
-        bad = (s.uncolored & (save_res > s.unact)).sum(axis=0)
+        act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
+        uncolored, unact, save_drop = settle_trials(inst, act, phi_idx, heads)
+        bad = (uncolored & (save_full[:, None] - save_drop > unact)).sum(axis=0)
         good = np.flatnonzero(bad == 0)
         if not good.size:
             violations.extend(bad.tolist())
@@ -486,7 +552,7 @@ def pipeline_color(
             continue
         t = int(good[0])
         violations.extend(bad[: t + 1].tolist())
-        color, blocked = greedy_complete(inst, s.phi_idx[:, t], s.uncolored[:, t])
+        color, blocked = greedy_complete(inst, phi_idx[:, t], uncolored[:, t])
         if color is None:
             # the savings check guarantees greedy succeeds: unact(v) counts
             # the neighbors that are colored after v

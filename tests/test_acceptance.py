@@ -44,15 +44,19 @@ from localcolor.lists import (
     uniform_lists,
 )
 from localcolor.procedure import (
+    TRIAL_CHUNK,
     PreconditionError,
     ProcedureParams,
     check_equalization_precondition,
     compile_lists,
     default_rho,
+    draw_trials,
+    evaluate_trials,
     keep_constant,
     keep_frequency,
     pipeline_color,
     sample_batch,
+    settle_trials,
 )
 
 PARAMS = ProcedureParams()
@@ -255,12 +259,19 @@ def test_06_per_trial_save_inequality(capsys):
     seed = 0
     while checked < 10**6:
         seed += 1
-        batch = sample_batch(_generous_instance(9000 + seed, n=10), PARAMS, 120_000, seed)
-        unc = batch.uncolored
-        lhs = batch.save_drop
+        inst = _generous_instance(9000 + seed, n=10)
+        # the draws of sample_batch(inst, PARAMS, 120_000, seed)
+        rng = np.random.default_rng(np.random.Philox(seed))
+        table = check_equalization_precondition(inst, PARAMS)
+        draws = draw_trials(inst, PARAMS, table, 120_000, rng)
+        batch = evaluate_trials(inst, PARAMS, *draws)
         rhs = batch.aberrance + batch.pairs - batch.trips
-        bad += int((unc & (lhs < rhs)).sum())
-        checked += int(unc.sum())
+        # settled in slices: its (edge, trial) arrays span every trial at once
+        for start in range(0, 120_000, TRIAL_CHUNK):
+            t = slice(start, start + TRIAL_CHUNK)
+            unc, _, lhs = settle_trials(inst, *(a[:, t] for a in draws))
+            bad += int((unc & (lhs < rhs[:, t])).sum())
+            checked += int(unc.sum())
     ok = bad == 0
     report(capsys, 6, ok, f"{checked} (trial, vertex) pairs, {bad} violations")
 

@@ -123,6 +123,35 @@ class TestJsonRoundtrips:
         with pytest.raises(FormatError, match=f"^{where} is not an integer$"):
             correspondence_from_json(obj, g)
 
+    @pytest.mark.parametrize(
+        "u, v, where",
+        [
+            (False, True, "u=False, v=True"),
+            (0, True, "u=0, v=True"),
+            (0, 1.0, "u=0, v=1.0"),
+            ("0", 1, "u='0', v=1"),
+        ],
+    )
+    def test_correspondence_edge_ends_are_integers(self, u, v, where):
+        # false/true would read as the edge (0, 1)
+        g = Graph.from_edges(2, [(0, 1)])
+        obj = json.loads(json.dumps({"lists": [[1], [1]], "edges": [{"u": u, "v": v, "pairs": []}]}))
+        with pytest.raises(FormatError, match=f"^edge record 0: {where} are not both integers$"):
+            correspondence_from_json(obj, g)
+
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+    def test_correspondence_edge_recorded_twice(self, second):
+        # a dict of the records would silently keep the last one
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        edges = [
+            {"u": 0, "v": 1, "pairs": [[1, 1]]},
+            {"u": 1, "v": 2, "pairs": []},
+            {"u": second[0], "v": second[1], "pairs": []},
+        ]
+        obj = {"lists": [[1], [1], [1]], "edges": edges}
+        with pytest.raises(FormatError, match=r"^edge record 2: a second record for edge \(0,1\)$"):
+            correspondence_from_json(obj, g)
+
 
 def run_cli(*args):
     return subprocess.run(

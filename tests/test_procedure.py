@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localcolor import correspondence, experiment, procedure
@@ -28,6 +28,7 @@ from localcolor.experiment import run_estimate
 from localcolor.procedure import (
     PreconditionError,
     ProcedureParams,
+    check_equalization_precondition,
     compile_instance,
     compile_lists,
     default_rho,
@@ -40,6 +41,7 @@ from localcolor.procedure import (
     keep_table,
     pipeline_color,
     sample_batch,
+    settle_trials,
 )
 from scalar_reference import (
     PartialColoring,
@@ -82,6 +84,21 @@ def correspondence_calls(monkeypatch):
             monkeypatch.setattr(
                 module, name, lambda *a, name=name: calls.append(name), raising=False
             )
+    return calls
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Names of the evaluate_trials, _pairs_trips and settle_trials calls made
+    from here on."""
+    calls = []
+    for name in ("evaluate_trials", "_pairs_trips", "settle_trials"):
+
+        def counted(*args, name=name, real=getattr(procedure, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(procedure, name, counted)
     return calls
 
 
@@ -207,6 +224,24 @@ class TestSampleEqualized:
             want += f"is below K = {params.keep:.6f}"
             with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
                 sample_equalized(g, ca, params, rng_of(0))
+
+    @pytest.mark.parametrize(
+        "eps", [Fraction(1, 10**30), Fraction(1, 3), Fraction(1, 4), Fraction(2, 7)]
+    )
+    def test_list_size_check_is_exact(self, eps):
+        # the center of a star of d leaves, with lists around (1 - eps) d,
+        # some exactly (1 - eps) d long; at rho = 0 every keep probability and
+        # K are 0, so only the list-size check can fail
+        params = ProcedureParams(eps=eps, rho=0.0)
+        for d in range(1, 15):
+            for size in range(max(1, d - 3), d + 2):
+                inst = compile_lists(star(d), make_lists([range(size)] + [[0]] * d))
+                if Fraction(size) < (1 - eps) * d:
+                    want = f"vertex 0: |L(v)| = {size} < (1 - eps) d(v)"
+                    with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+                        check_equalization_precondition(inst, params)
+                else:
+                    check_equalization_precondition(inst, params)
 
     def test_isolated_keep_rate_is_k(self):
         g = Graph.from_edges(2, [])
@@ -363,6 +398,14 @@ class TestPipeline:
         assert report.succeeded
         assert correspondence_calls == []
 
+    def test_settles_without_the_savings_components(self, evaluator_calls):
+        # the savings check reads uncolored, unact and save_drop only
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        report = pipeline_color(g, L, ProcedureParams(), 20, rng_of(5))
+        assert report.succeeded
+        assert evaluator_calls == ["settle_trials"] * report.rounds_used
+
     def test_blocked_completion_is_a_fault(self, monkeypatch):
         # the savings check guarantees greedy completion, so a block must surface
         monkeypatch.setattr(procedure, "greedy_complete", lambda inst, phi_idx, unc: (None, 3))
@@ -387,6 +430,13 @@ class TestDeterminism:
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         run_estimate(g, L, {}, 50, 0, tmp_path, {})
         assert correspondence_calls == []
+
+    def test_estimate_computes_no_save_drop(self, evaluator_calls, tmp_path):
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        run_estimate(g, L, {}, 50, 0, tmp_path, {})
+        assert evaluator_calls[0] == "evaluate_trials"
+        assert "settle_trials" not in evaluator_calls
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
@@ -416,11 +466,28 @@ def sampler_instance(draw):
         k = draw(st.integers(0, min(len(cu), len(cv))))
         matchings[(u, v)] = frozenset(zip(cu[:k], cv[:k]))
     ca = make_total(g, CorrespondenceAssignment(L, matchings))
+    # at sigma = 1/3 a 2-list is egalitarian to a 3-list exactly at the threshold
+    sigmas = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 10**30)]
     params = ProcedureParams(
-        sigma=draw(st.sampled_from([Fraction(0), Fraction(1, 4)])),
+        sigma=draw(st.sampled_from(sigmas)),
         rho=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
     )
     return g, ca, params, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _edgeless_case():
+    g = Graph.from_edges(4, [])
+    ca = CorrespondenceAssignment(make_lists([range(2), range(65), range(1), range(3, 70)]), {})
+    return g, ca, ProcedureParams(rho=0.9), True, 1
+
+
+def _isolated_vertex_case():
+    """A triangle with one permuted matching, and vertex 3 on its own."""
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    L = make_lists([range(3), range(66), range(2, 5), range(64)])
+    matchings = {(0, 1): frozenset({(0, 5), (2, 0)}), (1, 2): frozenset(), (0, 2): frozenset()}
+    ca = make_total(g, CorrespondenceAssignment(L, matchings))
+    return g, ca, ProcedureParams(sigma=Fraction(1, 4), rho=0.9), True, 2
 
 
 # color ids: dense, wide enough for lists of 64 or more, and sparse with
@@ -482,6 +549,8 @@ class TestSamplerMatchesReference:
                 assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
 
     @given(sampler_instance())
+    @example(_edgeless_case())
+    @example(_isolated_vertex_case())
     @settings(max_examples=80, deadline=None)
     def test_per_trial(self, inst_case):
         g, ca, params, equalize, seed = inst_case
@@ -496,6 +565,9 @@ class TestSamplerMatchesReference:
             inst, params, table if equalize else None, trials, np.random.default_rng(seed)
         )
         batch = evaluate_trials(inst, params, act, phi_idx, heads)
+        uncolored_settled, unact_settled, save_drop = settle_trials(inst, act, phi_idx, heads)
+        assert np.array_equal(uncolored_settled, batch.uncolored)
+        assert np.array_equal(unact_settled, batch.unact)
         for t in range(trials):
             phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
             uncolored = frozenset(
@@ -514,7 +586,7 @@ class TestSamplerMatchesReference:
                 d_res = sum(1 for u in g.adj[v] if u in uncolored)
                 save_full = len(g.adj[v]) + 1 - len(ca.lists[v])
                 save_res = d_res + 1 - len(res.lists[v])
-                assert batch.save_drop[v, t] == save_full - save_res
+                assert save_drop[v, t] == save_full - save_res
             # the completion, on every trial: those that pass the savings
             # check (the ones pipeline_color completes) and those that block
             color, blocked = greedy_complete(inst, phi_idx[:, t], batch.uncolored[:, t])
@@ -526,10 +598,11 @@ class TestSamplerMatchesReference:
                 assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
 
 
-# SHA-256 of each BatchSample field (dtype, bytes) of the instance below.
-# They pin the random stream and every value sample_batch returns, which
-# `estimate` output depends on byte for byte.  2500 trials span several
-# evaluation chunks, the last one partial.
+# SHA-256 of each BatchSample field (dtype, bytes) of the instance below, and
+# of the save_drop settle_trials computes on the same draws.  They pin the
+# random stream and every value sample_batch returns, which `estimate` output
+# depends on byte for byte.  2500 trials span several evaluation chunks, the
+# last one partial.
 GOLDEN_BATCH = {
     "phi_idx": ("<i8", "6221cf91a36e198894c9f5ee8e5769537b7a43c01b58dd9b1605a32e84b09f4f"),
     "activated": ("|b1", "a1fd49c4175b116bcf59d7e014be658c36465212a082e2086411a6001d40dc13"),
@@ -547,39 +620,49 @@ def test_batch_golden():
     g = gen_gnp(30, 0.2, 3)
     rng = random.Random(3)
     L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
-    batch = sample_batch(compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4)), 2500, 11)
+    inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
+    batch = sample_batch(inst, params, 2500, 11)
+    # sample_batch's draws, drawn again
+    table = check_equalization_precondition(inst, params)
+    draws = draw_trials(inst, params, table, 2500, rng_of(11))
+    uncolored, unact, save_drop = settle_trials(inst, *draws)
+    assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
     got = {
         name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
-        for name, a in vars(batch).items()
+        for name, a in {**vars(batch), "save_drop": save_drop}.items()
     }
     assert got == GOLDEN_BATCH
 
 
-# Checks save_drop against residual() on lists of 70 colors.  It runs under
-# `python -O`, so a check that lives in an assert would be gone.
+# Checks settle_trials' save_drop against residual() on lists of 70 colors,
+# on naive trials.  It runs under `python -O`, so a check that lives in an
+# assert would be gone.
 SAVE_DROP_SCRIPT = """
 import sys
 import numpy as np
 from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.graph import Graph
 from localcolor.lists import make_lists
-from localcolor.procedure import ProcedureParams, compile_lists, sample_batch
+from localcolor.procedure import ProcedureParams, compile_lists, draw_trials, settle_trials
 from scalar_reference import residual
 
 g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
 L = make_lists([range(70)] * 70)
 ca = make_total(g, identity_correspondence(g, L))
-batch = sample_batch(compile_lists(g, L), ProcedureParams(rho=0.9), 300, 5, equalize=False)
+inst = compile_lists(g, L)
+rng = np.random.default_rng(np.random.Philox(5))
+act, phi_idx, heads = draw_trials(inst, ProcedureParams(rho=0.9), None, 300, rng)
+uncolored, _, save_drop = settle_trials(inst, act, phi_idx, heads)
 lists = [sorted(row) for row in L]
 bad = 0
 for t in range(300):
-    phi = [lists[v][i] for v, i in enumerate(batch.phi_idx[:, t].tolist())]
-    uncolored = frozenset(np.flatnonzero(batch.uncolored[:, t]).tolist())
-    res = residual(g, ca, phi, uncolored)
+    phi = [lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist())]
+    unc = frozenset(np.flatnonzero(uncolored[:, t]).tolist())
+    res = residual(g, ca, phi, unc)
     for v in res.vertices:
-        d_res = sum(1 for u in g.adj[v] if u in uncolored)
+        d_res = sum(1 for u in g.adj[v] if u in unc)
         want = (len(g.adj[v]) + 1 - len(L[v])) - (d_res + 1 - len(res.lists[v]))
-        bad += int(batch.save_drop[v, t] != want)
+        bad += int(save_drop[v, t] != want)
 print("optimize", sys.flags.optimize, "mismatches", bad)
 """
 
