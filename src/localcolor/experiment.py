@@ -24,7 +24,14 @@ from . import bounds
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph
 from .lists import ListAssignment, profile
-from .procedure import ProcedureParams, compile_lists, default_rho, sample_batch
+from .procedure import (
+    ProcedureParams,
+    batch_draws,
+    compile_lists,
+    default_rho,
+    savings_rows,
+    uncolored_trials,
+)
 
 
 def build_params(raw: dict) -> ProcedureParams:
@@ -65,23 +72,28 @@ def build_graph(spec: dict) -> Graph:
 
 
 def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex mean and standard error of the (n, trials) samples x."""
+    """Per-row mean and standard error of the (rows, trials) samples x."""
     return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
 
 
 def _estimate_rows(
     g: Graph, L: ListAssignment, params: ProcedureParams, trials: int, seed: int
 ) -> list[list]:
+    """The CSV rows of run_estimate.  Each vertex's savings rows are reduced
+    to means and standard errors as savings_rows yields them, so no
+    (n, trials) array of savings is ever held."""
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
-    batch = sample_batch(compile_lists(g, L), params, trials, seed)
-    aberr, aberr_se = _mean_se(batch.aberrance, trials)
-    pairs, pairs_se = _mean_se(batch.pairs, trials)
-    trips, trips_se = _mean_se(batch.trips, trials)
-    unact, unact_se = _mean_se(batch.unact, trials)
+    inst = compile_lists(g, L)
+    act, phi_idx, heads = batch_draws(inst, params, trials, seed)
+    uncolored = uncolored_trials(inst, act, phi_idx, heads)
+    del heads  # folded into uncolored; freed, it is 1 byte per cell off the peak
     rows = []
     k = params.keep
-    for v in range(g.n):
+    for v, x in enumerate(savings_rows(inst, params, act, phi_idx, uncolored)):
+        (aberr, pairs, trips, unact), (aberr_se, pairs_se, trips_se, unact_se) = (
+            _mean_se(x, trials)
+        )
         prof = profile(g, L, v, params.alpha, params.beta)
         d = prof.degree
         egal = sorted(prof.egalitarian)
@@ -89,8 +101,8 @@ def _estimate_rows(
         checks = [
             (
                 "aberrance",
-                aberr[v],
-                aberr_se[v],
+                aberr,
+                aberr_se,
                 bounds.aberrance_lower_bound(
                     k, params.alpha, params.beta, prof.gap, d,
                     len(prof.lordlier), len(prof.weak_egal),
@@ -98,16 +110,16 @@ def _estimate_rows(
             ),
             (
                 "pairs_minus_trips",
-                pairs[v] - trips[v],
-                math.hypot(pairs_se[v], trips_se[v]),
+                pairs - trips,
+                math.hypot(pairs_se, trips_se),
                 bounds.pairs_trips_lower_bound(
                     k, params.alpha, len(L[v]), e1, d * (d - 1) // 2
                 ),
             ),
             (
                 "unact",
-                unact[v],
-                unact_se[v],
+                unact,
+                unact_se,
                 bounds.unact_expectation(params.rho, len(prof.subservient)),
             ),
         ]

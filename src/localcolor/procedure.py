@@ -16,12 +16,17 @@ on the same compiled instance.
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
-`draw_trials` draws a batch, and each caller evaluates it with the one
-evaluator that computes what it reads: `evaluate_trials` (per vertex, in
-TRIAL_CHUNK passes) gives `sample_batch` and the estimate the uncolored set
-and the savings components; `settle_trials` (all directed edges at once)
-gives `pipeline_color`'s savings check the uncolored set, unact and
-save_drop.
+`draw_trials` draws a batch, and each caller evaluates it with the
+evaluator that computes what it reads.  `uncolored_trials` (per vertex, in
+TRIAL_CHUNK passes) gives the uncolored set, and `savings_rows` then yields
+one vertex at a time its savings components over all trials; `estimate`
+reduces each row to a mean and a standard error as it arrives, so it holds
+the draws (10 bytes per (vertex, trial) cell) and the 1-byte uncolored
+mask, never an (n, trials) array of savings.  That still grows with the
+trial count: drawing trial chunk by trial chunk would change the random
+stream.  `evaluate_trials` stacks the same rows for `sample_batch`.
+`settle_trials` (all directed edges at once) gives `pipeline_color`'s
+savings check the uncolored set, unact and save_drop.
 An instance is compiled in one of two ways: `compile_lists` builds the
 tables of a list assignment (the identity correspondence made total)
 straight from the sorted lists, and `compile_instance` reads them off a
@@ -33,6 +38,7 @@ no edge with equal colors at its ends.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,16 +287,21 @@ class BatchSample:
 
 
 def keep_frequency(
-    batch: BatchSample, inst: CompiledInstance, v: int
+    phi_idx: np.ndarray, uncolored: np.ndarray, inst: CompiledInstance, v: int
 ) -> dict[Color, tuple[float, int]]:
-    """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning trials)."""
+    """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning
+    trials), from the (n, trials) color indices and uncolored mask of a batch."""
     out = {}
-    kept = ~batch.uncolored[v]
+    kept = ~uncolored[v]
     for i, c in enumerate(inst.lists[v]):
-        sel = batch.phi_idx[v] == i
+        sel = phi_idx[v] == i
         m = int(sel.sum())
         out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
     return out
+
+
+# cells per block of the flip draw; bounds its float and index temporaries
+FLIP_BLOCK = 1 << 16
 
 
 def draw_trials(
@@ -304,7 +315,9 @@ def draw_trials(
 
     heads[v, t] is the equalizing flip at v's chosen color: only that flip
     can uncolor v, so only it is drawn.  table=None draws no flips (the
-    naive procedure).
+    naive procedure).  The flips are drawn in blocks of whole rows, at most
+    FLIP_BLOCK cells each unless one row is longer; row-major blocks take
+    the same doubles from the stream as one (n, trials) draw.
     """
     n = len(inst.lists)
     act = rng.random((n, trials)) < params.rho
@@ -316,7 +329,13 @@ def draw_trials(
     k = params.keep
     # with rho = 0 every keep probability is 0 and the flips are irrelevant
     pflip = np.where(table > 0, 1 - k / np.where(table > 0, table, 1.0), 0.0)
-    heads = rng.random((n, trials)) < np.take(pflip, inst.start[:-1, None] + phi_idx)
+    first = inst.start[:-1, None]
+    heads = np.empty((n, trials), dtype=bool)
+    rows = max(1, FLIP_BLOCK // max(trials, 1))
+    for r in range(0, n, rows):
+        b = slice(r, r + rows)
+        flip = np.take(pflip, first[b] + phi_idx[b])
+        np.less(rng.random(flip.shape), flip, out=heads[b])
     return act, phi_idx, heads
 
 
@@ -336,20 +355,53 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TRIAL_CHUNK = 1024
 
 
-def evaluate_trials(
+def uncolored_trials(
+    inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """The uncolored mask of the drawn trials, of shape (n, trials).
+
+    v is uncolored when it is not activated, when its flip came up, or when
+    an activated neighbor with a list at least as large got a color matched
+    to v's.  Work is vectorized per vertex over (neighbor, trial) arrays,
+    TRIAL_CHUNK trials at a time: at that width settle_trials' edge-wide
+    layout is 2 to 3 times slower, its temporaries too large to stay in
+    cache.
+    """
+    n, trials = phi_idx.shape
+    sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
+    ptr = inst.ptr.tolist()
+    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
+    big = sizes[head] >= sizes[tail]
+    uncolored = np.empty((n, trials), dtype=bool)
+    for start in range(0, trials, TRIAL_CHUNK):
+        t = slice(start, start + TRIAL_CHUNK)
+        act_t, phi_t = act[:, t], phi_idx[:, t]
+        for v in range(n):
+            e = slice(ptr[v], ptr[v + 1])
+            threat = head[e][big[e]]
+            # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
+            # which never equals phi(v)
+            mu = match[back[e][big[e]][:, None] + phi_t[threat]]
+            threatened = (act_t[threat] & (mu == phi_t[v])).any(axis=0)
+            uncolored[v, t] = ~act_t[v] | threatened | heads[v, t]
+    return uncolored
+
+
+def savings_rows(
     inst: CompiledInstance,
     params: ProcedureParams,
     act: np.ndarray,
     phi_idx: np.ndarray,
-    heads: np.ndarray,
-) -> BatchSample:
-    """Uncolored set and savings components of the drawn trials.
+    uncolored: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Each vertex's savings components over all the drawn trials, vertex by
+    vertex: an int64 array of shape (4, trials) whose rows are aberrance,
+    pairs, trips and unact.
 
     unact(v) counts the non-activated neighbors with strictly smaller lists:
     greedy completion colors them after v, so each one leaves v a color.
-    Work is vectorized per vertex over (neighbor, trial) arrays, TRIAL_CHUNK
-    trials at a time: at that width settle_trials' edge-wide layout is 2 to 3
-    times slower, its temporaries too large to stay in cache.
+    Each row is computed TRIAL_CHUNK trials at a time, over (neighbor,
+    trial) arrays.
     """
     n, trials = phi_idx.shape
     sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
@@ -363,38 +415,44 @@ def evaluate_trials(
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = (sizes[head] >= least[tail])[:, None]
-
-    uncolored = np.empty((n, trials), dtype=bool)
-    aberr, pairs, trips, unact = (np.empty((n, trials), dtype=np.int64) for _ in range(4))
-    for start in range(0, trials, TRIAL_CHUNK):
-        t = slice(start, start + TRIAL_CHUNK)
-        act_t, phi_t = act[:, t], phi_idx[:, t]
-        width = phi_t.shape[1]
-        for v in range(n):
-            e = slice(ptr[v], ptr[v + 1])
-            threat = head[e][big[e]]
-            # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
-            # which never equals phi(v)
-            mu = match[back[e][big[e]][:, None] + phi_t[threat]]
-            threatened = (act_t[threat] & (mu == phi_t[v])).any(axis=0)
-            uncolored[v, t] = ~act_t[v] | threatened | heads[v, t]
-        colored = ~uncolored[:, t]
-        tr = np.arange(width)
-        for v in range(n):
-            e = slice(ptr[v], ptr[v + 1])
-            nb, cells = head[e], int(sizes[v]) * width
+    tr = np.arange(TRIAL_CHUNK)
+    for v in range(n):
+        e = slice(ptr[v], ptr[v + 1])
+        nb, small, bk, egal_e = head[e], head[e][~big[e]], back[e][:, None], egal[e]
+        out = np.empty((4, trials), dtype=np.int64)
+        aberr, pairs, trips, unact = out
+        for start in range(0, trials, TRIAL_CHUNK):
+            t = slice(start, start + TRIAL_CHUNK)
             # per (neighbor u, trial): the index in L(v) matched to phi(u), or -1
-            cell = match[back[e][:, None] + phi_t[nb]]
-            on = colored[nb] & egal[e]
+            cell = match[bk + phi_idx[nb, t]]
+            width = cell.shape[1]
+            on = ~uncolored[nb, t]
+            on &= egal_e
             hit = on & (cell >= 0)
-            aberr[v, t] = (on & (cell < 0)).sum(axis=0)
-            unact[v, t] = (~act_t[nb[~big[e]]]).sum(axis=0)
+            aberr[t] = (on & (cell < 0)).sum(axis=0)
+            unact[t] = (~act[small, t]).sum(axis=0)
             cell *= width
-            cell += tr  # now the flat (color index, trial) cell, meaningful where hit
-            counts = np.bincount(cell[hit], minlength=cells)
-            pairs[v, t], trips[v, t] = _pairs_trips(counts.reshape(-1, width))
+            cell += tr[:width]  # now the flat (color index, trial) cell, meaningful where hit
+            counts = np.bincount(cell[hit], minlength=int(sizes[v]) * width)
+            pairs[t], trips[t] = _pairs_trips(counts.reshape(-1, width))
+        yield out
 
-    return BatchSample(phi_idx, act, uncolored, aberr, pairs, trips, unact)
+
+def evaluate_trials(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    act: np.ndarray,
+    phi_idx: np.ndarray,
+    heads: np.ndarray,
+) -> BatchSample:
+    """Uncolored set and savings components of the drawn trials: the mask of
+    uncolored_trials and the rows of savings_rows, stacked."""
+    n, trials = phi_idx.shape
+    uncolored = uncolored_trials(inst, act, phi_idx, heads)
+    terms = np.empty((4, n, trials), dtype=np.int64)
+    for v, rows in enumerate(savings_rows(inst, params, act, phi_idx, uncolored)):
+        terms[:, v] = rows
+    return BatchSample(phi_idx, act, uncolored, *terms)
 
 
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:
@@ -458,6 +516,20 @@ def settle_trials(
     return uncolored, unact, colored_heads - distinct
 
 
+def batch_draws(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    trials: int,
+    seed: int,
+    equalize: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of `trials` equalized trials (naive if equalize=False) on a
+    Philox stream fixed by `seed`, after the precondition check."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    table = check_equalization_precondition(inst, params) if equalize else None
+    return draw_trials(inst, params, table, trials, rng)
+
+
 def sample_batch(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -466,10 +538,7 @@ def sample_batch(
     equalize: bool = True,
 ) -> BatchSample:
     """Sample `trials` independent equalized trials (naive if equalize=False)."""
-    rng = np.random.default_rng(np.random.Philox(seed))
-    table = check_equalization_precondition(inst, params) if equalize else None
-    draws = draw_trials(inst, params, table, trials, rng)
-    return evaluate_trials(inst, params, *draws)
+    return evaluate_trials(inst, params, *batch_draws(inst, params, trials, seed, equalize))
 
 
 # --- the end-to-end pipeline ------------------------------------------------

@@ -47,16 +47,18 @@ from localcolor.procedure import (
     TRIAL_CHUNK,
     PreconditionError,
     ProcedureParams,
+    batch_draws,
     check_equalization_precondition,
     compile_lists,
     default_rho,
-    draw_trials,
     evaluate_trials,
     keep_constant,
     keep_frequency,
     pipeline_color,
     sample_batch,
+    savings_rows,
     settle_trials,
+    uncolored_trials,
 )
 
 PARAMS = ProcedureParams()
@@ -164,6 +166,11 @@ def _generous_instance(seed, n=8, p=0.5):
 
 def test_03_equalized_keep_probability(capsys):
     k = PARAMS.keep
+    # the uncolored pass reads what sample_batch's batch holds
+    inst = _generous_instance(1001)
+    batch = sample_batch(inst, PARAMS, 3000, 1)
+    draws = batch_draws(inst, PARAMS, 3000, 1)
+    assert np.array_equal(uncolored_trials(inst, *draws), batch.uncolored)
     failures = 0
     tested = 0
     seed = 0
@@ -175,10 +182,12 @@ def test_03_equalized_keep_probability(capsys):
         except PreconditionError:
             continue
         tested += 1
-        batch = sample_batch(inst, PARAMS, 10**5, seed)
+        # only the uncolored pass: the keep rate needs no savings
+        draws = batch_draws(inst, PARAMS, 10**5, seed)
+        uncolored = uncolored_trials(inst, *draws)
         # one designated (vertex, color) per instance: vertex 0, least color
         c0 = inst.lists[0][0]
-        freq, m = keep_frequency(batch, inst, 0)[c0]
+        freq, m = keep_frequency(draws[1], uncolored, inst, 0)[c0]
         se = math.sqrt(k * (1 - k) / m)
         if abs(freq - k) > 3 * se:
             failures += 1
@@ -260,10 +269,7 @@ def test_06_per_trial_save_inequality(capsys):
     while checked < 10**6:
         seed += 1
         inst = _generous_instance(9000 + seed, n=10)
-        # the draws of sample_batch(inst, PARAMS, 120_000, seed)
-        rng = np.random.default_rng(np.random.Philox(seed))
-        table = check_equalization_precondition(inst, PARAMS)
-        draws = draw_trials(inst, PARAMS, table, 120_000, rng)
+        draws = batch_draws(inst, PARAMS, 120_000, seed)
         batch = evaluate_trials(inst, PARAMS, *draws)
         rhs = batch.aberrance + batch.pairs - batch.trips
         # settled in slices: its (edge, trial) arrays span every trial at once
@@ -404,10 +410,17 @@ def test_12_talagrand_star(capsys):
     star = Graph.from_edges(51, [(0, i) for i in range(1, 51)])
     L = make_lists([list(range(51))] + [list(range(4))] * 50)
     inst = compile_lists(star, L)
-    samples = []
-    for chunk in range(20):
-        batch = sample_batch(inst, PARAMS, 50_000, 7000 + chunk, equalize=False)
-        samples.append(batch.unact[0])
+
+    def center_unact(trials, seed):
+        """sample_batch(inst, PARAMS, trials, seed, equalize=False).unact[0]:
+        the row evaluator stops after the center, vertex 0."""
+        act, phi_idx, heads = batch_draws(inst, PARAMS, trials, seed, equalize=False)
+        uncolored = uncolored_trials(inst, act, phi_idx, heads)
+        return next(savings_rows(inst, PARAMS, act, phi_idx, uncolored))[3]
+
+    batch = sample_batch(inst, PARAMS, 3000, 7000, equalize=False)
+    assert np.array_equal(center_unact(3000, 7000), batch.unact[0])
+    samples = [center_unact(50_000, 7000 + chunk) for chunk in range(20)]
     x = np.concatenate(samples).astype(float)
     assert x.size == 10**6
     ex = x.mean()

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
 from localcolor.procedure import (
+    FLIP_BLOCK,
     PreconditionError,
     ProcedureParams,
+    batch_draws,
     check_equalization_precondition,
     compile_instance,
     compile_lists,
@@ -41,7 +44,9 @@ from localcolor.procedure import (
     keep_table,
     pipeline_color,
     sample_batch,
+    savings_rows,
     settle_trials,
+    uncolored_trials,
 )
 from scalar_reference import (
     PartialColoring,
@@ -89,16 +94,25 @@ def correspondence_calls(monkeypatch):
 
 @pytest.fixture
 def evaluator_calls(monkeypatch):
-    """Names of the evaluate_trials, _pairs_trips and settle_trials calls made
-    from here on."""
+    """Names of the evaluator calls made from here on, whichever module looks
+    them up: the batch builders sample_batch, evaluate_trials and
+    BatchSample, the row evaluator uncolored_trials and savings_rows (with
+    its _pairs_trips), and settle_trials."""
     calls = []
-    for name in ("evaluate_trials", "_pairs_trips", "settle_trials"):
+    names = (
+        "sample_batch", "evaluate_trials", "BatchSample", "uncolored_trials",
+        "savings_rows", "_pairs_trips", "settle_trials",
+    )
+    for module in (procedure, experiment):
+        for name in names:
+            if not hasattr(module, name):
+                continue
 
-        def counted(*args, name=name, real=getattr(procedure, name)):
-            calls.append(name)
-            return real(*args)
+            def counted(*args, name=name, real=getattr(module, name), **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(procedure, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -268,7 +282,7 @@ class TestSampleEqualized:
         params = ProcedureParams()
         batch = sample_batch(inst, params, 100_000, 9)
         k = params.keep
-        for c, (freq, m) in keep_frequency(batch, inst, 0).items():
+        for c, (freq, m) in keep_frequency(batch.phi_idx, batch.uncolored, inst, 0).items():
             se = math.sqrt(k * (1 - k) / m)
             assert abs(freq - k) <= 4 * se
 
@@ -432,17 +446,109 @@ class TestDeterminism:
         assert correspondence_calls == []
 
     def test_estimate_computes_no_save_drop(self, evaluator_calls, tmp_path):
+        # estimate reduces each vertex's savings rows as they arrive: it builds
+        # no BatchSample and computes no save_drop
         g = gen_gnp(40, 0.2, 2)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         run_estimate(g, L, {}, 50, 0, tmp_path, {})
-        assert evaluator_calls[0] == "evaluate_trials"
-        assert "settle_trials" not in evaluator_calls
+        # 50 trials are one chunk: one _pairs_trips call per vertex
+        assert evaluator_calls == ["uncolored_trials", "savings_rows"] + ["_pairs_trips"] * g.n
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
         with pytest.raises(ValueError, match=f"trials={trials}"):
             run_estimate(star(5), uniform_lists(6, 6), {}, trials, 0, tmp_path / "out", {})
         assert not (tmp_path / "out").exists()
+
+
+def gnm(n, m, seed):
+    """A uniform graph with n vertices and exactly m edges."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, random.Random(seed).sample(pairs, m))
+
+
+def _estimate_instance():
+    """G(12, 1/3) plus the isolated vertex 12; vertices 0-3 have lists of 64 or
+    more colors, the others deg + 1 + (0 to 2) colors."""
+    g = gen_gnp(12, 1 / 3, 5)
+    g = Graph.from_edges(13, g.edges())
+    rng = random.Random(5)
+    rows = [range(64 + v) for v in range(4)]
+    rows += [range(len(g.adj[v]) + 1 + rng.randint(0, 2)) for v in range(4, 13)]
+    return g, make_lists(rows)
+
+
+class TestEstimateRows:
+    @pytest.mark.parametrize("trials", [2, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("sigma", [Fraction(0), Fraction(1, 4)])
+    def test_equal_the_batch_formula(self, trials, sigma):
+        # the rows reduced one vertex at a time equal, bit for bit, the means
+        # and standard errors taken over axis 1 of one sample_batch
+        g, L = _estimate_instance()
+        params = ProcedureParams(sigma=sigma)
+        batch = sample_batch(compile_lists(g, L), params, trials, 17)
+
+        def mean_se(x):
+            return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
+
+        (ab, ab_se), (pa, pa_se), (tr, tr_se), (un, un_se) = (
+            mean_se(x) for x in (batch.aberrance, batch.pairs, batch.trips, batch.unact)
+        )
+        want = []
+        for v in range(g.n):
+            want += [
+                [v, "aberrance", ab[v], ab_se[v]],
+                [v, "pairs_minus_trips", pa[v] - tr[v], math.hypot(pa_se[v], tr_se[v])],
+                [v, "unact", un[v], un_se[v]],
+            ]
+        want = [[v, name, repr(float(m)), repr(float(se))] for v, name, m, se in want]
+        got = [row[:4] for row in experiment._estimate_rows(g, L, params, trials, 17)]
+        assert got == want
+        # the isolated vertex saves nothing
+        names = ("aberrance", "pairs_minus_trips", "unact")
+        assert got[-3:] == [[12, name, "0.0", "0.0"] for name in names]
+
+    def test_memory_per_trial_cell(self, tmp_path):
+        # estimate holds the draws (10 bytes per (vertex, trial) cell) and the
+        # uncolored mask (1 byte); a batch of savings would add 32 more
+        g = gnm(100, 495, 3)
+        L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+        trials = 20_000
+        tracemalloc.start()
+        try:
+            run_estimate(g, L, {}, trials, 0, tmp_path, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (g.n * trials) <= 16
+
+
+class TestDrawTrials:
+    @pytest.mark.parametrize("trials", [1, 7, FLIP_BLOCK // 3 + 1])
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    @pytest.mark.parametrize("equalize", [True, False])
+    def test_flip_blocks_equal_one_array_draw(self, trials, rho, equalize):
+        # at the largest width each flip block holds two rows of five
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        L = make_lists([range(3), range(66), range(2, 6), range(64), range(1)])
+        inst = compile_lists(g, L)
+        params = ProcedureParams(rho=rho)
+        table = keep_table(inst, rho) if equalize else None
+        ours = rng_of(31)
+        got = draw_trials(inst, params, table, trials, ours)
+        rng = rng_of(31)
+        act = rng.random((5, trials)) < rho
+        phi_idx = np.stack([rng.integers(size, size=trials) for size in inst.sizes.tolist()])
+        heads = np.zeros((5, trials), dtype=bool)
+        if equalize:
+            pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
+            heads = rng.random((5, trials)) < pflip[inst.start[:-1, None] + phi_idx]
+        for a, b in zip(got, (act, phi_idx, heads)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        if equalize and rho and trials > 1:
+            assert heads.any() and not heads.all()
+        # both took the same doubles from the stream
+        assert ours.random(3).tolist() == rng.random(3).tolist()
 
 
 @st.composite
@@ -623,8 +729,7 @@ def test_batch_golden():
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
     batch = sample_batch(inst, params, 2500, 11)
     # sample_batch's draws, drawn again
-    table = check_equalization_precondition(inst, params)
-    draws = draw_trials(inst, params, table, 2500, rng_of(11))
+    draws = batch_draws(inst, params, 2500, 11)
     uncolored, unact, save_drop = settle_trials(inst, *draws)
     assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
     got = {
