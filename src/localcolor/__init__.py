@@ -49,7 +49,6 @@ from .lists import (
     uniform_lists,
 )
 from .procedure import (
-    BatchSample,
     CompiledInstance,
     PipelineReport,
     ProcedureParams,
@@ -60,7 +59,6 @@ from .procedure import (
     keep_frequency,
     keep_probability,
     pipeline_color,
-    sample_batch,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
-from .graph import Graph
+from .graph import Graph, complement_edge_count
 from .lists import ListAssignment, profile
 from .procedure import (
     ProcedureParams,
@@ -96,8 +96,7 @@ def _estimate_rows(
         )
         prof = profile(g, L, v, params.alpha, params.beta)
         d = prof.degree
-        egal = sorted(prof.egalitarian)
-        e1 = len(egal) * (len(egal) - 1) // 2 - g.subgraph(egal).edge_count() if egal else 0
+        e1 = complement_edge_count(g, prof.egalitarian)
         checks = [
             (
                 "aberrance",

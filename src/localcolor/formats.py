@@ -16,6 +16,13 @@ class FormatError(ValueError):
 # --- DIMACS .col (1-indexed) ----------------------------------------------
 
 
+def _field(x: str, lineno: int) -> int:
+    try:
+        return int(x)
+    except ValueError:
+        raise FormatError(f"line {lineno}: {x!r} is not an integer") from None
+
+
 def parse_dimacs(text: str) -> Graph:
     n = None
     edges = []
@@ -29,15 +36,17 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {lineno}: malformed problem line")
-            n = int(parts[2])
+            n, _ = (_field(x, lineno) for x in parts[2:])  # edge count unused
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = _field(parts[1], lineno) - 1, _field(parts[2], lineno) - 1
             if not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"line {lineno}: vertex out of range")
+            if u == v:
+                raise FormatError(f"line {lineno}: self-loop at vertex {u + 1}")
             edges.append((u, v))
         else:
             raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")

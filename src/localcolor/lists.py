@@ -72,8 +72,7 @@ class VertexProfile:
 def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction) -> VertexProfile:
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    d = degree(g, v)
-    gap_v = d + 1 - local_clique_number(g, v)
+    gap_v = gap(g, v)
     size_v = len(L[v])
     strong_cut = size_v + beta * gap_v        # exact rational thresholds
     lord_cut = (1 + alpha) * size_v
@@ -90,7 +89,7 @@ def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction
             weak.add(u)
     return VertexProfile(
         vertex=v,
-        degree=d,
+        degree=degree(g, v),
         gap=gap_v,
         subservient=frozenset(sub),
         strong_egal=frozenset(strong),

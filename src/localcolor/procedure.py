@@ -24,9 +24,8 @@ reduces each row to a mean and a standard error as it arrives, so it holds
 the draws (10 bytes per (vertex, trial) cell) and the 1-byte uncolored
 mask, never an (n, trials) array of savings.  That still grows with the
 trial count: drawing trial chunk by trial chunk would change the random
-stream.  `evaluate_trials` stacks the same rows for `sample_batch`.
-`settle_trials` (all directed edges at once) gives `pipeline_color`'s
-savings check the uncolored set, unact and save_drop.
+stream.  `settle_trials` (all directed edges at once) gives
+`pipeline_color`'s savings check the uncolored set, unact and save_drop.
 An instance is compiled in one of two ways: `compile_lists` builds the
 tables of a list assignment (the identity correspondence made total)
 straight from the sorted lists, and `compile_instance` reads them off a
@@ -124,26 +123,29 @@ class CompiledInstance:
     """A correspondence assignment as flat index arrays.
 
     The directed edges are numbered in adjacency order: those of vertex v are
-    ptr[v] .. ptr[v + 1] - 1, and edge e runs from its tail to head[e].  Its
-    map starts at block[e] in `match`, a flat array: match[block[e] + i] is
-    the index in lists[head[e]] of the color matched to the i-th color of the
-    tail, or -1 when that color is unmatched.  back[e] is the block of the
-    reverse edge.  Any flat (vertex, color) table, such as the keep table,
-    holds the entry of lists[v][i] at start[v] + i.
+    ptr[v] .. ptr[v + 1] - 1, and edge e runs from tail[e] to head[e]; big[e]
+    holds when |L(head)| >= |L(tail)|, so that the head can uncolor the tail.
+    Its map starts at block[e] in `match`, a flat array: match[block[e] + i]
+    is the index in lists[head[e]] of the color matched to the i-th color of
+    the tail, or -1 when that color is unmatched.  back[e] is the block of
+    the reverse edge.  Any flat (vertex, color) table, such as the keep
+    table, holds the entry of lists[v][i] at start[v] + i.
     """
 
     lists: list[list[Color]]  # each vertex's list, sorted
     sizes: np.ndarray
     start: np.ndarray  # n + 1 offsets into a flat (vertex, color) table
     ptr: np.ndarray  # n + 1 offsets of each vertex's directed edges
+    tail: np.ndarray
     head: np.ndarray
+    big: np.ndarray  # bool
     block: np.ndarray
     back: np.ndarray
     match: np.ndarray
 
 
 def _layout(g: Graph, sizes: np.ndarray):
-    """The offsets shared by both compile paths: (start, ptr, tail, head,
+    """The arrays shared by both compile paths: (start, ptr, tail, head, big,
     block, rev), where the edges are in adjacency order, the order of the
     blocks of `match`, and rev[e] is the reverse edge of e."""
     deg = np.array([len(g.adj[v]) for v in range(g.n)], dtype=np.int64)
@@ -155,7 +157,18 @@ def _layout(g: Graph, sizes: np.ndarray):
     # the k-th edge by (tail, head) is the reverse of the k-th by (head, tail)
     rev = np.empty_like(tail)
     rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
-    return start, ptr, tail, head, np.cumsum(width) - width, rev
+    return start, ptr, tail, head, sizes[head] >= width, np.cumsum(width) - width, rev
+
+
+def _cells(
+    start: np.ndarray, tail: np.ndarray, block: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(edge, entry) of every cell of `match`: its directed edge, and the flat
+    (vertex, color) table entry of its tail's color."""
+    edge = np.repeat(np.arange(len(tail)), sizes[tail])
+    entry = np.arange(len(edge))
+    entry += (start[tail] - block)[edge]
+    return edge, entry
 
 
 def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
@@ -163,7 +176,7 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
     lists = [sorted(ca.lists[v]) for v in range(g.n)]
     index_of = [{c: i for i, c in enumerate(row)} for row in lists]
     sizes = np.array([len(row) for row in lists], dtype=np.int64)
-    start, ptr, tail, head, block, rev = _layout(g, sizes)
+    start, ptr, tail, head, big, block, rev = _layout(g, sizes)
     offset = dict(zip(zip(tail.tolist(), head.tolist()), block.tolist()))
     match = [-1] * int(sizes[tail].sum())
     for (u, v), pairs in ca.matchings.items():
@@ -172,9 +185,8 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
             iu, iv = index_of[u][cu], index_of[v][cv]
             match[fwd + iu] = iv
             match[back + iv] = iu
-    return CompiledInstance(
-        lists, sizes, start, ptr, head, block, block[rev], np.array(match, dtype=np.int64)
-    )
+    match = np.array(match, dtype=np.int64)
+    return CompiledInstance(lists, sizes, start, ptr, tail, head, big, block, block[rev], match)
 
 
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
@@ -192,11 +204,9 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     ranks = np.array([rank[c] for row in lists for c in row], dtype=np.int64)
     # (vertex, color rank) of every list entry as one key, ascending end to end
     key = np.repeat(np.arange(g.n), sizes) * len(rank) + ranks
-    start, ptr, tail, head, block, rev = _layout(g, sizes)
+    start, ptr, tail, head, big, block, rev = _layout(g, sizes)
     # every cell looks its tail's color up in its head's list
-    edge = np.repeat(np.arange(len(tail)), sizes[tail])
-    entry = np.arange(len(edge))
-    entry += (start[tail] - block)[edge]
+    edge, entry = _cells(start, tail, block, sizes)
     query = ranks[entry]
     query += (head * len(rank))[edge]
     pos = np.searchsorted(key, query)
@@ -215,23 +225,18 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     paired = free_rank < nfree[other]
     other = other[paired]
     match[free[paired]] = free[free_start[other] + free_rank[paired]] - block[other]
-    return CompiledInstance(lists, sizes, start, ptr, head, block, block[rev], match)
+    return CompiledInstance(lists, sizes, start, ptr, tail, head, big, block, block[rev], match)
 
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     """The flat keep table: table[start[v] + i] = keep_probability(g, ca, rho,
     v, lists[v][i]), bit for bit: the factors are multiplied in adjacency
     order, as keep_probability does."""
-    sizes, head = inst.sizes, inst.head
-    tail = np.repeat(np.arange(len(sizes)), np.diff(inst.ptr))
-    edge = np.repeat(np.arange(len(tail)), sizes[tail])
-    # the table entry of every match cell: its tail's start plus its color index
-    entry = np.arange(len(edge))
-    entry += (inst.start[tail] - inst.block)[edge]
-    threat = np.flatnonzero((sizes[head] >= sizes[tail])[edge] & (inst.match >= 0))
+    edge, entry = _cells(inst.start, inst.tail, inst.block, inst.sizes)
+    threat = np.flatnonzero(inst.big[edge] & (inst.match >= 0))
     flat = np.full(int(inst.start[-1]), float(rho))
     # ufunc.at applies the factors in cell order, which is adjacency order
-    np.multiply.at(flat, entry[threat], (1 - rho / sizes[head])[edge[threat]])
+    np.multiply.at(flat, entry[threat], (1 - rho / inst.sizes[inst.head])[edge[threat]])
     return flat
 
 
@@ -269,21 +274,6 @@ def check_equalization_precondition(
 
 
 # --- the batch sampler -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchSample:
-    """Arrays of shape (n, trials) describing a batch of equalized trials: the
-    draws and what evaluate_trials computes of them.  The residual-list drop
-    save_drop, which only pipeline_color reads, is settle_trials' alone."""
-
-    phi_idx: np.ndarray  # chosen color index per vertex per trial
-    activated: np.ndarray  # bool
-    uncolored: np.ndarray  # bool
-    aberrance: np.ndarray
-    pairs: np.ndarray
-    trips: np.ndarray
-    unact: np.ndarray
 
 
 def keep_frequency(
@@ -351,7 +341,8 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs, falling.sum(axis=0) // 6
 
 
-# trials per pass of evaluate_trials; bounds its (neighbor, trial) temporaries
+# trials per pass of uncolored_trials and savings_rows; bounds their
+# (neighbor, trial) temporaries
 TRIAL_CHUNK = 1024
 
 
@@ -368,10 +359,8 @@ def uncolored_trials(
     cache.
     """
     n, trials = phi_idx.shape
-    sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
+    match, head, back, big = inst.match, inst.head, inst.back, inst.big
     ptr = inst.ptr.tolist()
-    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
-    big = sizes[head] >= sizes[tail]
     uncolored = np.empty((n, trials), dtype=bool)
     for start in range(0, trials, TRIAL_CHUNK):
         t = slice(start, start + TRIAL_CHUNK)
@@ -404,17 +393,13 @@ def savings_rows(
     trial) arrays.
     """
     n, trials = phi_idx.shape
-    sizes, match, head, back = inst.sizes, inst.match, inst.head, inst.back
+    sizes, match, head, back, big = inst.sizes, inst.match, inst.head, inst.back, inst.big
     ptr = inst.ptr.tolist()
-    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
-    # neighbors with lists at least as large threaten v; those with strictly
-    # smaller lists are colored after v by greedy completion
-    big = sizes[head] >= sizes[tail]
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
-    egal = (sizes[head] >= least[tail])[:, None]
+    egal = (sizes[head] >= least[inst.tail])[:, None]
     tr = np.arange(TRIAL_CHUNK)
     for v in range(n):
         e = slice(ptr[v], ptr[v + 1])
@@ -438,23 +423,6 @@ def savings_rows(
         yield out
 
 
-def evaluate_trials(
-    inst: CompiledInstance,
-    params: ProcedureParams,
-    act: np.ndarray,
-    phi_idx: np.ndarray,
-    heads: np.ndarray,
-) -> BatchSample:
-    """Uncolored set and savings components of the drawn trials: the mask of
-    uncolored_trials and the rows of savings_rows, stacked."""
-    n, trials = phi_idx.shape
-    uncolored = uncolored_trials(inst, act, phi_idx, heads)
-    terms = np.empty((4, n, trials), dtype=np.int64)
-    for v, rows in enumerate(savings_rows(inst, params, act, phi_idx, uncolored)):
-        terms[:, v] = rows
-    return BatchSample(phi_idx, act, uncolored, *terms)
-
-
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:
     """Per (vertex, trial): how many of the flat (row, trial) `cells` have their
     row owned by that vertex, `owner` giving each row's vertex."""
@@ -470,8 +438,8 @@ def settle_trials(
     inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(uncolored, unact, save_drop) of the drawn trials, each of shape (n, trials):
-    what pipeline_color's savings check reads, equal to evaluate_trials'
-    uncolored and unact.
+    what pipeline_color's savings check reads, equal to uncolored_trials'
+    mask and savings_rows' unact.
 
     save_drop(v) = Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|):
     v's colored neighbors minus the distinct colors of v they remove; it is
@@ -480,9 +448,7 @@ def settle_trials(
     the flat indices of the cells it hits.
     """
     n, trials = phi_idx.shape
-    sizes, head = inst.sizes, inst.head
-    tail = np.repeat(np.arange(n), np.diff(inst.ptr))
-    big = sizes[head] >= sizes[tail]
+    tail, head = inst.tail, inst.head
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
     mu = phi_idx[head]
     mu += inst.back[:, None]
@@ -490,7 +456,7 @@ def settle_trials(
     # an activated head with a list at least as large, its color matched to the tail's
     threat = mu == phi_idx[tail]
     threat &= act[head]
-    threat &= big[:, None]
+    threat &= inst.big[:, None]
     uncolored = _count_by_vertex(tail, np.flatnonzero(threat), n, trials) > 0
     uncolored |= ~act
     uncolored |= heads
@@ -505,13 +471,13 @@ def settle_trials(
     removed = np.zeros(int(inst.start[-1]) * trials, dtype=bool)
     removed[mu[hit]] = True
     del mu  # the largest array here; the counts below need their own keys
-    owner = np.repeat(np.arange(n), sizes)
+    owner = np.repeat(np.arange(n), inst.sizes)
     distinct = _count_by_vertex(owner, np.flatnonzero(removed), n, trials)
     colored_heads = np.diff(inst.ptr)[:, None] - _count_by_vertex(
         tail, np.flatnonzero(off), n, trials
     )
     # the non-activated heads with strictly smaller lists
-    small = np.flatnonzero(~big)
+    small = np.flatnonzero(~inst.big)
     unact = _count_by_vertex(tail[small], np.flatnonzero(~act[head[small]]), n, trials)
     return uncolored, unact, colored_heads - distinct
 
@@ -528,17 +494,6 @@ def batch_draws(
     rng = np.random.default_rng(np.random.Philox(seed))
     table = check_equalization_precondition(inst, params) if equalize else None
     return draw_trials(inst, params, table, trials, rng)
-
-
-def sample_batch(
-    inst: CompiledInstance,
-    params: ProcedureParams,
-    trials: int,
-    seed: int,
-    equalize: bool = True,
-) -> BatchSample:
-    """Sample `trials` independent equalized trials (naive if equalize=False)."""
-    return evaluate_trials(inst, params, *batch_draws(inst, params, trials, seed, equalize))
 
 
 # --- the end-to-end pipeline ------------------------------------------------

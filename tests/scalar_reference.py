@@ -3,10 +3,10 @@ greedy completion.
 
 These functions follow the procedure's definitions directly on the
 frozenset correspondence representation.  The tests use them as the oracle
-that `localcolor.procedure.evaluate_trials`, `settle_trials` and
-`greedy_complete` must match trial by trial: sampling and savings, then the
-residual assignment, its greedy coloring and the splice back onto the
-colored part.
+that `localcolor.procedure.uncolored_trials` and `savings_rows` (stacked by
+`stacked.stack_trials`), `settle_trials` and `greedy_complete` must match
+trial by trial: sampling and savings, then the residual assignment, its
+greedy coloring and the splice back onto the colored part.
 """
 
 from __future__ import annotations

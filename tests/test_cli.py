@@ -179,6 +179,16 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
         ("twice.json", '{"lists": [[0], [2, 1, 2]]}',
          ["color", "--graph", "g.col", "--lists", "twice.json", "--seed", "1"],
          "twice.json: list of vertex 1 repeats color 2"),
+        ("bad.col", "p edge 3 1\ne 2 x\n",
+         ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
+         "bad.col: line 2: 'x' is not an integer"),
+        ("bad.col", "c a loop\np edge 3 1\ne 1 1\n",
+         ["estimate", "--graph", "bad.col", "--lists", "l.json", "--seed", "1",
+          "--out-dir", "out"],
+         "bad.col: line 3: self-loop at vertex 1"),
+        ("bad.col", "p edge 3 1.5\n",
+         ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
+         "bad.col: line 1: '1.5' is not an integer"),
     ],
 )
 def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -28,6 +29,7 @@ from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
 from localcolor.procedure import (
     FLIP_BLOCK,
+    CompiledInstance,
     PreconditionError,
     ProcedureParams,
     batch_draws,
@@ -36,17 +38,13 @@ from localcolor.procedure import (
     compile_lists,
     default_rho,
     draw_trials,
-    evaluate_trials,
     greedy_complete,
     keep_constant,
     keep_frequency,
     keep_probability,
     keep_table,
     pipeline_color,
-    sample_batch,
-    savings_rows,
     settle_trials,
-    uncolored_trials,
 )
 from scalar_reference import (
     PartialColoring,
@@ -58,6 +56,7 @@ from scalar_reference import (
     sample_naive,
     savings_of,
 )
+from stacked import stack_trials, stacked_batch
 
 
 def path(n):
@@ -95,14 +94,10 @@ def correspondence_calls(monkeypatch):
 @pytest.fixture
 def evaluator_calls(monkeypatch):
     """Names of the evaluator calls made from here on, whichever module looks
-    them up: the batch builders sample_batch, evaluate_trials and
-    BatchSample, the row evaluator uncolored_trials and savings_rows (with
-    its _pairs_trips), and settle_trials."""
+    them up: the row evaluator uncolored_trials and savings_rows (with its
+    _pairs_trips), and settle_trials."""
     calls = []
-    names = (
-        "sample_batch", "evaluate_trials", "BatchSample", "uncolored_trials",
-        "savings_rows", "_pairs_trips", "settle_trials",
-    )
+    names = ("uncolored_trials", "savings_rows", "_pairs_trips", "settle_trials")
     for module in (procedure, experiment):
         for name in names:
             if not hasattr(module, name):
@@ -169,9 +164,7 @@ class TestKeepProbability:
         rho = 0.8
         exact = keep_probability(g, ca, rho, 1, 0)
         trials = 200_000
-        rng = rng_of(5)
-        kept = cond = 0
-        batch = sample_batch(
+        batch = stacked_batch(
             compile_instance(g, ca), ProcedureParams(rho=rho), trials, 5,
             equalize=False,
         )
@@ -199,9 +192,8 @@ class TestSampleNaive:
     def test_single_edge_conflict_rate(self):
         g = path(2)
         ca = identity_correspondence(g, uniform_lists(2, 3))
-        unc = 0
         trials = 100_000
-        batch = sample_batch(
+        batch = stacked_batch(
             compile_instance(g, ca), ProcedureParams(rho=1.0), trials, 11,
             equalize=False,
         )
@@ -263,8 +255,7 @@ class TestSampleEqualized:
         params = ProcedureParams(rho=1.0)
         k = params.keep
         trials = 100_000
-        kept = 0
-        batch = sample_batch(compile_instance(g, ca), params, trials, 3)
+        batch = stacked_batch(compile_instance(g, ca), params, trials, 3)
         freq = (~batch.uncolored[0]).mean()
         se = math.sqrt(k * (1 - k) / trials)
         assert abs(freq - k) <= 3 * se
@@ -280,7 +271,7 @@ class TestSampleEqualized:
         L = make_lists([[0, 1, 2, 3]] + [[0, 1, 2, 3, 4]] * 3)
         inst = compile_lists(g, L)
         params = ProcedureParams()
-        batch = sample_batch(inst, params, 100_000, 9)
+        batch = stacked_batch(inst, params, 100_000, 9)
         k = params.keep
         for c, (freq, m) in keep_frequency(batch.phi_idx, batch.uncolored, inst, 0).items():
             se = math.sqrt(k * (1 - k) / m)
@@ -343,7 +334,7 @@ class TestUnactExpectation:
         g = star(3)
         L = make_lists([[0, 1, 2, 3]] + [[0, 1]] * 3)
         trials = 50_000
-        batch = sample_batch(
+        batch = stacked_batch(
             compile_lists(g, L), ProcedureParams(rho=rho), trials, 21,
             equalize=False,
         )
@@ -434,8 +425,8 @@ class TestDeterminism:
         g = star(5)
         inst = compile_lists(g, uniform_lists(6, 6))
         params = ProcedureParams()
-        b1 = sample_batch(inst, params, 500, 123)
-        b2 = sample_batch(inst, params, 500, 123)
+        b1 = stacked_batch(inst, params, 500, 123)
+        b2 = stacked_batch(inst, params, 500, 123)
         assert (b1.phi_idx == b2.phi_idx).all()
         assert (b1.uncolored == b2.uncolored).all()
 
@@ -446,8 +437,8 @@ class TestDeterminism:
         assert correspondence_calls == []
 
     def test_estimate_computes_no_save_drop(self, evaluator_calls, tmp_path):
-        # estimate reduces each vertex's savings rows as they arrive: it builds
-        # no BatchSample and computes no save_drop
+        # estimate reduces each vertex's savings rows as they arrive: it runs
+        # the row evaluator once and computes no save_drop
         g = gen_gnp(40, 0.2, 2)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         run_estimate(g, L, {}, 50, 0, tmp_path, {})
@@ -483,10 +474,10 @@ class TestEstimateRows:
     @pytest.mark.parametrize("sigma", [Fraction(0), Fraction(1, 4)])
     def test_equal_the_batch_formula(self, trials, sigma):
         # the rows reduced one vertex at a time equal, bit for bit, the means
-        # and standard errors taken over axis 1 of one sample_batch
+        # and standard errors taken over axis 1 of the stacked batch
         g, L = _estimate_instance()
         params = ProcedureParams(sigma=sigma)
-        batch = sample_batch(compile_lists(g, L), params, trials, 17)
+        batch = stacked_batch(compile_lists(g, L), params, trials, 17)
 
         def mean_se(x):
             return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
@@ -636,10 +627,12 @@ class TestCompileLists:
         g, L = case
         got = compile_lists(g, L)
         want = compile_instance(g, make_total(g, identity_correspondence(g, L)))
-        assert got.lists == want.lists
-        for name in ("sizes", "start", "ptr", "head", "block", "back", "match"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for field in dataclasses.fields(CompiledInstance):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
 
 
 class TestSamplerMatchesReference:
@@ -670,7 +663,7 @@ class TestSamplerMatchesReference:
         act, phi_idx, heads = draw_trials(
             inst, params, table if equalize else None, trials, np.random.default_rng(seed)
         )
-        batch = evaluate_trials(inst, params, act, phi_idx, heads)
+        batch = stack_trials(inst, params, act, phi_idx, heads)
         uncolored_settled, unact_settled, save_drop = settle_trials(inst, act, phi_idx, heads)
         assert np.array_equal(uncolored_settled, batch.uncolored)
         assert np.array_equal(unact_settled, batch.unact)
@@ -704,10 +697,10 @@ class TestSamplerMatchesReference:
                 assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
 
 
-# SHA-256 of each BatchSample field (dtype, bytes) of the instance below, and
-# of the save_drop settle_trials computes on the same draws.  They pin the
-# random stream and every value sample_batch returns, which `estimate` output
-# depends on byte for byte.  2500 trials span several evaluation chunks, the
+# SHA-256 of each stacked batch field (dtype, bytes) of the instance below,
+# and of the save_drop settle_trials computes on the same draws.  They pin the
+# random stream and every value of uncolored_trials and savings_rows, which
+# `estimate` output depends on byte for byte.  2500 trials span several evaluation chunks, the
 # last one partial.
 GOLDEN_BATCH = {
     "phi_idx": ("<i8", "6221cf91a36e198894c9f5ee8e5769537b7a43c01b58dd9b1605a32e84b09f4f"),
@@ -727,9 +720,8 @@ def test_batch_golden():
     rng = random.Random(3)
     L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
-    batch = sample_batch(inst, params, 2500, 11)
-    # sample_batch's draws, drawn again
     draws = batch_draws(inst, params, 2500, 11)
+    batch = stack_trials(inst, params, *draws)
     uncolored, unact, save_drop = settle_trials(inst, *draws)
     assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
     got = {
