@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
     if args.lists_out:
         k = args.uniform_lists
         if k is None:
-            rows = [list(range(len(g.adj[v]) + 1)) for v in range(g.n)]
+            rows = [list(range(d + 1)) for d in np.diff(g.ptr).tolist()]
         else:
             rows = [list(range(k)) for _ in range(g.n)]
         Path(args.lists_out).write_text(json.dumps(lists_to_json(make_lists(rows))))

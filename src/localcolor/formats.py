@@ -4,6 +4,8 @@ Every color read from JSON must be a JSON integer."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .correspondence import CorrespondenceAssignment, validate
 from .graph import Graph
 from .lists import ListAssignment, make_lists
@@ -24,35 +26,56 @@ def _field(x: str, lineno: int) -> int:
 
 
 def parse_dimacs(text: str) -> Graph:
-    n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    """The graph of a DIMACS .col text.  Every error names its line: a bad
+    record first, then a field that is not an integer, then an edge out of
+    range or a loop, each the first in the file, and last a problem line
+    whose edge count differs from the number of `e` lines."""
+    n = problem = None
+    ends: list[str] = []  # the two fields of every e line, in file order
+    edge_lines: list[int] = []
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
+        if len(parts) == 3 and parts[0] == "e" and n is not None:  # the common line first
+            ends += parts[1:]
+            edge_lines.append(lineno)
+        elif not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        elif parts[0] == "e":
+            if n is None:
+                raise FormatError(f"line {lineno}: edge before problem line")
+            raise FormatError(f"line {lineno}: malformed edge line")
+        elif parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {lineno}: malformed problem line")
-            n, _ = (_field(x, lineno) for x in parts[2:])  # edge count unused
-        elif parts[0] == "e":
-            if n is None:
-                raise FormatError(f"line {lineno}: edge before problem line")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: malformed edge line")
-            u, v = _field(parts[1], lineno) - 1, _field(parts[2], lineno) - 1
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"line {lineno}: vertex out of range")
-            if u == v:
-                raise FormatError(f"line {lineno}: self-loop at vertex {u + 1}")
-            edges.append((u, v))
+            n, m = (_field(x, lineno) for x in parts[2:])
+            problem = lineno
         else:
             raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise FormatError("missing problem line")
-    return Graph.from_edges(n, edges)
+    try:
+        uv = np.array(ends, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # name the first field int() rejects; clip the rest, keeping them out of range
+        uv = np.array(
+            [min(max(_field(x, edge_lines[i // 2]), 0), n + 1) for i, x in enumerate(ends)],
+            dtype=np.int64,
+        )
+    uv = uv.reshape(-1, 2) - 1
+    u, v = uv.T
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = np.flatnonzero(out | (u == v))
+    if bad.size:
+        i = int(bad[0])
+        why = "vertex out of range" if out[i] else f"self-loop at vertex {u[i] + 1}"
+        raise FormatError(f"line {edge_lines[i]}: {why}")
+    if len(edge_lines) != m:
+        raise FormatError(
+            f"line {problem}: the problem line declares {m} edges, the file has "
+            f"{len(edge_lines)} e lines"
+        )
+    return Graph.from_edges(n, uv)
 
 
 def emit_dimacs(g: Graph) -> str:
@@ -72,6 +95,9 @@ def _check_color(c, where: str) -> None:
 def _read_lists(rows: list[list]) -> ListAssignment:
     """make_lists(rows), every color a JSON integer, none repeated within a list."""
     for v, row in enumerate(rows):
+        if all(type(c) is int for c in row) and len(set(row)) == len(row):
+            continue
+        # name the first offending color
         seen = set()
         for c in row:
             _check_color(c, f"list of vertex {v}")

@@ -1,65 +1,122 @@
 """Simple undirected graphs and the exact combinatorial primitives built on them.
 
-Vertices are integers 0..n-1.  Graphs are immutable after construction, so
-every operation here is a pure function and safe for concurrent reads.
+Vertices are integers 0..n-1.  A graph is a sorted CSR: the neighbors of v
+are nbr[ptr[v]:ptr[v + 1]], in ascending order, so adjacency order does not
+depend on the order the edges were given in.  Graphs are immutable after
+construction, so every operation here is a pure function and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
 import networkx as nx
+import numpy as np
 
 
 class GraphError(ValueError):
     """Raised for malformed graphs or out-of-range vertex ids."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Adjacency-set graph.  No self-loops, symmetric adjacency."""
+    """Sorted-CSR graph: int64 arrays ptr (n + 1 offsets) and nbr (each
+    vertex's neighbors, ascending).  No self-loops, symmetric adjacency;
+    equality and hash compare the arrays."""
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    ptr: np.ndarray
+    nbr: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
-            raise GraphError("adjacency length must equal vertex count")
-        for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if not (0 <= u < self.n):
-                    raise GraphError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise GraphError(f"self-loop at {v}")
-                if v not in self.adj[u]:
-                    raise GraphError(f"asymmetric edge {v}-{u}")
+        n = self.n
+        ptr, nbr = np.array(self.ptr, dtype=np.int64), np.array(self.nbr, dtype=np.int64)
+        if n < 0:
+            raise GraphError(f"vertex count {n} is negative")
+        if ptr.shape != (n + 1,) or nbr.ndim != 1 or ptr[0] != 0 or ptr[-1] != len(nbr):
+            raise GraphError("ptr must hold n + 1 offsets from 0 to len(nbr)")
+        deg = np.diff(ptr)
+        if (deg < 0).any():
+            raise GraphError("ptr must be nondecreasing")
+        tail = np.repeat(np.arange(n), deg)
+        if nbr.size and (nbr.min() < 0 or nbr.max() >= n or (nbr == tail).any()):
+            i = int(np.flatnonzero((nbr < 0) | (nbr >= n) | (nbr == tail))[0])
+            v, u = int(tail[i]), int(nbr[i])
+            raise GraphError(f"self-loop at {v}" if u == v else f"neighbor {u} of {v} out of range")
+        key = tail * n + nbr
+        if (key[1:] <= key[:-1]).any():
+            raise GraphError("the neighbors of each vertex must be strictly ascending")
+        if (np.sort(nbr * n + tail) != key).any():
+            raise GraphError("adjacency must be symmetric")
+        ptr.flags.writeable = nbr.flags.writeable = False
+        object.__setattr__(self, "ptr", ptr)
+        object.__setattr__(self, "nbr", nbr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.ptr, other.ptr)
+            and np.array_equal(self.nbr, other.nbr)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ptr.tobytes(), self.nbr.tobytes()))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range")
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph(n, tuple(frozenset(a) for a in adj))
+        """The graph on 0..n-1 with these edges; repeats, in either direction,
+        are dropped.  The first self-loop or out-of-range edge is an error."""
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            uv = np.array(pairs, dtype=np.int64)
+        except OverflowError:  # an end beyond int64; clipped, it stays out of range
+            uv = np.array([[min(max(x, -1), n) for x in e] for e in pairs], dtype=np.int64)
+        if uv.size == 0:
+            uv = uv.reshape(0, 2)
+        if uv.ndim != 2 or uv.shape[1] != 2:
+            raise GraphError("edges must be (u, v) pairs")
+        u, v = uv.T
+        if uv.size and (uv.min() < 0 or uv.max() >= n or (u == v).any()):
+            i = int(np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))[0])
+            a, b = (int(x) for x in pairs[i])
+            raise GraphError(f"self-loop at {a}" if a == b else f"edge ({a},{b}) out of range")
+        # each edge in both directions as one (tail, head) key, sorted and unique;
+        # a sort and an adjacent compare, as np.unique's hashing is 10x slower here
+        key = np.sort(np.concatenate((u * n + v, v * n + u)))
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        tail, nbr = np.divmod(key[first], max(n, 1))
+        ptr = np.zeros(max(n, 0) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=max(n, 0)), out=ptr[1:])
+        return Graph(n, ptr, nbr)
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbor set, derived from the CSR once."""
+        ptr, nbr = self.ptr.tolist(), self.nbr.tolist()
+        return tuple(frozenset(nbr[ptr[v] : ptr[v + 1]]) for v in range(self.n))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        """Every edge once as (u, v) with u < v, ascending."""
+        tail = np.repeat(np.arange(self.n), np.diff(self.ptr))
+        up = tail < self.nbr
+        return list(zip(tail[up].tolist(), self.nbr[up].tolist()))
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.nbr) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return int(np.diff(self.ptr).min()) if self.n else 0
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in sorted vertex order."""
@@ -110,7 +167,7 @@ def _check_vertex(g: Graph, v: int) -> None:
 
 def degree(g: Graph, v: int) -> int:
     _check_vertex(g, v)
-    return len(g.adj[v])
+    return int(g.ptr[v + 1] - g.ptr[v])
 
 
 def _max_clique_in(g: Graph, candidates: frozenset[int]) -> int:

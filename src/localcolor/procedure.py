@@ -24,7 +24,9 @@ reduces each row to a mean and a standard error as it arrives, so it holds
 the draws (10 bytes per (vertex, trial) cell) and the 1-byte uncolored
 mask, never an (n, trials) array of savings.  That still grows with the
 trial count: drawing trial chunk by trial chunk would change the random
-stream.  `settle_trials` (all directed edges at once) gives
+stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
+drawn in one call, which takes the same numbers from the stream as one call
+per vertex.  `settle_trials` (all directed edges at once) gives
 `pipeline_color`'s savings check the uncolored set, unact and save_drop.
 An instance is compiled in one of two ways: `compile_lists` builds the
 tables of a list assignment (the identity correspondence made total)
@@ -107,7 +109,7 @@ def keep_probability(
         raise ValueError(f"color {c} is not in the list of vertex {v}")
     p = rho
     size_v = len(ca.lists[v])
-    for u in g.adj[v]:
+    for u in g.nbr[g.ptr[v] : g.ptr[v + 1]].tolist():  # ascending, as keep_table
         if len(ca.lists[u]) < size_v:
             continue
         if c in dict(ca.pairs(v, u)):
@@ -122,8 +124,10 @@ def keep_probability(
 class CompiledInstance:
     """A correspondence assignment as flat index arrays.
 
-    The directed edges are numbered in adjacency order: those of vertex v are
-    ptr[v] .. ptr[v + 1] - 1, and edge e runs from tail[e] to head[e]; big[e]
+    The directed edges are the graph's CSR entries, numbered by (tail, head)
+    ascending: those of vertex v are ptr[v] .. ptr[v + 1] - 1, and edge e
+    runs from tail[e] to head[e], so graphs that compare equal compile to
+    equal arrays; big[e]
     holds when |L(head)| >= |L(tail)|, so that the head can uncolor the tail.
     Its map starts at block[e] in `match`, a flat array: match[block[e] + i]
     is the index in lists[head[e]] of the color matched to the i-th color of
@@ -146,18 +150,16 @@ class CompiledInstance:
 
 def _layout(g: Graph, sizes: np.ndarray):
     """The arrays shared by both compile paths: (start, ptr, tail, head, big,
-    block, rev), where the edges are in adjacency order, the order of the
-    blocks of `match`, and rev[e] is the reverse edge of e."""
-    deg = np.array([len(g.adj[v]) for v in range(g.n)], dtype=np.int64)
+    block, rev), where the edges are the graph's CSR entries, sorted by
+    (tail, head), in the order of the blocks of `match`, and rev[e] is the
+    reverse edge of e."""
     start = np.concatenate(([0], np.cumsum(sizes)))
-    ptr = np.concatenate(([0], np.cumsum(deg)))
-    tail = np.repeat(np.arange(g.n), deg)
-    head = np.array([u for v in range(g.n) for u in g.adj[v]], dtype=np.int64)
+    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
+    head = g.nbr
     width = sizes[tail]
-    # the k-th edge by (tail, head) is the reverse of the k-th by (head, tail)
-    rev = np.empty_like(tail)
-    rev[np.lexsort((head, tail))] = np.lexsort((tail, head))
-    return start, ptr, tail, head, sizes[head] >= width, np.cumsum(width) - width, rev
+    # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
+    rev = np.argsort(head * g.n + tail)
+    return start, g.ptr, tail, head, sizes[head] >= width, np.cumsum(width) - width, rev
 
 
 def _cells(
@@ -196,7 +198,9 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     On every edge the common colors pair as identity, then each side's
     remaining colors zip in ascending order.  Colors are replaced by their
     rank among all colors before any array is formed, so no color value
-    bounds the input.
+    bounds the input.  Each cell finds its tail's color in its head's list
+    through a dense (vertex, color rank) table when that table is no larger
+    than `match`, and by a binary search otherwise.
     """
     lists = [sorted(L[v]) for v in range(g.n)]
     rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
@@ -209,14 +213,20 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     edge, entry = _cells(start, tail, block, sizes)
     query = ranks[entry]
     query += (head * len(rank))[edge]
-    pos = np.searchsorted(key, query)
-    np.minimum(pos, len(key) - 1, out=pos)
-    common = key[pos] == query
-    pos -= start[head][edge]
-    match = np.where(common, pos, -1)
+    if g.n * len(rank) <= len(query):
+        # a dense (vertex, color rank) table of list positions, no larger than match
+        where = np.full(g.n * len(rank), -1)
+        where[key] = np.arange(len(key)) - np.repeat(start[:-1], sizes)
+        match = where[query]
+    else:
+        pos = np.searchsorted(key, query)
+        np.minimum(pos, len(key) - 1, out=pos)
+        common = key[pos] == query
+        pos -= start[head][edge]
+        match = np.where(common, pos, -1)
     # the free colors of each block zip in ascending order with those of the
     # reverse block
-    free = np.flatnonzero(~common)
+    free = np.flatnonzero(match < 0)
     free_edge = edge[free]
     nfree = np.bincount(free_edge, minlength=len(tail))
     free_start = np.cumsum(nfree) - nfree
@@ -230,12 +240,12 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     """The flat keep table: table[start[v] + i] = keep_probability(g, ca, rho,
-    v, lists[v][i]), bit for bit: the factors are multiplied in adjacency
-    order, as keep_probability does."""
+    v, lists[v][i]), bit for bit: the factors are multiplied in ascending
+    neighbor order, as keep_probability does."""
     edge, entry = _cells(inst.start, inst.tail, inst.block, inst.sizes)
     threat = np.flatnonzero(inst.big[edge] & (inst.match >= 0))
     flat = np.full(int(inst.start[-1]), float(rho))
-    # ufunc.at applies the factors in cell order, which is adjacency order
+    # ufunc.at applies the factors in cell order, which is ascending neighbor order
     np.multiply.at(flat, entry[threat], (1 - rho / inst.sizes[inst.head])[edge[threat]])
     return flat
 
@@ -305,15 +315,21 @@ def draw_trials(
 
     heads[v, t] is the equalizing flip at v's chosen color: only that flip
     can uncolor v, so only it is drawn.  table=None draws no flips (the
-    naive procedure).  The flips are drawn in blocks of whole rows, at most
-    FLIP_BLOCK cells each unless one row is longer; row-major blocks take
-    the same doubles from the stream as one (n, trials) draw.
+    naive procedure).  Below TRIAL_CHUNK trials the color indices are one
+    rng.integers call with a column of bounds; it takes the same numbers from
+    the stream as one call per vertex, which is faster from about 700 trials
+    on and is used from TRIAL_CHUNK.  The flips are drawn in blocks of whole
+    rows, at most FLIP_BLOCK cells each unless one row is longer; row-major
+    blocks take the same doubles from the stream as one (n, trials) draw.
     """
     n = len(inst.lists)
     act = rng.random((n, trials)) < params.rho
-    phi_idx = np.empty((n, trials), dtype=np.int64)
-    for v, size in enumerate(inst.sizes.tolist()):
-        phi_idx[v] = rng.integers(size, size=trials)
+    if trials < TRIAL_CHUNK:
+        phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials))
+    else:
+        phi_idx = np.empty((n, trials), dtype=np.int64)
+        for v, size in enumerate(inst.sizes.tolist()):
+            phi_idx[v] = rng.integers(size, size=trials)
     if table is None:
         return act, phi_idx, np.zeros((n, trials), dtype=bool)
     k = params.keep
@@ -341,8 +357,9 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs, falling.sum(axis=0) // 6
 
 
-# trials per pass of uncolored_trials and savings_rows; bounds their
-# (neighbor, trial) temporaries
+# trials per pass of uncolored_trials and savings_rows, bounding their
+# (neighbor, trial) temporaries; from this many trials on, draw_trials draws
+# the color indices vertex by vertex
 TRIAL_CHUNK = 1024
 
 

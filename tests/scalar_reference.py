@@ -187,6 +187,15 @@ def _uncolored_naive(
     return u_prime
 
 
+def draw_color_indices(sizes: Sequence[int], trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, trials) color indices of a batch, drawn vertex by vertex: one
+    rng.integers(size, size=trials) call per vertex, in vertex order."""
+    out = np.empty((len(sizes), trials), dtype=np.int64)
+    for v, size in enumerate(sizes):
+        out[v] = rng.integers(size, size=trials)
+    return out
+
+
 def sample_naive(
     g: Graph, ca: CorrespondenceAssignment, rho: float, rng: np.random.Generator
 ) -> PartialColoring:

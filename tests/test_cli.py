@@ -3,6 +3,7 @@ rejected at the boundary with exit code 2 and a message that names them."""
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -79,6 +80,23 @@ def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0 and json.loads(out)["rounds_used"] == 23
     assert sha256(out.encode()) == GOLDEN_COLOR_C5_SHA256
+
+
+def test_color_output_ignores_edge_line_order(gnp40, capsys):
+    """Shuffled e lines, with comments between them, give the graph that the
+    generated file gives, so `color` prints the same bytes."""
+    head, *edges = (gnp40 / "g.col").read_text().splitlines()
+    random.Random(7).shuffle(edges)
+    lines = [head]
+    for i, line in enumerate(edges):
+        lines += [line, f"c after edge {i}"] if i % 3 else [line]
+    (gnp40 / "shuffled.col").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["color", "--lists", "l.json", "--seed", "5", "--rounds", "20", "--graph"]
+    assert main([*argv, "g.col"]) == 0
+    want = capsys.readouterr().out
+    assert main([*argv, "shuffled.col"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
@@ -189,6 +207,9 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
         ("bad.col", "p edge 3 1.5\n",
          ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
          "bad.col: line 1: '1.5' is not an integer"),
+        ("bad.col", "c two edges\np edge 3 2\ne 1 2\n",
+         ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
+         "bad.col: line 2: the problem line declares 2 edges, the file has 1 e lines"),
     ],
 )
 def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):

@@ -71,6 +71,26 @@ class TestDimacs:
         with pytest.raises(FormatError):
             parse_dimacs("")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 2\ne 1 1\ne 1 9\n", "line 2: self-loop at vertex 1"),
+            ("p edge 3 2\ne 1 9\ne 2 2\n", "line 2: vertex out of range"),
+            ("p edge 3 2\ne 1 9\ne x 1\n", "line 3: 'x' is not an integer"),
+            ("p edge 3 2\ne 1 2\nq\ne x 1\n", "line 3: unknown record 'q'"),
+            ("p edge 3 1\ne 1 99999999999999999999\n", "line 2: vertex out of range"),
+            ("p edge 3 1\ne 1 2\ne 2 3\n",
+             "line 1: the problem line declares 1 edges, the file has 2 e lines"),
+        ],
+    )
+    def test_parse_names_the_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+    def test_repeated_edges_count_as_e_lines(self):
+        g = parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
+        assert g.edges() == [(0, 1), (1, 2)]
+
     def test_comments_ignored(self):
         g = parse_dimacs("c hi\np edge 3 1\ne 1 2\n")
         assert g.n == 3 and g.has_edge(0, 1)

@@ -75,6 +75,68 @@ class TestGraphBasics:
         assert g.n == 3 and g.edge_count() == 3
 
 
+class TestSortedCsr:
+    def test_neighbors_ascend_whatever_the_edge_order(self):
+        g = Graph.from_edges(5, [(4, 0), (2, 0), (0, 3), (1, 0), (3, 2)])
+        assert g.ptr.tolist() == [0, 4, 5, 7, 9, 10]
+        assert g.nbr.tolist() == [1, 2, 3, 4, 0, 0, 3, 0, 2, 0]
+        assert g.adj == (
+            frozenset({1, 2, 3, 4}), frozenset({0}), frozenset({0, 3}),
+            frozenset({0, 2}), frozenset({0}),
+        )
+
+    def test_repeats_in_either_direction_are_dropped(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
+        assert g.edges() == [(0, 1), (1, 2)] and g.edge_count() == 2
+
+    def test_equality_and_hash_are_by_value(self):
+        a = Graph.from_edges(4, [(0, 1), (2, 3), (1, 2)])
+        b = Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert a != Graph.from_edges(5, [(0, 1), (2, 3), (1, 2)])
+
+    def test_arrays_are_read_only(self):
+        g = cycle(4)
+        with pytest.raises(ValueError):
+            g.nbr[0] = 2
+        with pytest.raises(ValueError):
+            g.ptr[1] = 0
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 5)], "self-loop at 2"),
+            ([(0, 1), (0, 5), (2, 2)], r"edge \(0,5\) out of range"),
+            ([(-1, 1)], r"edge \(-1,1\) out of range"),
+            ([(1, 1), (0, 2**70)], "self-loop at 1"),
+            ([(0, 1), (2**70, 2**71)], rf"edge \({2**70},{2**71}\) out of range"),
+            ([(0, 1, 2)], r"edges must be \(u, v\) pairs"),
+        ],
+    )
+    def test_from_edges_names_the_first_bad_edge(self, edges, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize(
+        "n, ptr, nbr, message",
+        [
+            (-1, [0], [], "vertex count -1 is negative"),
+            (2, [0, 1], [1], "ptr must hold n \\+ 1 offsets from 0 to len\\(nbr\\)"),
+            (2, [1, 1, 1], [1], "ptr must hold"),
+            (2, [0, 1, 1], [[1]], "ptr must hold"),
+            (3, [0, 2, 1, 2], [1, 2], "ptr must be nondecreasing"),
+            (2, [0, 1, 2], [1, 1], "self-loop at 1"),
+            (2, [0, 1, 2], [2, 0], "neighbor 2 of 0 out of range"),
+            (3, [0, 2, 3, 4], [2, 1, 0, 0], "strictly ascending"),
+            (3, [0, 1, 2, 2], [1, 2], "adjacency must be symmetric"),
+        ],
+    )
+    def test_constructor_rejects_a_bad_csr(self, n, ptr, nbr, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(n, ptr, nbr)
+
+
 class TestCliques:
     def test_complete(self):
         assert all(local_clique_number(complete(4), v) == 4 for v in range(4))

@@ -29,6 +29,7 @@ from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
 from localcolor.procedure import (
     FLIP_BLOCK,
+    TRIAL_CHUNK,
     CompiledInstance,
     PreconditionError,
     ProcedureParams,
@@ -50,6 +51,7 @@ from scalar_reference import (
     PartialColoring,
     _uncolored_naive,
     complete_reference,
+    draw_color_indices,
     list_size_order,
     residual,
     sample_equalized,
@@ -620,19 +622,103 @@ def list_instance(draw):
     return g, make_lists(rows)
 
 
+def _compiled_fields_equal(a: CompiledInstance, b: CompiledInstance) -> None:
+    for field in dataclasses.fields(CompiledInstance):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def _made_total(g: Graph, L) -> CompiledInstance:
+    return compile_instance(g, make_total(g, identity_correspondence(g, L)))
+
+
 class TestCompileLists:
     @given(list_instance())
     @settings(max_examples=150, deadline=None)
     def test_equals_compiled_identity_made_total(self, case):
         g, L = case
-        got = compile_lists(g, L)
-        want = compile_instance(g, make_total(g, identity_correspondence(g, L)))
-        for field in dataclasses.fields(CompiledInstance):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-            else:
-                assert a == b, field.name
+        _compiled_fields_equal(compile_lists(g, L), _made_total(g, L))
+
+
+def test_equal_graphs_compile_equally():
+    """One G(200, 1/10) from its edge list and from that list reversed, each
+    edge's ends swapped: equal graphs, so equal arrays and keep tables."""
+    edges = gen_gnp(200, 0.1, 3).edges()
+    g = Graph.from_edges(200, edges)
+    flipped = Graph.from_edges(200, [(v, u) for u, v in reversed(edges)])
+    assert g == flipped and hash(g) == hash(flipped)
+    L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+    a, b = compile_lists(g, L), compile_lists(flipped, L)
+    _compiled_fields_equal(a, b)
+    rho = default_rho(Fraction(1, 50))
+    assert np.array_equal(keep_table(a, rho), keep_table(b, rho))
+
+
+def test_compile_lists_lookup_on_both_sides():
+    """compile_lists looks colors up in a dense (vertex, color rank) table when
+    n * (distinct colors) is at most the number of match cells, and by
+    searchsorted otherwise.  Isolated vertices whose one-color lists are
+    spaced 10**6 apart add vertices and colors but no cells, so the padded
+    instance takes searchsorted and must agree with the plain one on every
+    array of the shared vertices, and both with the make_total oracle."""
+    g = gen_gnp(30, 0.3, 1)
+    rows = [list(range(len(g.adj[v]) + 1)) for v in range(g.n)]
+    pad = 40
+    padded_g = Graph.from_edges(g.n + pad, g.edges())
+    padded_rows = rows + [[10**6 * (j + 1)] for j in range(pad)]
+    insts = []
+    for graph, L, dense in ((g, rows, True), (padded_g, padded_rows, False)):
+        L = make_lists(L)
+        inst = compile_lists(graph, L)
+        colors = len(set().union(*L))
+        assert (graph.n * colors <= len(inst.match)) == dense
+        _compiled_fields_equal(inst, _made_total(graph, L))
+        insts.append(inst)
+    plain, padded = insts
+    for name in ("tail", "head", "big", "block", "back", "match"):
+        assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
+    for name in ("start", "ptr"):
+        assert np.array_equal(getattr(plain, name), getattr(padded, name)[: g.n + 1]), name
+    assert padded.lists[: g.n] == plain.lists
+
+
+class _CountingRng:
+    """A Generator whose method calls are recorded by name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("trials", [1, 2, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1])
+def test_color_draws_follow_the_per_vertex_stream(trials):
+    """draw_trials' color indices, and the generator state it leaves, equal a
+    per-vertex rng.integers reference, for lists of size 1 and of 64 or more;
+    below TRIAL_CHUNK trials it draws every index in one call."""
+    sizes = [1, 64, 1, 100, 67, 1]
+    g = Graph.from_edges(len(sizes), [])
+    inst = compile_lists(g, make_lists([range(k) for k in sizes]))
+    params = ProcedureParams()
+    rng = _CountingRng(rng_of(11))
+    act, phi_idx, _ = draw_trials(inst, params, None, trials, rng)
+    assert rng.calls.count("integers") == (1 if trials < TRIAL_CHUNK else len(sizes))
+    ref = rng_of(11)
+    assert np.array_equal(act, ref.random((len(sizes), trials)) < params.rho)
+    assert np.array_equal(phi_idx, draw_color_indices(sizes, trials, ref))
+    assert phi_idx.dtype == np.int64
+    for draw in (lambda r: r.integers(1000, size=3), lambda r: r.random(3)):
+        assert np.array_equal(draw(rng.rng), draw(ref))
 
 
 class TestSamplerMatchesReference:
