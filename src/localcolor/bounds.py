@@ -159,12 +159,13 @@ def exceptional_prob_bound(delta: float, sigma: float, eps: float) -> float:
     return delta**4 * (math.e / ((1 - sigma) * (1 - eps) * ln_d)) ** ln_d
 
 
-def delta_concentration_test(
-    samples: np.ndarray, delta: int, conc_exp: int = 9
-) -> BoundReport:
+_CONC_EXP = 9  # the power of log(delta) in delta_concentration_test's deviation
+
+
+def delta_concentration_test(samples: np.ndarray, delta: int) -> BoundReport:
     """Empirical concentration check on >= 10^4 samples.
 
-    Holds when P[|X - mean| >= 2 max(mean^(5/6), log^conc_exp delta)] stays
+    Holds when P[|X - mean| >= 2 max(mean^(5/6), log^9 delta)] stays
     below delta^-4 / 16 (diagnostic at desk scale; the inequality targets
     large maximum degree).
     """
@@ -174,7 +175,7 @@ def delta_concentration_test(
     if delta < 2:
         raise ValueError("needs maximum degree at least 2")
     mean = samples.mean()
-    dev = 2 * max(mean ** (5 / 6) if mean > 0 else 0.0, math.log(delta) ** conc_exp)
+    dev = 2 * max(mean ** (5 / 6) if mean > 0 else 0.0, math.log(delta) ** _CONC_EXP)
     tail = float((np.abs(samples - mean) >= dev).mean())
     tol = delta ** (-4) / 16
     return BoundReport(

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .experiment import build_graph, build_params, run_estimate
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
-from .graph import Graph, max_antimatching
+from .graph import Graph, GraphError, max_antimatching
 from .knm import density_audit
 from .lists import ListAssignment, make_lists
 from .procedure import PreconditionError, pipeline_color
@@ -162,12 +162,10 @@ def cmd_audit(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
     subset = frozenset(args.subset) if args.subset else frozenset(range(g.n))
-    for v in sorted(subset):
-        if not 0 <= v < g.n:
-            raise argparse.ArgumentTypeError(
-                f"argument --subset: vertex {v} out of range [0, {g.n})"
-            )
-    m = max_antimatching(g, subset)
+    try:
+        m = max_antimatching(g, subset)
+    except GraphError as exc:
+        raise argparse.ArgumentTypeError(f"argument --subset: {exc}") from None
     rec = density_audit(g, L, subset, m)
     print(
         json.dumps(

@@ -113,6 +113,8 @@ class Graph:
         return len(self.nbr) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         return v in self.adj[u]
 
     def min_degree(self) -> int:
@@ -120,11 +122,10 @@ class Graph:
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in sorted vertex order."""
-        vs = sorted(set(vertices))
+        vs = _vertex_set(self, vertices)
         index = {v: i for i, v in enumerate(vs)}
         return Graph.from_edges(
-            len(vs),
-            ((index[u], index[v]) for u, v in self.edges() if u in index and v in index),
+            len(vs), [(i, index[u]) for i, v in enumerate(vs) for u in self.adj[v] if u in index]
         )
 
     def to_networkx(self) -> nx.Graph:
@@ -163,6 +164,14 @@ class Matching:
 def _check_vertex(g: Graph, v: int) -> None:
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range [0, {g.n})")
+
+
+def _vertex_set(g: Graph, s: Iterable[int]) -> list[int]:
+    """The distinct ids of s, ascending; the smallest one outside g is an error."""
+    vs = sorted(set(s))
+    for v in vs:
+        _check_vertex(g, v)
+    return vs
 
 
 def degree(g: Graph, v: int) -> int:
@@ -205,12 +214,10 @@ def max_clique_size(g: Graph) -> int:
 
 def complement_edge_count(g: Graph, s: Iterable[int]) -> int:
     """Edge count of the complement of the subgraph induced on s."""
-    vs = sorted(set(s))
-    for v in vs:
-        _check_vertex(g, v)
-    inside = sum(1 for u, v in combinations(vs, 2) if g.has_edge(u, v))
+    vs = _vertex_set(g, s)
+    inside = set(vs)
     k = len(vs)
-    return k * (k - 1) // 2 - inside
+    return k * (k - 1) // 2 - sum(len(g.adj[v] & inside) for v in vs) // 2
 
 
 def triangle_count(g: Graph) -> int:
@@ -227,14 +234,9 @@ def rivin_triangle_bound(edge_count: int) -> float:
 
 def complement_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     """Complement of g[s], relabeled 0..k-1; returns the graph and original labels."""
-    vs = sorted(set(s))
-    k = len(vs)
-    edges = [
-        (i, j)
-        for i, j in combinations(range(k), 2)
-        if not g.has_edge(vs[i], vs[j])
-    ]
-    return Graph.from_edges(k, edges), vs
+    vs = _vertex_set(g, s)
+    edges = [(i, j) for i, j in combinations(range(len(vs)), 2) if vs[j] not in g.adj[vs[i]]]
+    return Graph.from_edges(len(vs), edges), vs
 
 
 def max_antimatching(g: Graph, s: Iterable[int]) -> Matching:

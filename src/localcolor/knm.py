@@ -8,7 +8,7 @@ from typing import Sequence
 import networkx as nx
 
 from .graph import Graph, Matching, complement_edge_count
-from .lists import Color, Coloring, ListAssignment, save
+from .lists import Color, Coloring, ListAssignment, is_proper, save
 
 
 class HypothesisError(ValueError):
@@ -26,9 +26,9 @@ class KnmInstance:
     def __post_init__(self):
         if len(self.lists) != self.n:
             raise ValueError("need one list per vertex")
-        for u, v in self.matching.edges:
-            if v >= self.n:
-                raise ValueError("matching vertex out of range")
+        for v in sorted(self.matching.vertices()):
+            if not 0 <= v < self.n:
+                raise ValueError(f"matching vertex {v} out of range [0, {self.n})")
 
     def graph(self) -> Graph:
         edges = [
@@ -111,20 +111,9 @@ def color_knm(inst: KnmInstance) -> Coloring:
     if alive:
         coloring.update(_distinct_representatives(alive, lists))
 
-    _check_knm_coloring(inst, coloring)
+    if coloring.keys() != set(range(inst.n)) or not is_proper(inst.graph(), inst.lists, coloring):
+        raise RuntimeError("the coloring is not a proper total list coloring; solver fault")
     return coloring
-
-
-def _check_knm_coloring(inst: KnmInstance, coloring: Coloring) -> None:
-    for v in range(inst.n):
-        if coloring[v] not in inst.lists[v]:
-            raise RuntimeError(f"vertex {v} colored outside its list; solver fault")
-    for u in range(inst.n):
-        for v in range(u + 1, inst.n):
-            if (u, v) in inst.matching.edges:
-                continue
-            if coloring[u] == coloring[v]:
-                raise RuntimeError(f"adjacent vertices {u},{v} share a color; solver fault")
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+import networkx as nx
+
 from .graph import Graph, GraphError, degree, local_clique_number
 
 Color = int
 ListAssignment = tuple[frozenset[Color], ...]
 Coloring = dict[int, Color]
-
-
-class BudgetExceeded(RuntimeError):
-    """Backtracking search exceeded its node budget."""
 
 
 def make_lists(lists: Sequence[Sequence[Color]]) -> ListAssignment:
@@ -107,8 +105,11 @@ def local_reed_list_sizes(g: Graph) -> list[int]:
 
 
 def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
-    """Proper on its domain and list-respecting."""
+    """Proper on its domain and list-respecting; a key that is not a vertex
+    of g is a GraphError."""
     for v, c in coloring.items():
+        if not 0 <= v < g.n:  # before L[v] can alias it
+            raise GraphError(f"vertex {v} out of range [0, {g.n})")
         if c not in L[v]:
             return False
         for u in g.adj[v]:
@@ -117,29 +118,22 @@ def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
     return True
 
 
-def brute_force_L_colorable(
-    g: Graph, L: ListAssignment, budget: int = 10**9
-) -> tuple[bool, Coloring | None]:
+def brute_force_L_colorable(g: Graph, L: ListAssignment) -> tuple[bool, Coloring | None]:
     """Exact list-colorability by backtracking with forward checking.
 
-    Vertices are processed smallest-list-first (fail-first).  Raises
-    BudgetExceeded if the search visits more than `budget` nodes.
+    Vertices are processed smallest-list-first (fail-first).  The search is
+    exponential and has no node limit.
     """
     order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
     domains = {v: set(L[v]) for v in range(g.n)}
     coloring: Coloring = {}
-    nodes = 0
 
     def assign(idx: int) -> bool:
-        nonlocal nodes
         if idx == g.n:
             return True
         # fail-first: re-pick the uncolored vertex with the fewest live colors
         v = min((u for u in order if u not in coloring), key=lambda u: len(domains[u]))
         for c in sorted(domains[v]):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"backtracking exceeded {budget} nodes")
             pruned = []
             for u in g.adj[v]:
                 if u not in coloring and c in domains[u]:
@@ -159,20 +153,13 @@ def brute_force_L_colorable(
     return False, None
 
 
-def delete_vertex(g: Graph, L: ListAssignment, v: int) -> tuple[Graph, ListAssignment]:
-    keep = [u for u in range(g.n) if u != v]
-    return g.subgraph(keep), tuple(L[u] for u in keep)
-
-
-def is_L_critical(g: Graph, L: ListAssignment, budget: int = 10**9) -> bool:
+def is_L_critical(g: Graph, L: ListAssignment) -> bool:
     """Not L-colorable, but every vertex-deleted induced subgraph is."""
-    colorable, _ = brute_force_L_colorable(g, L, budget)
-    if colorable:
+    if brute_force_L_colorable(g, L)[0]:
         return False
     for v in range(g.n):
-        sub_g, sub_L = delete_vertex(g, L, v)
-        ok, _ = brute_force_L_colorable(sub_g, sub_L, budget)
-        if not ok:
+        keep = [u for u in range(g.n) if u != v]
+        if not brute_force_L_colorable(g.subgraph(keep), tuple(L[u] for u in keep))[0]:
             return False
     return True
 
@@ -182,32 +169,13 @@ def is_L_critical(g: Graph, L: ListAssignment, budget: int = 10**9) -> bool:
 
 def _connected_subsets(g: Graph) -> list[frozenset[int]]:
     """All vertex subsets of size >= 2 inducing a connected subgraph."""
-    out = []
-    for k in range(2, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            if len(_components(g.subgraph(combo))) == 1:
-                out.append(frozenset(combo))
-    return out
-
-
-def _components(g: Graph) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    h = g.to_networkx()
+    return [
+        frozenset(combo)
+        for k in range(2, g.n + 1)
+        for combo in combinations(range(g.n), k)
+        if nx.is_connected(h.subgraph(combo))
+    ]
 
 
 def f_choosable(g: Graph, f: Sequence[int], _memo: dict | None = None) -> bool:
@@ -228,7 +196,7 @@ def f_choosable(g: Graph, f: Sequence[int], _memo: dict | None = None) -> bool:
         raise ValueError("f must be at least 1 everywhere")
     if _memo is None:
         _memo = {}
-    key = (g.adj, tuple(f))
+    key = (g, tuple(f))
     if key in _memo:
         return _memo[key]
 
@@ -249,7 +217,7 @@ def _f_choosable_inner(g: Graph, f: list[int], memo: dict) -> bool:
     if g.n == 0:
         return True
 
-    comps = _components(g)
+    comps = [sorted(c) for c in nx.connected_components(g.to_networkx())]
     if len(comps) > 1:
         return all(
             f_choosable(g.subgraph(comp), [f[v] for v in comp], memo) for comp in comps

@@ -21,6 +21,8 @@ from localcolor.graph import (
     rivin_triangle_bound,
     triangle_count,
 )
+from localcolor.knm import KnmInstance
+from localcolor.lists import gap, is_proper, profile, save, uniform_lists
 
 
 def complete(n):
@@ -256,3 +258,33 @@ class TestMad:
         )
         assert mad_exact(g) == brute
         assert mad_exact(g) >= average_degree(g)
+
+
+# Every public entry that takes a vertex id or a vertex set, called on C5 with
+# the id `bad` (2-color lists wherever lists are needed).
+_L = uniform_lists(5, 2)
+_TAKES_A_VERTEX = {
+    "degree": lambda g, bad: degree(g, bad),
+    "local_clique_number": lambda g, bad: local_clique_number(g, bad),
+    "has_edge_tail": lambda g, bad: g.has_edge(bad, 0),
+    "has_edge_head": lambda g, bad: g.has_edge(0, bad),
+    "subgraph": lambda g, bad: g.subgraph([0, 1, bad]),
+    "complement_edge_count": lambda g, bad: complement_edge_count(g, [0, bad]),
+    "complement_subgraph": lambda g, bad: complement_subgraph(g, [bad, 2]),
+    "max_antimatching": lambda g, bad: max_antimatching(g, [bad, 2]),
+    "gap": lambda g, bad: gap(g, bad),
+    "save": lambda g, bad: save(g, _L, bad),
+    "profile": lambda g, bad: profile(g, _L, bad, Fraction(1, 50), Fraction(1, 50)),
+    "is_proper_key": lambda g, bad: is_proper(g, _L, {bad: 0, 0: 1}),
+    "KnmInstance_matching": lambda g, bad: KnmInstance(
+        g.n, Matching.of([(bad, 2)]), uniform_lists(g.n, g.n)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+@pytest.mark.parametrize("entry", list(_TAKES_A_VERTEX))
+def test_a_bad_vertex_id_is_named_at_the_boundary(entry, bad):
+    # GraphError is a ValueError; -1 must not alias vertex n - 1
+    with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0, 5\)"):
+        _TAKES_A_VERTEX[entry](cycle(5), bad)

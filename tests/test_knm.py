@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from localcolor import knm
 from localcolor.graph import Graph, Matching, max_antimatching
 from localcolor.knm import (
     DensityAudit,
@@ -88,6 +89,20 @@ class TestColorKnm:
             color_knm(inst)  # success expected
             ok, _ = brute_force_L_colorable(inst.graph(), inst.lists)
             assert ok
+
+    @pytest.mark.parametrize(
+        "sdr",
+        [
+            lambda vertices, lists: {v: 1 for v in vertices},  # one color on K3
+            lambda vertices, lists: {v: 7 for v in vertices[:1]},  # partial, off the lists
+            lambda vertices, lists: {},  # nothing colored
+            lambda vertices, lists: dict(zip((0, 1, 3), (1, 2, 3))),  # a key outside K3
+        ],
+    )
+    def test_a_solver_fault_is_caught(self, monkeypatch, sdr):
+        monkeypatch.setattr(knm, "_distinct_representatives", sdr)
+        with pytest.raises(RuntimeError, match="solver fault"):
+            color_knm(KnmInstance(3, Matching.of([]), uniform_lists(3, 3)))
 
 
 class TestDensityAudit:

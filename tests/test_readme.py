@@ -1,8 +1,11 @@
-"""The README's Python example runs as written, so the docs cannot keep a
-name that the package no longer has."""
+"""The README's Python example and CLI block run as written, so the docs
+cannot keep a name or a flag that the package no longer has."""
 
 import re
+import shlex
 from pathlib import Path
+
+from localcolor.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,19 @@ def test_python_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     # it prints the coloring and each vertex's share of uncolored trials
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(tmp_path)
+    codes = {}
+    for prog, cmd, *args in commands:
+        assert prog == "localcolor"
+        codes[cmd] = main([cmd, *args])
+    # audit exits 1: the README's subset is one where the density inequality fails
+    assert codes == {
+        "generate": 0, "color": 0, "estimate": 0, "audit": 1,
+        "extract": 0, "bounds": 0, "certify-constants": 0,
+    }
