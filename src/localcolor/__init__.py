@@ -3,13 +3,11 @@ procedure, savings bounds, density audits, and dense-subgraph extraction."""
 
 from .bounds import (
     aberrance_lower_bound,
-    delta_concentration_test,
     exceptional_prob_bound,
     ky_bound,
     minor_constants_check,
     pairs_trips_lower_bound,
     savings_gap_certificate,
-    structure_rhs,
     talagrand_median_tail,
     talagrand_tail,
     unact_expectation,
@@ -27,22 +25,14 @@ from .graph import (
     Matching,
     average_degree,
     local_clique_number,
-    mad_exact,
     max_antimatching,
-    max_clique_size,
-    rivin_triangle_bound,
-    triangle_count,
 )
-from .knm import DensityAudit, KnmInstance, color_knm, density_audit
+from .knm import DensityAudit, density_audit
 from .lists import (
     ListAssignment,
     VertexProfile,
-    brute_force_L_colorable,
-    f_choosable,
     gap,
-    is_L_critical,
     is_proper,
-    local_reed_list_sizes,
     make_lists,
     profile,
     save,
@@ -56,7 +46,6 @@ from .procedure import (
     compile_lists,
     default_rho,
     keep_constant,
-    keep_frequency,
     keep_probability,
     pipeline_color,
 )

@@ -1,11 +1,10 @@
-"""Closed-form evaluators for the quantitative bounds, plus concentration tools.
+"""Closed-form evaluators for the quantitative bounds, plus tail bounds.
 
 Every evaluator takes raw numbers rather than graph handles, so the abstract
 inequalities can be certified independently of any instance; thin helpers in
 the experiment runner extract the parameters from vertex profiles.  The tail
-machinery (a Talagrand-style inequality tolerating exceptional outcomes, in
-expectation and median forms) supports auditing concentration of the savings
-random variables empirically.
+bounds are a Talagrand-style inequality tolerating exceptional outcomes, in
+expectation and median forms, and the exceptional-outcome probability bound.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 from .procedure import keep_constant
 
@@ -67,23 +64,6 @@ def pairs_trips_lower_bound(
         (k * e / listsize) * (k / (1 + alpha) ** 2 - math.sqrt(2 * e) / (3 * listsize))
         for e in (e1, e2)
     )
-
-
-def structure_rhs(
-    eps: float, alpha: float, beta: float, gap: int, d: int, n_notegal: int, n_weak: int
-) -> float:
-    """Structural sparsity demand a vertex profile places on expected savings:
-
-    (1/4 - eps(4+beta+2alpha)/(2(1-eps))) gap d
-      - (1/2 - eps(1+beta)/(2(1-eps))) d n_notegal
-      - (1/4 - eps(2+beta)/(2(1-eps))) gap n_weak
-    """
-    e = Fraction(eps)
-    a, b = Fraction(alpha), Fraction(beta)
-    c1 = Fraction(1, 4) - e * (4 + b + 2 * a) / (2 * (1 - e))
-    c2 = Fraction(1, 2) - e * (1 + b) / (2 * (1 - e))
-    c3 = Fraction(1, 4) - e * (2 + b) / (2 * (1 - e))
-    return float(c1 * gap * d - c2 * d * n_notegal - c3 * gap * n_weak)
 
 
 def savings_gap_certificate(
@@ -157,30 +137,6 @@ def exceptional_prob_bound(delta: float, sigma: float, eps: float) -> float:
         raise ValueError("sigma and eps must be in [0, 1)")
     ln_d = math.log(delta)
     return delta**4 * (math.e / ((1 - sigma) * (1 - eps) * ln_d)) ** ln_d
-
-
-_CONC_EXP = 9  # the power of log(delta) in delta_concentration_test's deviation
-
-
-def delta_concentration_test(samples: np.ndarray, delta: int) -> BoundReport:
-    """Empirical concentration check on >= 10^4 samples.
-
-    Holds when P[|X - mean| >= 2 max(mean^(5/6), log^9 delta)] stays
-    below delta^-4 / 16 (diagnostic at desk scale; the inequality targets
-    large maximum degree).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 10**4:
-        raise ValueError("need at least 10^4 samples")
-    if delta < 2:
-        raise ValueError("needs maximum degree at least 2")
-    mean = samples.mean()
-    dev = 2 * max(mean ** (5 / 6) if mean > 0 else 0.0, math.log(delta) ** _CONC_EXP)
-    tail = float((np.abs(samples - mean) >= dev).mean())
-    tol = delta ** (-4) / 16
-    return BoundReport(
-        "delta_concentration", tail, tol, tail < tol, {"deviation": dev, "mean": float(mean)}
-    )
 
 
 # --- density constants ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Simple undirected graphs and the exact combinatorial primitives built on them.
+"""Simple undirected graphs and the exact primitives the commands use on them:
+local clique numbers, complement edge counts and maximum antimatchings.
 
 Vertices are integers 0..n-1.  A graph is a sorted CSR: the neighbors of v
 are nbr[ptr[v]:ptr[v + 1]], in ascending order, so adjacency order does not
@@ -154,9 +155,6 @@ class Matching:
     def of(pairs: Iterable[tuple[int, int]]) -> "Matching":
         return Matching(frozenset((min(p), max(p)) for p in pairs))
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(x for e in self.edges for x in e)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -206,30 +204,12 @@ def local_clique_number(g: Graph, v: int) -> int:
     return 1 + _max_clique_in(g, g.adj[v])
 
 
-def max_clique_size(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(local_clique_number(g, v) for v in range(g.n))
-
-
 def complement_edge_count(g: Graph, s: Iterable[int]) -> int:
     """Edge count of the complement of the subgraph induced on s."""
     vs = _vertex_set(g, s)
     inside = set(vs)
     k = len(vs)
     return k * (k - 1) // 2 - sum(len(g.adj[v] & inside) for v in vs) // 2
-
-
-def triangle_count(g: Graph) -> int:
-    count = 0
-    for u, v in g.edges():
-        count += sum(1 for w in g.adj[u] & g.adj[v] if w > v)
-    return count
-
-
-def rivin_triangle_bound(edge_count: int) -> float:
-    """Upper bound (2m)^(3/2)/6 on the number of triangles of an m-edge graph."""
-    return (2 * edge_count) ** 1.5 / 6
 
 
 def complement_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -250,47 +230,3 @@ def average_degree(g: Graph) -> Fraction:
     if g.n == 0:
         raise GraphError("average degree of the empty graph is undefined")
     return Fraction(2 * g.edge_count(), g.n)
-
-
-def _denser_subset(g: Graph, target: Fraction) -> list[int] | None:
-    """Nonempty S with 2|E(S)|/|S| > target, or None.
-
-    Goldberg's max-flow construction with integer-scaled capacities, so the
-    strict comparison is exact.
-    """
-    m = g.edge_count()
-    if m == 0:
-        return None
-    # Test m(S)/|S| > p/q where p/q = target/2.
-    half = target / 2
-    p, q = half.numerator, half.denominator
-    net = nx.DiGraph()
-    for v in range(g.n):
-        net.add_edge("s", v, capacity=m * q)
-        net.add_edge(v, "t", capacity=m * q + 2 * p - q * len(g.adj[v]))
-    for u, v in g.edges():
-        net.add_edge(u, v, capacity=q)
-        net.add_edge(v, u, capacity=q)
-    cut_value, (source_side, _) = nx.minimum_cut(net, "s", "t")
-    if cut_value >= m * g.n * q:
-        return None
-    dense = sorted(v for v in source_side if v != "s")
-    return dense or None
-
-
-def mad_exact(g: Graph) -> Fraction:
-    """Maximum average degree over all nonempty subgraphs, as an exact rational."""
-    if g.n < 1:
-        raise GraphError("mad requires at least one vertex")
-    if g.edge_count() == 0:
-        return Fraction(0)
-    best = average_degree(g)
-    while True:
-        better = _denser_subset(g, best)
-        if better is None:
-            return best
-        sub = g.subgraph(better)
-        candidate = average_degree(sub)
-        if candidate <= best:  # cannot happen; guards against a flow bug
-            raise RuntimeError("densest-subgraph improvement step failed to improve")
-        best = candidate

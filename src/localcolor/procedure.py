@@ -47,7 +47,7 @@ import numpy as np
 
 from .correspondence import CorrespondenceAssignment
 from .graph import Graph
-from .lists import Color, Coloring, ListAssignment, is_proper
+from .lists import Color, Coloring, ListAssignment, check_list_count, is_proper
 
 
 class PreconditionError(ValueError):
@@ -202,6 +202,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     through a dense (vertex, color rank) table when that table is no larger
     than `match`, and by a binary search otherwise.
     """
+    check_list_count(g, L)
     lists = [sorted(L[v]) for v in range(g.n)]
     rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
     sizes = np.array([len(row) for row in lists], dtype=np.int64)
@@ -284,20 +285,6 @@ def check_equalization_precondition(
 
 
 # --- the batch sampler -------------------------------------------------------
-
-
-def keep_frequency(
-    phi_idx: np.ndarray, uncolored: np.ndarray, inst: CompiledInstance, v: int
-) -> dict[Color, tuple[float, int]]:
-    """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning
-    trials), from the (n, trials) color indices and uncolored mask of a batch."""
-    out = {}
-    kept = ~uncolored[v]
-    for i, c in enumerate(inst.lists[v]):
-        sel = phi_idx[v] == i
-        m = int(sel.sum())
-        out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
-    return out
 
 
 # cells per block of the flip draw; bounds its float and index temporaries

@@ -2,7 +2,8 @@
 
 The library never holds an (n, trials) array of savings: `estimate` reduces
 the rows of `savings_rows` one vertex at a time.  Tests that compare trial by
-trial stack those rows here.
+trial stack those rows here.  `keep_frequency` reads the empirical keep
+rate of each color off a batch's color indices and uncolored mask.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from localcolor.lists import Color
 from localcolor.procedure import (
     CompiledInstance,
     ProcedureParams,
@@ -58,3 +60,17 @@ def stacked_batch(
     """`trials` equalized trials (naive if equalize=False) drawn by batch_draws,
     stacked."""
     return stack_trials(inst, params, *batch_draws(inst, params, trials, seed, equalize))
+
+
+def keep_frequency(
+    phi_idx: np.ndarray, uncolored: np.ndarray, inst: CompiledInstance, v: int
+) -> dict[Color, tuple[float, int]]:
+    """Empirical P[v kept | phi(v) = c] per color: (frequency, #conditioning
+    trials), from the (n, trials) color indices and uncolored mask of a batch."""
+    out = {}
+    kept = ~uncolored[v]
+    for i, c in enumerate(inst.lists[v]):
+        sel = phi_idx[v] == i
+        m = int(sel.sum())
+        out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
+    return out

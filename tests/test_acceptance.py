@@ -14,6 +14,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from exact import (
+    KnmInstance,
+    brute_force_L_colorable,
+    color_knm,
+    is_L_critical,
+    rivin_triangle_bound,
+    triangle_count,
+)
 from localcolor.bounds import (
     aberrance_lower_bound,
     ky_bound,
@@ -31,18 +39,9 @@ from localcolor.graph import (
     Matching,
     average_degree,
     complement_subgraph,
-    rivin_triangle_bound,
-    triangle_count,
 )
-from localcolor.knm import KnmInstance, color_knm, density_audit
-from localcolor.lists import (
-    brute_force_L_colorable,
-    is_L_critical,
-    is_proper,
-    make_lists,
-    profile,
-    uniform_lists,
-)
+from localcolor.knm import density_audit
+from localcolor.lists import is_proper, make_lists, profile, uniform_lists
 from localcolor.procedure import (
     TRIAL_CHUNK,
     PreconditionError,
@@ -52,13 +51,12 @@ from localcolor.procedure import (
     compile_lists,
     default_rho,
     keep_constant,
-    keep_frequency,
     pipeline_color,
     savings_rows,
     settle_trials,
     uncolored_trials,
 )
-from stacked import stack_trials, stacked_batch
+from stacked import keep_frequency, stack_trials, stacked_batch
 
 PARAMS = ProcedureParams()
 
@@ -145,7 +143,7 @@ def test_02_density_audit_exhaustive(capsys):
             for subset in itertools.combinations(range(g.n), r):
                 s = frozenset(subset)
                 for m in all_maximal_antimatchings(g, s):
-                    rec = density_audit(g, L, s, m, critical=True)
+                    rec = density_audit(g, L, s, m)
                     checked += 1
                     if not rec.holds:
                         violations += 1

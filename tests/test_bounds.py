@@ -2,20 +2,17 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcolor.bounds import (
     aberrance_lower_bound,
-    delta_concentration_test,
     exceptional_prob_bound,
     ky_bound,
     minor_constants_check,
     pairs_trips_lower_bound,
     savings_gap_certificate,
-    structure_rhs,
     talagrand_median_tail,
     talagrand_tail,
     unact_expectation,
@@ -53,33 +50,6 @@ class TestPairsTripsBound:
     def test_upper_cap(self):
         k, a, ls, e1, e2 = 0.5, 1 / 50, 12, 9, 30
         assert pairs_trips_lower_bound(k, a, ls, e1, e2) <= k**2 * e2 / ls + 1e-12
-
-
-class TestStructureRhs:
-    def test_eps_zero_simple(self):
-        assert structure_rhs(0, 1 / 50, 1 / 50, 3, 8, 0, 0) == pytest.approx(3 * 8 / 4)
-
-    def test_balanced_cancellation(self):
-        d = 8
-        assert structure_rhs(0, 1 / 50, 1 / 50, d, d, d // 2, 0) == pytest.approx(0.0)
-
-    def test_high_precision_agreement(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            e = rng.uniform(0, 0.2)
-            a, b = rng.uniform(0.001, 1, 2)
-            gap, d = rng.integers(0, 50), rng.integers(1, 80)
-            nn, nw = rng.integers(0, 30), rng.integers(0, 30)
-            got = structure_rhs(
-                Fraction(e).limit_denominator(10**6), a, b, int(gap), int(d), int(nn), int(nw)
-            )
-            ef = mpmath.mpf(float(Fraction(e).limit_denominator(10**6)))
-            am, bm = mpmath.mpf(a), mpmath.mpf(b)
-            c1 = mpmath.mpf(1) / 4 - ef * (4 + bm + 2 * am) / (2 * (1 - ef))
-            c2 = mpmath.mpf(1) / 2 - ef * (1 + bm) / (2 * (1 - ef))
-            c3 = mpmath.mpf(1) / 4 - ef * (2 + bm) / (2 * (1 - ef))
-            want = c1 * int(gap) * int(d) - c2 * int(d) * int(nn) - c3 * int(gap) * int(nw)
-            assert got == pytest.approx(float(want), rel=1e-12, abs=1e-12)
 
 
 class TestCertificate:
@@ -153,22 +123,6 @@ class TestExceptional:
     def test_domain(self):
         with pytest.raises(ValueError):
             exceptional_prob_bound(1, 0, 0)
-
-
-class TestDeltaConcentration:
-    def test_constant_rv(self):
-        rep = delta_concentration_test(np.full(10**4, 3.0), 8)
-        assert rep.lhs == 0 and rep.holds
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            delta_concentration_test(np.zeros(100), 8)
-
-    def test_unact_star_diagnostic(self):
-        rng = np.random.default_rng(0)
-        samples = rng.binomial(8, 0.5, size=10**5).astype(float)
-        rep = delta_concentration_test(samples, 8)
-        assert 0 <= rep.lhs <= 1  # diagnostic only at this scale
 
 
 class TestKyBound:

@@ -136,7 +136,6 @@ class TestSpliceProperty:
     @given(random_instance())
     @settings(max_examples=50, deadline=None)
     def test_residual_coloring_splices_to_proper(self, inst):
-        from localcolor.lists import brute_force_L_colorable
         from scalar_reference import sample_naive
 
         g, L, seed = inst

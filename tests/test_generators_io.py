@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import brute_force_L_colorable
 from localcolor.formats import (
     FormatError,
     correspondence_from_json,
@@ -20,20 +21,21 @@ from localcolor.formats import (
 from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.experiment import build_params
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
-from localcolor.graph import Graph, max_clique_size
-from localcolor.lists import brute_force_L_colorable, make_lists, uniform_lists
+from localcolor.graph import Graph, local_clique_number
+from localcolor.lists import make_lists, uniform_lists
 
 
 class TestGenerators:
     def test_c5_t1_is_c5(self):
         g = gen_c5_blowup(1)
-        assert g.n == 5 and g.edge_count() == 5 and max_clique_size(g) == 2
+        assert g.n == 5 and g.edge_count() == 5
+        assert max(local_clique_number(g, v) for v in range(g.n)) == 2
 
     def test_c5_t2(self):
         g = gen_c5_blowup(2)
         assert g.n == 10
         assert all(len(g.adj[v]) == 5 for v in range(10))
-        assert max_clique_size(g) == 4
+        assert max(local_clique_number(g, v) for v in range(g.n)) == 4
         ok4, _ = brute_force_L_colorable(g, uniform_lists(10, 4))
         ok5, _ = brute_force_L_colorable(g, uniform_lists(10, 5))
         assert not ok4 and ok5  # chromatic number 5
@@ -42,7 +44,7 @@ class TestGenerators:
     def test_c5_closed_forms(self, t):
         g = gen_c5_blowup(t)
         assert all(len(g.adj[v]) == 3 * t - 1 for v in range(g.n))
-        assert max_clique_size(g) == 2 * t
+        assert max(local_clique_number(g, v) for v in range(g.n)) == 2 * t
 
     def test_complete_bipartite(self):
         g = gen_complete_bipartite(2, 4)

@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import KnmInstance, rivin_triangle_bound, triangle_count
 from localcolor.graph import (
     Graph,
     GraphError,
     Matching,
-    average_degree,
     complement_edge_count,
     complement_subgraph,
     degree,
     local_clique_number,
-    mad_exact,
     max_antimatching,
-    max_clique_size,
-    rivin_triangle_bound,
-    triangle_count,
 )
-from localcolor.knm import KnmInstance
 from localcolor.lists import gap, is_proper, profile, save, uniform_lists
 
 
@@ -40,6 +35,10 @@ def edgeless(n):
 def petersen():
     G = nx.petersen_graph()
     return Graph.from_edges(10, G.edges())
+
+
+def max_clique(g):
+    return max(local_clique_number(g, v) for v in range(g.n))
 
 
 @st.composite
@@ -146,16 +145,16 @@ class TestCliques:
     def test_k4_minus_edge(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert local_clique_number(g, 2) == 3
-        assert max_clique_size(g) == 3
+        assert max_clique(g) == 3
 
     def test_cycle_triangle_free(self):
         assert all(local_clique_number(cycle(5), v) == 2 for v in range(5))
 
     def test_petersen(self):
-        assert max_clique_size(petersen()) == 2
+        assert max_clique(petersen()) == 2
 
     def test_single_vertex(self):
-        assert max_clique_size(edgeless(1)) == 1
+        assert max_clique(edgeless(1)) == 1
 
     @given(graphs(max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -165,7 +164,7 @@ class TestCliques:
             for sub in itertools.combinations(range(g.n), r):
                 if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                     best = max(best, r)
-        assert max_clique_size(g) == best
+        assert max_clique(g) == best
         assert all(local_clique_number(g, v) <= best for v in range(g.n))
 
 
@@ -232,32 +231,6 @@ class TestAntimatching:
         assert len(m) == brute_max_matching(comp)
         for u, v in m.edges:
             assert not g.has_edge(u, v)
-
-
-class TestMad:
-    def test_complete(self):
-        assert mad_exact(complete(4)) == 3
-
-    def test_tree(self):
-        star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-        assert mad_exact(star) == Fraction(2 * 5, 6)
-        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert mad_exact(path) == Fraction(6, 4)
-
-    def test_k24(self):
-        g = Graph.from_edges(6, [(i, 2 + j) for i in range(2) for j in range(4)])
-        assert mad_exact(g) == Fraction(8, 3)
-
-    @given(graphs(max_n=8))
-    @settings(max_examples=40, deadline=None)
-    def test_vs_brute(self, g):
-        brute = max(
-            Fraction(2 * g.subgraph(sub).edge_count(), len(sub))
-            for r in range(1, g.n + 1)
-            for sub in itertools.combinations(range(g.n), r)
-        )
-        assert mad_exact(g) == brute
-        assert mad_exact(g) >= average_degree(g)
 
 
 # Every public entry that takes a vertex id or a vertex set, called on C5 with

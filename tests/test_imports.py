@@ -1,13 +1,16 @@
 """Static import rules for the package: every import sits at module level,
-no module imports another module's underscore (private) names, and the
-package exports each name from the module that defines it."""
+no module imports another module's underscore (private) names, the package
+exports each name from the module that defines it, and every exported name
+is reached from a command or named in the README's library overview."""
 
 import ast
+import re
 from pathlib import Path
 
 import localcolor
 
 PACKAGE_DIR = Path(localcolor.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _in_package(node: ast.ImportFrom) -> bool:
@@ -59,17 +62,20 @@ def test_package_imports_are_module_level_and_public():
     assert found == []
 
 
+def bound_names(node: ast.stmt) -> set[str]:
+    """Names a top-level statement binds itself, not by importing them."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
 def defined_names(source: str) -> set[str]:
     """Names a module binds at top level itself, not by importing them."""
-    names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
+    return {name for node in ast.parse(source).body for name in bound_names(node)}
 
 
 def reexports(init_source: str, module_source) -> list[str]:
@@ -91,3 +97,73 @@ def test_reexport_guard_catches_a_shim():
 def test_package_exports_come_from_their_defining_modules():
     init = (PACKAGE_DIR / "__init__.py").read_text()
     assert reexports(init, lambda m: (PACKAGE_DIR / f"{m}.py").read_text()) == []
+
+
+def exported_names(init_source: str) -> list[str]:
+    """The names `from .m import ...` lines bind in the package's __init__."""
+    return [
+        alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def reached_names(sources: dict[str, str], root: str) -> set[str]:
+    """Top-level names reached from the definitions of module `root`.
+
+    A definition reaches every name it mentions, as a name or an attribute,
+    and a reached name brings in every top-level definition of that name in
+    any module of `sources`: a walk over names, not over resolved bindings,
+    so it can only over-approximate.
+    """
+    defs: dict[str, list[ast.AST]] = {}
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            for name in bound_names(node):
+                defs.setdefault(name, []).append(node)
+    todo = [
+        node
+        for node in ast.parse(sources[root]).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    seen: set[str] = set()
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name in defs and name not in seen:
+                seen.add(name)
+                todo += defs[name]
+    return seen
+
+
+def documented_names(readme: str) -> set[str]:
+    """Identifiers inside backticks in the README's "Library overview"."""
+    section = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    return {
+        name
+        for span in re.findall(r"`([^`]*)`", section)
+        for name in re.findall(r"[A-Za-z_]\w*", span)
+    }
+
+
+def unsupported_exports(init: str, sources: dict[str, str], readme: str) -> list[str]:
+    """Exported names that no cli function reaches and the overview does not name."""
+    known = reached_names(sources, "cli") | documented_names(readme)
+    return [name for name in exported_names(init) if name not in known]
+
+
+def test_surface_guard_catches_an_unreached_export():
+    sources = {
+        "cli": "from .a import f\ndef main():\n    return f()\n",
+        "a": "def f():\n    return g.x\ndef g():\n    pass\ndef x():\n    pass\ndef h():\n    pass\n",
+    }
+    init = "from .a import f, g, h, k, x\n"
+    readme = "## Library overview\n\n- `k(n)` is documented.\n\n## CLI\n\n`h`\n"
+    assert unsupported_exports(init, sources, readme) == ["h"]
+
+
+def test_every_export_is_reached_from_cli_or_documented():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    init = sources.pop("__init__")
+    assert unsupported_exports(init, sources, README.read_text()) == []

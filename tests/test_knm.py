@@ -4,22 +4,11 @@ import time
 
 import pytest
 
-from localcolor import knm
+import exact
+from exact import HypothesisError, KnmInstance, brute_force_L_colorable, color_knm, is_L_critical
 from localcolor.graph import Graph, Matching, max_antimatching
-from localcolor.knm import (
-    DensityAudit,
-    HypothesisError,
-    KnmInstance,
-    color_knm,
-    density_audit,
-)
-from localcolor.lists import (
-    brute_force_L_colorable,
-    is_L_critical,
-    is_proper,
-    make_lists,
-    uniform_lists,
-)
+from localcolor.knm import density_audit
+from localcolor.lists import is_proper, make_lists, uniform_lists
 
 
 def random_valid_instance(rng: random.Random, n_max=12) -> KnmInstance:
@@ -100,7 +89,7 @@ class TestColorKnm:
         ],
     )
     def test_a_solver_fault_is_caught(self, monkeypatch, sdr):
-        monkeypatch.setattr(knm, "_distinct_representatives", sdr)
+        monkeypatch.setattr(exact, "_distinct_representatives", sdr)
         with pytest.raises(RuntimeError, match="solver fault"):
             color_knm(KnmInstance(3, Matching.of([]), uniform_lists(3, 3)))
 

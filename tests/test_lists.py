@@ -1,23 +1,22 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from localcolor.graph import Graph
+from exact import brute_force_L_colorable, is_L_critical
+from localcolor.experiment import run_estimate
+from localcolor.graph import Graph, GraphError, Matching
+from localcolor.knm import density_audit
 from localcolor.lists import (
-    brute_force_L_colorable,
-    f_choosable,
     gap,
-    is_L_critical,
     is_proper,
-    local_reed_list_sizes,
     make_lists,
     profile,
     save,
     uniform_lists,
 )
+from localcolor.procedure import ProcedureParams, compile_lists, pipeline_color
 
 
 def complete(n):
@@ -92,19 +91,6 @@ class TestProfile:
         assert classes == g.adj[2]
 
 
-class TestLocalReed:
-    def test_complete(self):
-        assert local_reed_list_sizes(complete(4)) == [4] * 4
-
-    def test_cycle(self):
-        assert local_reed_list_sizes(cycle(5)) == [3] * 5
-
-    def test_c5_blowup(self):
-        from localcolor.generators import gen_c5_blowup
-
-        assert local_reed_list_sizes(gen_c5_blowup(2)) == [5] * 10
-
-
 class TestBruteForce:
     def test_k3_two_colors(self):
         ok, _ = brute_force_L_colorable(complete(3), uniform_lists(3, 2))
@@ -140,36 +126,25 @@ class TestCriticality:
         assert all(len(L[v]) <= len(g.adj[v]) for v in range(5))
 
 
-class TestChoosability:
-    def test_k3(self):
-        assert not f_choosable(complete(3), [2] * 3)
-        assert f_choosable(complete(3), [3] * 3)
+# Every entry that takes a graph and its lists, called on C5 with lists L.
+_TAKES_LISTS = {
+    "is_proper": lambda g, L, tmp: is_proper(g, L, {}),
+    "save": lambda g, L, tmp: save(g, L, 0),
+    "profile": lambda g, L, tmp: profile(g, L, 0, Fraction(1, 50), Fraction(1, 50)),
+    "density_audit": lambda g, L, tmp: density_audit(g, L, range(5), Matching.of([])),
+    "compile_lists": lambda g, L, tmp: compile_lists(g, L),
+    "pipeline_color": lambda g, L, tmp: pipeline_color(
+        g, L, ProcedureParams(), 20, np.random.default_rng(0)
+    ),
+    "run_estimate": lambda g, L, tmp: run_estimate(g, L, {}, 50, 0, tmp, {}),
+    "brute_force_L_colorable": lambda g, L, tmp: brute_force_L_colorable(g, L),
+    "is_L_critical": lambda g, L, tmp: is_L_critical(g, L),
+}
 
-    def test_trees_2_choosable(self):
-        for g in (path(5), Graph.from_edges(6, [(0, i) for i in range(1, 6)])):
-            assert f_choosable(g, [2] * g.n)
 
-    def test_k24(self):
-        g = Graph.from_edges(6, [(i, 2 + j) for i in range(2) for j in range(4)])
-        assert not f_choosable(g, [2] * 6)
-        assert f_choosable(g, [3] * 6)
-
-    def test_c5(self):
-        assert not f_choosable(cycle(5), [2] * 5)
-        assert f_choosable(cycle(5), [3] * 5)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_agrees_with_universal_brute_force(self, n, k):
-        g = cycle(n)
-        claim = f_choosable(g, [k] * g.n)
-        # quantify over assignments from a universe of 2k colors; a bad
-        # assignment, if one exists, survives relabeling into 2k colors
-        # because each list meets at most k distinct colors of any witness
-        universe = range(2 * k)
-        found_bad = False
-        for rows in itertools.product(itertools.combinations(universe, k), repeat=g.n):
-            if not brute_force_L_colorable(g, make_lists(rows))[0]:
-                found_bad = True
-                break
-        assert claim == (not found_bad)
+@pytest.mark.parametrize("count", [3, 7])
+@pytest.mark.parametrize("entry", list(_TAKES_LISTS))
+def test_a_list_count_other_than_n_is_named(entry, count, tmp_path):
+    with pytest.raises(GraphError, match=f"^{count} lists for a graph on 5 vertices$"):
+        _TAKES_LISTS[entry](cycle(5), uniform_lists(count, 3), tmp_path / "out")
+    assert not (tmp_path / "out").exists()

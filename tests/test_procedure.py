@@ -41,7 +41,6 @@ from localcolor.procedure import (
     draw_trials,
     greedy_complete,
     keep_constant,
-    keep_frequency,
     keep_probability,
     keep_table,
     pipeline_color,
@@ -58,7 +57,7 @@ from scalar_reference import (
     sample_naive,
     savings_of,
 )
-from stacked import stack_trials, stacked_batch
+from stacked import keep_frequency, stack_trials, stacked_batch
 
 
 def path(n):
