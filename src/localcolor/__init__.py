@@ -1,5 +1,5 @@
-"""Randomized local list and correspondence coloring: the equalized naive
-procedure, savings bounds, density audits, and dense-subgraph extraction."""
+"""Randomized local list coloring: the equalized naive procedure, savings
+bounds, density audits, and dense-subgraph extraction."""
 
 from .bounds import (
     aberrance_lower_bound,
@@ -11,12 +11,6 @@ from .bounds import (
     talagrand_median_tail,
     talagrand_tail,
     unact_expectation,
-)
-from .correspondence import (
-    CorrespondenceAssignment,
-    identity_correspondence,
-    is_lm_coloring,
-    make_total,
 )
 from .extraction import ExtractionResult, extract_dense_subgraph
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
@@ -42,11 +36,9 @@ from .procedure import (
     CompiledInstance,
     PipelineReport,
     ProcedureParams,
-    compile_instance,
     compile_lists,
     default_rho,
     keep_constant,
-    keep_probability,
     pipeline_color,
 )
 

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: generate | color | estimate | audit | extract | bounds |
-certify-constants.  Graphs travel as DIMACS .col, lists and correspondences
-as JSON, estimation results as CSV plus a manifest.
+certify-constants.  Graphs travel as DIMACS .col, lists as JSON, estimation
+results as CSV plus a manifest.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -201,15 +202,7 @@ def cmd_extract(args) -> int:
 
 
 def _jsonable(x):
-    if dataclasses.is_dataclass(x):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(x).items()}
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return x
+    return dataclasses.asdict(x) if dataclasses.is_dataclass(x) else x
 
 
 def cmd_bounds(args) -> int:
@@ -222,32 +215,37 @@ def cmd_bounds(args) -> int:
         ) from None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bound {which!r}: {exc}") from None
+    except ArithmeticError as exc:  # the value overflows a float, or divides by zero
+        raise argparse.ArgumentTypeError(
+            f"bound {which!r}: {type(exc).__name__} at these parameters"
+        ) from None
     print(json.dumps(_jsonable(rep), indent=2))
     return 0
 
 
 def _evaluate_bound(which: str, params: dict[str, str]):
+    def num(key: str, default: str | None = None) -> float:
+        """params[key] as a finite float; a missing key with no default is a KeyError."""
+        text = params[key] if default is None else params.get(key, default)
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {key!r} must be a finite number, got {text!r}")
+        return value
+
     if which == "talagrand":
         return bounds_mod.talagrand_tail(
-            float(params["t"]),
-            int(params["r"]),
-            float(params["chg"]),
-            float(params["expect"]),
-            float(params.get("p_exc", 0)),
-            float(params.get("sup_x", 0)),
+            num("t"), int(params["r"]), num("chg"), num("expect"), num("p_exc", "0"),
+            num("sup_x", "0"),
         )
     if which == "talagrand-median":
         return bounds_mod.talagrand_median_tail(
-            float(params["t"]),
-            int(params["r"]),
-            float(params["chg"]),
-            float(params["med"]),
-            float(params.get("p_exc", 0)),
+            num("t"), int(params["r"]), num("chg"), num("med"), num("p_exc", "0")
         )
     if which == "exceptional":
-        return bounds_mod.exceptional_prob_bound(
-            float(params["delta"]), float(params.get("sigma", 0)), float(params.get("eps", 0))
-        )
+        return bounds_mod.exceptional_prob_bound(num("delta"), num("sigma", "0"), num("eps", "0"))
     return bounds_mod.ky_bound(int(params["k"]), int(params["n"]))
 
 
@@ -278,7 +276,7 @@ def main(argv=None) -> int:
     p.add_argument("--lists", required=True)
     _add_param_args(p)
     p.add_argument("--rounds", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.set_defaults(fn=cmd_color)
 
     p = sub.add_parser("estimate", help="Monte Carlo savings estimates vs bounds")
@@ -286,7 +284,7 @@ def main(argv=None) -> int:
     p.add_argument("--lists", required=True)
     _add_param_args(p)
     p.add_argument("--trials", type=_int_at_least(2), default=10_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_estimate)
 

@@ -28,12 +28,11 @@ stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
 drawn in one call, which takes the same numbers from the stream as one call
 per vertex.  `settle_trials` (all directed edges at once) gives
 `pipeline_color`'s savings check the uncolored set, unact and save_drop.
-An instance is compiled in one of two ways: `compile_lists` builds the
-tables of a list assignment (the identity correspondence made total)
-straight from the sorted lists, and `compile_instance` reads them off a
-general correspondence assignment.  `pipeline_color` takes lists and checks
-its finished coloring against them: every vertex colored from its own list,
-no edge with equal colors at its ends.
+`compile_lists` builds the tables of a list assignment (the identity
+correspondence made total) straight from the sorted lists.
+`pipeline_color` takes lists and checks its finished coloring against them:
+every vertex colored from its own list, no edge with equal colors at its
+ends.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .correspondence import CorrespondenceAssignment
 from .graph import Graph
 from .lists import Color, Coloring, ListAssignment, check_list_count, is_proper
 
@@ -96,39 +94,20 @@ def keep_constant(eps: float | Fraction, rho: float) -> float:
     return 0.999 * rho * math.exp(-rho / (1 - eps))
 
 
-def keep_probability(
-    g: Graph, ca: CorrespondenceAssignment, rho: float, v: int, c: Color
-) -> float:
-    """Exact P[v survives | phi(v) = c] under the naive procedure.
-
-    v survives iff it is activated and no threatening neighbor u (one with
-    |L(u)| >= |L(v)| whose matching carries c into L(u)) is both activated
-    and assigned the matched color; the neighbor trials are independent.
-    """
-    if c not in ca.lists[v]:
-        raise ValueError(f"color {c} is not in the list of vertex {v}")
-    p = rho
-    size_v = len(ca.lists[v])
-    for u in g.nbr[g.ptr[v] : g.ptr[v + 1]].tolist():  # ascending, as keep_table
-        if len(ca.lists[u]) < size_v:
-            continue
-        if c in dict(ca.pairs(v, u)):
-            p *= 1 - rho / len(ca.lists[u])
-    return p
-
-
 # --- the compiled instance ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CompiledInstance:
-    """A correspondence assignment as flat index arrays.
+    """A list assignment as flat index arrays, compiled by `compile_lists`.
+    The arrays can also hold a general correspondence assignment, a partial
+    matching between the lists of each edge's ends; the tests build those.
 
     The directed edges are the graph's CSR entries, numbered by (tail, head)
     ascending: those of vertex v are ptr[v] .. ptr[v + 1] - 1, and edge e
     runs from tail[e] to head[e], so graphs that compare equal compile to
-    equal arrays; big[e]
-    holds when |L(head)| >= |L(tail)|, so that the head can uncolor the tail.
+    equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the
+    head can uncolor the tail.
     Its map starts at block[e] in `match`, a flat array: match[block[e] + i]
     is the index in lists[head[e]] of the color matched to the i-th color of
     the tail, or -1 when that color is unmatched.  back[e] is the block of
@@ -148,20 +127,6 @@ class CompiledInstance:
     match: np.ndarray
 
 
-def _layout(g: Graph, sizes: np.ndarray):
-    """The arrays shared by both compile paths: (start, ptr, tail, head, big,
-    block, rev), where the edges are the graph's CSR entries, sorted by
-    (tail, head), in the order of the blocks of `match`, and rev[e] is the
-    reverse edge of e."""
-    start = np.concatenate(([0], np.cumsum(sizes)))
-    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
-    head = g.nbr
-    width = sizes[tail]
-    # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
-    rev = np.argsort(head * g.n + tail)
-    return start, g.ptr, tail, head, sizes[head] >= width, np.cumsum(width) - width, rev
-
-
 def _cells(
     start: np.ndarray, tail: np.ndarray, block: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,27 +138,8 @@ def _cells(
     return edge, entry
 
 
-def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
-    """Index arrays of `ca`, filled in one pass over the edge matchings."""
-    lists = [sorted(ca.lists[v]) for v in range(g.n)]
-    index_of = [{c: i for i, c in enumerate(row)} for row in lists]
-    sizes = np.array([len(row) for row in lists], dtype=np.int64)
-    start, ptr, tail, head, big, block, rev = _layout(g, sizes)
-    offset = dict(zip(zip(tail.tolist(), head.tolist()), block.tolist()))
-    match = [-1] * int(sizes[tail].sum())
-    for (u, v), pairs in ca.matchings.items():
-        fwd, back = offset[(u, v)], offset[(v, u)]
-        for cu, cv in pairs:
-            iu, iv = index_of[u][cu], index_of[v][cv]
-            match[fwd + iu] = iv
-            match[back + iv] = iu
-    match = np.array(match, dtype=np.int64)
-    return CompiledInstance(lists, sizes, start, ptr, tail, head, big, block, block[rev], match)
-
-
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
-    """compile_instance(g, make_total(g, identity_correspondence(g, L))), built
-    straight from the sorted lists.
+    """The compiled instance of `L`: the identity correspondence made total.
 
     On every edge the common colors pair as identity, then each side's
     remaining colors zip in ascending order.  Colors are replaced by their
@@ -209,7 +155,14 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     ranks = np.array([rank[c] for row in lists for c in row], dtype=np.int64)
     # (vertex, color rank) of every list entry as one key, ascending end to end
     key = np.repeat(np.arange(g.n), sizes) * len(rank) + ranks
-    start, ptr, tail, head, big, block, rev = _layout(g, sizes)
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
+    head = g.nbr
+    width = sizes[tail]
+    block = np.cumsum(width) - width
+    big = sizes[head] >= width
+    # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
+    rev = np.argsort(head * g.n + tail)
     # every cell looks its tail's color up in its head's list
     edge, entry = _cells(start, tail, block, sizes)
     query = ranks[entry]
@@ -236,13 +189,14 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     paired = free_rank < nfree[other]
     other = other[paired]
     match[free[paired]] = free[free_start[other] + free_rank[paired]] - block[other]
-    return CompiledInstance(lists, sizes, start, ptr, tail, head, big, block, block[rev], match)
+    return CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, block[rev], match)
 
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
-    """The flat keep table: table[start[v] + i] = keep_probability(g, ca, rho,
-    v, lists[v][i]), bit for bit: the factors are multiplied in ascending
-    neighbor order, as keep_probability does."""
+    """The flat keep table: table[start[v] + i] is the exact probability that v
+    survives given it chose lists[v][i], rho times 1 - rho / |L(u)| for each
+    threatening neighbor u (big edge, color matched), multiplied in ascending
+    neighbor order."""
     edge, entry = _cells(inst.start, inst.tail, inst.block, inst.sizes)
     threat = np.flatnonzero(inst.big[edge] & (inst.match >= 0))
     flat = np.full(int(inst.start[-1]), float(rho))
@@ -491,13 +445,11 @@ def batch_draws(
     params: ProcedureParams,
     trials: int,
     seed: int,
-    equalize: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of `trials` equalized trials (naive if equalize=False) on a
-    Philox stream fixed by `seed`, after the precondition check."""
-    rng = np.random.default_rng(np.random.Philox(seed))
-    table = check_equalization_precondition(inst, params) if equalize else None
-    return draw_trials(inst, params, table, trials, rng)
+    """The draws of `trials` equalized trials on a Philox stream fixed by
+    `seed`, after the precondition check."""
+    table = check_equalization_precondition(inst, params)
+    return draw_trials(inst, params, table, trials, np.random.default_rng(np.random.Philox(seed)))
 
 
 # --- the end-to-end pipeline ------------------------------------------------

@@ -1,12 +1,18 @@
-"""Scalar, one-trial-at-a-time reference for the vectorized sampler and the
-greedy completion.
+"""Scalar, one-trial-at-a-time reference for the compiled instance, the
+vectorized sampler and the greedy completion.
 
-These functions follow the procedure's definitions directly on the
-frozenset correspondence representation.  The tests use them as the oracle
-that `localcolor.procedure.uncolored_trials` and `savings_rows` (stacked by
-`stacked.stack_trials`), `settle_trials` and `greedy_complete` must match
-trial by trial: sampling and savings, then the residual assignment, its
-greedy coloring and the splice back onto the colored part.
+Correspondence assignments pair each edge uv with a matching between the
+colors of L(u) and L(v); a coloring is proper when no edge uses a matched
+pair jointly, and identity matchings recover list coloring.  They are
+stored sparsely per normalized edge (u < v) as frozensets of (c_u, c_v)
+pairs.  The functions here follow the procedure's definitions directly on
+that representation.  The tests use them as the oracle that
+`localcolor.procedure.compile_lists` (against `compile_instance` of the
+identity correspondence made total), `keep_table` (against
+`keep_probability`), `uncolored_trials` and `savings_rows` (stacked by
+`stacked.stack_trials`), `settle_trials` and `greedy_complete` must match:
+compiling, sampling and savings, then the residual assignment, its greedy
+coloring and the splice back onto the colored part.
 """
 
 from __future__ import annotations
@@ -16,22 +22,166 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from localcolor.correspondence import (
-    CorrespondenceAssignment,
-    CorrespondenceError,
-    Edge,
-    Pair,
-)
 from localcolor.graph import Graph
 from localcolor.lists import Color, Coloring, ListAssignment
 from localcolor.procedure import (
+    CompiledInstance,
     ProcedureParams,
     check_equalization_precondition,
-    compile_instance,
-    keep_probability,
 )
 
+Edge = tuple[int, int]
+Pair = tuple[Color, Color]
 Precedes = Callable[[int, int], bool]
+
+
+class CorrespondenceError(ValueError):
+    """Raised for assignments whose per-edge pairs do not form a matching."""
+
+
+@dataclass(frozen=True)
+class CorrespondenceAssignment:
+    """Lists plus a per-edge matching; edge keys are exactly E(G), u < v."""
+
+    lists: ListAssignment
+    matchings: Mapping[Edge, frozenset[Pair]]
+
+    def pairs(self, u: int, v: int) -> frozenset[Pair]:
+        """Matched pairs oriented (c_u, c_v)."""
+        if u < v:
+            return self.matchings[(u, v)]
+        return frozenset((cv, cu) for cu, cv in self.matchings[(v, u)])
+
+
+def validate(g: Graph, ca: CorrespondenceAssignment) -> None:
+    edges = set(g.edges())
+    if set(ca.matchings) != edges:
+        raise CorrespondenceError("matching keys must be exactly the edge set")
+    if len(ca.lists) != g.n:
+        raise CorrespondenceError("lists must cover every vertex")
+    for (u, v), pairs in ca.matchings.items():
+        us = [cu for cu, _ in pairs]
+        vs = [cv for _, cv in pairs]
+        if len(set(us)) != len(us) or len(set(vs)) != len(vs):
+            raise CorrespondenceError(f"pairs on edge ({u},{v}) are not a matching")
+        for cu, cv in pairs:
+            if cu not in ca.lists[u] or cv not in ca.lists[v]:
+                raise CorrespondenceError(
+                    f"pair ({cu},{cv}) on edge ({u},{v}) uses a color outside the lists"
+                )
+
+
+def identity_correspondence(g: Graph, L: ListAssignment) -> CorrespondenceAssignment:
+    """M_uv = {(c, c) : c in L(u) & L(v)} on every edge."""
+    matchings = {
+        (u, v): frozenset((c, c) for c in L[u] & L[v]) for u, v in g.edges()
+    }
+    return CorrespondenceAssignment(L, matchings)
+
+
+def is_total(g: Graph, ca: CorrespondenceAssignment) -> bool:
+    """Every edge's matching saturates at least one endpoint's list."""
+    for u, v in g.edges():
+        pairs = ca.matchings[(u, v)]
+        if len(pairs) < min(len(ca.lists[u]), len(ca.lists[v])):
+            return False
+    return True
+
+
+def make_total(g: Graph, ca: CorrespondenceAssignment) -> CorrespondenceAssignment:
+    """Extend each edge matching until one side is saturated.
+
+    Identity pairs (c, c) on common colors are added first whenever both
+    sides are still unmatched, then remaining unmatched colors are paired in
+    ascending order.  The output's pairs are a superset of the input's, so
+    every coloring proper for the output is proper for the input; starting
+    from an identity correspondence, the output's colorings are therefore
+    honest list colorings.
+    """
+    validate(g, ca)
+    new = {}
+    for u, v in g.edges():
+        pairs = set(ca.matchings[(u, v)])
+        used_u = {cu for cu, _ in pairs}
+        used_v = {cv for _, cv in pairs}
+        for c in sorted(ca.lists[u] & ca.lists[v]):
+            if c not in used_u and c not in used_v:
+                pairs.add((c, c))
+                used_u.add(c)
+                used_v.add(c)
+        free_u = sorted(ca.lists[u] - used_u)
+        free_v = sorted(ca.lists[v] - used_v)
+        for cu, cv in zip(free_u, free_v):
+            pairs.add((cu, cv))
+        new[(u, v)] = frozenset(pairs)
+    return CorrespondenceAssignment(ca.lists, new)
+
+
+def is_lm_coloring(g: Graph, ca: CorrespondenceAssignment, phi: Mapping[int, Color]) -> bool:
+    """phi is total, list-respecting, and uses no matched pair jointly."""
+    if set(phi) != set(range(g.n)):
+        return False
+    for v in range(g.n):
+        if phi[v] not in ca.lists[v]:
+            return False
+    for u, v in g.edges():
+        if (phi[u], phi[v]) in ca.pairs(u, v):
+            return False
+    return True
+
+
+def keep_probability(
+    g: Graph, ca: CorrespondenceAssignment, rho: float, v: int, c: Color
+) -> float:
+    """Exact P[v survives | phi(v) = c] under the naive procedure.
+
+    v survives iff it is activated and no threatening neighbor u (one with
+    |L(u)| >= |L(v)| whose matching carries c into L(u)) is both activated
+    and assigned the matched color; the neighbor trials are independent.
+    """
+    if c not in ca.lists[v]:
+        raise ValueError(f"color {c} is not in the list of vertex {v}")
+    p = rho
+    size_v = len(ca.lists[v])
+    for u in sorted(g.adj[v]):  # ascending, as keep_table
+        if len(ca.lists[u]) < size_v:
+            continue
+        if c in dict(ca.pairs(v, u)):
+            p *= 1 - rho / len(ca.lists[u])
+    return p
+
+
+def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
+    """The index arrays of `ca`, built edge by edge over `g.adj`."""
+    lists = [sorted(ca.lists[v]) for v in range(g.n)]
+    index_of = [{c: i for i, c in enumerate(row)} for row in lists]
+    start, ptr, tail, head, big, block = [0], [0], [], [], [], []
+    cells = 0
+    for v in range(g.n):
+        start.append(start[-1] + len(lists[v]))
+        for u in sorted(g.adj[v]):
+            tail.append(v)
+            head.append(u)
+            big.append(len(lists[u]) >= len(lists[v]))
+            block.append(cells)
+            cells += len(lists[v])
+        ptr.append(len(tail))
+    offset = dict(zip(zip(tail, head), block))
+    back = [offset[(u, v)] for v, u in zip(tail, head)]
+    match = [-1] * cells
+    for (u, v), pairs in ca.matchings.items():
+        for cu, cv in pairs:
+            iu, iv = index_of[u][cu], index_of[v][cv]
+            match[offset[(u, v)] + iu] = iv
+            match[offset[(v, u)] + iv] = iu
+
+    def ints(x):
+        return np.array(x, dtype=np.int64)
+
+    return CompiledInstance(
+        lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
+        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(match),
+    )
 
 
 def list_size_order(lists: ListAssignment) -> Precedes:

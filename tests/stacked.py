@@ -17,6 +17,7 @@ from localcolor.procedure import (
     CompiledInstance,
     ProcedureParams,
     batch_draws,
+    draw_trials,
     savings_rows,
     uncolored_trials,
 )
@@ -50,6 +51,14 @@ def stack_trials(
     return Batch(phi_idx, act, uncolored, *terms)
 
 
+def naive_draws(
+    inst: CompiledInstance, params: ProcedureParams, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of `trials` naive trials, no equalizing flips, on the Philox
+    stream that batch_draws uses for `seed`."""
+    return draw_trials(inst, params, None, trials, np.random.default_rng(np.random.Philox(seed)))
+
+
 def stacked_batch(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -57,9 +66,10 @@ def stacked_batch(
     seed: int,
     equalize: bool = True,
 ) -> Batch:
-    """`trials` equalized trials (naive if equalize=False) drawn by batch_draws,
-    stacked."""
-    return stack_trials(inst, params, *batch_draws(inst, params, trials, seed, equalize))
+    """`trials` equalized trials drawn by batch_draws (naive ones drawn by
+    naive_draws if equalize=False), stacked."""
+    draws = batch_draws if equalize else naive_draws
+    return stack_trials(inst, params, *draws(inst, params, trials, seed))
 
 
 def keep_frequency(

@@ -31,7 +31,6 @@ from localcolor.bounds import (
     talagrand_tail,
     unact_expectation,
 )
-from localcolor.correspondence import identity_correspondence, is_lm_coloring, make_total
 from localcolor.extraction import extract_dense_subgraph
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import (
@@ -56,7 +55,8 @@ from localcolor.procedure import (
     settle_trials,
     uncolored_trials,
 )
-from stacked import keep_frequency, stack_trials, stacked_batch
+from scalar_reference import identity_correspondence, is_lm_coloring, make_total
+from stacked import keep_frequency, naive_draws, stack_trials, stacked_batch
 
 PARAMS = ProcedureParams()
 
@@ -406,7 +406,7 @@ def test_12_talagrand_star(capsys):
     def center_unact(trials, seed):
         """stacked_batch(inst, PARAMS, trials, seed, equalize=False).unact[0]:
         the row evaluator stops after the center, vertex 0."""
-        act, phi_idx, heads = batch_draws(inst, PARAMS, trials, seed, equalize=False)
+        act, phi_idx, heads = naive_draws(inst, PARAMS, trials, seed)
         uncolored = uncolored_trials(inst, act, phi_idx, heads)
         return next(savings_rows(inst, PARAMS, act, phi_idx, uncolored))[3]
 

@@ -21,6 +21,21 @@ GOLDEN_MANIFEST_SHA256 = "8607e14d3989ef7cc2da027aa753ad5702c865896ca288d2e187d9
 GOLDEN_COLOR_GNP40_SHA256 = "84e9f20d7ca1796f079e4dd7ad4ee128318432d1e4558642ba3bf6fbd05a90ff"
 GOLDEN_COLOR_C5_SHA256 = "a6341bb3e1dad1f8ebb3ef2c7937c1ccdd282548abf30fd7a386c85087b87929"
 
+# (exit code, SHA-256 of stdout) of the report commands, measured while their
+# JSON writer still converted tuples, fractions and arrays by hand.
+GOLDEN_REPORTS = {
+    "bounds --which talagrand --params t=500,r=1,chg=1,expect=10,p_exc=0.001,sup_x=50": (
+        0, "20bbe61d49f94f5ebc52483bc123df24d41e1ddc69b3f51c787c61dc04643558",
+    ),
+    "bounds --which ky --params k=4,n=10": (
+        0, "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+    ),
+    # its savings-gap value is -Infinity
+    "certify-constants --eps 1/10": (
+        1, "c1ccb7d49c4d244ccfb9d1b523e90ec7c3b17f30ec96fb908bade3a8aab44505",
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -117,6 +132,12 @@ def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
     }
 
 
+@pytest.mark.parametrize("command", GOLDEN_REPORTS)
+def test_report_output_is_pinned(command, capsys):
+    code = main(command.split())
+    assert (code, sha256(capsys.readouterr().out.encode())) == GOLDEN_REPORTS[command]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -158,6 +179,24 @@ def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
         (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
           "seed=1", "--out", "out", "--lists-out", "u.json", "--uniform-lists", "-1"],
          "argument --uniform-lists: must be at least 1, got -1"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "-1"],
+         "argument --seed: must be at least 0, got -1"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "-1",
+          "--out-dir", "out"], "argument --seed: must be at least 0, got -1"),
+        (["bounds", "--which", "talagrand", "--params", "t=inf,r=1,chg=1,expect=1"],
+         "bound 'talagrand': parameter 't' must be a finite number, got 'inf'"),
+        (["bounds", "--which", "talagrand", "--params", "t=5,r=1,chg=1,expect=1,p_exc=1/9"],
+         "bound 'talagrand': parameter 'p_exc' must be a finite number, got '1/9'"),
+        (["bounds", "--which", "exceptional", "--params", "delta=nan"],
+         "bound 'exceptional': parameter 'delta' must be a finite number, got 'nan'"),
+        (["bounds", "--which", "exceptional", "--params", "delta=1e100"],
+         "bound 'exceptional': OverflowError at these parameters"),
+        (["bounds", "--which", "talagrand", "--params", "t=1e200,r=1,chg=1,expect=1"],
+         "bound 'talagrand': OverflowError at these parameters"),
+        (["bounds", "--which", "talagrand-median", "--params", "t=1e200,r=1,chg=1,med=1"],
+         "bound 'talagrand-median': OverflowError at these parameters"),
+        (["bounds", "--which", "talagrand-median", "--params", "t=1,r=1,chg=1,med=-1"],
+         "bound 'talagrand-median': ZeroDivisionError at these parameters"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -210,6 +249,10 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
         ("bad.col", "c two edges\np edge 3 2\ne 1 2\n",
          ["color", "--graph", "bad.col", "--lists", "l.json", "--seed", "1"],
          "bad.col: line 2: the problem line declares 2 edges, the file has 1 e lines"),
+        # the first offending vertex is named, whatever the later ones hold
+        ("first.json", '{"lists": [[1, true], [0.5]]}',
+         ["color", "--graph", "g.col", "--lists", "first.json", "--seed", "1"],
+         "first.json: list of vertex 0: color True is not an integer"),
     ],
 )
 def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localcolor.correspondence import (
+from localcolor.graph import Graph
+from localcolor.lists import make_lists, uniform_lists
+from scalar_reference import (
     CorrespondenceAssignment,
     CorrespondenceError,
     identity_correspondence,
     is_lm_coloring,
+    is_naive_partial,
     is_total,
     make_total,
+    residual,
+    splice,
     validate,
 )
-from localcolor.graph import Graph
-from localcolor.lists import make_lists, uniform_lists
-from scalar_reference import is_naive_partial, residual, splice
 
 
 def path(n):

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from exact import brute_force_L_colorable
 from localcolor.formats import (
     FormatError,
-    correspondence_from_json,
-    correspondence_to_json,
     emit_dimacs,
     lists_from_json,
     lists_to_json,
     parse_dimacs,
 )
-from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.experiment import build_params
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from localcolor.graph import Graph, local_clique_number
@@ -115,64 +112,6 @@ class TestJsonRoundtrips:
     def test_lists(self):
         L = make_lists([[0, 2], [1], [3, 4, 5]])
         assert lists_from_json(json.loads(json.dumps(lists_to_json(L)))) == L
-
-    def test_correspondence(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        ca = make_total(g, identity_correspondence(g, make_lists([[0, 1], [1, 2], [2, 3]])))
-        obj = json.loads(json.dumps(correspondence_to_json(ca)))
-        assert correspondence_from_json(obj, g) == ca
-
-    @pytest.mark.parametrize(
-        "lists, pairs, where",
-        [
-            ([[1, True], [2, "a"]], [], "list of vertex 0: color True"),
-            ([[1, True], [0.5]], [], "list of vertex 0: color True"),
-            ([[1, 2], [2, "a"]], [], "list of vertex 1: color 'a'"),
-            ([[1, 2], [0.5]], [], "list of vertex 1: color 0.5"),
-            ([[1, 2], [1, 2]], [[True, 2]], r"pair on edge \(0,1\) at vertex 0: color True"),
-            # (2, True) == (2, 1), so a set of the pairs would hide the bool
-            (
-                [[1, 2], [1, 2]],
-                [[2, 1], [2, True]],
-                r"pair on edge \(0,1\) at vertex 1: color True",
-            ),
-        ],
-    )
-    def test_correspondence_colors_are_integers(self, lists, pairs, where):
-        # True == 1, so a bool color would silently read as 1
-        g = Graph.from_edges(2, [(0, 1)])
-        obj = json.loads(json.dumps({"lists": lists, "edges": [{"u": 0, "v": 1, "pairs": pairs}]}))
-        with pytest.raises(FormatError, match=f"^{where} is not an integer$"):
-            correspondence_from_json(obj, g)
-
-    @pytest.mark.parametrize(
-        "u, v, where",
-        [
-            (False, True, "u=False, v=True"),
-            (0, True, "u=0, v=True"),
-            (0, 1.0, "u=0, v=1.0"),
-            ("0", 1, "u='0', v=1"),
-        ],
-    )
-    def test_correspondence_edge_ends_are_integers(self, u, v, where):
-        # false/true would read as the edge (0, 1)
-        g = Graph.from_edges(2, [(0, 1)])
-        obj = json.loads(json.dumps({"lists": [[1], [1]], "edges": [{"u": u, "v": v, "pairs": []}]}))
-        with pytest.raises(FormatError, match=f"^edge record 0: {where} are not both integers$"):
-            correspondence_from_json(obj, g)
-
-    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
-    def test_correspondence_edge_recorded_twice(self, second):
-        # a dict of the records would silently keep the last one
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        edges = [
-            {"u": 0, "v": 1, "pairs": [[1, 1]]},
-            {"u": 1, "v": 2, "pairs": []},
-            {"u": second[0], "v": second[1], "pairs": []},
-        ]
-        obj = {"lists": [[1], [1], [1]], "edges": edges}
-        with pytest.raises(FormatError, match=r"^edge record 2: a second record for edge \(0,1\)$"):
-            correspondence_from_json(obj, g)
 
 
 def run_cli(*args):

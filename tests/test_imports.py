@@ -1,7 +1,8 @@
 """Static import rules for the package: every import sits at module level,
 no module imports another module's underscore (private) names, the package
-exports each name from the module that defines it, and every exported name
-is reached from a command or named in the README's library overview."""
+exports each name from the module that defines it, and every exported name,
+indeed every top-level definition, is reached from a command or named in the
+README's library overview."""
 
 import ast
 import re
@@ -167,3 +168,31 @@ def test_every_export_is_reached_from_cli_or_documented():
     sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
     init = sources.pop("__init__")
     assert unsupported_exports(init, sources, README.read_text()) == []
+
+
+def unreached_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """"m.name" for each top-level name a module m defines that is neither a cli
+    definition, nor reached from one, nor named in the overview."""
+    known = defined_names(sources["cli"]) | reached_names(sources, "cli")
+    known |= documented_names(readme)
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in defined_names(source)
+        if name not in known
+    )
+
+
+def test_definition_guard_catches_unreached_code():
+    sources = {
+        "cli": "from .a import f\ndef main():\n    return f()\n",
+        "a": "E = int\ndef f():\n    pass\ndef g():\n    pass\ndef h():\n    pass\n",
+    }
+    readme = "## Library overview\n\n- `h` is documented.\n"
+    assert unreached_definitions(sources, readme) == ["a.E", "a.g"]
+
+
+def test_every_definition_is_reached_from_cli_or_documented():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    del sources["__init__"]
+    assert unreached_definitions(sources, README.read_text()) == []

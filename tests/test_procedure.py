@@ -16,13 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localcolor import correspondence, experiment, procedure
-from localcolor.correspondence import (
-    CorrespondenceAssignment,
-    identity_correspondence,
-    is_lm_coloring,
-    make_total,
-)
+import scalar_reference
+from localcolor import experiment, procedure
 from localcolor.generators import gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
@@ -35,23 +30,27 @@ from localcolor.procedure import (
     ProcedureParams,
     batch_draws,
     check_equalization_precondition,
-    compile_instance,
     compile_lists,
     default_rho,
     draw_trials,
     greedy_complete,
     keep_constant,
-    keep_probability,
     keep_table,
     pipeline_color,
     settle_trials,
 )
 from scalar_reference import (
+    CorrespondenceAssignment,
     PartialColoring,
     _uncolored_naive,
+    compile_instance,
     complete_reference,
     draw_color_indices,
+    identity_correspondence,
+    is_lm_coloring,
+    keep_probability,
     list_size_order,
+    make_total,
     residual,
     sample_equalized,
     sample_naive,
@@ -84,7 +83,7 @@ def correspondence_calls(monkeypatch):
         return pairs(self, u, v)
 
     monkeypatch.setattr(CorrespondenceAssignment, "pairs", counted)
-    for module in (correspondence, experiment, procedure):
+    for module in (scalar_reference, experiment, procedure):
         for name in ("identity_correspondence", "make_total"):
             monkeypatch.setattr(
                 module, name, lambda *a, name=name: calls.append(name), raising=False
@@ -822,11 +821,10 @@ def test_batch_golden():
 SAVE_DROP_SCRIPT = """
 import sys
 import numpy as np
-from localcolor.correspondence import identity_correspondence, make_total
 from localcolor.graph import Graph
 from localcolor.lists import make_lists
 from localcolor.procedure import ProcedureParams, compile_lists, draw_trials, settle_trials
-from scalar_reference import residual
+from scalar_reference import identity_correspondence, make_total, residual
 
 g = Graph.from_edges(70, [(0, i) for i in range(1, 70)])
 L = make_lists([range(70)] * 70)
