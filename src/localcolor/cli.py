@@ -2,13 +2,15 @@
 
 Subcommands: generate | color | estimate | audit | extract | bounds |
 certify-constants.  Graphs travel as DIMACS .col, lists as JSON, estimation
-results as CSV plus a manifest.
+results as CSV plus a manifest.  The argument parser is built once per
+process, so repeated in-process calls of `main` do not rebuild it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -235,18 +237,26 @@ def _evaluate_bound(which: str, params: dict[str, str]):
             raise ValueError(f"parameter {key!r} must be a finite number, got {text!r}")
         return value
 
+    def whole(key: str) -> int:
+        """params[key] as an int; a missing key is a KeyError."""
+        text = params[key]
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"parameter {key!r} must be an integer, got {text!r}") from None
+
     if which == "talagrand":
         return bounds_mod.talagrand_tail(
-            num("t"), int(params["r"]), num("chg"), num("expect"), num("p_exc", "0"),
+            num("t"), whole("r"), num("chg"), num("expect"), num("p_exc", "0"),
             num("sup_x", "0"),
         )
     if which == "talagrand-median":
         return bounds_mod.talagrand_median_tail(
-            num("t"), int(params["r"]), num("chg"), num("med"), num("p_exc", "0")
+            num("t"), whole("r"), num("chg"), num("med"), num("p_exc", "0")
         )
     if which == "exceptional":
         return bounds_mod.exceptional_prob_bound(num("delta"), num("sigma", "0"), num("eps", "0"))
-    return bounds_mod.ky_bound(int(params["k"]), int(params["n"]))
+    return bounds_mod.ky_bound(whole("k"), whole("n"))
 
 
 def cmd_certify_constants(args) -> int:
@@ -259,7 +269,10 @@ def cmd_certify_constants(args) -> int:
     return 0 if cert.holds and minor.holds else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it
+    was, so in-process callers of main share it."""
     ap = argparse.ArgumentParser(prog="localcolor")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -310,7 +323,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("certify-constants", help="check the parameter certificates")
     _add_param_args(p)
     p.set_defaults(fn=cmd_certify_constants)
+    return ap
 
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -97,15 +97,19 @@ def lists_from_json(obj: dict) -> ListAssignment:
         rows = [list(row) for row in obj["lists"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad lists object: {exc}") from exc
-    for v, row in enumerate(rows):
-        if all(type(c) is int for c in row) and len(set(row)) == len(row):
-            continue
+    # one pass over every color; a frozenset per row is only formed once all
+    # are integers (a list among them would make it raise), and serves both
+    # the repeat check and the lists
+    typed = {type(c) for row in rows for c in row} <= {int}
+    sets = [frozenset(row) for row in rows] if typed else []
+    if not typed or any(len(s) != len(row) for s, row in zip(sets, rows)):
         # name the first offending color
-        seen = set()
-        for c in row:
-            if type(c) is not int:  # bool is a subclass of int, and True == 1
-                raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
-            if c in seen:
-                raise FormatError(f"list of vertex {v} repeats color {c}")
-            seen.add(c)
-    return make_lists(rows)
+        for v, row in enumerate(rows):
+            seen = set()
+            for c in row:
+                if type(c) is not int:  # bool is a subclass of int, and True == 1
+                    raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
+                if c in seen:
+                    raise FormatError(f"list of vertex {v} repeats color {c}")
+                seen.add(c)
+    return make_lists(sets)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .graph import Graph, GraphError, degree, local_clique_number
 
 Color = int
@@ -102,14 +104,21 @@ def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction
 
 def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
     """Proper on its domain and list-respecting; a key that is not a vertex
-    of g is a GraphError."""
+    of g is a GraphError.
+
+    Colors are replaced by ranks before any array is formed, so no color
+    value bounds the check; both ends of every CSR edge are then compared
+    at once, an uncolored end as -1."""
     check_list_count(g, L)
-    for v, c in coloring.items():
+    for v in coloring:
         if not 0 <= v < g.n:  # before L[v] can alias it
             raise GraphError(f"vertex {v} out of range [0, {g.n})")
-        if c not in L[v]:
-            return False
-        for u in g.adj[v]:
-            if u in coloring and coloring[u] == c:
-                return False
-    return True
+    if not all(c in L[v] for v, c in coloring.items()):
+        return False
+    rank = {c: r for r, c in enumerate(set(coloring.values()))}
+    color = np.full(g.n, -1, dtype=np.int64)
+    color[np.fromiter(coloring, dtype=np.int64, count=len(coloring))] = [
+        rank[c] for c in coloring.values()
+    ]
+    at_tail = color[np.repeat(np.arange(g.n), np.diff(g.ptr))]
+    return not ((at_tail >= 0) & (at_tail == color[g.nbr])).any()

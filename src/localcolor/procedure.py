@@ -29,10 +29,13 @@ drawn in one call, which takes the same numbers from the stream as one call
 per vertex.  `settle_trials` (all directed edges at once) gives
 `pipeline_color`'s savings check the uncolored set, unact and save_drop.
 `compile_lists` builds the tables of a list assignment (the identity
-correspondence made total) straight from the sorted lists.
-`pipeline_color` takes lists and checks its finished coloring against them:
-every vertex colored from its own list, no edge with equal colors at its
-ends.
+correspondence made total) straight from the sorted lists, and
+`keep_table` reads only the cells of the edges whose head can uncolor
+their tail.  `pipeline_color` takes lists, completes its trial with
+`greedy_complete` (a vectorized pass for the kept neighbors, then a loop
+over the edges between uncolored vertices) and checks its finished
+coloring against the lists: every vertex colored from its own list, no edge
+with equal colors at its ends.
 """
 
 from __future__ import annotations
@@ -127,17 +130,6 @@ class CompiledInstance:
     match: np.ndarray
 
 
-def _cells(
-    start: np.ndarray, tail: np.ndarray, block: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(edge, entry) of every cell of `match`: its directed edge, and the flat
-    (vertex, color) table entry of its tail's color."""
-    edge = np.repeat(np.arange(len(tail)), sizes[tail])
-    entry = np.arange(len(edge))
-    entry += (start[tail] - block)[edge]
-    return edge, entry
-
-
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     """The compiled instance of `L`: the identity correspondence made total.
 
@@ -163,8 +155,11 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     big = sizes[head] >= width
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
-    # every cell looks its tail's color up in its head's list
-    edge, entry = _cells(start, tail, block, sizes)
+    # every cell looks its tail's color up in its head's list; entry is the
+    # flat (vertex, color) table entry of the cell's tail color
+    edge = np.repeat(np.arange(len(tail)), width)
+    entry = np.arange(len(edge))
+    entry += (start[tail] - block)[edge]
     query = ranks[entry]
     query += (head * len(rank))[edge]
     if g.n * len(rank) <= len(query):
@@ -196,12 +191,24 @@ def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     """The flat keep table: table[start[v] + i] is the exact probability that v
     survives given it chose lists[v][i], rho times 1 - rho / |L(u)| for each
     threatening neighbor u (big edge, color matched), multiplied in ascending
-    neighbor order."""
-    edge, entry = _cells(inst.start, inst.tail, inst.block, inst.sizes)
-    threat = np.flatnonzero(inst.big[edge] & (inst.match >= 0))
+    neighbor order.  Only the cells of big edges are visited: no other cell
+    carries a factor."""
+    big = np.flatnonzero(inst.big)
+    tail = inst.tail[big]
+    width = inst.sizes[tail]
+    # every cell of a big edge's block, in edge order: the flat table entry of
+    # its tail's color, then its place in match
+    entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
+    entry += np.arange(len(entry))
+    cell = np.repeat(inst.block[big] - inst.start[tail], width)
+    cell += entry
+    # an unmatched color is not threatened: its factor is 1.0, which leaves
+    # the entry exactly as it was
+    factor = np.repeat(1 - rho / inst.sizes[inst.head[big]], width)
+    factor[inst.match[cell] < 0] = 1.0
     flat = np.full(int(inst.start[-1]), float(rho))
     # ufunc.at applies the factors in cell order, which is ascending neighbor order
-    np.multiply.at(flat, entry[threat], (1 - rho / inst.sizes[inst.head])[edge[threat]])
+    np.multiply.at(flat, entry, factor)
     return flat
 
 
@@ -465,21 +472,42 @@ def greedy_complete(
     not matched to the color of an already colored neighbor, whether that
     neighbor kept its trial color or was completed before.  Returns (color
     index per vertex, blocked vertex).
+
+    One vectorized pass first clears, in a flat (vertex, color) byte table,
+    the indices every uncolored vertex loses to its kept neighbors; the loop
+    in completion order then reads only the edges to uncolored neighbors
+    completed before it, and takes the first free byte.
     """
-    sizes, ptr = inst.sizes.tolist(), inst.ptr.tolist()
-    color = np.where(uncolored, -1, phi_idx)
-    for v in sorted(np.flatnonzero(uncolored).tolist(), key=lambda v: (-sizes[v], v)):
-        e = slice(ptr[v], ptr[v + 1])
-        c = color[inst.head[e]]
-        on = c >= 0
-        taken = inst.match[inst.back[e][on] + c[on]]
-        free = np.ones(sizes[v], dtype=bool)
-        free[taken[taken >= 0]] = False
-        i = int(free.argmax())
-        if not free[i]:
+    start, tail, head, back, match = inst.start, inst.tail, inst.head, inst.back, inst.match
+    free = np.ones(int(start[-1]), dtype=np.uint8)
+    # the indices the kept heads of uncolored tails take
+    e = np.flatnonzero(uncolored[tail] & ~uncolored[head])
+    taken = match[back[e] + phi_idx[head[e]]]
+    free[(start[tail[e]] + taken)[taken >= 0]] = 0
+    free = bytearray(free)
+    order = np.flatnonzero(uncolored)
+    order = order[np.argsort(-inst.sizes[order], kind="stable")]
+    rank = np.empty(len(uncolored), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    # the edges from each uncolored tail to the uncolored heads completed
+    # before it, grouped by tail
+    e = np.flatnonzero(uncolored[tail] & uncolored[head])
+    e = e[rank[head[e]] < rank[tail[e]]]
+    ptr = np.searchsorted(tail[e], np.arange(len(uncolored) + 1)).tolist()
+    heads, backs, starts = head[e].tolist(), back[e].tolist(), start.tolist()
+    color = np.where(uncolored, -1, phi_idx).tolist()
+    cells = memoryview(match)  # indexing it yields Python ints, 4x faster than match[k]
+    for v in order.tolist():
+        s = starts[v]
+        for k in range(ptr[v], ptr[v + 1]):
+            t = cells[backs[k] + color[heads[k]]]
+            if t >= 0:
+                free[s + t] = 0
+        i = free.find(1, s, starts[v + 1])
+        if i < 0:
             return None, v
-        color[v] = i
-    return color, None
+        color[v] = i - s
+    return np.array(color, dtype=np.int64), None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact oracles the acceptance tests check paper claims with.
 
 Backtracking list-colorability and L-criticality, the constructive list
-coloring of K_n minus a matching under its list-size hypotheses, and the
-triangle count with Rivin's bound.  All are exact and meant for desk-scale
-instances; no command calls them.
+coloring of K_n minus a matching under its list-size hypotheses, the
+triangle count with Rivin's bound, and a plain edge walk that checks a
+coloring.  All are exact and meant for desk-scale instances; no command
+calls them.
 """
 
 from __future__ import annotations
@@ -188,3 +189,16 @@ def triangle_count(g: Graph) -> int:
 def rivin_triangle_bound(edge_count: int) -> float:
     """Upper bound (2m)^(3/2)/6 on the number of triangles of an m-edge graph."""
     return (2 * edge_count) ** 1.5 / 6
+
+
+def is_proper_walk(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
+    """is_proper as a plain walk over each colored vertex's neighbor set: every
+    color from its vertex's list, no two adjacent colored vertices with equal
+    colors.  Keys must be vertices of g."""
+    for v, c in coloring.items():
+        if c not in L[v]:
+            return False
+        for u in g.adj[v]:
+            if u in coloring and coloring[u] == c:
+                return False
+    return True

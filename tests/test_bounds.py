@@ -104,6 +104,22 @@ class TestTalagrand:
         assert talagrand_median_tail(0.0, 1, 1.0, 5.0, 0.0) >= 4
         assert talagrand_median_tail(3.0, 1, 1.0, 5.0, 1.0) >= 4
 
+    @pytest.mark.parametrize("p_exc", [-3.0, -1e-12, 1 + 1e-12, 2.0, math.nan])
+    def test_p_exc_outside_the_unit_interval_is_named(self, p_exc):
+        with pytest.raises(ValueError, match=r"^p_exc must be in \[0, 1\]"):
+            talagrand_tail(5.0, 1, 1.0, 1.0, p_exc, 0.0)
+        with pytest.raises(ValueError, match=r"^p_exc must be in \[0, 1\]"):
+            talagrand_median_tail(5.0, 1, 1.0, 1.0, p_exc)
+
+    def test_p_exc_at_the_ends_is_accepted(self):
+        for p_exc in (0.0, 1.0):
+            assert talagrand_tail(5.0, 1, 1.0, 1.0, p_exc, 0.0).lhs >= 4 * p_exc
+            assert talagrand_median_tail(5.0, 1, 1.0, 1.0, p_exc) >= 4 * p_exc
+
+    def test_negative_expectation_is_named(self):
+        with pytest.raises(ValueError, match=r"^expect must be at least 0, got -1.0$"):
+            talagrand_tail(5.0, 1, 1.0, -1.0, 0.0, 0.0)
+
 
 class TestExceptional:
     def test_base_one(self):

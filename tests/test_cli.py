@@ -197,6 +197,20 @@ def test_report_output_is_pinned(command, capsys):
          "bound 'talagrand-median': OverflowError at these parameters"),
         (["bounds", "--which", "talagrand-median", "--params", "t=1,r=1,chg=1,med=-1"],
          "bound 'talagrand-median': ZeroDivisionError at these parameters"),
+        (["bounds", "--which", "talagrand", "--params", "t=5,r=1,chg=1,expect=1,p_exc=-3"],
+         "bound 'talagrand': p_exc must be in [0, 1], got -3.0"),
+        (["bounds", "--which", "talagrand-median", "--params", "t=5,r=1,chg=1,med=1,p_exc=2"],
+         "bound 'talagrand-median': p_exc must be in [0, 1], got 2.0"),
+        (["bounds", "--which", "talagrand", "--params", "t=5,r=inf,chg=1,expect=1"],
+         "bound 'talagrand': parameter 'r' must be an integer, got 'inf'"),
+        (["bounds", "--which", "talagrand-median", "--params", "t=5,r=1.5,chg=1,med=1"],
+         "bound 'talagrand-median': parameter 'r' must be an integer, got '1.5'"),
+        (["bounds", "--which", "talagrand", "--params", "t=5,r=1,chg=1,expect=-1"],
+         "bound 'talagrand': expect must be at least 0, got -1.0"),
+        (["bounds", "--which", "ky", "--params", "k=abc,n=7"],
+         "bound 'ky': parameter 'k' must be an integer, got 'abc'"),
+        (["bounds", "--which", "ky", "--params", "k=4,n=7.0"],
+         "bound 'ky': parameter 'n' must be an integer, got '7.0'"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -207,6 +221,36 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     assert exc.value.code == 2
     assert named in err and "Traceback" not in err and out == ""
     assert not (gnp40 / "out").exists() and not (gnp40 / "u.json").exists()
+
+
+def test_back_to_back_calls_share_no_values(tmp_path, monkeypatch, capsys):
+    """main builds its parser once per process; no value given in one call,
+    appended --param items and parsed --params included, reaches a later one."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    gen = ["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+           "seed=1"]
+    code, graph, _ = run(*gen)
+    assert code == 0 and graph.startswith("p edge 10 ")
+    code, _, err = run("generate", "--name", "gnp", "--param", "n=10")
+    assert code == 2 and "generator 'gnp' needs parameter 'p'" in err
+    code, loose, _ = run("certify-constants", "--alpha", "1/10", "--eps", "1/100")
+    code, default, _ = run("certify-constants")
+    assert loose != default and json.loads(default)["savings_gap"]["holds"]
+    code, out, _ = run("bounds", "--which", "ky", "--params", "k=4,n=7")
+    assert (code, out) == (0, "11\n")
+    code, _, err = run("bounds", "--which", "ky")
+    assert code == 2 and "bound 'ky' needs parameter 'k'" in err
+    assert run(*gen) == (0, graph, "")
+    assert run("certify-constants") == (0, default, "")
 
 
 @pytest.mark.parametrize(
@@ -253,6 +297,13 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
         ("first.json", '{"lists": [[1, true], [0.5]]}',
          ["color", "--graph", "g.col", "--lists", "first.json", "--seed", "1"],
          "first.json: list of vertex 0: color True is not an integer"),
+        # an unhashable color is named too, before any row becomes a set
+        ("nested.json", '{"lists": [[0, 1], [2, 2], [[3], 4]]}',
+         ["color", "--graph", "g.col", "--lists", "nested.json", "--seed", "1"],
+         "nested.json: list of vertex 1 repeats color 2"),
+        ("nested.json", '{"lists": [[0, 1], [2, [3]], [4, 4]]}',
+         ["color", "--graph", "g.col", "--lists", "nested.json", "--seed", "1"],
+         "nested.json: list of vertex 1: color [3] is not an integer"),
     ],
 )
 def test_bad_input_files_exit_2_naming_them(gnp40, capsys, name, text, argv, named):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exact import brute_force_L_colorable, is_L_critical
+from exact import brute_force_L_colorable, is_L_critical, is_proper_walk
 from localcolor.experiment import run_estimate
 from localcolor.graph import Graph, GraphError, Matching
 from localcolor.knm import density_audit
@@ -107,6 +109,54 @@ class TestBruteForce:
         ok4, _ = brute_force_L_colorable(g, uniform_lists(10, 4))
         ok5, _ = brute_force_L_colorable(g, uniform_lists(10, 5))
         assert not ok4 and ok5
+
+
+class TestIsProper:
+    def test_color_outside_its_list(self):
+        L = make_lists([[0, 1], [1, 2], [0, 2]])
+        assert is_proper(path(3), L, {0: 0, 1: 1, 2: 2})
+        assert not is_proper(path(3), L, {0: 0, 1: 0, 2: 2})  # 0 is not in L(1)
+        assert not is_proper(path(3), L, {2: 1})
+
+    def test_equal_colors_on_an_edge(self):
+        L = uniform_lists(3, 3)
+        assert not is_proper(path(3), L, {0: 0, 1: 2, 2: 2})
+        assert not is_proper(complete(3), L, {0: 1, 1: 0, 2: 1})
+        assert is_proper(path(3), L, {0: 1, 1: 0, 2: 1})
+
+    def test_colors_of_2_to_the_63_and_above(self):
+        # equal colors beyond int64 conflict; colors one apart, which a float
+        # would merge, do not
+        big = [2**63, 2**63 + 1, 2**64 + 5]
+        L = make_lists([big] * 3)
+        assert not is_proper(path(3), L, {0: 2**63, 1: 2**63, 2: 2**64 + 5})
+        assert not is_proper(path(3), L, {0: 2**63, 1: 2**64 + 5, 2: 2**64 + 5})
+        assert is_proper(path(3), L, {0: 2**63, 1: 2**63 + 1, 2: 2**63})
+
+    def test_uncolored_vertex_is_ignored(self):
+        L = uniform_lists(3, 2)
+        # 0 and 2 share a color but no edge; the uncolored 1 between them
+        # conflicts with neither
+        assert is_proper(path(3), L, {0: 0, 2: 0})
+        assert is_proper(complete(3), L, {1: 0})
+        assert is_proper(complete(3), L, {})
+        assert not is_proper(complete(3), L, {0: 1, 2: 1})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_edge_walk(self, data):
+        n = data.draw(st.integers(1, 7))
+        possible = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        g = Graph.from_edges(n, edges)
+        palette = data.draw(st.sampled_from([range(4), [0, 2**63, 2**63 + 1, 2**64]]))
+        L = make_lists(
+            [data.draw(st.lists(st.sampled_from(palette), min_size=1, unique=True))
+             for _ in range(n)]
+        )
+        colored = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        coloring = {v: data.draw(st.sampled_from(palette)) for v in colored}
+        assert is_proper(g, L, coloring) == is_proper_walk(g, L, coloring)
 
 
 class TestCriticality:

@@ -403,6 +403,14 @@ class TestPipeline:
         assert report.succeeded
         assert correspondence_calls == []
 
+    def test_reads_the_graph_as_its_csr(self):
+        # neither the compile nor the final check builds the adj frozenset view
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(d + 1)) for d in np.diff(g.ptr).tolist()])
+        assert "adj" not in vars(g)
+        assert pipeline_color(g, L, ProcedureParams(), 20, rng_of(5)).succeeded
+        assert "adj" not in vars(g)
+
     def test_settles_without_the_savings_components(self, evaluator_calls):
         # the savings check reads uncolored, unact and save_drop only
         g = gen_gnp(40, 0.2, 2)
@@ -779,6 +787,36 @@ class TestSamplerMatchesReference:
                 assert color is None
             else:
                 assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
+
+
+def _blocked_k4_case():
+    """K4 with one 2-color list and three 3-color lists, every color shared:
+    the three larger lists are completed first and use all of 0, 1, 2, so
+    vertex 0, last in the order, is blocked."""
+    g = Graph.from_edges(4, itertools.combinations(range(4), 2))
+    L = make_lists([range(2), range(3), range(3), range(3)])
+    return g, make_total(g, identity_correspondence(g, L)), ProcedureParams(), True, 0
+
+
+@given(sampler_instance())
+@example(_blocked_k4_case())
+@example(_isolated_vertex_case())
+@settings(max_examples=80, deadline=None)
+def test_greedy_complete_with_every_vertex_uncolored(inst_case):
+    """The completion where it reads the most edges between uncolored
+    vertices, and no kept neighbor clears a color: every vertex uncolored,
+    against the frozenset residual path, blocked vertex included."""
+    g, ca, _, _, seed = inst_case
+    inst = compile_instance(g, ca)
+    phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
+    phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
+    color, blocked = greedy_complete(inst, phi_idx, np.ones(g.n, dtype=bool))
+    want, want_blocked = complete_reference(g, ca, phi, frozenset(range(g.n)))
+    assert blocked == want_blocked
+    if want is None:
+        assert color is None
+    else:
+        assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
 
 
 # SHA-256 of each stacked batch field (dtype, bytes) of the instance below,
