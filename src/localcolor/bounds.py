@@ -107,8 +107,8 @@ def talagrand_tail(
 
     The report's `holds` flag is the applicability test
     t > 96 chg sqrt(r E) + 128 r chg^2 + 8 p_exc sup_x; the bound value is
-    reported either way.  E below 0 or p_exc outside [0, 1] is a ValueError
-    naming it.
+    reported either way.  E or sup_x below 0, or p_exc outside [0, 1], is a
+    ValueError naming it.
     """
     if t <= 0 or chg <= 0 or r < 1:
         raise ValueError("need t > 0, chg > 0, r >= 1")
@@ -116,6 +116,8 @@ def talagrand_tail(
         raise ValueError(f"expect must be at least 0, got {expect}")
     if not 0 <= p_exc <= 1:
         raise ValueError(f"p_exc must be in [0, 1], got {p_exc}")
+    if sup_x < 0:
+        raise ValueError(f"sup_x must be at least 0, got {sup_x}")
     threshold = 96 * chg * math.sqrt(r * expect) + 128 * r * chg**2 + 8 * p_exc * sup_x
     bound = 4 * math.exp(-(t**2) / (8 * chg**2 * r * (4 * expect + t))) + 4 * p_exc
     return BoundReport(
@@ -126,9 +128,11 @@ def talagrand_tail(
 def talagrand_median_tail(t: float, r: int, chg: float, med: float, p_exc: float) -> float:
     """Median form, no applicability threshold:
     4 exp(-t^2 / (4 chg^2 r (med + t))) + 4 p_exc (may exceed 1, i.e. vacuous);
-    p_exc outside [0, 1] is a ValueError naming it."""
+    med below 0 or p_exc outside [0, 1] is a ValueError naming it."""
     if t < 0 or chg <= 0 or r < 1:
         raise ValueError("need t >= 0, chg > 0, r >= 1")
+    if med < 0:
+        raise ValueError(f"med must be at least 0, got {med}")
     if not 0 <= p_exc <= 1:
         raise ValueError(f"p_exc must be in [0, 1], got {p_exc}")
     if t == 0:

@@ -2,8 +2,11 @@
 
 Subcommands: generate | color | estimate | audit | extract | bounds |
 certify-constants.  Graphs travel as DIMACS .col, lists as JSON, estimation
-results as CSV plus a manifest.  The argument parser is built once per
-process, so repeated in-process calls of `main` do not rebuild it.
+results as CSV plus a manifest.  Each command registers only the procedure
+options its code reads, and `generate` and `bounds` read their K=V items
+through one table each, so a missing, unknown or malformed item is named.
+The argument parser is built once per process, so repeated in-process calls
+of `main` do not rebuild it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .experiment import build_graph, build_params, run_estimate
+from .experiment import build_params, run_estimate
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
+from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph, GraphError, max_antimatching
 from .knm import density_audit
 from .lists import ListAssignment, make_lists
@@ -90,23 +94,20 @@ def _key_values(text: str) -> dict[str, str]:
     return dict(_key_value(kv) for kv in text.split(",") if kv)
 
 
-def _add_param_args(p: argparse.ArgumentParser):
-    p.add_argument("--eps", default="1/330")
-    p.add_argument("--alpha", default="1/50")
-    p.add_argument("--beta", default="1/50")
-    p.add_argument("--sigma", default="0")
-    p.add_argument("--rho", default="auto")
+# The procedure options with their defaults, in the order the manifest lists them.
+PARAM_DEFAULTS = {"eps": "1/330", "alpha": "1/50", "beta": "1/50", "sigma": "0", "rho": "auto"}
+
+
+def _add_param_args(p: argparse.ArgumentParser, names: tuple[str, ...]):
+    for name in names:
+        p.add_argument(f"--{name}", default=PARAM_DEFAULTS[name])
 
 
 def _params_of(args) -> dict:
-    """The procedure parameters as given, checked: a bad value is an argument error."""
-    raw = {
-        "eps": args.eps,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "sigma": args.sigma,
-        "rho": args.rho,
-    }
+    """The procedure parameters the command registered, as given, checked: a
+    bad value is an argument error."""
+    given = vars(args)
+    raw = {name: given[name] for name in PARAM_DEFAULTS if name in given}
     try:
         build_params(raw)
     except ValueError as exc:
@@ -114,11 +115,73 @@ def _params_of(args) -> dict:
     return raw
 
 
-def cmd_generate(args) -> int:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+# Readers of one K=V value: (what it must be, its conversion).
+INTEGER = ("an integer", int)
+NUMBER = ("a finite number", _finite)
+FRACTION = ("a fraction such as 1/5", lambda text: float(Fraction(text)))
+
+# name -> (function, [(key, reader, default text, or None if required)]), the
+# keys in the function's parameter order.
+GENERATORS = {
+    "c5_blowup": (gen_c5_blowup, [("t", INTEGER, None)]),
+    "complete_bipartite": (gen_complete_bipartite, [("a", INTEGER, None), ("b", INTEGER, None)]),
+    "gnp": (gen_gnp, [("n", INTEGER, None), ("p", FRACTION, None), ("seed", INTEGER, None)]),
+}
+BOUNDS = {
+    "talagrand": (bounds_mod.talagrand_tail, [
+        ("t", NUMBER, None), ("r", INTEGER, None), ("chg", NUMBER, None),
+        ("expect", NUMBER, None), ("p_exc", NUMBER, "0"), ("sup_x", NUMBER, "0"),
+    ]),
+    "talagrand-median": (bounds_mod.talagrand_median_tail, [
+        ("t", NUMBER, None), ("r", INTEGER, None), ("chg", NUMBER, None),
+        ("med", NUMBER, None), ("p_exc", NUMBER, "0"),
+    ]),
+    "exceptional": (bounds_mod.exceptional_prob_bound, [
+        ("delta", NUMBER, None), ("sigma", NUMBER, "0"), ("eps", NUMBER, "0"),
+    ]),
+    "ky": (bounds_mod.ky_bound, [("k", INTEGER, None), ("n", INTEGER, None)]),
+}
+
+
+def _call(kind: str, name: str, table: dict, given: dict[str, str]):
+    """table[name]'s function on the K=V items `given`, each read by its key's
+    reader.  A missing, unknown or unreadable item, a ValueError of the
+    function and an overflow or division by zero are argument errors."""
+    fn, keys = table[name]
+    known = {key for key, _, _ in keys}
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"{kind} {name!r}: unknown parameter {unknown[0]!r}")
+    args = []
+    for key, (noun, read), default in keys:
+        text = given.get(key, default)
+        if text is None:
+            raise argparse.ArgumentTypeError(f"{kind} {name!r} needs parameter {key!r}")
+        try:
+            args.append(read(text))
+        except (ValueError, ArithmeticError):  # ArithmeticError: 1/0, or a float overflow
+            raise argparse.ArgumentTypeError(
+                f"{kind} {name!r}: parameter {key!r} must be {noun}, got {text!r}"
+            ) from None
     try:
-        g = build_graph({**dict(args.param or []), "name": args.name})
+        return fn(*args)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"{kind} {name!r}: {exc}") from None
+    except ArithmeticError as exc:  # the value overflows a float, or divides by zero
+        raise argparse.ArgumentTypeError(
+            f"{kind} {name!r}: {type(exc).__name__} at these parameters"
+        ) from None
+
+
+def cmd_generate(args) -> int:
+    g = _call("generator", args.name, GENERATORS, dict(args.param or []))
     text = emit_dimacs(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -170,17 +233,7 @@ def cmd_audit(args) -> int:
     except GraphError as exc:
         raise argparse.ArgumentTypeError(f"argument --subset: {exc}") from None
     rec = density_audit(g, L, subset, m)
-    print(
-        json.dumps(
-            {
-                "lhs": rec.lhs,
-                "rhs": rec.rhs,
-                "holds": rec.holds,
-                "matching_size": rec.matching_size,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(_jsonable(rec), indent=2))
     return 0 if rec.holds else 1
 
 
@@ -208,55 +261,8 @@ def _jsonable(x):
 
 
 def cmd_bounds(args) -> int:
-    which = args.which
-    try:
-        rep = _evaluate_bound(which, args.params)
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bound {which!r} needs parameter {exc.args[0]!r}"
-        ) from None
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bound {which!r}: {exc}") from None
-    except ArithmeticError as exc:  # the value overflows a float, or divides by zero
-        raise argparse.ArgumentTypeError(
-            f"bound {which!r}: {type(exc).__name__} at these parameters"
-        ) from None
-    print(json.dumps(_jsonable(rep), indent=2))
+    print(json.dumps(_jsonable(_call("bound", args.which, BOUNDS, args.params)), indent=2))
     return 0
-
-
-def _evaluate_bound(which: str, params: dict[str, str]):
-    def num(key: str, default: str | None = None) -> float:
-        """params[key] as a finite float; a missing key with no default is a KeyError."""
-        text = params[key] if default is None else params.get(key, default)
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"parameter {key!r} must be a finite number, got {text!r}")
-        return value
-
-    def whole(key: str) -> int:
-        """params[key] as an int; a missing key is a KeyError."""
-        text = params[key]
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"parameter {key!r} must be an integer, got {text!r}") from None
-
-    if which == "talagrand":
-        return bounds_mod.talagrand_tail(
-            num("t"), whole("r"), num("chg"), num("expect"), num("p_exc", "0"),
-            num("sup_x", "0"),
-        )
-    if which == "talagrand-median":
-        return bounds_mod.talagrand_median_tail(
-            num("t"), whole("r"), num("chg"), num("med"), num("p_exc", "0")
-        )
-    if which == "exceptional":
-        return bounds_mod.exceptional_prob_bound(num("delta"), num("sigma", "0"), num("eps", "0"))
-    return bounds_mod.ky_bound(whole("k"), whole("n"))
 
 
 def cmd_certify_constants(args) -> int:
@@ -277,7 +283,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("generate", help="emit a generated graph as DIMACS")
-    p.add_argument("--name", required=True, choices=["c5_blowup", "complete_bipartite", "gnp"])
+    p.add_argument("--name", required=True, choices=list(GENERATORS))
     p.add_argument("--param", type=_key_value, action="append", metavar="K=V")
     p.add_argument("--out")
     p.add_argument("--lists-out")
@@ -287,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="run the coloring pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
-    _add_param_args(p)
+    _add_param_args(p, ("eps", "alpha", "rho"))  # alpha is read only through --rho auto
     p.add_argument("--rounds", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.set_defaults(fn=cmd_color)
@@ -295,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="Monte Carlo savings estimates vs bounds")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
-    _add_param_args(p)
+    _add_param_args(p, tuple(PARAM_DEFAULTS))
     p.add_argument("--trials", type=_int_at_least(2), default=10_000)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out-dir", default=".")
@@ -314,14 +320,12 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("bounds", help="evaluate a named bound")
-    p.add_argument(
-        "--which", required=True, choices=["talagrand", "talagrand-median", "exceptional", "ky"]
-    )
+    p.add_argument("--which", required=True, choices=list(BOUNDS))
     p.add_argument("--params", type=_key_values, default="", metavar="K=V,...")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("certify-constants", help="check the parameter certificates")
-    _add_param_args(p)
+    _add_param_args(p, ("eps", "alpha", "beta", "rho"))
     p.set_defaults(fn=cmd_certify_constants)
     return ap
 

@@ -3,8 +3,10 @@ each vertex's empirical means against their closed-form lower bounds, and
 persist the rows as CSV plus a JSON manifest.
 
 Parameters arrive as "num/den" strings so thresholds never pass through
-floats; the manifest echoes them with the inputs, trials and seed, and a
-content hash of the CSV, so a result file is traceable to exactly one run.
+floats, and `build_params` turns them into ProcedureParams; a rho of "auto",
+or none, is default_rho(alpha).  The manifest echoes the strings with the
+inputs, trials and seed, and a content hash of the CSV, so a result file is
+traceable to exactly one run.
 """
 
 from __future__ import annotations
@@ -14,21 +16,18 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds
-from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph, complement_edge_count
 from .lists import ListAssignment, profile
 from .procedure import (
     ProcedureParams,
     batch_draws,
     compile_lists,
-    default_rho,
     savings_rows,
     uncolored_trials,
 )
@@ -50,25 +49,7 @@ def build_params(raw: dict) -> ProcedureParams:
     kw: dict = {key: fraction(key) for key in ("eps", "sigma", "alpha", "beta") if key in raw}
     if raw.get("rho", "auto") != "auto":
         kw["rho"] = float(fraction("rho"))
-    params = ProcedureParams(**kw)  # checks alpha before default_rho divides by 1 + alpha
-    if raw.get("rho") == "auto":
-        params = replace(params, rho=default_rho(params.alpha))
-    return params
-
-
-def build_graph(spec: dict) -> Graph:
-    """Generated graph from {"name": ..., <parameter>: <value>, ...}."""
-    name = spec.get("name")
-    try:
-        if name == "c5_blowup":
-            return gen_c5_blowup(int(spec["t"]))
-        if name == "complete_bipartite":
-            return gen_complete_bipartite(int(spec["a"]), int(spec["b"]))
-        if name == "gnp":
-            return gen_gnp(int(spec["n"]), float(Fraction(spec["p"])), int(spec["seed"]))
-    except KeyError as exc:
-        raise ValueError(f"generator {name!r} needs parameter {exc.args[0]!r}") from None
-    raise ValueError(f"unknown generator {name!r}")
+    return ProcedureParams(**kw)
 
 
 def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:

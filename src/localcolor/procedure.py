@@ -56,17 +56,18 @@ class PreconditionError(ValueError):
 
 
 def default_rho(alpha: Fraction) -> float:
-    """1 - alpha / (e (1 + alpha)), the activation probability used with the defaults."""
+    """1 - alpha / (e (1 + alpha)), the activation probability when rho is not given."""
     return 1 - float(alpha / (1 + alpha)) / math.e
 
 
 @dataclass(frozen=True)
 class ProcedureParams:
-    """Knobs of the equalized procedure."""
+    """Knobs of the equalized procedure.  A rho left out is default_rho(alpha),
+    set after alpha is checked."""
 
     eps: Fraction = Fraction(1, 330)
     sigma: Fraction = Fraction(0)
-    rho: float = default_rho(Fraction(1, 50))
+    rho: float | None = None
     alpha: Fraction = Fraction(1, 50)
     beta: Fraction = Fraction(1, 50)
 
@@ -75,12 +76,14 @@ class ProcedureParams:
             raise ValueError("eps must be in [0, 1)")
         if not (0 <= self.sigma < 1):
             raise ValueError("sigma must be in [0, 1)")
-        if not (0 <= self.rho <= 1):
-            raise ValueError("rho must be in [0, 1]")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.rho is None:
+            object.__setattr__(self, "rho", default_rho(self.alpha))
+        if not (0 <= self.rho <= 1):
+            raise ValueError("rho must be in [0, 1]")
 
     @property
     def keep(self) -> float:

@@ -116,6 +116,12 @@ class TestTalagrand:
             assert talagrand_tail(5.0, 1, 1.0, 1.0, p_exc, 0.0).lhs >= 4 * p_exc
             assert talagrand_median_tail(5.0, 1, 1.0, 1.0, p_exc) >= 4 * p_exc
 
+    def test_negative_sup_x_and_median_are_named(self):
+        with pytest.raises(ValueError, match="sup_x must be at least 0"):
+            talagrand_tail(5.0, 1, 1.0, 1.0, 0.5, -100.0)
+        with pytest.raises(ValueError, match="med must be at least 0"):
+            talagrand_median_tail(1.0, 1, 1.0, -2.0, 0.0)
+
     def test_negative_expectation_is_named(self):
         with pytest.raises(ValueError, match=r"^expect must be at least 0, got -1.0$"):
             talagrand_tail(5.0, 1, 1.0, -1.0, 0.0, 0.0)

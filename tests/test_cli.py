@@ -1,14 +1,16 @@
 """The CLI in process: pinned estimate and color output, and bad arguments
 rejected at the boundary with exit code 2 and a message that names them."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import random
 import re
 
 import pytest
 
-from localcolor.cli import main
+from localcolor.cli import BOUNDS, GENERATORS, _parser, main
 
 # Measured before the estimate writer moved into localcolor.experiment; the
 # bytes must not change for a fixed instance and seed.
@@ -20,6 +22,10 @@ GOLDEN_MANIFEST_SHA256 = "8607e14d3989ef7cc2da027aa753ad5702c865896ca288d2e187d9
 # the frozenset residual assignment; the compiled completion must match it.
 GOLDEN_COLOR_GNP40_SHA256 = "84e9f20d7ca1796f079e4dd7ad4ee128318432d1e4558642ba3bf6fbd05a90ff"
 GOLDEN_COLOR_C5_SHA256 = "a6341bb3e1dad1f8ebb3ef2c7937c1ccdd282548abf30fd7a386c85087b87929"
+
+# SHA-256 of `audit` stdout on the whole of the gnp40 fixture, measured while
+# its JSON was still built field by field.
+GOLDEN_AUDIT_GNP40_SHA256 = "01cbf6c38479cb1f8fdf7a591e57921685bc57f8576eaf22de111d594251d683"
 
 # (exit code, SHA-256 of stdout) of the report commands, measured while their
 # JSON writer still converted tuples, fractions and arrays by hand.
@@ -132,6 +138,12 @@ def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
     }
 
 
+def test_audit_output_is_pinned(gnp40, capsys):
+    capsys.readouterr()
+    assert main(["audit", "--graph", "g.col", "--lists", "l.json"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == GOLDEN_AUDIT_GNP40_SHA256
+
+
 @pytest.mark.parametrize("command", GOLDEN_REPORTS)
 def test_report_output_is_pinned(command, capsys):
     code = main(command.split())
@@ -165,8 +177,9 @@ def test_report_output_is_pinned(command, capsys):
          "argument --subset: vertex 99 out of range [0, 40)"),
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--alpha", "-1"],
          "alpha must be positive, got -1"),
-        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--beta", "-1"],
-         "beta must be positive, got -1"),
+        # color reads no beta, so it takes no --beta
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--beta", "1/50"],
+         "unrecognized arguments: --beta 1/50"),
         (["certify-constants", "--alpha", "0"], "alpha must be positive, got 0"),
         (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--alpha", "0",
           "--out-dir", "out"], "alpha must be positive, got 0"),
@@ -196,7 +209,7 @@ def test_report_output_is_pinned(command, capsys):
         (["bounds", "--which", "talagrand-median", "--params", "t=1e200,r=1,chg=1,med=1"],
          "bound 'talagrand-median': OverflowError at these parameters"),
         (["bounds", "--which", "talagrand-median", "--params", "t=1,r=1,chg=1,med=-1"],
-         "bound 'talagrand-median': ZeroDivisionError at these parameters"),
+         "bound 'talagrand-median': med must be at least 0, got -1.0"),
         (["bounds", "--which", "talagrand", "--params", "t=5,r=1,chg=1,expect=1,p_exc=-3"],
          "bound 'talagrand': p_exc must be in [0, 1], got -3.0"),
         (["bounds", "--which", "talagrand-median", "--params", "t=5,r=1,chg=1,med=1,p_exc=2"],
@@ -211,6 +224,22 @@ def test_report_output_is_pinned(command, capsys):
          "bound 'ky': parameter 'k' must be an integer, got 'abc'"),
         (["bounds", "--which", "ky", "--params", "k=4,n=7.0"],
          "bound 'ky': parameter 'n' must be an integer, got '7.0'"),
+        (["bounds", "--which", "talagrand", "--params",
+          "t=5,r=1,chg=1,expect=1,p_exc=0.5,sup_x=-100"],
+         "bound 'talagrand': sup_x must be at least 0, got -100.0"),
+        (["bounds", "--which", "talagrand-median", "--params", "t=1,r=1,chg=1,med=-2"],
+         "bound 'talagrand-median': med must be at least 0, got -2.0"),
+        (["generate", "--name", "gnp", "--param", "n=5", "--param", "p=1/0", "--param",
+          "seed=1"], "generator 'gnp': parameter 'p' must be a fraction such as 1/5, got '1/0'"),
+        (["generate", "--name", "gnp", "--param", "n=abc", "--param", "p=1/2", "--param",
+          "seed=1"], "generator 'gnp': parameter 'n' must be an integer, got 'abc'"),
+        (["generate", "--name", "c5_blowup", "--param", "t=2", "--param", "n=10"],
+         "generator 'c5_blowup': unknown parameter 'n'"),
+        (["bounds", "--which", "talagrand", "--params", "t=100,r=1,chg=1,expect=1,pexc=0.9"],
+         "bound 'talagrand': unknown parameter 'pexc'"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--sigma", "1/4"],
+         "unrecognized arguments: --sigma 1/4"),
+        (["certify-constants", "--sigma", "0"], "unrecognized arguments: --sigma 0"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -334,3 +363,43 @@ def test_unmet_precondition_exits_2_naming_the_vertex(tmp_path, monkeypatch, cap
     assert re.search(r"vertex \d+: \|L\(v\)\| = 2 < \(1 - eps\) d\(v\)", err)
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table", [GENERATORS, BOUNDS])
+def test_table_keys_are_the_function_parameters(table):
+    """Each K=V key is its function's parameter of that name, in order."""
+    for fn, keys in table.values():
+        assert [key for key, _, _ in keys] == list(inspect.signature(fn).parameters)
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _option(sub: argparse.ArgumentParser, flag: str) -> argparse.Action:
+    (action,) = [a for a in sub._actions if flag in a.option_strings]
+    return action
+
+
+def test_name_and_which_choices_are_the_table_keys():
+    subs = _subparsers()
+    assert _option(subs["generate"], "--name").choices == list(GENERATORS)
+    assert _option(subs["bounds"], "--which").choices == list(BOUNDS)
+
+
+def test_each_command_takes_the_procedure_options_it_reads():
+    procedure = {"--eps", "--alpha", "--beta", "--sigma", "--rho"}
+    taken = {
+        cmd: procedure & {flag for a in sub._actions for flag in a.option_strings}
+        for cmd, sub in _subparsers().items()
+    }
+    assert taken == {
+        "generate": set(),
+        "color": {"--eps", "--alpha", "--rho"},
+        "estimate": procedure,
+        "audit": set(),
+        "extract": {"--alpha", "--eps"},  # extract's own required fractions
+        "bounds": set(),
+        "certify-constants": {"--eps", "--alpha", "--beta", "--rho"},
+    }

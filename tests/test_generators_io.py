@@ -20,6 +20,7 @@ from localcolor.experiment import build_params
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from localcolor.graph import Graph, local_clique_number
 from localcolor.lists import make_lists, uniform_lists
+from localcolor.procedure import ProcedureParams, default_rho
 
 
 class TestGenerators:
@@ -189,3 +190,15 @@ class TestBuildParams:
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match="gap_exp"):
             build_params({"eps": "1/20", "gap_exp": 10})
+
+    def test_rho_left_out_is_default_rho_of_alpha(self):
+        want = default_rho(Fraction(1, 10))
+        assert ProcedureParams(alpha=Fraction(1, 10)).rho == want
+        assert build_params({"alpha": "1/10"}).rho == want
+        assert build_params({"alpha": "1/10", "rho": "auto"}).rho == want
+        assert build_params({"alpha": "1/10", "rho": "1/2"}).rho == 0.5
+
+    def test_alpha_is_checked_before_default_rho(self):
+        # default_rho divides by 1 + alpha, which is 0 here
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            ProcedureParams(alpha=-1)
