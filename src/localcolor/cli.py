@@ -30,7 +30,7 @@ from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph, GraphError, max_antimatching
 from .knm import density_audit
 from .lists import ListAssignment, make_lists
-from .procedure import PreconditionError, pipeline_color
+from .procedure import PreconditionError, ProcedureParams, pipeline_color
 
 
 def _read(path: str, parse):
@@ -103,16 +103,15 @@ def _add_param_args(p: argparse.ArgumentParser, names: tuple[str, ...]):
         p.add_argument(f"--{name}", default=PARAM_DEFAULTS[name])
 
 
-def _params_of(args) -> dict:
-    """The procedure parameters the command registered, as given, checked: a
-    bad value is an argument error."""
+def _params_of(args) -> tuple[ProcedureParams, dict]:
+    """The procedure parameters the command registered, built and as given
+    (the text a manifest records); a bad value is an argument error."""
     given = vars(args)
     raw = {name: given[name] for name in PARAM_DEFAULTS if name in given}
     try:
-        build_params(raw)
+        return build_params(raw), raw
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return raw
 
 
 def _finite(text: str) -> float:
@@ -200,7 +199,7 @@ def cmd_generate(args) -> int:
 def cmd_color(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
-    params = build_params(_params_of(args))
+    params, _ = _params_of(args)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     report = pipeline_color(g, L, params, args.rounds, rng)
     out = {
@@ -217,7 +216,7 @@ def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
     passed, checks = run_estimate(
-        g, L, _params_of(args), args.trials, args.seed, args.out_dir,
+        g, L, _params_of(args)[1], args.trials, args.seed, args.out_dir,
         {"graph": args.graph, "lists": args.lists},
     )
     print(f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)")
@@ -266,7 +265,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify_constants(args) -> int:
-    params = build_params(_params_of(args))
+    params, _ = _params_of(args)
     cert = bounds_mod.savings_gap_certificate(
         params.alpha, params.beta, params.eps, params.rho
     )

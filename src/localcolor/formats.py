@@ -1,8 +1,19 @@
 """On-disk formats: DIMACS .col graphs and JSON color lists.
 
+`parse_dimacs` reads a text shaped like `emit_dimacs` output (the problem
+line first, then only `e u v` lines of ASCII digits and spaces, each ended
+by a newline but perhaps the last) in one pass over the whole file: a few
+counts and a byte check decide the shape, and all ends convert in one
+numpy call.  Any other text, and any text with an error, goes to the line
+loop `_parse_dimacs_lines`, which accepts comments, blank lines, CRLF and
+any whitespace, and names the line of every error.  Both return equal
+graphs on every text the fast pass accepts.
+
 Every color read from JSON must be a JSON integer."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -24,11 +35,51 @@ def _field(x: str, lineno: int) -> int:
         raise FormatError(f"line {lineno}: {x!r} is not an integer") from None
 
 
+_PROBLEM = re.compile(r"p edge (\d+) (\d+)", re.ASCII)
+# the bytes of every line after the problem line in emit_dimacs output
+_EDGE_BYTES = b"0123456789 \ne"
+
+
 def parse_dimacs(text: str) -> Graph:
     """The graph of a DIMACS .col text.  Every error names its line: a bad
     record first, then a field that is not an integer, then an edge out of
     range or a loop, each the first in the file, and last a problem line
-    whose edge count differs from the number of `e` lines."""
+    whose edge count differs from the number of `e` lines.
+
+    A text with only the problem line and m `e u v` lines, nothing else, is
+    read in one pass; any other text, errors included, line by line."""
+    problem, _, body = text.partition("\n")
+    head = _PROBLEM.fullmatch(problem)
+    if head is None or not body.isascii():
+        return _parse_dimacs_lines(text)
+    n, m = int(head[1]), int(head[2])
+    if body and not body.endswith("\n"):
+        body += "\n"
+    # Only digits, spaces and newlines, and m lines that each start with an
+    # `e` field, the only `e` in the body: then str.split and splitlines see
+    # what the line loop sees, and every line is `e` and digit fields.
+    if (
+        body.encode().translate(None, _EDGE_BYTES)
+        or body.count("e") != m
+        or ("\n" + body).count("\ne ") != m
+        or body.count("\n") != m
+    ):
+        return _parse_dimacs_lines(text)
+    tokens = body.split()
+    if len(tokens) != 3 * m or tokens[::3].count("e") != m:  # two fields on every line
+        return _parse_dimacs_lines(text)
+    del tokens[::3]
+    # fromstring saturates a field beyond int64 at 2**63 - 1, which the range
+    # check rejects for every n below it
+    uv = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+    u, v = uv.T
+    if n >= 2**63 - 1 or (uv.size and (uv.min() < 0 or uv.max() >= n or (u == v).any())):
+        return _parse_dimacs_lines(text)
+    return Graph.from_edges(n, uv)
+
+
+def _parse_dimacs_lines(text: str) -> Graph:
+    """parse_dimacs line by line: any text, and the line of every error."""
     n = problem = None
     ends: list[str] = []  # the two fields of every e line, in file order
     edge_lines: list[int] = []

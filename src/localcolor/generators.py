@@ -34,11 +34,16 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), reproducible from the seed."""
+    """Erdos-Renyi G(n, p), reproducible from the seed.  Pair (u, v), u < v,
+    is an edge when its uniform draw is below p; the draws are taken row by
+    row, u ascending, which is the stream of one draw per pair in that order."""
     if not (0 <= p <= 1):
         raise ValueError("p must be in [0, 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+    heads = [np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1 for u in range(n - 1)]
+    if not heads:  # fewer than two vertices
+        return Graph.from_edges(n, [])
+    tails = np.repeat(np.arange(n - 1), [len(h) for h in heads])
+    return Graph.from_edges(n, np.column_stack((tails, np.concatenate(heads))))

@@ -29,13 +29,16 @@ drawn in one call, which takes the same numbers from the stream as one call
 per vertex.  `settle_trials` (all directed edges at once) gives
 `pipeline_color`'s savings check the uncolored set, unact and save_drop.
 `compile_lists` builds the tables of a list assignment (the identity
-correspondence made total) straight from the sorted lists, and
-`keep_table` reads only the cells of the edges whose head can uncolor
-their tail.  `pipeline_color` takes lists, completes its trial with
+correspondence made total) straight from the sorted lists, building
+`match` in a few steps over its own cells, so that no more than two
+cells-long arrays are alive at once and a call faults in little fresh
+memory; `keep_table` reads only the cells of the edges whose head can
+uncolor their tail, and which of them are matched from one byte mask over
+the match table.  `pipeline_color` takes lists, completes its trial with
 `greedy_complete` (a vectorized pass for the kept neighbors, then a loop
 over the edges between uncolored vertices) and checks its finished
-coloring against the lists: every vertex colored from its own list, no edge
-with equal colors at its ends.
+coloring against the lists: every vertex colored from its own list, no
+edge with equal colors at its ends.
 """
 
 from __future__ import annotations
@@ -142,6 +145,12 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     bounds the input.  Each cell finds its tail's color in its head's list
     through a dense (vertex, color rank) table when that table is no larger
     than `match`, and by a binary search otherwise.
+
+    `match` goes through each cell's tail entry, that color's rank and its
+    (head, rank) key to its list position, each step adding to it in place
+    or gathering from a table no longer than the lists or `match`, so no
+    more than two cells-long arrays are alive at once.  The free cells are
+    counted per block by one reduceat, and no cell's edge is looked up.
     """
     check_list_count(g, L)
     lists = [sorted(L[v]) for v in range(g.n)]
@@ -158,32 +167,32 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     big = sizes[head] >= width
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
-    # every cell looks its tail's color up in its head's list; entry is the
-    # flat (vertex, color) table entry of the cell's tail color
-    edge = np.repeat(np.arange(len(tail)), width)
-    entry = np.arange(len(edge))
-    entry += (start[tail] - block)[edge]
-    query = ranks[entry]
-    query += (head * len(rank))[edge]
-    if g.n * len(rank) <= len(query):
+    # every cell looks its tail's color up in its head's list: the flat
+    # (vertex, color) entry of that color, its rank, then its (head, rank) key
+    match = np.repeat(start[tail] - block, width)
+    match += np.arange(len(match))
+    match = ranks[match]
+    match += np.repeat(head * len(rank), width)
+    if g.n * len(rank) <= len(match):
         # a dense (vertex, color rank) table of list positions, no larger than match
         where = np.full(g.n * len(rank), -1)
         where[key] = np.arange(len(key)) - np.repeat(start[:-1], sizes)
-        match = where[query]
+        match = where[match]
     else:
-        pos = np.searchsorted(key, query)
+        pos = np.searchsorted(key, match)
         np.minimum(pos, len(key) - 1, out=pos)
-        common = key[pos] == query
-        pos -= start[head][edge]
-        match = np.where(common, pos, -1)
+        common = key[pos] == match
+        pos -= np.repeat(start[head], width)
+        pos[~common] = -1
+        match = pos
     # the free colors of each block zip in ascending order with those of the
     # reverse block
-    free = np.flatnonzero(match < 0)
-    free_edge = edge[free]
-    nfree = np.bincount(free_edge, minlength=len(tail))
+    free = match < 0
+    nfree = np.add.reduceat(free, block, dtype=np.int64)  # lists, so blocks, are nonempty
+    free = np.flatnonzero(free)
     free_start = np.cumsum(nfree) - nfree
-    free_rank = np.arange(len(free)) - free_start[free_edge]
-    other = rev[free_edge]
+    free_rank = np.arange(len(free)) - np.repeat(free_start, nfree)
+    other = np.repeat(rev, nfree)
     paired = free_rank < nfree[other]
     other = other[paired]
     match[free[paired]] = free[free_start[other] + free_rank[paired]] - block[other]
@@ -195,20 +204,19 @@ def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     survives given it chose lists[v][i], rho times 1 - rho / |L(u)| for each
     threatening neighbor u (big edge, color matched), multiplied in ascending
     neighbor order.  Only the cells of big edges are visited: no other cell
-    carries a factor."""
+    carries a factor.  Which of them are matched is read from one byte mask
+    over `match`, not from a gather of their places in it."""
     big = np.flatnonzero(inst.big)
     tail = inst.tail[big]
     width = inst.sizes[tail]
     # every cell of a big edge's block, in edge order: the flat table entry of
-    # its tail's color, then its place in match
+    # its tail's color
     entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
     entry += np.arange(len(entry))
-    cell = np.repeat(inst.block[big] - inst.start[tail], width)
-    cell += entry
     # an unmatched color is not threatened: its factor is 1.0, which leaves
     # the entry exactly as it was
     factor = np.repeat(1 - rho / inst.sizes[inst.head[big]], width)
-    factor[inst.match[cell] < 0] = 1.0
+    factor[(inst.match < 0)[np.repeat(inst.big, inst.sizes[inst.tail])]] = 1.0
     flat = np.full(int(inst.start[-1]), float(rho))
     # ufunc.at applies the factors in cell order, which is ascending neighbor order
     np.multiply.at(flat, entry, factor)

@@ -10,7 +10,9 @@ import re
 
 import pytest
 
+from localcolor import cli
 from localcolor.cli import BOUNDS, GENERATORS, _parser, main
+from localcolor.experiment import build_params
 
 # Measured before the estimate writer moved into localcolor.experiment; the
 # bytes must not change for a fixed instance and seed.
@@ -240,6 +242,8 @@ def test_report_output_is_pinned(command, capsys):
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--sigma", "1/4"],
          "unrecognized arguments: --sigma 1/4"),
         (["certify-constants", "--sigma", "0"], "unrecognized arguments: --sigma 0"),
+        (["generate", "--name", "gnp", "--param", "n=3", "--param", "p=1/2", "--param",
+          "seed=-1"], "generator 'gnp': seed must be non-negative, got -1"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -386,6 +390,25 @@ def test_name_and_which_choices_are_the_table_keys():
     subs = _subparsers()
     assert _option(subs["generate"], "--name").choices == list(GENERATORS)
     assert _option(subs["bounds"], "--which").choices == list(BOUNDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1"],
+        ["certify-constants"],
+    ],
+)
+def test_params_are_built_once_per_call(gnp40, capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return build_params(raw)
+
+    monkeypatch.setattr(cli, "build_params", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_each_command_takes_the_procedure_options_it_reads():

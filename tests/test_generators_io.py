@@ -1,16 +1,20 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact import brute_force_L_colorable
 from localcolor.formats import (
     FormatError,
+    _parse_dimacs_lines,
     emit_dimacs,
     lists_from_json,
     lists_to_json,
@@ -57,6 +61,26 @@ class TestGenerators:
         assert gen_gnp(30, 0.5, 42) == gen_gnp(30, 0.5, 42)
         assert gen_gnp(30, 0.5, 42) != gen_gnp(30, 0.5, 43)
 
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(0, 0.5, 1), (1, 0.5, 1), (30, 0.5, 42), (400, 0.1, 0), (200, 1, 3), (50, 0, 2)],
+    )
+    def test_gnp_is_the_per_pair_stream(self, n, p, seed):
+        assert gen_gnp(n, p, seed) == gen_gnp_per_pair(n, p, seed)
+
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gnp_is_the_per_pair_stream_drawn(self, n, p, seed):
+        assert gen_gnp(n, p, seed) == gen_gnp_per_pair(n, p, seed)
+
+
+def gen_gnp_per_pair(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one rng.random() call per pair (u, v), u < v, in row
+    order: the stream gen_gnp draws row by row."""
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
 
 class TestDimacs:
     def test_roundtrip(self):
@@ -102,6 +126,126 @@ def graphs(draw, max_n=8):
     possible = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
     return Graph.from_edges(n, edges)
+
+
+def _an_edge_line(draw, lines: list[str], run: int = 1) -> int | None:
+    """The index of the first of `run` lines in a row still of the form
+    `e u v`, or None."""
+    edge = [bool(re.fullmatch(r"e \S+ \S+", line)) for line in lines]
+    found = [i for i in range(len(lines) - run + 1) if all(edge[i : i + run])]
+    return draw(st.sampled_from(found)) if found else None
+
+
+def _field(value):
+    """One end of an edge line replaced by value(n, other end)."""
+    def mutate(draw, lines, n):
+        i = _an_edge_line(draw, lines)
+        if i is not None:
+            parts = lines[i].split(" ")
+            k = draw(st.sampled_from([1, 2]))
+            parts[k] = value(n, parts[3 - k])
+            lines[i] = " ".join(parts)
+    return mutate
+
+
+def _split_line(draw, lines, n):
+    i = _an_edge_line(draw, lines)
+    if i is not None:
+        e, u, v = lines[i].split(" ")
+        lines[i : i + 1] = [f"{e} {u}", v]
+
+
+def _join_lines(draw, lines, n):
+    """`e 1 2 e 3 4` on one line, or `e 1 2 e` followed by `3 4`."""
+    i = _an_edge_line(draw, lines, run=2)
+    if i is not None:
+        e, u, v = lines[i + 1].split(" ")
+        if draw(st.booleans()):
+            lines[i : i + 2] = [f"{lines[i]} {e} {u} {v}"]
+        else:
+            lines[i : i + 2] = [f"{lines[i]} {e}", f"{u} {v}"]
+
+
+def _move_field(draw, lines, n):
+    """`e 1 2 3` and `e 4`: as many fields as two edge lines hold, on two lines."""
+    i = _an_edge_line(draw, lines, run=2)
+    if i is not None:
+        e, u, v = lines[i + 1].split(" ")
+        lines[i : i + 2] = [f"{lines[i]} {v}", f"{e} {u}"]
+
+
+def _wrong_m(draw, lines, n):
+    for i, line in enumerate(lines):
+        if line.startswith("p edge "):
+            p, edge, n_text, m = line.split(" ")
+            lines[i] = f"{p} {edge} {n_text} {int(m) + draw(st.sampled_from([-1, 1]))}"
+            return
+
+
+def _insert(text):
+    def mutate(draw, lines, n):
+        lines.insert(draw(st.integers(0, len(lines))), text)
+    return mutate
+
+
+def _crlf(draw, lines, n):
+    lines[draw(st.integers(0, len(lines) - 1))] += "\r"
+
+
+def _replace_text(old, new):
+    def mutate(draw, lines, n):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].replace(old, new, 1)
+    return mutate
+
+
+MUTATIONS = [
+    _insert("c a comment"), _insert(""), _insert("   "), _crlf, _replace_text(" ", "\t"),
+    _replace_text(" ", "  "), _replace_text("e", "e\r"),
+    *(_field(lambda n, _, x=x: x) for x in ("+1", "01", "1_0", "2**64", str(2**64), "0", "e")),
+    _field(lambda n, _: str(n + 1)), _field(lambda n, other: other),  # out of range; a loop
+    _split_line, _join_lines, _move_field, _wrong_m,
+]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """emit_dimacs text of a graph with up to two mutations, each a case the
+    whole-file pass must read as the line loop does or hand to it: a
+    comment, blank lines, CRLF, a tab, a double space, a lone CR, an end
+    `+1`, `01`, `1_0`, `2**64`, 2**64, 0, n + 1, `e` or a loop, a split,
+    joined or uneven edge line, a wrong edge count."""
+    g = draw(graphs())
+    lines = emit_dimacs(g).splitlines()
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        mutate(draw, lines, g.n)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # FormatError, or what an absurd vertex count raises
+        return type(exc), str(exc)
+
+
+class TestDimacsWholeFile:
+    @given(dimacs_texts())
+    @example("p edge 3 2\ne 1 2 3\ne 2\n")
+    @example(f"p edge {2**63 - 1} 1\ne 1 {2**64}\n")  # the field saturates at 2**63 - 1
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_line_loop(self, text):
+        assert _outcome(parse_dimacs, text) == _outcome(_parse_dimacs_lines, text)
+
+    @given(graphs())
+    @example(Graph.from_edges(0, []))
+    @example(Graph.from_edges(3, []))
+    @settings(max_examples=50, deadline=None)
+    def test_plain_emitted_text_takes_the_whole_file_pass(self, g):
+        text = emit_dimacs(g)
+        with mock.patch("localcolor.formats._parse_dimacs_lines", side_effect=AssertionError):
+            assert parse_dimacs(text) == g
+            assert parse_dimacs(text.rstrip("\n")) == g
 
 
 class TestJsonRoundtrips:

@@ -628,6 +628,30 @@ def list_instance(draw):
     return g, make_lists(rows)
 
 
+# block boundaries of compile_lists and keep_table: no edges, one vertex,
+# isolated first and last vertices (dense lookup, and a binary search when
+# their colors make the (vertex, color rank) table larger than match), and
+# colors below 0 and at or above 2**63
+EDGELESS = (Graph.from_edges(4, []), make_lists([[3], range(70), [-1, 5], [2**63, 0]]))
+ONE_VERTEX = (Graph.from_edges(1, []), make_lists([[7, -7]]))
+ISOLATED_ENDS = (
+    Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (1, 3)]),
+    make_lists([[0, 1], [0, 1, 2], [0, 1, 2, 3], [1, 2], [2, 1, 0, 3], [3]]),
+)
+ISOLATED_ENDS_SPARSE = (
+    Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (1, 3)]),
+    make_lists([[-(2**70)], [0, 1, 2], [1, 3], [1, 2], [2, 5], [2**64 + 3, 2**64]]),
+)
+SIGNED_AND_HUGE = (
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+    make_lists([
+        [-3, -1, 2**63, 2**63 + 5], [-1, 2**63 + 5], [-(2**63), -3, 0, 2**63, 2**64],
+        [2**63 - 1, 2**63, -1],
+    ]),
+)
+COMPILE_EDGE_CASES = (EDGELESS, ONE_VERTEX, ISOLATED_ENDS, ISOLATED_ENDS_SPARSE, SIGNED_AND_HUGE)
+
+
 def _compiled_fields_equal(a: CompiledInstance, b: CompiledInstance) -> None:
     for field in dataclasses.fields(CompiledInstance):
         x, y = getattr(a, field.name), getattr(b, field.name)
@@ -641,8 +665,18 @@ def _made_total(g: Graph, L) -> CompiledInstance:
     return compile_instance(g, make_total(g, identity_correspondence(g, L)))
 
 
+def _with_examples(cases, **fixed):
+    """The test with an @example for each case (and the `fixed` arguments)."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case=case, **fixed)(test)
+        return test
+    return decorate
+
+
 class TestCompileLists:
     @given(list_instance())
+    @_with_examples(COMPILE_EDGE_CASES)
     @settings(max_examples=150, deadline=None)
     def test_equals_compiled_identity_made_total(self, case):
         g, L = case
@@ -729,6 +763,7 @@ def test_color_draws_follow_the_per_vertex_stream(trials):
 
 class TestSamplerMatchesReference:
     @given(list_instance(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @_with_examples(COMPILE_EDGE_CASES, rho=0.9)
     @settings(max_examples=60, deadline=None)
     def test_keep_table_of_compiled_lists(self, case, rho):
         g, L = case
