@@ -62,16 +62,20 @@ def _estimate_rows(
 ) -> list[list]:
     """The CSV rows of run_estimate.  Each vertex's savings rows are reduced
     to means and standard errors as savings_rows yields them, so no
-    (n, trials) array of savings is ever held."""
+    (n, trials) array of savings is ever held.  The uncolored mask is
+    written into the color indices in place, as the |L(v)| that savings_rows
+    reads as "uncolored", so no second (n, trials) index array is made."""
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
     inst = compile_lists(g, L)
     act, phi_idx, heads = batch_draws(inst, params, trials, seed)
     uncolored = uncolored_trials(inst, act, phi_idx, heads)
     del heads  # folded into uncolored; freed, it is 1 byte per cell off the peak
+    np.copyto(phi_idx, inst.sizes[:, None], where=uncolored)
+    del uncolored
     rows = []
     k = params.keep
-    for v, x in enumerate(savings_rows(inst, params, act, phi_idx, uncolored)):
+    for v, x in enumerate(savings_rows(inst, params, act, phi_idx)):
         (aberr, pairs, trips, unact), (aberr_se, pairs_se, trips_se, unact_se) = (
             _mean_se(x, trials)
         )

@@ -107,11 +107,10 @@ def _parse_dimacs_lines(text: str) -> Graph:
     try:
         uv = np.array(ends, dtype=np.int64)
     except (ValueError, OverflowError):
-        # name the first field int() rejects; clip the rest, keeping them out of range
-        uv = np.array(
-            [min(max(_field(x, edge_lines[i // 2]), 0), n + 1) for i, x in enumerate(ends)],
-            dtype=np.int64,
-        )
+        # name the first field int() rejects; a field beyond int64 is no vertex
+        # a graph can hold, whatever n says, so it becomes 0, out of range
+        fields = (_field(x, edge_lines[i // 2]) for i, x in enumerate(ends))
+        uv = np.array([x if -(2**63) <= x < 2**63 else 0 for x in fields], dtype=np.int64)
     uv = uv.reshape(-1, 2) - 1
     u, v = uv.T
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)

@@ -18,11 +18,16 @@ indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
 `draw_trials` draws a batch, and each caller evaluates it with the
 evaluator that computes what it reads.  `uncolored_trials` (per vertex, in
-TRIAL_CHUNK passes) gives the uncolored set, and `savings_rows` then yields
-one vertex at a time its savings components over all trials; `estimate`
-reduces each row to a mean and a standard error as it arrives, so it holds
-the draws (10 bytes per (vertex, trial) cell) and the 1-byte uncolored
-mask, never an (n, trials) array of savings.  That still grows with the
+TRIAL_CHUNK passes) gives the uncolored set; `estimate` writes it into the
+color indices in place, an uncolored vertex's index becoming |L(v)|, and
+`savings_rows` reads those (`phi_left`) and yields one vertex at a time its
+savings components over all trials.  It codes each directed edge's block
+of `match`, plus one entry for an uncolored tail, as rows of the head's
+(color, trial) count grid, so each TRIAL_CHUNK pass of a vertex is a
+gather, a table lookup and one bincount.  `estimate` reduces each row to a
+mean and a standard error as it arrives, so it holds the draws (10 bytes
+per (vertex, trial) cell) and the 1-byte uncolored mask, never an (n,
+trials) array of savings.  That still grows with the
 trial count: drawing trial chunk by trial chunk would change the random
 stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
 drawn in one call, which takes the same numbers from the stream as one call
@@ -317,8 +322,9 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # trials per pass of uncolored_trials and savings_rows, bounding their
-# (neighbor, trial) temporaries; from this many trials on, draw_trials draws
-# the color indices vertex by vertex
+# (neighbor, trial) temporaries, and the row stride of savings_rows' count
+# grid; from this many trials on, draw_trials draws the color indices vertex
+# by vertex
 TRIAL_CHUNK = 1024
 
 
@@ -356,46 +362,65 @@ def savings_rows(
     inst: CompiledInstance,
     params: ProcedureParams,
     act: np.ndarray,
-    phi_idx: np.ndarray,
-    uncolored: np.ndarray,
+    phi_left: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """Each vertex's savings components over all the drawn trials, vertex by
     vertex: an int64 array of shape (4, trials) whose rows are aberrance,
     pairs, trips and unact.
 
-    unact(v) counts the non-activated neighbors with strictly smaller lists:
-    greedy completion colors them after v, so each one leaves v a color.
-    Each row is computed TRIAL_CHUNK trials at a time, over (neighbor,
-    trial) arrays.
+    phi_left is the color index of each (vertex, trial) where the vertex
+    stayed colored, and |L(vertex)| where it is uncolored (the draws' phi_idx
+    with the mask of uncolored_trials written over it); it is only read.
+    Aberrance counts the colored egalitarian neighbors whose color is
+    matched to none of v's; pairs and trips sum C(k, 2) and C(k, 3) over v's
+    colors, k the colored egalitarian neighbors whose color is matched to
+    that one.  unact(v) counts the non-activated neighbors with strictly
+    smaller lists: greedy completion colors them after v, so each one leaves
+    v a color.
+
+    A coded table gives every directed edge (u, v) a block of |L(u)| + 1
+    entries, one per color of u and one for "u uncolored": the row of v's
+    (row, trial) count grid that u's color lands in, times TRIAL_CHUNK.  Row
+    0 is uncolored, row 1 unmatched, row 2 + i matched to v's i-th color.  So
+    each TRIAL_CHUNK trials of a vertex are one gather from phi_left, one
+    from the table and one bincount over the egalitarian neighbors.
     """
-    n, trials = phi_idx.shape
-    sizes, match, head, back, big = inst.sizes, inst.match, inst.head, inst.back, inst.big
+    n, trials = phi_left.shape
+    sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
     ptr = inst.ptr.tolist()
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
-    egal = (sizes[head] >= least[inst.tail])[:, None]
+    egal = sizes[head] >= least[inst.tail]
+    # each block of match gains its sentinel at its end, so edge e's coded
+    # block starts e entries later, and the reverse edge's at back[e] plus
+    # its edge number (blocks are nonempty, so block ascends)
+    code = np.where(inst.match < 0, 1, inst.match + 2) * TRIAL_CHUNK
+    code = np.insert(code, block + sizes[inst.tail], 0)
+    coded_back = inst.back + np.searchsorted(block, inst.back)
     tr = np.arange(TRIAL_CHUNK)
     for v in range(n):
         e = slice(ptr[v], ptr[v + 1])
-        nb, small, bk, egal_e = head[e], head[e][~big[e]], back[e][:, None], egal[e]
+        egal_e = egal[e]
+        nb, small, bk = head[e][egal_e], head[e][~big[e]], coded_back[e][egal_e][:, None]
+        grid_size = (int(sizes[v]) + 2) * TRIAL_CHUNK
         out = np.empty((4, trials), dtype=np.int64)
         aberr, pairs, trips, unact = out
         for start in range(0, trials, TRIAL_CHUNK):
             t = slice(start, start + TRIAL_CHUNK)
-            # per (neighbor u, trial): the index in L(v) matched to phi(u), or -1
-            cell = match[bk + phi_idx[nb, t]]
+            # per (egalitarian neighbor u, trial): u's coded entry, then its
+            # flat (row, trial) cell in the count grid
+            cell = phi_left[nb, t]
             width = cell.shape[1]
-            on = ~uncolored[nb, t]
-            on &= egal_e
-            hit = on & (cell >= 0)
-            aberr[t] = (on & (cell < 0)).sum(axis=0)
+            cell += bk
+            cell = code[cell]
+            cell += tr[:width]
+            grid = np.bincount(cell.ravel(), minlength=grid_size)
+            grid = grid.reshape(-1, TRIAL_CHUNK)[:, :width]
+            aberr[t] = grid[1]
+            pairs[t], trips[t] = _pairs_trips(grid[2:])
             unact[t] = (~act[small, t]).sum(axis=0)
-            cell *= width
-            cell += tr[:width]  # now the flat (color index, trial) cell, meaningful where hit
-            counts = np.bincount(cell[hit], minlength=int(sizes[v]) * width)
-            pairs[t], trips[t] = _pairs_trips(counts.reshape(-1, width))
         yield out
 
 

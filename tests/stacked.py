@@ -1,9 +1,12 @@
 """Per-trial stacked arrays of a batch, for tests that read every trial.
 
-The library never holds an (n, trials) array of savings: `estimate` reduces
-the rows of `savings_rows` one vertex at a time.  Tests that compare trial by
-trial stack those rows here.  `keep_frequency` reads the empirical keep
-rate of each color off a batch's color indices and uncolored mask.
+The library never holds an (n, trials) array of savings: `estimate` writes
+the uncolored mask into the color indices in place and reduces the rows of
+`savings_rows` one vertex at a time.  Tests that compare trial by trial
+stack those rows here, reading the indices through `phi_left`, a copy, so
+the draws stay as drawn for the checks that reuse them.  `keep_frequency`
+reads the empirical keep rate of each color off a batch's color indices and
+uncolored mask.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ class Batch:
     unact: np.ndarray
 
 
+def phi_left(inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray) -> np.ndarray:
+    """What savings_rows reads: phi_idx where the vertex stayed colored,
+    |L(vertex)| where it is uncolored, as a new array."""
+    return np.where(uncolored, inst.sizes[:, None], phi_idx)
+
+
 def stack_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -47,7 +56,8 @@ def stack_trials(
     """The mask of uncolored_trials and the rows of savings_rows on the given
     draws, stacked."""
     uncolored = uncolored_trials(inst, act, phi_idx, heads)
-    terms = np.stack(list(savings_rows(inst, params, act, phi_idx, uncolored)), axis=1)
+    rows = savings_rows(inst, params, act, phi_left(inst, phi_idx, uncolored))
+    terms = np.stack(list(rows), axis=1)
     return Batch(phi_idx, act, uncolored, *terms)
 
 

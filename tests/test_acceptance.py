@@ -56,7 +56,7 @@ from localcolor.procedure import (
     uncolored_trials,
 )
 from scalar_reference import identity_correspondence, is_lm_coloring, make_total
-from stacked import keep_frequency, naive_draws, stack_trials, stacked_batch
+from stacked import keep_frequency, naive_draws, phi_left, stack_trials, stacked_batch
 
 PARAMS = ProcedureParams()
 
@@ -408,7 +408,7 @@ def test_12_talagrand_star(capsys):
         the row evaluator stops after the center, vertex 0."""
         act, phi_idx, heads = naive_draws(inst, PARAMS, trials, seed)
         uncolored = uncolored_trials(inst, act, phi_idx, heads)
-        return next(savings_rows(inst, PARAMS, act, phi_idx, uncolored))[3]
+        return next(savings_rows(inst, PARAMS, act, phi_left(inst, phi_idx, uncolored)))[3]
 
     samples = [center_unact(50_000, 7000 + chunk) for chunk in range(20)]
     x = np.concatenate(samples).astype(float)

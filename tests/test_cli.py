@@ -244,9 +244,13 @@ def test_report_output_is_pinned(command, capsys):
         (["certify-constants", "--sigma", "0"], "unrecognized arguments: --sigma 0"),
         (["generate", "--name", "gnp", "--param", "n=3", "--param", "p=1/2", "--param",
           "seed=-1"], "generator 'gnp': seed must be non-negative, got -1"),
+        # an edge field beyond int64 under a vertex count of 2**63 - 1
+        (["color", "--graph", "wide.col", "--lists", "l.json", "--seed", "1"],
+         "wide.col: line 2: vertex out of range"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
+    (gnp40 / "wide.col").write_text(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -233,9 +233,19 @@ class TestDimacsWholeFile:
     @given(dimacs_texts())
     @example("p edge 3 2\ne 1 2 3\ne 2\n")
     @example(f"p edge {2**63 - 1} 1\ne 1 {2**64}\n")  # the field saturates at 2**63 - 1
+    @example(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
     @settings(max_examples=300, deadline=None)
     def test_equals_the_line_loop(self, text):
         assert _outcome(parse_dimacs, text) == _outcome(_parse_dimacs_lines, text)
+
+    @pytest.mark.parametrize("field", [2**63, 99999999999999999999, -(2**64)])
+    @pytest.mark.parametrize("n", [3, 2**63 - 1, 2**64])
+    def test_field_beyond_int64_is_out_of_range_for_any_vertex_count(self, n, field):
+        # rejected before anything of size n is allocated
+        text = f"p edge {n} 2\ne 1 2\ne 1 {field}\n"
+        for parse in (parse_dimacs, _parse_dimacs_lines):
+            with pytest.raises(FormatError, match="^line 3: vertex out of range$"):
+                parse(text)
 
     @given(graphs())
     @example(Graph.from_edges(0, []))

@@ -37,7 +37,9 @@ from localcolor.procedure import (
     keep_constant,
     keep_table,
     pipeline_color,
+    savings_rows,
     settle_trials,
+    uncolored_trials,
 )
 from scalar_reference import (
     CorrespondenceAssignment,
@@ -56,7 +58,7 @@ from scalar_reference import (
     sample_naive,
     savings_of,
 )
-from stacked import keep_frequency, stack_trials, stacked_batch
+from stacked import keep_frequency, phi_left, stack_trials, stacked_batch
 
 
 def path(n):
@@ -822,6 +824,68 @@ class TestSamplerMatchesReference:
                 assert color is None
             else:
                 assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
+
+
+def _narrow_chunk_case():
+    """A general correspondence at sigma = 1/4: vertex 0 has three egalitarian
+    neighbors, one with a color matched to none of its own, and a smaller
+    non-egalitarian one; vertex 5 is isolated."""
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3)])
+    L = make_lists([range(3), range(4), range(3), range(1, 5), range(2), range(3)])
+    matchings = {
+        (0, 1): frozenset({(0, 3), (2, 0)}),
+        (0, 2): frozenset({(1, 2)}),
+        (0, 3): frozenset(),
+        (0, 4): frozenset({(2, 1)}),
+        (1, 2): frozenset(),
+        (2, 3): frozenset({(0, 4)}),
+    }
+    ca = make_total(g, CorrespondenceAssignment(L, matchings))
+    return g, ca, ProcedureParams(sigma=Fraction(1, 4), rho=0.9)
+
+
+def test_savings_per_trial_across_a_narrow_last_chunk():
+    """The coded table is scaled by TRIAL_CHUNK whatever a chunk's width: at
+    TRIAL_CHUNK + 3 trials the last chunk is 3 trials wide.  Every trial
+    matches the scalar reference, on an uncolored set it computes itself."""
+    g, ca, params = _narrow_chunk_case()
+    inst = compile_instance(g, ca)
+    trials = TRIAL_CHUNK + 3
+    act, phi_idx, heads = draw_trials(inst, params, keep_table(inst, params.rho), trials, rng_of(9))
+    batch = stack_trials(inst, params, act, phi_idx, heads)
+    prec = list_size_order(ca.lists)
+    want = np.empty((4, g.n, trials), dtype=np.int64)
+    for t in range(trials):
+        phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+        unc = frozenset(
+            _uncolored_naive(g, ca, phi, act[:, t]) | set(np.flatnonzero(heads[:, t]).tolist())
+        )
+        assert set(np.flatnonzero(batch.uncolored[:, t]).tolist()) == unc
+        pc = PartialColoring(phi, unc, frozenset(np.flatnonzero(act[:, t]).tolist()))
+        s = savings_of(g, ca, params, prec, pc)
+        want[:, :, t] = s.aberrance, s.pairs, s.trips, s.unact
+    # every component is exercised, the last chunk's aberrance and unact too
+    assert want.any(axis=(1, 2)).all() and want[[0, 3], :, TRIAL_CHUNK:].any(axis=(1, 2)).all()
+    got = np.stack([batch.aberrance, batch.pairs, batch.trips, batch.unact])
+    assert np.array_equal(got, want)
+
+
+def test_evaluators_only_read_the_draws():
+    """uncolored_trials and savings_rows take read-only arrays and give what
+    they give on writeable copies: the draws they are handed are reused."""
+    g = gen_gnp(30, 0.2, 3)
+    L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+    inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
+    draws = batch_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
+    want = stack_trials(inst, params, *(a.copy() for a in draws))
+    for a in draws:
+        a.flags.writeable = False
+    uncolored = uncolored_trials(inst, *draws)
+    left = phi_left(inst, draws[1], uncolored)
+    left.flags.writeable = False
+    got = np.stack(list(savings_rows(inst, params, draws[0], left)), axis=1)
+    assert np.array_equal(uncolored, want.uncolored)
+    assert np.array_equal(got, [want.aberrance, want.pairs, want.trips, want.unact])
 
 
 def _blocked_k4_case():
