@@ -3,7 +3,8 @@
 Subcommands: generate | color | estimate | audit | extract | bounds |
 certify-constants.  Graphs travel as DIMACS .col, lists as JSON, estimation
 results as CSV plus a manifest.  Each command registers only the procedure
-options its code reads, and `generate` and `bounds` read their K=V items
+options its code reads, and only `_params_of` turns their text into the
+ProcedureParams the library takes.  `generate` and `bounds` read K=V items
 through one table each, so a missing, unknown or malformed item is named.
 The argument parser is built once per process, so repeated in-process calls
 of `main` do not rebuild it.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .experiment import build_params, run_estimate
+from .experiment import run_estimate
 from .extraction import extract_dense_subgraph
 from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
@@ -71,13 +72,13 @@ def _int_at_least(low: int):
     return count
 
 
-def _fraction(text: str) -> Fraction:
-    """argparse type of an exact rational given as num/den."""
+def _fraction(text: str, prefix: str = "") -> Fraction:
+    """argparse type of an exact rational given as num/den; `prefix` opens the error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"expected a fraction such as 1/20, got {text!r}"
+            f"{prefix}expected a fraction such as 1/20, got {text!r}"
         ) from None
 
 
@@ -105,11 +106,19 @@ def _add_param_args(p: argparse.ArgumentParser, names: tuple[str, ...]):
 
 def _params_of(args) -> tuple[ProcedureParams, dict]:
     """The procedure parameters the command registered, built and as given
-    (the text a manifest records); a bad value is an argument error."""
+    (the text a manifest records); a rho of "auto" is left out, so it is
+    default_rho(alpha).  A bad value is an argument error."""
     given = vars(args)
     raw = {name: given[name] for name in PARAM_DEFAULTS if name in given}
+    kw = {
+        name: _fraction(text, f"parameter {name}: ")
+        for name, text in raw.items()
+        if (name, text) != ("rho", "auto")
+    }
+    if "rho" in kw:
+        kw["rho"] = float(kw["rho"])
     try:
-        return build_params(raw), raw
+        return ProcedureParams(**kw), raw
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -215,9 +224,10 @@ def cmd_color(args) -> int:
 def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
+    params, raw = _params_of(args)
     passed, checks = run_estimate(
-        g, L, _params_of(args)[1], args.trials, args.seed, args.out_dir,
-        {"graph": args.graph, "lists": args.lists},
+        g, L, params, args.trials, args.seed, args.out_dir,
+        {"graph": args.graph, "lists": args.lists, "params": raw},
     )
     print(f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)")
     return 0 if passed else 1

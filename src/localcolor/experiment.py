@@ -2,11 +2,10 @@
 each vertex's empirical means against their closed-form lower bounds, and
 persist the rows as CSV plus a JSON manifest.
 
-Parameters arrive as "num/den" strings so thresholds never pass through
-floats, and `build_params` turns them into ProcedureParams; a rho of "auto",
-or none, is default_rho(alpha).  The manifest echoes the strings with the
-inputs, trials and seed, and a content hash of the CSV, so a result file is
-traceable to exactly one run.
+`run_estimate` takes built ProcedureParams, as `pipeline_color` does.  The
+manifest records the caller's `inputs` (the CLI gives the file names and the
+parameters as typed), then the trials and seed, and a content hash of the
+CSV, so a result file is traceable to exactly one run.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import hashlib
 import io
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,25 +29,6 @@ from .procedure import (
     savings_rows,
     uncolored_trials,
 )
-
-
-def build_params(raw: dict) -> ProcedureParams:
-    unknown = set(raw) - {"eps", "sigma", "alpha", "beta", "rho"}
-    if unknown:
-        raise ValueError(f"unknown procedure parameters: {', '.join(sorted(map(str, unknown)))}")
-
-    def fraction(key: str) -> Fraction:
-        try:
-            return Fraction(raw[key])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"parameter {key}: expected a fraction such as 1/20, got {raw[key]!r}"
-            ) from None
-
-    kw: dict = {key: fraction(key) for key in ("eps", "sigma", "alpha", "beta") if key in raw}
-    if raw.get("rho", "auto") != "auto":
-        kw["rho"] = float(fraction("rho"))
-    return ProcedureParams(**kw)
 
 
 def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +96,7 @@ def _estimate_rows(
 def run_estimate(
     g: Graph,
     L: ListAssignment,
-    raw_params: dict,
+    params: ProcedureParams,
     trials: int,
     seed: int,
     out_dir: str | Path,
@@ -127,12 +106,12 @@ def run_estimate(
 
     Writes `estimate_results.csv` (columns vertex, var, mean, se, bound, pass)
     and `estimate_manifest.json` to `out_dir`.  The manifest holds the
-    `inputs` entries (the CLI names the graph and lists files), then
-    `params` (`raw_params` as given), `trials`, `seed` and `content_hash`,
-    the SHA-256 of the CSV text followed by a NUL byte.  Returns (every check
-    passed, number of checks).
+    `inputs` entries (the CLI gives the graph and lists files and the
+    parameter text), then `trials`, `seed` and `content_hash`, the SHA-256
+    of the CSV text followed by a NUL byte.  Returns (every check passed,
+    number of checks).
     """
-    rows = _estimate_rows(g, L, build_params(raw_params), trials, seed)
+    rows = _estimate_rows(g, L, params, trials, seed)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex", "var", "mean", "se", "bound", "pass"])
@@ -143,7 +122,6 @@ def run_estimate(
     (out / "estimate_results.csv").write_text(csv_text)
     manifest = {
         **inputs,
-        "params": raw_params,
         "trials": trials,
         "seed": seed,
         "content_hash": hashlib.sha256(csv_text.encode() + b"\0").hexdigest(),

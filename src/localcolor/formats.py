@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, GraphError
 from .lists import ListAssignment, make_lists
 
 
@@ -44,7 +44,8 @@ def parse_dimacs(text: str) -> Graph:
     """The graph of a DIMACS .col text.  Every error names its line: a bad
     record first, then a field that is not an integer, then an edge out of
     range or a loop, each the first in the file, and last a problem line
-    whose edge count differs from the number of `e` lines.
+    whose edge count differs from the number of `e` lines or whose vertex
+    count is more than a Graph holds.
 
     A text with only the problem line and m `e u v` lines, nothing else, is
     read in one pass; any other text, errors included, line by line."""
@@ -70,12 +71,15 @@ def parse_dimacs(text: str) -> Graph:
         return _parse_dimacs_lines(text)
     del tokens[::3]
     # fromstring saturates a field beyond int64 at 2**63 - 1, which the range
-    # check rejects for every n below it
+    # check rejects for every n a Graph holds; from_edges rejects a larger n
     uv = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
     u, v = uv.T
-    if n >= 2**63 - 1 or (uv.size and (uv.min() < 0 or uv.max() >= n or (u == v).any())):
+    if uv.size and (uv.min() < 0 or uv.max() >= n or (u == v).any()):
         return _parse_dimacs_lines(text)
-    return Graph.from_edges(n, uv)
+    try:
+        return Graph.from_edges(n, uv)
+    except GraphError:  # too many vertices, an error the line loop names
+        return _parse_dimacs_lines(text)
 
 
 def _parse_dimacs_lines(text: str) -> Graph:
@@ -124,7 +128,10 @@ def _parse_dimacs_lines(text: str) -> Graph:
             f"line {problem}: the problem line declares {m} edges, the file has "
             f"{len(edge_lines)} e lines"
         )
-    return Graph.from_edges(n, uv)
+    try:
+        return Graph.from_edges(n, uv)
+    except GraphError as exc:  # the ends are checked above: too many vertices
+        raise FormatError(f"line {problem}: {exc}") from None
 
 
 def emit_dimacs(g: Graph) -> str:

@@ -10,6 +10,7 @@ concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -73,7 +74,10 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph on 0..n-1 with these edges; repeats, in either direction,
-        are dropped.  The first self-loop or out-of-range edge is an error."""
+        are dropped.  The first self-loop or out-of-range edge is an error, and
+        so is an n above isqrt(2**63 - 1), checked before any array is made."""
+        if n > (most := math.isqrt(2**63 - 1)):  # so that each key u * n + v fits in int64
+            raise GraphError(f"{n} vertices: more than {most}, the int64 edge-key limit")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             uv = np.array(pairs, dtype=np.int64)

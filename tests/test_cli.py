@@ -10,9 +10,8 @@ import re
 
 import pytest
 
-from localcolor import cli
-from localcolor.cli import BOUNDS, GENERATORS, _parser, main
-from localcolor.experiment import build_params
+from localcolor.cli import BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, main
+from localcolor.procedure import ProcedureParams
 
 # Measured before the estimate writer moved into localcolor.experiment; the
 # bytes must not change for a fixed instance and seed.
@@ -247,10 +246,17 @@ def test_report_output_is_pinned(command, capsys):
         # an edge field beyond int64 under a vertex count of 2**63 - 1
         (["color", "--graph", "wide.col", "--lists", "l.json", "--seed", "1"],
          "wide.col: line 2: vertex out of range"),
+        # vertex counts whose (tail, head) edge keys would overflow int64
+        (["color", "--graph", "huge.col", "--lists", "l.json", "--seed", "1"],
+         f"huge.col: line 1: {10**23} vertices: more than 3037000499"),
+        (["estimate", "--graph", "many.col", "--lists", "l.json", "--seed", "1",
+          "--out-dir", "out"], f"many.col: line 1: {2**63} vertices: more than 3037000499"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     (gnp40 / "wide.col").write_text(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
+    (gnp40 / "huge.col").write_text(f"p edge {10**23} 1\ne 1 2\n")
+    (gnp40 / "many.col").write_text(f"p edge {2**63} 1\ne 1 2\n")
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -401,18 +407,42 @@ def test_name_and_which_choices_are_the_table_keys():
     [
         ["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1"],
         ["certify-constants"],
+        # the pinned estimate run, which passes
+        ["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "5", "--trials", "3000",
+         "--sigma", "1/4", "--out-dir", "out"],
     ],
 )
 def test_params_are_built_once_per_call(gnp40, capsys, monkeypatch, argv):
+    """Every ProcedureParams construction runs __post_init__, wherever it is made."""
     calls = []
+    post_init = ProcedureParams.__post_init__
 
-    def counted(raw):
-        calls.append(raw)
-        return build_params(raw)
+    def counted(self):
+        calls.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(cli, "build_params", counted)
+    monkeypatch.setattr(ProcedureParams, "__post_init__", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_default_option_text_builds_the_default_params():
+    """PARAM_DEFAULTS, the text a manifest records, builds ProcedureParams()."""
+    assert _params_of(argparse.Namespace(**PARAM_DEFAULTS)) == (ProcedureParams(), PARAM_DEFAULTS)
+
+
+def test_manifest_records_the_parameter_text_as_given(gnp40, capsys):
+    """`params` keeps each value as typed, not its canonical fraction, in the
+    PARAM_DEFAULTS order, and the manifest keys keep their order."""
+    main([
+        "estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--trials", "50",
+        "--eps", "0.05", "--rho", "9/10", "--out-dir", "out",
+    ])
+    manifest = json.loads((gnp40 / "out" / "estimate_manifest.json").read_text())
+    assert list(manifest) == ["graph", "lists", "params", "trials", "seed", "content_hash"]
+    assert list(manifest["params"].items()) == [
+        ("eps", "0.05"), ("alpha", "1/50"), ("beta", "1/50"), ("sigma", "0"), ("rho", "9/10"),
+    ]
 
 
 def test_each_command_takes_the_procedure_options_it_reads():

@@ -20,7 +20,7 @@ from localcolor.formats import (
     lists_to_json,
     parse_dimacs,
 )
-from localcolor.experiment import build_params
+from localcolor.cli import _params_of, _parser
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from localcolor.graph import Graph, local_clique_number
 from localcolor.lists import make_lists, uniform_lists
@@ -234,6 +234,8 @@ class TestDimacsWholeFile:
     @example("p edge 3 2\ne 1 2 3\ne 2\n")
     @example(f"p edge {2**63 - 1} 1\ne 1 {2**64}\n")  # the field saturates at 2**63 - 1
     @example(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
+    @example(f"p edge {2**63} 1\ne 1 2\n")
+    @example(f"p edge {10**23} 1\ne 1 2\n")
     @settings(max_examples=300, deadline=None)
     def test_equals_the_line_loop(self, text):
         assert _outcome(parse_dimacs, text) == _outcome(_parse_dimacs_lines, text)
@@ -245,6 +247,13 @@ class TestDimacsWholeFile:
         text = f"p edge {n} 2\ne 1 2\ne 1 {field}\n"
         for parse in (parse_dimacs, _parse_dimacs_lines):
             with pytest.raises(FormatError, match="^line 3: vertex out of range$"):
+                parse(text)
+
+    @pytest.mark.parametrize("n", [2**63, 10**23])
+    def test_vertex_count_beyond_int64_edge_keys_is_the_problem_lines_error(self, n):
+        text = f"p edge {n} 1\ne 1 2\n"
+        for parse in (parse_dimacs, _parse_dimacs_lines):
+            with pytest.raises(FormatError, match=f"^line 1: {n} vertices: more than 3037000499"):
                 parse(text)
 
     @given(graphs())
@@ -336,21 +345,25 @@ class TestCli:
         assert json.loads(r.stdout)["savings_gap"]["holds"]
 
 
-class TestBuildParams:
-    def test_known_keys(self):
-        params = build_params({"eps": "1/20", "sigma": "1/4", "rho": "auto"})
-        assert params.eps == Fraction(1, 20) and params.sigma == Fraction(1, 4)
+def estimate_params(*options: str) -> ProcedureParams:
+    """The params the CLI builds for `estimate` with these procedure options."""
+    argv = ["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "0", *options]
+    return _params_of(_parser().parse_args(argv))[0]
 
-    def test_unknown_key_is_named(self):
-        with pytest.raises(ValueError, match="gap_exp"):
-            build_params({"eps": "1/20", "gap_exp": 10})
+
+class TestBuildParams:
+    """ProcedureParams from option text at the CLI boundary, and from fields."""
+
+    def test_known_keys(self):
+        params = estimate_params("--eps", "1/20", "--sigma", "1/4", "--rho", "auto")
+        assert params.eps == Fraction(1, 20) and params.sigma == Fraction(1, 4)
 
     def test_rho_left_out_is_default_rho_of_alpha(self):
         want = default_rho(Fraction(1, 10))
         assert ProcedureParams(alpha=Fraction(1, 10)).rho == want
-        assert build_params({"alpha": "1/10"}).rho == want
-        assert build_params({"alpha": "1/10", "rho": "auto"}).rho == want
-        assert build_params({"alpha": "1/10", "rho": "1/2"}).rho == 0.5
+        assert estimate_params("--alpha", "1/10").rho == want
+        assert estimate_params("--alpha", "1/10", "--rho", "auto").rho == want
+        assert estimate_params("--alpha", "1/10", "--rho", "1/2").rho == 0.5
 
     def test_alpha_is_checked_before_default_rho(self):
         # default_rho divides by 1 + alpha, which is 0 here

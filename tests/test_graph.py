@@ -119,6 +119,12 @@ class TestSortedCsr:
         with pytest.raises(GraphError, match=f"^{message}$"):
             Graph.from_edges(3, edges)
 
+    @pytest.mark.parametrize("n", [3_037_000_500, 2**63, 10**23])
+    def test_from_edges_rejects_a_vertex_count_whose_edge_keys_overflow(self, n):
+        # isqrt(2**63 - 1) is the most; checked before anything of size n is made
+        with pytest.raises(GraphError, match=f"^{n} vertices: more than 3037000499, "):
+            Graph.from_edges(n, [(0, 1)])
+
     @pytest.mark.parametrize(
         "n, ptr, nbr, message",
         [

@@ -42,7 +42,7 @@ def import_violations(source: str) -> list[tuple[int, str]]:
 
 def test_guard_catches_both_rules():
     source = (
-        "from .experiment import build_params\n"
+        "from .experiment import run_estimate\n"
         "def f():\n"
         "    from .experiment import _estimate_rows\n"
         "    import csv\n"

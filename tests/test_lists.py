@@ -186,7 +186,7 @@ _TAKES_LISTS = {
     "pipeline_color": lambda g, L, tmp: pipeline_color(
         g, L, ProcedureParams(), 20, np.random.default_rng(0)
     ),
-    "run_estimate": lambda g, L, tmp: run_estimate(g, L, {}, 50, 0, tmp, {}),
+    "run_estimate": lambda g, L, tmp: run_estimate(g, L, ProcedureParams(), 50, 0, tmp, {}),
     "brute_force_L_colorable": lambda g, L, tmp: brute_force_L_colorable(g, L),
     "is_L_critical": lambda g, L, tmp: is_L_critical(g, L),
 }

@@ -443,7 +443,7 @@ class TestDeterminism:
     def test_estimate_builds_no_correspondence_assignment(self, correspondence_calls, tmp_path):
         g = gen_gnp(40, 0.2, 2)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
-        run_estimate(g, L, {}, 50, 0, tmp_path, {})
+        run_estimate(g, L, ProcedureParams(), 50, 0, tmp_path, {})
         assert correspondence_calls == []
 
     def test_estimate_computes_no_save_drop(self, evaluator_calls, tmp_path):
@@ -451,14 +451,16 @@ class TestDeterminism:
         # the row evaluator once and computes no save_drop
         g = gen_gnp(40, 0.2, 2)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
-        run_estimate(g, L, {}, 50, 0, tmp_path, {})
+        run_estimate(g, L, ProcedureParams(), 50, 0, tmp_path, {})
         # 50 trials are one chunk: one _pairs_trips call per vertex
         assert evaluator_calls == ["uncolored_trials", "savings_rows"] + ["_pairs_trips"] * g.n
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
         with pytest.raises(ValueError, match=f"trials={trials}"):
-            run_estimate(star(5), uniform_lists(6, 6), {}, trials, 0, tmp_path / "out", {})
+            run_estimate(
+                star(5), uniform_lists(6, 6), ProcedureParams(), trials, 0, tmp_path / "out", {}
+            )
         assert not (tmp_path / "out").exists()
 
 
@@ -517,7 +519,7 @@ class TestEstimateRows:
         trials = 20_000
         tracemalloc.start()
         try:
-            run_estimate(g, L, {}, trials, 0, tmp_path, {})
+            run_estimate(g, L, ProcedureParams(), trials, 0, tmp_path, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
