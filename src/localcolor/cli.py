@@ -44,6 +44,14 @@ def _read(path: str, parse):
         raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the file; an unwritable path is an argument error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_graph(path: str) -> Graph:
     return _read(path, parse_dimacs)
 
@@ -191,17 +199,16 @@ def _call(kind: str, name: str, table: dict, given: dict[str, str]):
 def cmd_generate(args) -> int:
     g = _call("generator", args.name, GENERATORS, dict(args.param or []))
     text = emit_dimacs(g)
+    if args.lists_out:
+        k = args.uniform_lists
+        sizes = (np.diff(g.ptr) + 1).tolist() if k is None else [k] * g.n
+        lists_text = json.dumps(lists_to_json(make_lists([range(s) for s in sizes])))
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.lists_out:
-        k = args.uniform_lists
-        if k is None:
-            rows = [list(range(d + 1)) for d in np.diff(g.ptr).tolist()]
-        else:
-            rows = [list(range(k)) for _ in range(g.n)]
-        Path(args.lists_out).write_text(json.dumps(lists_to_json(make_lists(rows))))
+        _write(args.lists_out, lists_text)
     return 0
 
 
@@ -225,10 +232,15 @@ def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
     params, raw = _params_of(args)
-    passed, checks = run_estimate(
-        g, L, params, args.trials, args.seed, args.out_dir,
-        {"graph": args.graph, "lists": args.lists, "params": raw},
-    )
+    try:
+        passed, checks = run_estimate(
+            g, L, params, args.trials, args.seed, args.out_dir,
+            {"graph": args.graph, "lists": args.lists, "params": raw},
+        )
+    except OSError as exc:  # the directory cannot be made, or a file in it written
+        raise argparse.ArgumentTypeError(
+            f"argument --out-dir: cannot write {args.out_dir}: {exc.strerror}"
+        ) from None
     print(f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)")
     return 0 if passed else 1
 

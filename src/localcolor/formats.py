@@ -70,16 +70,13 @@ def parse_dimacs(text: str) -> Graph:
     if len(tokens) != 3 * m or tokens[::3].count("e") != m:  # two fields on every line
         return _parse_dimacs_lines(text)
     del tokens[::3]
-    # fromstring saturates a field beyond int64 at 2**63 - 1, which the range
-    # check rejects for every n a Graph holds; from_edges rejects a larger n
+    # fromstring saturates a field beyond int64 at 2**63 - 1, which from_edges'
+    # range check rejects for every n a Graph holds; it rejects a larger n too
     uv = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
-    u, v = uv.T
-    if uv.size and (uv.min() < 0 or uv.max() >= n or (u == v).any()):
-        return _parse_dimacs_lines(text)
     try:
         return Graph.from_edges(n, uv)
-    except GraphError:  # too many vertices, an error the line loop names
-        return _parse_dimacs_lines(text)
+    except GraphError:  # an end out of range, a loop or too many vertices
+        return _parse_dimacs_lines(text)  # which names the line
 
 
 def _parse_dimacs_lines(text: str) -> Graph:

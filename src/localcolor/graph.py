@@ -133,12 +133,6 @@ class Graph:
             len(vs), [(i, index[u]) for i, v in enumerate(vs) for u in self.adj[v] if u in index]
         )
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges())
-        return g
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -216,18 +210,14 @@ def complement_edge_count(g: Graph, s: Iterable[int]) -> int:
     return k * (k - 1) // 2 - sum(len(g.adj[v] & inside) for v in vs) // 2
 
 
-def complement_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Complement of g[s], relabeled 0..k-1; returns the graph and original labels."""
-    vs = _vertex_set(g, s)
-    edges = [(i, j) for i, j in combinations(range(len(vs)), 2) if vs[j] not in g.adj[vs[i]]]
-    return Graph.from_edges(len(vs), edges), vs
-
-
 def max_antimatching(g: Graph, s: Iterable[int]) -> Matching:
-    """Maximum matching in the complement of g[s] (blossom algorithm)."""
-    comp, labels = complement_subgraph(g, s)
-    mate = nx.max_weight_matching(comp.to_networkx(), maxcardinality=True)
-    return Matching.of((labels[a], labels[b]) for a, b in mate)
+    """Maximum matching in the complement of g[s] (networkx's blossom
+    algorithm, on a networkx graph of the complement over g's own ids)."""
+    vs = _vertex_set(g, s)
+    comp = nx.Graph()
+    comp.add_nodes_from(vs)
+    comp.add_edges_from((u, v) for u, v in combinations(vs, 2) if v not in g.adj[u])
+    return Matching.of(nx.max_weight_matching(comp, maxcardinality=True))
 
 
 def average_degree(g: Graph) -> Fraction:

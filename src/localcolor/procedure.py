@@ -321,10 +321,10 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs, falling.sum(axis=0) // 6
 
 
-# trials per pass of uncolored_trials and savings_rows, bounding their
-# (neighbor, trial) temporaries, and the row stride of savings_rows' count
-# grid; from this many trials on, draw_trials draws the color indices vertex
-# by vertex
+# trials per pass of uncolored_trials and savings_rows and per batch of
+# pipeline_color, bounding their (edge, trial) temporaries; the row stride of
+# savings_rows' count grid; from this many trials on, draw_trials draws the
+# color indices vertex by vertex
 TRIAL_CHUNK = 1024
 
 
@@ -570,7 +570,8 @@ def pipeline_color(
     then color the uncolored part greedily (larger original lists first).
 
     Each round is a full independent trial.  Trials are drawn from `rng` in
-    batches of 1, 2, 4, ... (capped by the rounds left); the first trial in
+    batches of 1, 2, 4, ... up to TRIAL_CHUNK (1024), capped by the rounds
+    left, so memory does not grow with max_rounds; the first trial in
     which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
     is completed, and the rest of its batch is discarded.  The lists are
     compiled by `compile_lists`, and the completed coloring is checked to be
@@ -585,7 +586,7 @@ def pipeline_color(
     violations: list[int] = []
     batch = 1
     while len(violations) < max_rounds:
-        trials = min(batch, max_rounds - len(violations))
+        trials = min(batch, TRIAL_CHUNK, max_rounds - len(violations))
         act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
         uncolored, unact, save_drop = settle_trials(inst, act, phi_idx, heads)
         bad = (uncolored & (save_full[:, None] - save_drop > unact)).sum(axis=0)

@@ -33,12 +33,7 @@ from localcolor.bounds import (
 )
 from localcolor.extraction import extract_dense_subgraph
 from localcolor.generators import gen_c5_blowup, gen_gnp
-from localcolor.graph import (
-    Graph,
-    Matching,
-    average_degree,
-    complement_subgraph,
-)
+from localcolor.graph import Graph, Matching, average_degree
 from localcolor.knm import density_audit
 from localcolor.lists import is_proper, make_lists, profile, uniform_lists
 from localcolor.procedure import (
@@ -97,8 +92,7 @@ def test_01_knm_solver_thousand_instances(capsys):
 
 
 def all_maximal_antimatchings(g: Graph, subset):
-    comp, labels = complement_subgraph(g, subset)
-    edges = comp.edges()
+    edges = [(u, v) for u, v in itertools.combinations(sorted(subset), 2) if not g.has_edge(u, v)]
 
     results = set()
 
@@ -115,10 +109,7 @@ def all_maximal_antimatchings(g: Graph, subset):
         # nothing extends, which the base case above already covers
 
     rec(frozenset(), frozenset(), edges)
-    out = []
-    for m in results:
-        out.append(Matching.of((labels[u], labels[v]) for u, v in m))
-    return out
+    return [Matching.of(m) for m in results]
 
 
 def test_02_density_audit_exhaustive(capsys):

@@ -145,6 +145,29 @@ def test_audit_output_is_pinned(gnp40, capsys):
     assert sha256(capsys.readouterr().out.encode()) == GOLDEN_AUDIT_GNP40_SHA256
 
 
+# (exit code, SHA-256 of `audit` stdout) on G(60, 1/5) seed 3 with deg+1 lists,
+# measured while max_antimatching still built a relabeled complement Graph.
+GOLDEN_AUDIT_GNP60 = {
+    "": (0, "3308baffed6444449d75b4279ebd2a84c46fd2d2e989ae9b2528020d0f28cd5b"),
+    " ".join(map(str, range(0, 60, 3))): (
+        0, "4c5865bb6d282894be93a10022e9a7a1ec09302c5659bcd3f6268a1a721936c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("subset", GOLDEN_AUDIT_GNP60)
+def test_audit_output_is_pinned_whole_and_on_a_subset(tmp_path, monkeypatch, capsys, subset):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "generate", "--name", "gnp", "--param", "n=60", "--param", "p=1/5",
+        "--param", "seed=3", "--out", "g.col", "--lists-out", "l.json",
+    ]) == 0
+    capsys.readouterr()
+    argv = ["audit", "--graph", "g.col", "--lists", "l.json"]
+    code = main(argv + (["--subset", *subset.split()] if subset else []))
+    assert (code, sha256(capsys.readouterr().out.encode())) == GOLDEN_AUDIT_GNP60[subset]
+
+
 @pytest.mark.parametrize("command", GOLDEN_REPORTS)
 def test_report_output_is_pinned(command, capsys):
     code = main(command.split())
@@ -251,6 +274,14 @@ def test_report_output_is_pinned(command, capsys):
          f"huge.col: line 1: {10**23} vertices: more than 3037000499"),
         (["estimate", "--graph", "many.col", "--lists", "l.json", "--seed", "1",
           "--out-dir", "out"], f"many.col: line 1: {2**63} vertices: more than 3037000499"),
+        # output paths that cannot be written
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--trials", "2",
+          "--out-dir", "l.json"], "argument --out-dir: cannot write l.json: File exists"),
+        (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+          "seed=1", "--out", "nodir/g.col"], "cannot write nodir/g.col: No such file or directory"),
+        (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+          "seed=1", "--out", "g10.col", "--lists-out", "nodir/l.json"],
+         "cannot write nodir/l.json: No such file or directory"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):

@@ -12,7 +12,6 @@ from localcolor.graph import (
     GraphError,
     Matching,
     complement_edge_count,
-    complement_subgraph,
     degree,
     local_clique_number,
     max_antimatching,
@@ -229,14 +228,18 @@ class TestAntimatching:
         with pytest.raises(GraphError):
             Matching.of([(0, 1), (1, 2)])
 
-    @given(graphs(max_n=8))
+    @given(graphs(max_n=8), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_maximum_vs_brute(self, g):
-        m = max_antimatching(g, range(g.n))
-        comp, labels = complement_subgraph(g, range(g.n))
-        assert len(m) == brute_max_matching(comp)
-        for u, v in m.edges:
-            assert not g.has_edge(u, v)
+    def test_maximum_vs_brute(self, g, data):
+        subset = data.draw(st.sets(st.integers(0, g.n - 1)))
+        for s in (set(range(g.n)), subset):
+            m = max_antimatching(g, s)
+            # the complement of g[s], on all of g's ids; the rest are isolated
+            non_edges = [(u, v) for u, v in itertools.combinations(sorted(s), 2)
+                         if not g.has_edge(u, v)]
+            assert len(m) == brute_max_matching(Graph.from_edges(g.n, non_edges))
+            for u, v in m.edges:
+                assert u in s and v in s and not g.has_edge(u, v)
 
 
 # Every public entry that takes a vertex id or a vertex set, called on C5 with
@@ -249,7 +252,6 @@ _TAKES_A_VERTEX = {
     "has_edge_head": lambda g, bad: g.has_edge(0, bad),
     "subgraph": lambda g, bad: g.subgraph([0, 1, bad]),
     "complement_edge_count": lambda g, bad: complement_edge_count(g, [0, bad]),
-    "complement_subgraph": lambda g, bad: complement_subgraph(g, [bad, 2]),
     "max_antimatching": lambda g, bad: max_antimatching(g, [bad, 2]),
     "gap": lambda g, bad: gap(g, bad),
     "save": lambda g, bad: save(g, _L, bad),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import scalar_reference
 from localcolor import experiment, procedure
-from localcolor.generators import gen_gnp
+from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
@@ -395,6 +395,22 @@ class TestPipeline:
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         with pytest.raises(ValueError, match=f"got {rounds}"):
             pipeline_color(g, L, ProcedureParams(), rounds, rng_of(0))
+
+    def test_batches_stop_doubling_at_the_trial_chunk(self, monkeypatch):
+        # C5 blowup t=10 with 26-color lists at eps 1/5 fails every round
+        monkeypatch.setattr(procedure, "TRIAL_CHUNK", 4)
+        drawn = []
+        draw = procedure.draw_trials
+
+        def recorded(inst, params, table, trials, rng):
+            drawn.append(trials)
+            return draw(inst, params, table, trials, rng)
+
+        monkeypatch.setattr(procedure, "draw_trials", recorded)
+        params = ProcedureParams(eps=Fraction(1, 5))
+        report = pipeline_color(gen_c5_blowup(10), uniform_lists(50, 26), params, 40, rng_of(1))
+        assert not report.succeeded
+        assert drawn == [1, 2] + [4] * 9 + [1]
 
     def test_builds_no_correspondence_assignment(self, correspondence_calls):
         # lists compile straight to index arrays and the coloring is checked
