@@ -197,6 +197,8 @@ def _call(kind: str, name: str, table: dict, given: dict[str, str]):
 
 
 def cmd_generate(args) -> int:
+    if args.uniform_lists is not None and not args.lists_out:
+        raise argparse.ArgumentTypeError("argument --uniform-lists: needs --lists-out")
     g = _call("generator", args.name, GENERATORS, dict(args.param or []))
     text = emit_dimacs(g)
     if args.lists_out:
@@ -248,7 +250,7 @@ def cmd_estimate(args) -> int:
 def cmd_audit(args) -> int:
     g = _load_graph(args.graph)
     L = _load_lists(args.lists, g)
-    subset = frozenset(args.subset) if args.subset else frozenset(range(g.n))
+    subset = frozenset(args.subset or range(g.n))
     try:
         m = max_antimatching(g, subset)
     except GraphError as exc:
@@ -331,7 +333,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="density audit of an induced subgraph")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
-    p.add_argument("--subset", type=int, nargs="*")
+    p.add_argument("--subset", type=int, nargs="+")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("extract", help="extract a dense subgraph")

@@ -19,16 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds
+from . import bounds, procedure
 from .graph import Graph, complement_edge_count
 from .lists import ListAssignment, profile
-from .procedure import (
-    ProcedureParams,
-    batch_draws,
-    compile_lists,
-    savings_rows,
-    uncolored_trials,
-)
 
 
 def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,24 +30,25 @@ def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _estimate_rows(
-    g: Graph, L: ListAssignment, params: ProcedureParams, trials: int, seed: int
+    g: Graph, L: ListAssignment, params: procedure.ProcedureParams,
+    inst: procedure.CompiledInstance, table: np.ndarray, trials: int, seed: int,
 ) -> list[list]:
-    """The CSV rows of run_estimate.  Each vertex's savings rows are reduced
-    to means and standard errors as savings_rows yields them, so no
-    (n, trials) array of savings is ever held.  The uncolored mask is
-    written into the color indices in place, as the |L(v)| that savings_rows
-    reads as "uncolored", so no second (n, trials) index array is made."""
-    if trials < 2:
-        raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
-    inst = compile_lists(g, L)
-    act, phi_idx, heads = batch_draws(inst, params, trials, seed)
-    uncolored = uncolored_trials(inst, act, phi_idx, heads)
+    """The CSV rows of run_estimate, from trials on `inst` and its keep table
+    drawn on the Philox stream that batch_draws uses for `seed`.  Each
+    vertex's savings rows are reduced to means and standard errors as
+    savings_rows yields them, so no (n, trials) array of savings is ever
+    held.  The uncolored mask is written into the color indices in place,
+    as the |L(v)| that savings_rows reads as "uncolored", so no second
+    (n, trials) index array is made."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    act, phi_idx, heads = procedure.draw_trials(inst, params, table, trials, rng)
+    uncolored = procedure.uncolored_trials(inst, act, phi_idx, heads)
     del heads  # folded into uncolored; freed, it is 1 byte per cell off the peak
     np.copyto(phi_idx, inst.sizes[:, None], where=uncolored)
     del uncolored
     rows = []
     k = params.keep
-    for v, x in enumerate(savings_rows(inst, params, act, phi_idx)):
+    for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_idx)):
         (aberr, pairs, trips, unact), (aberr_se, pairs_se, trips_se, unact_se) = (
             _mean_se(x, trials)
         )
@@ -96,7 +90,7 @@ def _estimate_rows(
 def run_estimate(
     g: Graph,
     L: ListAssignment,
-    params: ProcedureParams,
+    params: procedure.ProcedureParams,
     trials: int,
     seed: int,
     out_dir: str | Path,
@@ -109,16 +103,21 @@ def run_estimate(
     `inputs` entries (the CLI gives the graph and lists files and the
     parameter text), then `trials`, `seed` and `content_hash`, the SHA-256
     of the CSV text followed by a NUL byte.  Returns (every check passed,
-    number of checks).
+    number of checks).  The inputs are checked, and `out_dir` made, before
+    any trial is drawn.
     """
-    rows = _estimate_rows(g, L, params, trials, seed)
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
+    inst = procedure.compile_lists(g, L)
+    table = procedure.check_equalization_precondition(inst, params)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = _estimate_rows(g, L, params, inst, table, trials, seed)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex", "var", "mean", "se", "bound", "pass"])
     w.writerows(rows)
     csv_text = buf.getvalue()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "estimate_results.csv").write_text(csv_text)
     manifest = {
         **inputs,

@@ -175,31 +175,28 @@ def degree(g: Graph, v: int) -> int:
     return int(g.ptr[v + 1] - g.ptr[v])
 
 
-def _max_clique_in(g: Graph, candidates: frozenset[int]) -> int:
-    """Size of a maximum clique within the candidate set (Bron-Kerbosch with pivot)."""
-    best = 0
-
-    def extend(r: int, p: set[int], x: set[int]) -> None:
-        nonlocal best
-        if not p and not x:
-            best = max(best, r)
-            return
-        if r + len(p) <= best:
-            return
-        pivot = max(p | x, key=lambda u: len(g.adj[u] & p))
-        for v in list(p - g.adj[pivot]):
-            extend(r + 1, p & g.adj[v], x & g.adj[v])
-            p.remove(v)
-            x.add(v)
-
-    extend(0, set(candidates), set())
-    return best
-
-
 def local_clique_number(g: Graph, v: int) -> int:
-    """Size of a largest clique containing v; exact search over N(v)."""
+    """Size of a largest clique containing v: an exact branch and bound over
+    N(v) on an explicit stack of (clique size, common candidates), so no
+    recursion limit applies.  An entry branches on the candidates outside the
+    neighborhood of its pivot, the candidate with the most candidate
+    neighbors, and is dropped if all its candidates cannot beat the best."""
     _check_vertex(g, v)
-    return 1 + _max_clique_in(g, g.adj[v])
+    adj, best, stack = g.adj, 0, [(0, g.adj[v])]
+    while stack:
+        size, cand = stack.pop()
+        if size + len(cand) <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        pivot = max(cand, key=lambda u: len(adj[u] & cand))
+        rest, children = set(cand), []
+        for u in cand - adj[pivot]:
+            children.append((size + 1, adj[u] & rest))
+            rest.remove(u)  # a later sibling's cliques hold no earlier branch
+        stack += reversed(children)  # popped in branch order
+    return 1 + best
 
 
 def complement_edge_count(g: Graph, s: Iterable[int]) -> int:

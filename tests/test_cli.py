@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from localcolor import procedure
 from localcolor.cli import BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, main
 from localcolor.procedure import ProcedureParams
 
@@ -199,6 +200,9 @@ def test_report_output_is_pinned(command, capsys):
          "argument --alpha: expected a fraction such as 1/20, got 'abc'"),
         (["audit", "--graph", "g.col", "--lists", "l.json", "--subset", "0", "99"],
          "argument --subset: vertex 99 out of range [0, 40)"),
+        # an empty --subset is not read as every vertex
+        (["audit", "--graph", "g.col", "--lists", "l.json", "--subset"],
+         "argument --subset: expected at least one argument"),
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--alpha", "-1"],
          "alpha must be positive, got -1"),
         # color reads no beta, so it takes no --beta
@@ -216,6 +220,9 @@ def test_report_output_is_pinned(command, capsys):
         (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
           "seed=1", "--out", "out", "--lists-out", "u.json", "--uniform-lists", "-1"],
          "argument --uniform-lists: must be at least 1, got -1"),
+        (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
+          "seed=1", "--out", "out", "--uniform-lists", "3"],
+         "argument --uniform-lists: needs --lists-out"),
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "-1"],
          "argument --seed: must be at least 0, got -1"),
         (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "-1",
@@ -295,6 +302,18 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     assert exc.value.code == 2
     assert named in err and "Traceback" not in err and out == ""
     assert not (gnp40 / "out").exists() and not (gnp40 / "u.json").exists()
+
+
+def test_out_dir_is_checked_before_any_trial_is_drawn(gnp40, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(procedure, "draw_trials", lambda *args: drawn.append(args))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
+              "--out-dir", "l.json"])
+    assert exc.value.code == 2
+    assert "argument --out-dir: cannot write l.json: File exists" in capsys.readouterr().err
+    assert drawn == []
 
 
 def test_back_to_back_calls_share_no_values(tmp_path, monkeypatch, capsys):

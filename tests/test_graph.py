@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact import KnmInstance, rivin_triangle_bound, triangle_count
+from localcolor.generators import gen_c5_blowup
 from localcolor.graph import (
     Graph,
     GraphError,
@@ -171,6 +173,49 @@ class TestCliques:
                     best = max(best, r)
         assert max_clique(g) == best
         assert all(local_clique_number(g, v) <= best for v in range(g.n))
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=80, deadline=None)
+    def test_every_vertex_against_brute_force(self, g):
+        def is_clique(sub):
+            return all(g.has_edge(u, w) for u, w in itertools.combinations(sub, 2))
+
+        for v in range(g.n):
+            others = [u for u in range(g.n) if u != v]
+            best = max(
+                1 + r
+                for r in range(g.n)
+                for sub in itertools.combinations(others, r)
+                if is_clique((v, *sub))
+            )
+            assert local_clique_number(g, v) == best
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_c5_blowup(self, t):
+        g = gen_c5_blowup(t)
+        assert [local_clique_number(g, v) for v in range(g.n)] == [2 * t] * g.n
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_complete_minus_a_perfect_matching(self, m):
+        n = 2 * m
+        g = Graph.from_edges(
+            n, [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + m]
+        )
+        assert [local_clique_number(g, v) for v in range(n)] == [m] * n
+
+    def test_no_recursion_limit(self):
+        # 100 frames above this test's own depth; a search that recursed once
+        # per clique vertex would need 300
+        g = complete(300)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert local_clique_number(g, 0) == 300
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestComplementAndTriangles:

@@ -1,8 +1,9 @@
-"""Static import rules for the package: every import sits at module level,
-no module imports another module's underscore (private) names, the package
-exports each name from the module that defines it, and every exported name,
+"""Static rules for the package: every import sits at module level, no
+module imports another module's underscore (private) names, the package
+exports each name from the module that defines it, every exported name,
 indeed every top-level definition, is reached from a command or named in the
-README's library overview."""
+README's library overview, and no function calls itself, so no input size
+meets Python's recursion limit."""
 
 import ast
 import re
@@ -196,3 +197,44 @@ def test_every_definition_is_reached_from_cli_or_documented():
     sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
     del sources["__init__"]
     assert unreached_definitions(sources, README.read_text()) == []
+
+
+def self_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each call of a function, or through `self` of a
+    method, by its own name inside its body, nested functions included."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [
+                (node.lineno, fn.name)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and (
+                    getattr(node.func, "id", None) == fn.name
+                    or getattr(node.func, "attr", None) == fn.name
+                    and getattr(node.func.value, "id", None) == "self"
+                )
+            ]
+    return sorted(out)
+
+
+def test_recursion_guard_catches_self_calls():
+    source = (
+        "def f(n):\n"
+        "    def extend(r):\n"
+        "        extend(r + 1)\n"
+        "    return g(n) + x.f(n)\n"
+        "class A:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+    )
+    assert self_calls(source) == [(3, "extend"), (7, "walk")]
+
+
+def test_no_function_calls_itself():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, name in self_calls(path.read_text())
+    ]
+    assert found == []

@@ -505,7 +505,8 @@ class TestEstimateRows:
         # and standard errors taken over axis 1 of the stacked batch
         g, L = _estimate_instance()
         params = ProcedureParams(sigma=sigma)
-        batch = stacked_batch(compile_lists(g, L), params, trials, 17)
+        inst = compile_lists(g, L)
+        batch = stacked_batch(inst, params, trials, 17)
 
         def mean_se(x):
             return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
@@ -521,7 +522,9 @@ class TestEstimateRows:
                 [v, "unact", un[v], un_se[v]],
             ]
         want = [[v, name, repr(float(m)), repr(float(se))] for v, name, m, se in want]
-        got = [row[:4] for row in experiment._estimate_rows(g, L, params, trials, 17)]
+        table = check_equalization_precondition(inst, params)
+        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 17)
+        got = [row[:4] for row in rows]
         assert got == want
         # the isolated vertex saves nothing
         names = ("aberrance", "pairs_minus_trips", "unact")
