@@ -41,8 +41,8 @@ def aberrance_lower_bound(
     least alpha/(1+alpha); weakly egalitarian ones at least beta gap/(d+beta gap).
     """
     alpha, beta = float(alpha), float(beta)
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if d < 0:
+        raise ValueError("d must be at least 0")
     weak_term = 0.0
     if n_weak and beta > 0 and gap > 0:
         weak_term = beta * gap / (d + beta * gap) * n_weak

@@ -241,7 +241,7 @@ def cmd_estimate(args) -> int:
         )
     except OSError as exc:  # the directory cannot be made, or a file in it written
         raise argparse.ArgumentTypeError(
-            f"argument --out-dir: cannot write {args.out_dir}: {exc.strerror}"
+            f"argument --out-dir: cannot write {exc.filename or args.out_dir}: {exc.strerror}"
         ) from None
     print(f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)")
     return 0 if passed else 1
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (argparse.ArgumentTypeError, PreconditionError) as exc:  # found by the command
         ap.error(f"{args.cmd}: {exc}")
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"localcolor {args.cmd}: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,21 +34,14 @@ def _estimate_rows(
     inst: procedure.CompiledInstance, table: np.ndarray, trials: int, seed: int,
 ) -> list[list]:
     """The CSV rows of run_estimate, from trials on `inst` and its keep table
-    drawn on the Philox stream that batch_draws uses for `seed`.  Each
-    vertex's savings rows are reduced to means and standard errors as
-    savings_rows yields them, so no (n, trials) array of savings is ever
-    held.  The uncolored mask is written into the color indices in place,
-    as the |L(v)| that savings_rows reads as "uncolored", so no second
-    (n, trials) index array is made."""
+    drawn by draw_left on a Philox stream fixed by `seed`.  Each vertex's
+    savings rows are reduced to means and standard errors as savings_rows
+    yields them, so no (n, trials) array of savings is ever held."""
     rng = np.random.default_rng(np.random.Philox(seed))
-    act, phi_idx, heads = procedure.draw_trials(inst, params, table, trials, rng)
-    uncolored = procedure.uncolored_trials(inst, act, phi_idx, heads)
-    del heads  # folded into uncolored; freed, it is 1 byte per cell off the peak
-    np.copyto(phi_idx, inst.sizes[:, None], where=uncolored)
-    del uncolored
+    act, phi_left = procedure.draw_left(inst, params, table, trials, rng)
     rows = []
     k = params.keep
-    for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_idx)):
+    for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_left)):
         (aberr, pairs, trips, unact), (aberr_se, pairs_se, trips_se, unact_se) = (
             _mean_se(x, trials)
         )
@@ -63,7 +56,7 @@ def _estimate_rows(
                 bounds.aberrance_lower_bound(
                     k, params.alpha, params.beta, prof.gap, d,
                     len(prof.lordlier), len(prof.weak_egal),
-                ) if d else 0.0,
+                ),
             ),
             (
                 "pairs_minus_trips",
@@ -103,8 +96,8 @@ def run_estimate(
     `inputs` entries (the CLI gives the graph and lists files and the
     parameter text), then `trials`, `seed` and `content_hash`, the SHA-256
     of the CSV text followed by a NUL byte.  Returns (every check passed,
-    number of checks).  The inputs are checked, and `out_dir` made, before
-    any trial is drawn.
+    number of checks).  The inputs are checked, `out_dir` made and both
+    files opened for writing before any trial is drawn.
     """
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
@@ -112,18 +105,21 @@ def run_estimate(
     table = procedure.check_equalization_precondition(inst, params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    csv_path, manifest_path = out / "estimate_results.csv", out / "estimate_manifest.json"
+    for path in (csv_path, manifest_path):
+        path.open("a").close()  # append mode neither truncates nor needs the file
     rows = _estimate_rows(g, L, params, inst, table, trials, seed)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex", "var", "mean", "se", "bound", "pass"])
     w.writerows(rows)
     csv_text = buf.getvalue()
-    (out / "estimate_results.csv").write_text(csv_text)
+    csv_path.write_text(csv_text)
     manifest = {
         **inputs,
         "trials": trials,
         "seed": seed,
         "content_hash": hashlib.sha256(csv_text.encode() + b"\0").hexdigest(),
     }
-    (out / "estimate_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return all(r[-1] for r in rows), len(rows)

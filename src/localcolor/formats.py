@@ -133,7 +133,7 @@ def _parse_dimacs_lines(text: str) -> Graph:
 
 def emit_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.edge_count()}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges())]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 

@@ -17,18 +17,18 @@ Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
 `draw_trials` draws a batch, and each caller evaluates it with the
-evaluator that computes what it reads.  `uncolored_trials` (per vertex, in
-TRIAL_CHUNK passes) gives the uncolored set; `estimate` writes it into the
-color indices in place, an uncolored vertex's index becoming |L(v)|, and
-`savings_rows` reads those (`phi_left`) and yields one vertex at a time its
-savings components over all trials.  It codes each directed edge's block
-of `match`, plus one entry for an uncolored tail, as rows of the head's
-(color, trial) count grid, so each TRIAL_CHUNK pass of a vertex is a
-gather, a table lookup and one bincount.  `estimate` reduces each row to a
-mean and a standard error as it arrives, so it holds the draws (10 bytes
-per (vertex, trial) cell) and the 1-byte uncolored mask, never an (n,
-trials) array of savings.  That still grows with the
-trial count: drawing trial chunk by trial chunk would change the random
+evaluator that computes what it reads.  For `estimate`, `draw_left` writes
+the uncolored set of `uncolored_trials` (per vertex, in TRIAL_CHUNK passes)
+into the color indices in place, an uncolored vertex's index becoming
+|L(v)|; `savings_rows` reads those (`phi_left`) and yields one vertex at a
+time its savings components over all trials.  It codes each directed
+edge's block of `match`, plus one entry for an uncolored tail, as rows of
+the head's (color, trial) count grid, so each TRIAL_CHUNK pass of a vertex
+is a gather, a table lookup and one bincount.  `estimate` reduces each row
+to a mean and a standard error as it arrives, so it holds the draws (10
+bytes per (vertex, trial) cell) and the 1-byte uncolored mask, never an
+(n, trials) array of savings.  That still grows with the trial count:
+drawing trial chunk by trial chunk would change the random
 stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
 drawn in one call, which takes the same numbers from the stream as one call
 per vertex.  `settle_trials` (all directed edges at once) gives
@@ -358,6 +358,21 @@ def uncolored_trials(
     return uncolored
 
 
+def draw_left(
+    inst: CompiledInstance, params: ProcedureParams, table: np.ndarray, trials: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(activated, phi_left) of `trials` trials drawn by draw_trials: what
+    savings_rows reads.  The uncolored mask is written into the color
+    indices in place, an uncolored vertex's index becoming |L(v)|, so no
+    second (n, trials) index array is made; the flips and the mask are
+    freed on return, before any savings row is computed."""
+    act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
+    uncolored = uncolored_trials(inst, act, phi_idx, heads)
+    np.copyto(phi_idx, inst.sizes[:, None], where=uncolored)
+    return act, phi_idx
+
+
 def savings_rows(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -481,18 +496,6 @@ def settle_trials(
     small = np.flatnonzero(~inst.big)
     unact = _count_by_vertex(tail[small], np.flatnonzero(~act[head[small]]), n, trials)
     return uncolored, unact, colored_heads - distinct
-
-
-def batch_draws(
-    inst: CompiledInstance,
-    params: ProcedureParams,
-    trials: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of `trials` equalized trials on a Philox stream fixed by
-    `seed`, after the precondition check."""
-    table = check_equalization_precondition(inst, params)
-    return draw_trials(inst, params, table, trials, np.random.default_rng(np.random.Philox(seed)))
 
 
 # --- the end-to-end pipeline ------------------------------------------------

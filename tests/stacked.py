@@ -19,7 +19,7 @@ from localcolor.lists import Color
 from localcolor.procedure import (
     CompiledInstance,
     ProcedureParams,
-    batch_draws,
+    check_equalization_precondition,
     draw_trials,
     savings_rows,
     uncolored_trials,
@@ -61,11 +61,20 @@ def stack_trials(
     return Batch(phi_idx, act, uncolored, *terms)
 
 
+def equalized_draws(
+    inst: CompiledInstance, params: ProcedureParams, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of `trials` equalized trials, after the precondition check,
+    on the Philox stream that `estimate` uses for `seed`."""
+    table = check_equalization_precondition(inst, params)
+    return draw_trials(inst, params, table, trials, np.random.default_rng(np.random.Philox(seed)))
+
+
 def naive_draws(
     inst: CompiledInstance, params: ProcedureParams, trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of `trials` naive trials, no equalizing flips, on the Philox
-    stream that batch_draws uses for `seed`."""
+    stream that `estimate` uses for `seed`."""
     return draw_trials(inst, params, None, trials, np.random.default_rng(np.random.Philox(seed)))
 
 
@@ -76,9 +85,9 @@ def stacked_batch(
     seed: int,
     equalize: bool = True,
 ) -> Batch:
-    """`trials` equalized trials drawn by batch_draws (naive ones drawn by
+    """`trials` equalized trials drawn by equalized_draws (naive ones drawn by
     naive_draws if equalize=False), stacked."""
-    draws = batch_draws if equalize else naive_draws
+    draws = equalized_draws if equalize else naive_draws
     return stack_trials(inst, params, *draws(inst, params, trials, seed))
 
 

@@ -40,7 +40,6 @@ from localcolor.procedure import (
     TRIAL_CHUNK,
     PreconditionError,
     ProcedureParams,
-    batch_draws,
     check_equalization_precondition,
     compile_lists,
     default_rho,
@@ -51,7 +50,14 @@ from localcolor.procedure import (
     uncolored_trials,
 )
 from scalar_reference import identity_correspondence, is_lm_coloring, make_total
-from stacked import keep_frequency, naive_draws, phi_left, stack_trials, stacked_batch
+from stacked import (
+    equalized_draws,
+    keep_frequency,
+    naive_draws,
+    phi_left,
+    stack_trials,
+    stacked_batch,
+)
 
 PARAMS = ProcedureParams()
 
@@ -166,7 +172,7 @@ def test_03_equalized_keep_probability(capsys):
             continue
         tested += 1
         # only the uncolored pass: the keep rate needs no savings
-        draws = batch_draws(inst, PARAMS, 10**5, seed)
+        draws = equalized_draws(inst, PARAMS, 10**5, seed)
         uncolored = uncolored_trials(inst, *draws)
         # one designated (vertex, color) per instance: vertex 0, least color
         c0 = inst.lists[0][0]
@@ -252,7 +258,7 @@ def test_06_per_trial_save_inequality(capsys):
     while checked < 10**6:
         seed += 1
         inst = _generous_instance(9000 + seed, n=10)
-        draws = batch_draws(inst, PARAMS, 120_000, seed)
+        draws = equalized_draws(inst, PARAMS, 120_000, seed)
         batch = stack_trials(inst, PARAMS, *draws)
         rhs = batch.aberrance + batch.pairs - batch.trips
         # settled in slices: its (edge, trial) arrays span every trial at once

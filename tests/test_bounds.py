@@ -32,6 +32,11 @@ class TestAberranceBound:
     def test_beta_zero_kills_weak_term(self):
         assert aberrance_lower_bound(0.5, 1 / 50, 0.0, 10, 20, 0, 7) == 0
 
+    def test_isolated_vertex(self):
+        assert aberrance_lower_bound(0.4, 1 / 50, 1 / 50, 0, 0, 0, 0) == 0.0
+        with pytest.raises(ValueError, match="d must be at least 0"):
+            aberrance_lower_bound(0.4, 1 / 50, 1 / 50, 0, -1, 0, 0)
+
     def test_weak_term(self):
         val = aberrance_lower_bound(0.5, 1 / 50, 1 / 50, 10, 20, 0, 5)
         bg = (1 / 50) * 10

@@ -304,16 +304,41 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     assert not (gnp40 / "out").exists() and not (gnp40 / "u.json").exists()
 
 
-def test_out_dir_is_checked_before_any_trial_is_drawn(gnp40, monkeypatch, capsys):
+@pytest.mark.parametrize("out_dir, named", [
+    ("l.json", "l.json: File exists"),
+    ("o", "o/estimate_results.csv: Is a directory"),
+], ids=["dir-is-a-file", "result-file-is-a-dir"])
+def test_out_dir_is_checked_before_any_trial_is_drawn(
+    gnp40, monkeypatch, capsys, out_dir, named
+):
+    (gnp40 / "o" / "estimate_results.csv").mkdir(parents=True)
     drawn = []
     monkeypatch.setattr(procedure, "draw_trials", lambda *args: drawn.append(args))
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
-              "--out-dir", "l.json"])
+              "--out-dir", out_dir])
     assert exc.value.code == 2
-    assert "argument --out-dir: cannot write l.json: File exists" in capsys.readouterr().err
+    assert f"argument --out-dir: cannot write {named}" in capsys.readouterr().err
     assert drawn == []
+
+
+@pytest.mark.parametrize("cmd", [["color"], ["estimate", "--out-dir", "out"]])
+def test_out_of_memory_exits_1_with_a_message(gnp40, monkeypatch, capsys, cmd):
+    message = (
+        "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+        "and data type int64"
+    )
+
+    def compile_lists(g, L):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(procedure, "compile_lists", compile_lists)
+    capsys.readouterr()
+    rc = main([*cmd, "--graph", "g.col", "--lists", "l.json", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"localcolor {cmd[0]}: out of memory: {message}\n"
 
 
 def test_back_to_back_calls_share_no_values(tmp_path, monkeypatch, capsys):

@@ -28,10 +28,10 @@ from localcolor.procedure import (
     CompiledInstance,
     PreconditionError,
     ProcedureParams,
-    batch_draws,
     check_equalization_precondition,
     compile_lists,
     default_rho,
+    draw_left,
     draw_trials,
     greedy_complete,
     keep_constant,
@@ -58,7 +58,7 @@ from scalar_reference import (
     sample_naive,
     savings_of,
 )
-from stacked import keep_frequency, phi_left, stack_trials, stacked_batch
+from stacked import equalized_draws, keep_frequency, phi_left, stack_trials, stacked_batch
 
 
 def path(n):
@@ -526,9 +526,10 @@ class TestEstimateRows:
         rows = experiment._estimate_rows(g, L, params, inst, table, trials, 17)
         got = [row[:4] for row in rows]
         assert got == want
-        # the isolated vertex saves nothing
+        # the isolated vertex saves nothing, and each of its bounds is 0
         names = ("aberrance", "pairs_minus_trips", "unact")
         assert got[-3:] == [[12, name, "0.0", "0.0"] for name in names]
+        assert [row[4] for row in rows[-3:]] == ["0.0"] * 3
 
     def test_memory_per_trial_cell(self, tmp_path):
         # estimate holds the draws (10 bytes per (vertex, trial) cell) and the
@@ -571,6 +572,20 @@ class TestDrawTrials:
             assert heads.any() and not heads.all()
         # both took the same doubles from the stream
         assert ours.random(3).tolist() == rng.random(3).tolist()
+
+
+def test_draw_left_writes_the_uncolored_mask_into_the_draws():
+    """draw_left's activations and phi_left equal those made from draw_trials'
+    raw draws on the same stream, across a trial chunk boundary."""
+    g, L = _estimate_instance()
+    inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
+    table = check_equalization_precondition(inst, params)
+    act, phi_idx, heads = draw_trials(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
+    want = phi_left(inst, phi_idx, uncolored_trials(inst, act, phi_idx, heads))
+    got_act, got_left = draw_left(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
+    assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
+    # some vertex is uncolored in some trial and colored in another
+    assert (want == inst.sizes[:, None]).any() and (want < inst.sizes[:, None]).any()
 
 
 @st.composite
@@ -897,7 +912,7 @@ def test_evaluators_only_read_the_draws():
     g = gen_gnp(30, 0.2, 3)
     L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
-    draws = batch_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
+    draws = equalized_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
     want = stack_trials(inst, params, *(a.copy() for a in draws))
     for a in draws:
         a.flags.writeable = False
@@ -962,7 +977,7 @@ def test_batch_golden():
     rng = random.Random(3)
     L = make_lists([list(range(len(g.adj[v]) + 1 + rng.randint(0, 2))) for v in range(g.n)])
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
-    draws = batch_draws(inst, params, 2500, 11)
+    draws = equalized_draws(inst, params, 2500, 11)
     batch = stack_trials(inst, params, *draws)
     uncolored, unact, save_drop = settle_trials(inst, *draws)
     assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
