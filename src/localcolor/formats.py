@@ -150,7 +150,8 @@ def lists_from_json(obj: dict) -> ListAssignment:
     try:
         rows = [list(row) for row in obj["lists"]]
     except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad lists object: {exc}") from exc
+        why = 'expected a "lists" key' if isinstance(exc, KeyError) else exc
+        raise FormatError(f"bad lists object: {why}") from exc
     # one pass over every color; a frozenset per row is only formed once all
     # are integers (a list among them would make it raise), and serves both
     # the repeat check and the lists

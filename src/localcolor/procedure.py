@@ -32,7 +32,8 @@ drawing trial chunk by trial chunk would change the random
 stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
 drawn in one call, which takes the same numbers from the stream as one call
 per vertex.  `settle_trials` (all directed edges at once) gives
-`pipeline_color`'s savings check the uncolored set, unact and save_drop.
+`pipeline_color`'s savings check the uncolored set, unact and save_drop, and
+`greedy_complete` the colors each vertex loses to its kept neighbors.
 `compile_lists` builds the tables of a list assignment (the identity
 correspondence made total) straight from the sorted lists, building
 `match` in a few steps over its own cells, so that no more than two
@@ -40,10 +41,9 @@ cells-long arrays are alive at once and a call faults in little fresh
 memory; `keep_table` reads only the cells of the edges whose head can
 uncolor their tail, and which of them are matched from one byte mask over
 the match table.  `pipeline_color` takes lists, completes its trial with
-`greedy_complete` (a vectorized pass for the kept neighbors, then a loop
-over the edges between uncolored vertices) and checks its finished
-coloring against the lists: every vertex colored from its own list, no
-edge with equal colors at its ends.
+`greedy_complete` (from those removed colors, a loop over the edges between
+uncolored vertices) and checks its finished coloring against the lists:
+every vertex colored from its own list, no edge with equal colors at its ends.
 """
 
 from __future__ import annotations
@@ -452,16 +452,18 @@ def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) 
 
 def settle_trials(
     inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(uncolored, unact, save_drop) of the drawn trials, each of shape (n, trials):
-    what pipeline_color's savings check reads, equal to uncolored_trials'
-    mask and savings_rows' unact.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(uncolored, unact, save_drop, removed) of the drawn trials, what
+    pipeline_color reads; the first three are (n, trials), equal to
+    uncolored_trials' mask and savings_rows' unact.
 
-    save_drop(v) = Save_L(v) - Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|):
-    v's colored neighbors minus the distinct colors of v they remove; it is
-    meaningful only where v is uncolored.  Work is vectorized over all
-    directed edges at once, and each (edge, trial) mask is reduced through
-    the flat indices of the cells it hits.
+    removed[start[v] + i, t] marks lists[v][i] as matched to the trial color
+    of a neighbor that stays colored; where v is uncolored, its unmarked
+    colors are its residual list L'(v).  save_drop(v) = Save_L(v) -
+    Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): v's colored neighbors
+    minus the distinct colors of v they remove, meaningful only where v is
+    uncolored.  Work is vectorized over all directed edges at once, and each
+    (edge, trial) mask is reduced through the flat indices of the cells it hits.
     """
     n, trials = phi_idx.shape
     tail, head = inst.tail, inst.head
@@ -495,35 +497,29 @@ def settle_trials(
     # the non-activated heads with strictly smaller lists
     small = np.flatnonzero(~inst.big)
     unact = _count_by_vertex(tail[small], np.flatnonzero(~act[head[small]]), n, trials)
-    return uncolored, unact, colored_heads - distinct
+    return uncolored, unact, colored_heads - distinct, removed.reshape(-1, trials)
 
 
 # --- the end-to-end pipeline ------------------------------------------------
 
 
 def greedy_complete(
-    inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray
+    inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray, removed: np.ndarray
 ) -> tuple[np.ndarray | None, int | None]:
     """Color the uncolored vertices of one trial greedily, in index form.
 
-    phi_idx and uncolored are the trial's columns.  Uncolored vertices are
-    taken larger lists first, ties by id; each takes the smallest color index
-    not matched to the color of an already colored neighbor, whether that
-    neighbor kept its trial color or was completed before.  Returns (color
-    index per vertex, blocked vertex).
+    phi_idx, uncolored and removed are the trial's columns, removed that of
+    settle_trials.  Uncolored vertices are taken larger lists first, ties by
+    id; each takes the smallest color index not matched to the color of an
+    already colored neighbor, whether that neighbor kept its trial color or
+    was completed before.  Returns (color index per vertex, blocked vertex).
 
-    One vectorized pass first clears, in a flat (vertex, color) byte table,
-    the indices every uncolored vertex loses to its kept neighbors; the loop
-    in completion order then reads only the edges to uncolored neighbors
+    The free bytes start as the colors that kept neighbors did not remove;
+    the loop in completion order reads only the edges to uncolored neighbors
     completed before it, and takes the first free byte.
     """
-    start, tail, head, back, match = inst.start, inst.tail, inst.head, inst.back, inst.match
-    free = np.ones(int(start[-1]), dtype=np.uint8)
-    # the indices the kept heads of uncolored tails take
-    e = np.flatnonzero(uncolored[tail] & ~uncolored[head])
-    taken = match[back[e] + phi_idx[head[e]]]
-    free[(start[tail[e]] + taken)[taken >= 0]] = 0
-    free = bytearray(free)
+    start, tail, head, back = inst.start, inst.tail, inst.head, inst.back
+    free = bytearray(~removed)
     order = np.flatnonzero(uncolored)
     order = order[np.argsort(-inst.sizes[order], kind="stable")]
     rank = np.empty(len(uncolored), dtype=np.int64)
@@ -535,7 +531,7 @@ def greedy_complete(
     ptr = np.searchsorted(tail[e], np.arange(len(uncolored) + 1)).tolist()
     heads, backs, starts = head[e].tolist(), back[e].tolist(), start.tolist()
     color = np.where(uncolored, -1, phi_idx).tolist()
-    cells = memoryview(match)  # indexing it yields Python ints, 4x faster than match[k]
+    cells = memoryview(inst.match)  # indexing it yields Python ints, 4x faster than match[k]
     for v in order.tolist():
         s = starts[v]
         for k in range(ptr[v], ptr[v + 1]):
@@ -591,16 +587,17 @@ def pipeline_color(
     while len(violations) < max_rounds:
         trials = min(batch, TRIAL_CHUNK, max_rounds - len(violations))
         act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
-        uncolored, unact, save_drop = settle_trials(inst, act, phi_idx, heads)
+        uncolored, unact, save_drop, removed = settle_trials(inst, act, phi_idx, heads)
         bad = (uncolored & (save_full[:, None] - save_drop > unact)).sum(axis=0)
         good = np.flatnonzero(bad == 0)
         if not good.size:
             violations.extend(bad.tolist())
             batch *= 2
+            del removed  # Σ|L(v)| bytes per trial, not held while the next batch settles
             continue
         t = int(good[0])
         violations.extend(bad[: t + 1].tolist())
-        color, blocked = greedy_complete(inst, phi_idx[:, t], uncolored[:, t])
+        color, blocked = greedy_complete(inst, phi_idx[:, t], uncolored[:, t], removed[:, t])
         if color is None:
             # the savings check guarantees greedy succeeds: unact(v) counts
             # the neighbors that are colored after v

@@ -264,7 +264,7 @@ def test_06_per_trial_save_inequality(capsys):
         # settled in slices: its (edge, trial) arrays span every trial at once
         for start in range(0, 120_000, TRIAL_CHUNK):
             t = slice(start, start + TRIAL_CHUNK)
-            unc, _, lhs = settle_trials(inst, *(a[:, t] for a in draws))
+            unc, _, lhs, _ = settle_trials(inst, *(a[:, t] for a in draws))
             bad += int((unc & (lhs < rhs[:, t])).sum())
             checked += int(unc.sum())
     ok = bad == 0

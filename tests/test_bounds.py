@@ -56,6 +56,10 @@ class TestPairsTripsBound:
         k, a, ls, e1, e2 = 0.5, 1 / 50, 12, 9, 30
         assert pairs_trips_lower_bound(k, a, ls, e1, e2) <= k**2 * e2 / ls + 1e-12
 
+    def test_listsize_below_one_is_named(self):
+        with pytest.raises(ValueError, match="^listsize must be at least 1$"):
+            pairs_trips_lower_bound(0.5, 1 / 50, 0, 1, 1)
+
 
 class TestCertificate:
     def test_default_constants_hold(self):
@@ -131,6 +135,17 @@ class TestTalagrand:
         with pytest.raises(ValueError, match=r"^expect must be at least 0, got -1.0$"):
             talagrand_tail(5.0, 1, 1.0, -1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("t, r, chg", [(0.0, 1, 1.0), (5.0, 0, 1.0), (5.0, 1, 0.0)])
+    def test_domain_is_named(self, t, r, chg):
+        with pytest.raises(ValueError, match=r"^need t > 0, chg > 0, r >= 1$"):
+            talagrand_tail(t, r, chg, 1.0, 0.0, 0.0)
+
+    # the median form takes t = 0 (a vacuous bound), not t < 0
+    @pytest.mark.parametrize("t, r, chg", [(-1.0, 1, 1.0), (5.0, 0, 1.0), (5.0, 1, 0.0)])
+    def test_median_domain_is_named(self, t, r, chg):
+        with pytest.raises(ValueError, match=r"^need t >= 0, chg > 0, r >= 1$"):
+            talagrand_median_tail(t, r, chg, 1.0, 0.0)
+
 
 class TestExceptional:
     def test_base_one(self):
@@ -150,6 +165,11 @@ class TestExceptional:
     def test_domain(self):
         with pytest.raises(ValueError):
             exceptional_prob_bound(1, 0, 0)
+
+    @pytest.mark.parametrize("sigma, eps", [(1, 0), (-0.1, 0), (0, 1), (0, -0.1)])
+    def test_sigma_or_eps_outside_the_unit_interval_is_named(self, sigma, eps):
+        with pytest.raises(ValueError, match=r"^sigma and eps must be in \[0, 1\)$"):
+            exceptional_prob_bound(100, sigma, eps)
 
 
 class TestKyBound:
@@ -188,6 +208,11 @@ class TestMinorConstants:
 
     def test_factor_one_always_holds(self):
         assert minor_constants_check(Fraction(499, 1000), Fraction(1)).holds
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-1, 10), Fraction(1, 2), Fraction(1)])
+    def test_alpha_outside_the_open_interval_is_named(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1/2\)$"):
+            minor_constants_check(alpha)
 
 
 class TestUnactExpectation:

@@ -289,12 +289,38 @@ def test_report_output_is_pinned(command, capsys):
         (["generate", "--name", "gnp", "--param", "n=10", "--param", "p=1/2", "--param",
           "seed=1", "--out", "g10.col", "--lists-out", "nodir/l.json"],
          "cannot write nodir/l.json: No such file or directory"),
+        (["extract", "--graph", "g.col", "--alpha", "1/10", "--eps", "1/10"],
+         "extract: need 0 < eps < alpha < 1"),
+        (["extract", "--graph", "empty.col", "--alpha", "1/2", "--eps", "1/10"],
+         "extract: empty graph"),
+        (["color", "--graph", "g.col", "--lists", "nokey.json", "--seed", "1"],
+         'nokey.json: bad lists object: expected a "lists" key'),
+        (["color", "--graph", "g.col", "--lists", "flat.json", "--seed", "1"],
+         "flat.json: bad lists object: 'int' object is not iterable"),
+        (["color", "--graph", "twice.col", "--lists", "l.json", "--seed", "1"],
+         "twice.col: line 2: duplicate problem line"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--eps", "1"],
+         "color: eps must be in [0, 1)"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--sigma", "1",
+          "--out-dir", "out"], "estimate: sigma must be in [0, 1)"),
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--rho", "3/2"],
+         "color: rho must be in [0, 1]"),
+        (["generate", "--name", "c5_blowup", "--param", "t=0", "--out", "out"],
+         "generator 'c5_blowup': t must be positive"),
+        (["generate", "--name", "complete_bipartite", "--param", "a=-1", "--param", "b=2",
+          "--out", "out"], "generator 'complete_bipartite': sides must be nonnegative"),
+        (["generate", "--name", "gnp", "--param", "n=3", "--param", "p=2", "--param", "seed=1",
+          "--out", "out"], "generator 'gnp': p must be in [0, 1]"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     (gnp40 / "wide.col").write_text(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
     (gnp40 / "huge.col").write_text(f"p edge {10**23} 1\ne 1 2\n")
     (gnp40 / "many.col").write_text(f"p edge {2**63} 1\ne 1 2\n")
+    (gnp40 / "empty.col").write_text("p edge 0 0\n")
+    (gnp40 / "twice.col").write_text("p edge 2 1\np edge 2 1\ne 1 2\n")
+    (gnp40 / "nokey.json").write_text("{}")
+    (gnp40 / "flat.json").write_text('{"lists": [3]}')
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)

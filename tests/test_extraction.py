@@ -1,11 +1,14 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
+from localcolor.cli import main
 from localcolor.extraction import extract_dense_subgraph
+from localcolor.formats import emit_dimacs
 from localcolor.graph import Graph, average_degree
 
 
@@ -74,3 +77,64 @@ class TestExtraction:
     def test_domain(self):
         with pytest.raises(ValueError):
             extract_dense_subgraph(complete(4), Fraction(1, 100), Fraction(1, 4))
+
+
+def extract_oracle(g, alpha, eps):
+    """(kept, removed_high, removed_peel) by the definition: drop the vertices
+    above the high cutoff, then, recounting every degree at each step, remove
+    the lowest-id vertex below the low cutoff until none is."""
+    delta = min(len(g.adj[v]) for v in range(g.n))
+    high = (1 + (1 + alpha) / (alpha - eps) * eps) * delta
+    low = Fraction(1 - alpha, 2) * delta
+    removed_high = [v for v in range(g.n) if len(g.adj[v]) > high]
+    alive = [v for v in range(g.n) if v not in removed_high]
+    removed_peel = []
+    while below := [v for v in alive if sum(u in alive for u in g.adj[v]) < low]:
+        removed_peel.append(below[0])
+        alive.remove(below[0])
+    return tuple(alive), tuple(removed_high), tuple(removed_peel)
+
+
+def circulant_plus(n, steps, extra):
+    """The circulant graph joining v to v +- s (mod n) for s in steps, plus the
+    `extra` edges."""
+    return Graph.from_edges(n, [(v, (v + s) % n) for v in range(n) for s in steps] + extra)
+
+
+PEEL_CASES = {
+    # 4-regular, plus four edges that lift every neighbor of vertex 0 to degree
+    # 6 > 11/2: once they are dropped vertex 0 is isolated, below the cutoff 1.
+    # The average degree 22/5 is exactly (1 + eps) delta.
+    "isolated": (
+        circulant_plus(20, (1, 5), [(1, 5), (5, 19), (19, 15), (15, 1)]),
+        Fraction(1, 2), Fraction(1, 10), (1, 5, 15, 19), (0,),
+    ),
+    # 6-regular, plus two edges that lift four neighbors of vertex 0 to degree
+    # 7 > 34/5: vertex 0 keeps two neighbors, below the cutoff 12/5, and its
+    # removal leaves vertex 1 with one, so the peel lowers a live degree
+    "cascade": (
+        circulant_plus(34, (1, 2, 3), [(2, 32), (3, 33)]),
+        Fraction(1, 5), Fraction(1, 50), (2, 3, 32, 33), (0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_peel_matches_the_oracle(name):
+    g, alpha, eps, high, peel = PEEL_CASES[name]
+    assert average_degree(g) <= (1 + eps) * g.min_degree()
+    res = extract_dense_subgraph(g, alpha, eps)
+    assert (res.removed_high, res.removed_peel) == (high, peel)
+    assert (res.kept, res.removed_high, res.removed_peel) == extract_oracle(g, alpha, eps)
+
+
+def test_peel_through_the_cli(tmp_path, monkeypatch, capsys):
+    g, alpha, eps, _, _ = PEEL_CASES["isolated"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.col").write_text(emit_dimacs(g))
+    capsys.readouterr()
+    assert main(["extract", "--graph", "g.col", "--alpha", str(alpha), "--eps", str(eps)]) == 0
+    kept, removed_high, removed_peel = extract_oracle(g, alpha, eps)
+    assert json.loads(capsys.readouterr().out) == {
+        "kept": list(kept), "removed_high": list(removed_high), "removed_peel": list(removed_peel),
+    }

@@ -13,6 +13,7 @@ from localcolor.graph import (
     Graph,
     GraphError,
     Matching,
+    average_degree,
     complement_edge_count,
     degree,
     local_clique_number,
@@ -76,6 +77,10 @@ class TestGraphBasics:
         g = complete(5).subgraph([1, 3, 4])
         assert g.n == 3 and g.edge_count() == 3
 
+    def test_average_degree_of_the_empty_graph_is_named(self):
+        with pytest.raises(GraphError, match="average degree of the empty graph is undefined"):
+            average_degree(edgeless(0))
+
 
 class TestSortedCsr:
     def test_neighbors_ascend_whatever_the_edge_order(self):
@@ -97,6 +102,8 @@ class TestSortedCsr:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != Graph.from_edges(4, [(0, 1), (2, 3)])
         assert a != Graph.from_edges(5, [(0, 1), (2, 3), (1, 2)])
+        # another type is never equal, and comparing with it does not raise
+        assert (a == 1) is False and a != "a"
 
     def test_arrays_are_read_only(self):
         g = cycle(4)
@@ -272,6 +279,11 @@ class TestAntimatching:
     def test_matching_disjointness(self):
         with pytest.raises(GraphError):
             Matching.of([(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("pair", [(1, 0), (2, 2)])
+    def test_matching_pair_must_be_ordered(self, pair):
+        with pytest.raises(GraphError, match=rf"^matching pair \({pair[0]},{pair[1]}\) must be"):
+            Matching(frozenset({pair}))
 
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=40, deadline=None)

@@ -52,6 +52,11 @@ class TestProfile:
     A = Fraction(1, 50)
     B = Fraction(1, 50)
 
+    @pytest.mark.parametrize("alpha, beta", [(0, B), (-A, B), (A, 0), (A, -B)])
+    def test_alpha_or_beta_not_positive_is_named(self, alpha, beta):
+        with pytest.raises(ValueError, match="^alpha and beta must be positive$"):
+            profile(cycle(5), uniform_lists(5, 3), 0, Fraction(alpha), Fraction(beta))
+
     def test_equal_lists_strong_egal(self):
         g = cycle(5)
         L = uniform_lists(5, 3)

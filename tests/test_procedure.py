@@ -439,7 +439,9 @@ class TestPipeline:
 
     def test_blocked_completion_is_a_fault(self, monkeypatch):
         # the savings check guarantees greedy completion, so a block must surface
-        monkeypatch.setattr(procedure, "greedy_complete", lambda inst, phi_idx, unc: (None, 3))
+        monkeypatch.setattr(
+            procedure, "greedy_complete", lambda inst, phi_idx, unc, removed: (None, 3)
+        )
         g = star(4)
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         with pytest.raises(RuntimeError, match="vertex 3"):
@@ -829,9 +831,12 @@ class TestSamplerMatchesReference:
             inst, params, table if equalize else None, trials, np.random.default_rng(seed)
         )
         batch = stack_trials(inst, params, act, phi_idx, heads)
-        uncolored_settled, unact_settled, save_drop = settle_trials(inst, act, phi_idx, heads)
+        uncolored_settled, unact_settled, save_drop, removed = settle_trials(
+            inst, act, phi_idx, heads
+        )
         assert np.array_equal(uncolored_settled, batch.uncolored)
         assert np.array_equal(unact_settled, batch.unact)
+        assert removed.shape == (inst.start[-1], trials) and removed.dtype == bool
         for t in range(trials):
             phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
             uncolored = frozenset(
@@ -851,9 +856,14 @@ class TestSamplerMatchesReference:
                 save_full = len(g.adj[v]) + 1 - len(ca.lists[v])
                 save_res = d_res + 1 - len(res.lists[v])
                 assert save_drop[v, t] == save_full - save_res
+                # the colors v loses to its colored neighbors: L(v) minus L'(v)
+                lost = np.flatnonzero(removed[inst.start[v] : inst.start[v + 1], t])
+                assert {inst.lists[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
             # the completion, on every trial: those that pass the savings
             # check (the ones pipeline_color completes) and those that block
-            color, blocked = greedy_complete(inst, phi_idx[:, t], batch.uncolored[:, t])
+            color, blocked = greedy_complete(
+                inst, phi_idx[:, t], batch.uncolored[:, t], removed[:, t]
+            )
             want, want_blocked = complete_reference(g, ca, phi, uncolored)
             assert blocked == want_blocked
             if want is None:
@@ -945,7 +955,8 @@ def test_greedy_complete_with_every_vertex_uncolored(inst_case):
     inst = compile_instance(g, ca)
     phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
     phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
-    color, blocked = greedy_complete(inst, phi_idx, np.ones(g.n, dtype=bool))
+    removed = np.zeros(int(inst.start[-1]), dtype=bool)
+    color, blocked = greedy_complete(inst, phi_idx, np.ones(g.n, dtype=bool), removed)
     want, want_blocked = complete_reference(g, ca, phi, frozenset(range(g.n)))
     assert blocked == want_blocked
     if want is None:
@@ -979,7 +990,7 @@ def test_batch_golden():
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
     draws = equalized_draws(inst, params, 2500, 11)
     batch = stack_trials(inst, params, *draws)
-    uncolored, unact, save_drop = settle_trials(inst, *draws)
+    uncolored, unact, save_drop, _ = settle_trials(inst, *draws)
     assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
     got = {
         name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
@@ -1005,7 +1016,7 @@ ca = make_total(g, identity_correspondence(g, L))
 inst = compile_lists(g, L)
 rng = np.random.default_rng(np.random.Philox(5))
 act, phi_idx, heads = draw_trials(inst, ProcedureParams(rho=0.9), None, 300, rng)
-uncolored, _, save_drop = settle_trials(inst, act, phi_idx, heads)
+uncolored, _, save_drop, _ = settle_trials(inst, act, phi_idx, heads)
 lists = [sorted(row) for row in L]
 bad = 0
 for t in range(300):
