@@ -98,9 +98,9 @@ def _key_value(item: str) -> tuple[str, str]:
     return key, value
 
 
-def _key_values(text: str) -> dict[str, str]:
+def _key_values(text: str) -> list[tuple[str, str]]:
     """argparse type of comma-separated K=V items."""
-    return dict(_key_value(kv) for kv in text.split(",") if kv)
+    return [_key_value(kv) for kv in text.split(",") if kv]
 
 
 # The procedure options with their defaults, in the order the manifest lists them.
@@ -166,15 +166,19 @@ BOUNDS = {
 }
 
 
-def _call(kind: str, name: str, table: dict, given: dict[str, str]):
-    """table[name]'s function on the K=V items `given`, each read by its key's
-    reader.  A missing, unknown or unreadable item, a ValueError of the
-    function and an overflow or division by zero are argument errors."""
+def _call(kind: str, name: str, table: dict, items: list[tuple[str, str]]):
+    """table[name]'s function on the K=V `items`, each read by its key's
+    reader.  A missing, unknown, repeated or unreadable item, a ValueError of
+    the function and an overflow or division by zero are argument errors."""
     fn, keys = table[name]
     known = {key for key, _, _ in keys}
-    unknown = [key for key in given if key not in known]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"{kind} {name!r}: unknown parameter {unknown[0]!r}")
+    given: dict[str, str] = {}
+    for key, text in items:
+        if key not in known:
+            raise argparse.ArgumentTypeError(f"{kind} {name!r}: unknown parameter {key!r}")
+        if key in given:
+            raise argparse.ArgumentTypeError(f"{kind} {name!r}: parameter {key!r} given twice")
+        given[key] = text
     args = []
     for key, (noun, read), default in keys:
         text = given.get(key, default)
@@ -199,7 +203,7 @@ def _call(kind: str, name: str, table: dict, given: dict[str, str]):
 def cmd_generate(args) -> int:
     if args.uniform_lists is not None and not args.lists_out:
         raise argparse.ArgumentTypeError("argument --uniform-lists: needs --lists-out")
-    g = _call("generator", args.name, GENERATORS, dict(args.param or []))
+    g = _call("generator", args.name, GENERATORS, args.param or [])
     text = emit_dimacs(g)
     if args.lists_out:
         k = args.uniform_lists

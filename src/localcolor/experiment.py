@@ -24,26 +24,34 @@ from .graph import Graph, complement_edge_count
 from .lists import ListAssignment, profile
 
 
-def _mean_se(x: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row mean and standard error of the (rows, trials) samples x."""
-    return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
-
-
 def _estimate_rows(
     g: Graph, L: ListAssignment, params: procedure.ProcedureParams,
     inst: procedure.CompiledInstance, table: np.ndarray, trials: int, seed: int,
 ) -> list[list]:
     """The CSV rows of run_estimate, from trials on `inst` and its keep table
-    drawn by draw_left on a Philox stream fixed by `seed`.  Each vertex's
-    savings rows are reduced to means and standard errors as savings_rows
-    yields them, so no (n, trials) array of savings is ever held."""
+    drawn by draw_left on a Philox stream fixed by `seed`.  Each chunk's
+    savings rows are folded, as savings_rows yields them, into exact integer
+    sums of x and x^2 per (vertex, component); the means and standard errors
+    are taken from those, so memory does not grow with `trials`."""
     rng = np.random.default_rng(np.random.Philox(seed))
-    act, phi_left = procedure.draw_left(inst, params, table, trials, rng)
+    # a savings value of v is at most max(d, C(d, 2), C(d, 3)), d = d(v), so
+    # the int64 sum of squares of w trials is exact while w * top[v] < 2^63
+    top = [max(d, math.comb(d, 2), math.comb(d, 3)) ** 2 for d in np.diff(inst.ptr).tolist()]
+    sums = [[0] * 8 for _ in range(g.n)]  # Σx then Σx² of each component, Python ints
+    for act, phi_left in procedure.draw_left(inst, params, table, trials, rng):
+        for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_left)):
+            if top[v] * x.shape[1] >= 2**63:
+                x = x.astype(object)  # the int64 sum of squares could wrap around
+            part = x.sum(axis=1).tolist() + np.einsum("ij,ij->i", x, x).tolist()
+            sums[v] = [a + b for a, b in zip(sums[v], part)]
     rows = []
     k = params.keep
-    for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_left)):
-        (aberr, pairs, trips, unact), (aberr_se, pairs_se, trips_se, unact_se) = (
-            _mean_se(x, trials)
+    for v, row in enumerate(sums):
+        total, square = row[:4], row[4:]
+        aberr, pairs, trips, unact = (t / trials for t in total)
+        aberr_se, pairs_se, trips_se, unact_se = (
+            math.sqrt((trials * q - t * t) / (trials * trials * (trials - 1)))
+            for t, q in zip(total, square)
         )
         prof = profile(g, L, v, params.alpha, params.beta)
         d = prof.degree
@@ -74,7 +82,6 @@ def _estimate_rows(
             ),
         ]
         for name, mean, se, bound in checks:
-            mean, se = float(mean), float(se)
             ok = mean >= bound - 3 * se
             rows.append([v, name, repr(mean), repr(se), repr(float(bound)), ok])
     return rows

@@ -9,7 +9,8 @@ loop `_parse_dimacs_lines`, which accepts comments, blank lines, CRLF and
 any whitespace, and names the line of every error.  Both return equal
 graphs on every text the fast pass accepts.
 
-Every color read from JSON must be a JSON integer."""
+A lists file must be a JSON object whose "lists" array holds one array
+per vertex, and every color in it must be a JSON integer."""
 
 from __future__ import annotations
 
@@ -144,14 +145,31 @@ def lists_to_json(L: ListAssignment) -> dict:
     return {"lists": [sorted(row) for row in L]}
 
 
-def lists_from_json(obj: dict) -> ListAssignment:
+# what json.loads makes of each JSON type, named as JSON names it
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(x) -> str:
+    return _JSON_TYPES.get(type(x), type(x).__name__)
+
+
+def lists_from_json(obj: object) -> ListAssignment:
     """The lists of {"lists": [[color, ...], ...]}; every color is a JSON integer,
-    none repeated within a list."""
-    try:
-        rows = [list(row) for row in obj["lists"]]
-    except (KeyError, TypeError) as exc:
-        why = 'expected a "lists" key' if isinstance(exc, KeyError) else exc
-        raise FormatError(f"bad lists object: {why}") from exc
+    none repeated within a list.  Any other shape is named, with the vertex
+    of a row that is not an array."""
+    if type(obj) is not dict:
+        raise FormatError(f"bad lists object: expected a JSON object, got {_json_type(obj)}")
+    if "lists" not in obj:
+        raise FormatError('bad lists object: expected a "lists" key')
+    rows = obj["lists"]
+    if type(rows) is not list:
+        raise FormatError(f'bad lists object: "lists" must be an array, got {_json_type(rows)}')
+    for v, row in enumerate(rows):
+        if type(row) is not list:
+            raise FormatError(
+                f"bad lists object: list of vertex {v} must be an array, got {_json_type(row)}"
+            )
     # one pass over every color; a frozenset per row is only formed once all
     # are integers (a list among them would make it raise), and serves both
     # the repeat check and the lists

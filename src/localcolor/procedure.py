@@ -17,33 +17,29 @@ Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
 `draw_trials` draws a batch, and each caller evaluates it with the
-evaluator that computes what it reads.  For `estimate`, `draw_left` writes
-the uncolored set of `uncolored_trials` (per vertex, in TRIAL_CHUNK passes)
-into the color indices in place, an uncolored vertex's index becoming
-|L(v)|; `savings_rows` reads those (`phi_left`) and yields one vertex at a
-time its savings components over all trials.  It codes each directed
-edge's block of `match`, plus one entry for an uncolored tail, as rows of
-the head's (color, trial) count grid, so each TRIAL_CHUNK pass of a vertex
-is a gather, a table lookup and one bincount.  `estimate` reduces each row
-to a mean and a standard error as it arrives, so it holds the draws (10
-bytes per (vertex, trial) cell) and the 1-byte uncolored mask, never an
-(n, trials) array of savings.  That still grows with the trial count:
-drawing trial chunk by trial chunk would change the random
-stream.  Below TRIAL_CHUNK trials the color indices of all vertices are
-drawn in one call, which takes the same numbers from the stream as one call
-per vertex.  `settle_trials` (all directed edges at once) gives
-`pipeline_color`'s savings check the uncolored set, unact and save_drop, and
-`greedy_complete` the colors each vertex loses to its kept neighbors.
-`compile_lists` builds the tables of a list assignment (the identity
-correspondence made total) straight from the sorted lists, building
-`match` in a few steps over its own cells, so that no more than two
-cells-long arrays are alive at once and a call faults in little fresh
-memory; `keep_table` reads only the cells of the edges whose head can
-uncolor their tail, and which of them are matched from one byte mask over
-the match table.  `pipeline_color` takes lists, completes its trial with
-`greedy_complete` (from those removed colors, a loop over the edges between
-uncolored vertices) and checks its finished coloring against the lists:
-every vertex colored from its own list, no edge with equal colors at its ends.
+evaluator that computes what it reads.  For `estimate`, `draw_left` yields
+the trials TRIAL_CHUNK at a time, the uncolored set of `uncolored_trials`
+(per vertex) written into each chunk's color indices in place, an uncolored
+vertex's index becoming |L(v)|; `savings_rows` reads those (`phi_left`) and
+yields one vertex at a time its savings components over the chunk.  It
+codes each directed edge's block of `match`, plus one entry for an
+uncolored tail, as rows of the head's (color, trial) count grid, so a
+vertex is a gather, a table lookup and one bincount.  `estimate` folds each
+row into exact sums as it arrives, so it holds one chunk's draws (10 bytes
+per (vertex, trial) cell) and uncolored mask, whatever the trial count.
+`settle_trials` (all directed edges at once) gives `pipeline_color`'s
+savings check the uncolored set, unact and save_drop, and `greedy_complete`
+the colors each vertex loses to its kept neighbors.  `compile_lists` builds
+the tables of a list assignment (the identity correspondence made total)
+straight from the sorted lists, building `match` in a few steps over its
+own cells, so that no more than two cells-long arrays are alive at once and
+a call faults in little fresh memory; `keep_table` reads only the cells of
+the edges whose head can uncolor their tail, and which of them are matched
+from one byte mask over the match table.  `pipeline_color` takes lists,
+completes its trial with `greedy_complete` (from those removed colors, a
+loop over the edges between uncolored vertices) and checks its finished
+coloring against the lists: every vertex colored from its own list, no edge
+with equal colors at its ends.
 """
 
 from __future__ import annotations
@@ -264,10 +260,6 @@ def check_equalization_precondition(
 # --- the batch sampler -------------------------------------------------------
 
 
-# cells per block of the flip draw; bounds its float and index temporaries
-FLIP_BLOCK = 1 << 16
-
-
 def draw_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -279,52 +271,31 @@ def draw_trials(
 
     heads[v, t] is the equalizing flip at v's chosen color: only that flip
     can uncolor v, so only it is drawn.  table=None draws no flips (the
-    naive procedure).  Below TRIAL_CHUNK trials the color indices are one
-    rng.integers call with a column of bounds; it takes the same numbers from
-    the stream as one call per vertex, which is faster from about 700 trials
-    on and is used from TRIAL_CHUNK.  The flips are drawn in blocks of whole
-    rows, at most FLIP_BLOCK cells each unless one row is longer; row-major
-    blocks take the same doubles from the stream as one (n, trials) draw.
+    naive procedure).  The color indices are one rng.integers call with a
+    column of bounds, which takes the same numbers from the stream as one
+    call per vertex.
     """
     n = len(inst.lists)
     act = rng.random((n, trials)) < params.rho
-    if trials < TRIAL_CHUNK:
-        phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials))
-    else:
-        phi_idx = np.empty((n, trials), dtype=np.int64)
-        for v, size in enumerate(inst.sizes.tolist()):
-            phi_idx[v] = rng.integers(size, size=trials)
+    phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials))
     if table is None:
         return act, phi_idx, np.zeros((n, trials), dtype=bool)
-    k = params.keep
     # with rho = 0 every keep probability is 0 and the flips are irrelevant
-    pflip = np.where(table > 0, 1 - k / np.where(table > 0, table, 1.0), 0.0)
-    first = inst.start[:-1, None]
-    heads = np.empty((n, trials), dtype=bool)
-    rows = max(1, FLIP_BLOCK // max(trials, 1))
-    for r in range(0, n, rows):
-        b = slice(r, r + rows)
-        flip = np.take(pflip, first[b] + phi_idx[b])
-        np.less(rng.random(flip.shape), flip, out=heads[b])
-    return act, phi_idx, heads
+    pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
+    return act, phi_idx, rng.random((n, trials)) < pflip[inst.start[:-1, None] + phi_idx]
 
 
 def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over colors of C(k, 2) and C(k, 3) per trial, for k = counts[color, trial].
-
-    Every k(k-1) is even and every k(k-1)(k-2) a multiple of 6, so the sums
-    divide exactly.
-    """
+    """Sums over colors of C(k, 2) and C(k, 3) per trial, k = counts[color, trial]:
+    every k(k-1) is even and every k(k-1)(k-2) a multiple of 6, so both divide exactly."""
     falling = counts * (counts - 1)
     pairs = falling.sum(axis=0) // 2
     falling *= counts - 2
     return pairs, falling.sum(axis=0) // 6
 
 
-# trials per pass of uncolored_trials and savings_rows and per batch of
-# pipeline_color, bounding their (edge, trial) temporaries; the row stride of
-# savings_rows' count grid; from this many trials on, draw_trials draws the
-# color indices vertex by vertex
+# trials per batch of pipeline_color and per chunk of draw_left, bounding
+# their (vertex, trial) and (edge, trial) arrays
 TRIAL_CHUNK = 1024
 
 
@@ -335,42 +306,39 @@ def uncolored_trials(
 
     v is uncolored when it is not activated, when its flip came up, or when
     an activated neighbor with a list at least as large got a color matched
-    to v's.  Work is vectorized per vertex over (neighbor, trial) arrays,
-    TRIAL_CHUNK trials at a time: at that width settle_trials' edge-wide
-    layout is 2 to 3 times slower, its temporaries too large to stay in
-    cache.
+    to v's.  Work is vectorized per vertex over (neighbor, trial) arrays: at
+    TRIAL_CHUNK trials settle_trials' edge-wide layout is 2 to 3 times
+    slower, its temporaries too large to stay in cache.
     """
     n, trials = phi_idx.shape
-    match, head, back, big = inst.match, inst.head, inst.back, inst.big
-    ptr = inst.ptr.tolist()
+    # the heads of big edges, the threats, with their reverse blocks, grouped
+    # by tail: vertex v's are threat[tp[v]:tp[v + 1]]
+    threat, bk = inst.head[inst.big], inst.back[inst.big][:, None]
+    tp = np.concatenate(([0], np.cumsum(inst.big)))[inst.ptr].tolist()
     uncolored = np.empty((n, trials), dtype=bool)
-    for start in range(0, trials, TRIAL_CHUNK):
-        t = slice(start, start + TRIAL_CHUNK)
-        act_t, phi_t = act[:, t], phi_idx[:, t]
-        for v in range(n):
-            e = slice(ptr[v], ptr[v + 1])
-            threat = head[e][big[e]]
-            # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
-            # which never equals phi(v)
-            mu = match[back[e][big[e]][:, None] + phi_t[threat]]
-            threatened = (act_t[threat] & (mu == phi_t[v])).any(axis=0)
-            uncolored[v, t] = ~act_t[v] | threatened | heads[v, t]
+    for v in range(n):
+        u = threat[tp[v] : tp[v + 1]]
+        # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
+        # which never equals phi(v)
+        mu = inst.match[bk[tp[v] : tp[v + 1]] + phi_idx[u]]
+        uncolored[v] = ~act[v] | heads[v] | (act[u] & (mu == phi_idx[v])).any(axis=0)
     return uncolored
 
 
 def draw_left(
     inst: CompiledInstance, params: ProcedureParams, table: np.ndarray, trials: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(activated, phi_left) of `trials` trials drawn by draw_trials: what
-    savings_rows reads.  The uncolored mask is written into the color
-    indices in place, an uncolored vertex's index becoming |L(v)|, so no
-    second (n, trials) index array is made; the flips and the mask are
-    freed on return, before any savings row is computed."""
-    act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
-    uncolored = uncolored_trials(inst, act, phi_idx, heads)
-    np.copyto(phi_idx, inst.sizes[:, None], where=uncolored)
-    return act, phi_idx
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(activated, phi_left) of `trials` trials, what savings_rows reads,
+    yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower).
+    Each chunk is drawn by draw_trials, and its uncolored mask is written
+    into the color indices in place, an uncolored vertex's index becoming
+    |L(v)|, so no second (n, trials) index array is made.  Only one chunk's
+    arrays are alive at once, so memory does not grow with `trials`."""
+    for done in range(0, trials, TRIAL_CHUNK):
+        act, phi_idx, heads = draw_trials(inst, params, table, min(TRIAL_CHUNK, trials - done), rng)
+        np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(inst, act, phi_idx, heads))
+        yield act, phi_idx
 
 
 def savings_rows(
@@ -379,7 +347,7 @@ def savings_rows(
     act: np.ndarray,
     phi_left: np.ndarray,
 ) -> Iterator[np.ndarray]:
-    """Each vertex's savings components over all the drawn trials, vertex by
+    """Each vertex's savings components over the drawn trials, vertex by
     vertex: an int64 array of shape (4, trials) whose rows are aberrance,
     pairs, trips and unact.
 
@@ -395,14 +363,13 @@ def savings_rows(
 
     A coded table gives every directed edge (u, v) a block of |L(u)| + 1
     entries, one per color of u and one for "u uncolored": the row of v's
-    (row, trial) count grid that u's color lands in, times TRIAL_CHUNK.  Row
-    0 is uncolored, row 1 unmatched, row 2 + i matched to v's i-th color.  So
-    each TRIAL_CHUNK trials of a vertex are one gather from phi_left, one
-    from the table and one bincount over the egalitarian neighbors.
+    (row, trial) count grid that u's color lands in, times the trial count.
+    Row 0 is uncolored, row 1 unmatched, row 2 + i matched to v's i-th
+    color.  So each vertex is one gather from phi_left, one from the table
+    and one bincount over the egalitarian neighbors.
     """
     n, trials = phi_left.shape
     sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
-    ptr = inst.ptr.tolist()
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
     num, den = params.sigma.numerator, params.sigma.denominator
@@ -411,32 +378,24 @@ def savings_rows(
     # each block of match gains its sentinel at its end, so edge e's coded
     # block starts e entries later, and the reverse edge's at back[e] plus
     # its edge number (blocks are nonempty, so block ascends)
-    code = np.where(inst.match < 0, 1, inst.match + 2) * TRIAL_CHUNK
+    code = np.where(inst.match < 0, 1, inst.match + 2) * trials
     code = np.insert(code, block + sizes[inst.tail], 0)
     coded_back = inst.back + np.searchsorted(block, inst.back)
-    tr = np.arange(TRIAL_CHUNK)
-    for v in range(n):
-        e = slice(ptr[v], ptr[v + 1])
-        egal_e = egal[e]
-        nb, small, bk = head[e][egal_e], head[e][~big[e]], coded_back[e][egal_e][:, None]
-        grid_size = (int(sizes[v]) + 2) * TRIAL_CHUNK
-        out = np.empty((4, trials), dtype=np.int64)
-        aberr, pairs, trips, unact = out
-        for start in range(0, trials, TRIAL_CHUNK):
-            t = slice(start, start + TRIAL_CHUNK)
-            # per (egalitarian neighbor u, trial): u's coded entry, then its
-            # flat (row, trial) cell in the count grid
-            cell = phi_left[nb, t]
-            width = cell.shape[1]
-            cell += bk
-            cell = code[cell]
-            cell += tr[:width]
-            grid = np.bincount(cell.ravel(), minlength=grid_size)
-            grid = grid.reshape(-1, TRIAL_CHUNK)[:, :width]
-            aberr[t] = grid[1]
-            pairs[t], trips[t] = _pairs_trips(grid[2:])
-            unact[t] = (~act[small, t]).sum(axis=0)
-        yield out
+    # the egalitarian heads with their coded reverse blocks, and the heads with
+    # smaller lists, grouped by tail as in uncolored_trials
+    nb, bk, small = head[egal], coded_back[egal][:, None], head[~big]
+    ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (egal, ~big))
+    tr = np.arange(trials)
+    for v, size in enumerate(sizes.tolist()):
+        # per (egalitarian neighbor u, trial): u's coded entry, then its flat
+        # (row, trial) cell in the count grid
+        cell = phi_left[nb[ep[v] : ep[v + 1]]]
+        cell += bk[ep[v] : ep[v + 1]]
+        cell = code[cell]
+        cell += tr
+        grid = np.bincount(cell.ravel(), minlength=(size + 2) * trials).reshape(-1, trials)
+        unact = (~act[small[sp[v] : sp[v + 1]]]).sum(axis=0)
+        yield np.array([grid[1], *_pairs_trips(grid[2:]), unact])
 
 
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:

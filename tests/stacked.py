@@ -1,12 +1,14 @@
 """Per-trial stacked arrays of a batch, for tests that read every trial.
 
-The library never holds an (n, trials) array of savings: `estimate` writes
-the uncolored mask into the color indices in place and reduces the rows of
-`savings_rows` one vertex at a time.  Tests that compare trial by trial
-stack those rows here, reading the indices through `phi_left`, a copy, so
-the draws stay as drawn for the checks that reuse them.  `keep_frequency`
-reads the empirical keep rate of each color off a batch's color indices and
-uncolored mask.
+The library never holds an (n, trials) array of savings: `estimate` draws
+TRIAL_CHUNK trials at a time, writes the uncolored mask into the color
+indices in place and folds the rows of `savings_rows` into sums one vertex
+at a time.  Tests that compare trial by trial stack those rows here,
+reading the indices through `phi_left`, a copy, so the draws stay as drawn
+for the checks that reuse them; `chunked_draws` and `stack_chunks` draw and
+stack chunk by chunk, as `estimate` does.  `keep_frequency` reads the
+empirical keep rate of each color off a batch's color indices and uncolored
+mask.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from localcolor.lists import Color
 from localcolor.procedure import (
+    TRIAL_CHUNK,
     CompiledInstance,
     ProcedureParams,
     check_equalization_precondition,
@@ -61,11 +64,39 @@ def stack_trials(
     return Batch(phi_idx, act, uncolored, *terms)
 
 
+def chunked_draws(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    table: np.ndarray | None,
+    trials: int,
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The draws of `trials` trials as draw_left takes them from `rng`: one
+    draw_trials call per TRIAL_CHUNK trials, the last chunk narrower."""
+    return [
+        draw_trials(inst, params, table, min(TRIAL_CHUNK, trials - done), rng)
+        for done in range(0, trials, TRIAL_CHUNK)
+    ]
+
+
+def stack_chunks(
+    inst: CompiledInstance,
+    params: ProcedureParams,
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Batch:
+    """Each chunk of draws stacked, and the chunks joined along the trial axis."""
+    parts = [vars(stack_trials(inst, params, *draws)) for draws in chunks]
+    return Batch(**{name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]})
+
+
 def equalized_draws(
     inst: CompiledInstance, params: ProcedureParams, trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of `trials` equalized trials, after the precondition check,
-    on the Philox stream that `estimate` uses for `seed`."""
+    """The draws of `trials` equalized trials in one draw_trials call, after
+    the precondition check, on the Philox stream that `estimate` uses for
+    `seed`.  Up to TRIAL_CHUNK trials they are the draws of `estimate`; past
+    it, `estimate` draws chunk by chunk (chunked_draws), which takes the
+    numbers from the stream in another order."""
     table = check_equalization_precondition(inst, params)
     return draw_trials(inst, params, table, trials, np.random.default_rng(np.random.Philox(seed)))
 

@@ -14,11 +14,17 @@ from localcolor import procedure
 from localcolor.cli import BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, main
 from localcolor.procedure import ProcedureParams
 
-# Measured before the estimate writer moved into localcolor.experiment; the
-# bytes must not change for a fixed instance and seed.
-GOLDEN_CSV_SHA256 = "b15508e4c057aa3219e0d84d66d8244f29adb8d8941b5e8e849fd20ee45770c9"
-GOLDEN_CONTENT_HASH = "8f85d459cb3020cebcf10f0ba65d169a504da78f5820d73b597c3d877706a859"
-GOLDEN_MANIFEST_SHA256 = "8607e14d3989ef7cc2da027aa753ad5702c865896ca288d2e187d9dd3c1cbe86"
+# Measured once estimate drew its trials TRIAL_CHUNK at a time; the bytes
+# must not change for a fixed instance and seed.
+GOLDEN_CSV_SHA256 = "0594b29643e6adb5cc2e0ce53c5e2319cf03ed6f4c2297d093acbf2838486b6f"
+GOLDEN_CONTENT_HASH = "7710cf13018100a281c5c2f7138ff1b63ba4241dbdf150a829fb9271506c0482"
+GOLDEN_MANIFEST_SHA256 = "6ee401e6ccb24839fbf3a40f0276aa6dd2193cfa607f060ed38df36803dca30d"
+
+
+# SHA-256 of the vertex, var, mean, bound and pass columns of a one-chunk
+# (1,024-trial) `estimate`, measured while every trial was still drawn at
+# once: one chunk draws the same numbers, and only se may move in its last digit.
+GOLDEN_ONE_CHUNK_COLUMNS_SHA256 = "c26e2f6228408e1da10392907d645dd0ec781f498436b2b42e96a1005951c056"
 
 # SHA-256 of `color` stdout, measured while the greedy completion still ran on
 # the frozenset residual assignment; the compiled completion must match it.
@@ -77,6 +83,16 @@ def test_estimate_output_is_pinned(gnp40, capsys):
     passed = b",False\n" not in csv_bytes
     assert rc == (0 if passed else 1)
     assert capsys.readouterr().out == f"estimate: {'pass' if passed else 'FAIL'} ({checks} checks)\n"
+
+
+def test_one_chunk_estimate_columns_are_pinned(gnp40):
+    assert main([
+        "estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "5",
+        "--trials", "1024", "--sigma", "1/4", "--out-dir", "out",
+    ]) in (0, 1)
+    rows = (gnp40 / "out" / "estimate_results.csv").read_text().splitlines()
+    columns = "".join(",".join(r[:3] + r[4:]) + "\n" for r in (row.split(",") for row in rows))
+    assert sha256(columns.encode()) == GOLDEN_ONE_CHUNK_COLUMNS_SHA256
 
 
 def test_color_output_is_pinned(gnp40, capsys):
@@ -296,7 +312,7 @@ def test_report_output_is_pinned(command, capsys):
         (["color", "--graph", "g.col", "--lists", "nokey.json", "--seed", "1"],
          'nokey.json: bad lists object: expected a "lists" key'),
         (["color", "--graph", "g.col", "--lists", "flat.json", "--seed", "1"],
-         "flat.json: bad lists object: 'int' object is not iterable"),
+         "flat.json: bad lists object: list of vertex 0 must be an array, got a number"),
         (["color", "--graph", "twice.col", "--lists", "l.json", "--seed", "1"],
          "twice.col: line 2: duplicate problem line"),
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--eps", "1"],
@@ -311,6 +327,19 @@ def test_report_output_is_pinned(command, capsys):
           "--out", "out"], "generator 'complete_bipartite': sides must be nonnegative"),
         (["generate", "--name", "gnp", "--param", "n=3", "--param", "p=2", "--param", "seed=1",
           "--out", "out"], "generator 'gnp': p must be in [0, 1]"),
+        (["color", "--graph", "g.col", "--lists", "keyed.json", "--seed", "1"],
+         'keyed.json: bad lists object: "lists" must be an array, got an object'),
+        (["color", "--graph", "g.col", "--lists", "text.json", "--seed", "1"],
+         "text.json: bad lists object: list of vertex 1 must be an array, got a string"),
+        (["color", "--graph", "g.col", "--lists", "array.json", "--seed", "1"],
+         "array.json: bad lists object: expected a JSON object, got an array"),
+        (["color", "--graph", "g.col", "--lists", "null.json", "--seed", "1"],
+         "null.json: bad lists object: expected a JSON object, got null"),
+        # a repeated K=V key is named, not the last value taken
+        (["bounds", "--which", "ky", "--params", "k=4,n=10,k=5"],
+         "bound 'ky': parameter 'k' given twice"),
+        (["generate", "--name", "c5_blowup", "--param", "t=1", "--param", "t=2"],
+         "generator 'c5_blowup': parameter 't' given twice"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -321,6 +350,10 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     (gnp40 / "twice.col").write_text("p edge 2 1\np edge 2 1\ne 1 2\n")
     (gnp40 / "nokey.json").write_text("{}")
     (gnp40 / "flat.json").write_text('{"lists": [3]}')
+    (gnp40 / "keyed.json").write_text('{"lists": {"0": [1]}}')
+    (gnp40 / "text.json").write_text('{"lists": [[0], "ab"]}')
+    (gnp40 / "array.json").write_text("[1]")
+    (gnp40 / "null.json").write_text("null")
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)

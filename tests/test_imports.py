@@ -2,8 +2,9 @@
 module imports another module's underscore (private) names, the package
 exports each name from the module that defines it, every exported name,
 indeed every top-level definition, is reached from a command or named in the
-README's library overview, and no function calls itself, so no input size
-meets Python's recursion limit."""
+README's library overview, no function calls itself, so no input size
+meets Python's recursion limit, and only the two callers that decide how
+many trials are drawn at once read TRIAL_CHUNK."""
 
 import ast
 import re
@@ -238,3 +239,58 @@ def test_no_function_calls_itself():
         for line, name in self_calls(path.read_text())
     ]
     assert found == []
+
+
+# The functions that decide how many trials are drawn at once: every other
+# caller takes the trials it is given.
+CHUNK_READERS = {"procedure.pipeline_color", "procedure.draw_left"}
+
+
+def chunk_reads(module: str, source: str) -> list[str]:
+    """"m.owner:line" for each read or import of TRIAL_CHUNK in module m, as a
+    name or an attribute, owner the top-level definition that holds it or
+    <module>."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        out += [
+            f"{module}.{owner}:{sub.lineno}"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "TRIAL_CHUNK" and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_CHUNK"
+            or isinstance(sub, ast.alias) and sub.name == "TRIAL_CHUNK"
+        ]
+    return out
+
+
+def stray_chunk_reads(sources: dict[str, str]) -> list[str]:
+    return sorted(
+        read
+        for module, source in sources.items()
+        for read in chunk_reads(module, source)
+        if read.rsplit(":", 1)[0] not in CHUNK_READERS
+    )
+
+
+def test_chunk_guard_catches_a_read_from_elsewhere():
+    sources = {
+        "procedure": (
+            "TRIAL_CHUNK = 1024\n"
+            "def draw_left(trials):\n"
+            "    return min(trials, TRIAL_CHUNK)\n"
+            "def savings_rows(n=TRIAL_CHUNK):\n"
+            "    return procedure.TRIAL_CHUNK\n"
+        ),
+        "experiment": "from .procedure import TRIAL_CHUNK as CHUNK\n",
+    }
+    assert stray_chunk_reads(sources) == [
+        "experiment.<module>:1", "procedure.savings_rows:4", "procedure.savings_rows:5",
+    ]
+
+
+def test_only_the_chunking_callers_read_the_trial_chunk():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert stray_chunk_reads(sources) == []
+    assert {read.rsplit(":", 1)[0] for read in chunk_reads("procedure", sources["procedure"])} == (
+        CHUNK_READERS
+    )

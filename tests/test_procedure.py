@@ -23,7 +23,6 @@ from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
 from localcolor.procedure import (
-    FLIP_BLOCK,
     TRIAL_CHUNK,
     CompiledInstance,
     PreconditionError,
@@ -58,7 +57,15 @@ from scalar_reference import (
     sample_naive,
     savings_of,
 )
-from stacked import equalized_draws, keep_frequency, phi_left, stack_trials, stacked_batch
+from stacked import (
+    chunked_draws,
+    equalized_draws,
+    keep_frequency,
+    phi_left,
+    stack_chunks,
+    stack_trials,
+    stacked_batch,
+)
 
 
 def path(n):
@@ -499,39 +506,100 @@ def _estimate_instance():
     return g, make_lists(rows)
 
 
+def _exact_mean_se(x: np.ndarray) -> tuple[float, float]:
+    """The mean and standard error of the samples x, each an exact Fraction
+    rounded once to a float (the se's square, before its root is taken)."""
+    t = len(x)
+    values, counts = (a.tolist() for a in np.unique(x, return_counts=True))
+    mean = Fraction(sum(k * c for k, c in zip(values, counts)), t)
+    squares = sum(c * (k - mean) ** 2 for k, c in zip(values, counts))
+    return float(mean), math.sqrt(float(squares / (t * (t - 1))))
+
+
+def _exact_rows(batch) -> list[list]:
+    """The vertex, var, mean and se columns of estimate, from the stacked
+    per-trial rows of `batch` in exact arithmetic."""
+    rows = []
+    for v in range(batch.aberrance.shape[0]):
+        (ab, ab_se), (pa, pa_se), (tr, tr_se), (un, un_se) = (
+            _exact_mean_se(x[v]) for x in (batch.aberrance, batch.pairs, batch.trips, batch.unact)
+        )
+        rows += [
+            [v, "aberrance", repr(ab), repr(ab_se)],
+            [v, "pairs_minus_trips", repr(pa - tr), repr(math.hypot(pa_se, tr_se))],
+            [v, "unact", repr(un), repr(un_se)],
+        ]
+    return rows
+
+
 class TestEstimateRows:
     @pytest.mark.parametrize("trials", [2, 1023, 1024, 1025, 2500])
     @pytest.mark.parametrize("sigma", [Fraction(0), Fraction(1, 4)])
     def test_equal_the_batch_formula(self, trials, sigma):
-        # the rows reduced one vertex at a time equal, bit for bit, the means
-        # and standard errors taken over axis 1 of the stacked batch
+        # the rows folded chunk by chunk into integer sums equal, bit for bit,
+        # exact means and standard errors over the stacked per-trial rows of
+        # the same chunked draws
         g, L = _estimate_instance()
         params = ProcedureParams(sigma=sigma)
         inst = compile_lists(g, L)
-        batch = stacked_batch(inst, params, trials, 17)
-
-        def mean_se(x):
-            return x.mean(axis=1), np.sqrt(x.var(axis=1, ddof=1) / trials)
-
-        (ab, ab_se), (pa, pa_se), (tr, tr_se), (un, un_se) = (
-            mean_se(x) for x in (batch.aberrance, batch.pairs, batch.trips, batch.unact)
-        )
-        want = []
-        for v in range(g.n):
-            want += [
-                [v, "aberrance", ab[v], ab_se[v]],
-                [v, "pairs_minus_trips", pa[v] - tr[v], math.hypot(pa_se[v], tr_se[v])],
-                [v, "unact", un[v], un_se[v]],
-            ]
-        want = [[v, name, repr(float(m)), repr(float(se))] for v, name, m, se in want]
         table = check_equalization_precondition(inst, params)
+        batch = stack_chunks(inst, params, chunked_draws(inst, params, table, trials, rng_of(17)))
         rows = experiment._estimate_rows(g, L, params, inst, table, trials, 17)
         got = [row[:4] for row in rows]
-        assert got == want
+        assert got == _exact_rows(batch)
         # the isolated vertex saves nothing, and each of its bounds is 0
         names = ("aberrance", "pairs_minus_trips", "unact")
         assert got[-3:] == [[12, name, "0.0", "0.0"] for name in names]
         assert [row[4] for row in rows[-3:]] == ["0.0"] * 3
+
+    def test_sums_squares_in_python_ints_past_degree_829(self, monkeypatch):
+        # a savings value of the center is at most C(830, 3), and
+        # C(830, 3)^2 * TRIAL_CHUNK passes 2^63: its full chunks sum their
+        # squares in Python ints, its 3-trial last chunk in int64.  Its 830
+        # colors hold the 9 of each leaf, egalitarian at sigma = 99/100, so
+        # about 92 leaves share each color and pairs and trips are large.
+        d = 830
+        assert math.comb(d, 3) ** 2 * TRIAL_CHUNK >= 2**63 > math.comb(d - 1, 3) ** 2 * TRIAL_CHUNK
+        g, L = star(d), make_lists([range(d)] + [range(9)] * d)
+        params = ProcedureParams(sigma=Fraction(99, 100))
+        inst = compile_lists(g, L)
+        table = check_equalization_precondition(inst, params)
+        trials = 2 * TRIAL_CHUNK + 3
+        batch = stack_chunks(inst, params, chunked_draws(inst, params, table, trials, rng_of(4)))
+        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 4)
+        assert [row[:4] for row in rows] == _exact_rows(batch)
+        assert batch.pairs[0].any() and batch.trips[0].any()
+        # the center at its largest values in every trial: an int64 sum of
+        # its squares would wrap around, the Python-int one gives se = 0
+        top = np.array([d, math.comb(d, 2), math.comb(d, 3), d])[:, None]
+
+        def center_at_top(*args):
+            for v, x in enumerate(savings_rows(*args)):
+                yield np.broadcast_to(top, x.shape) if v == 0 else x
+
+        monkeypatch.setattr(procedure, "savings_rows", center_at_top)
+        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 4)
+        want = [float(d), float(math.comb(d, 2) - math.comb(d, 3)), float(d)]
+        assert [row[2:4] for row in rows[:3]] == [[repr(m), "0.0"] for m in want]
+
+    def test_memory_is_flat_in_the_trial_count(self, tmp_path):
+        # only one chunk of draws is alive at once
+        g = gnm(100, 495, 3)
+        L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_estimate(g, L, ProcedureParams(), trials, 0, tmp_path, {})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the first call in a process makes one-time allocations; keep them
+        # out of the base
+        run_estimate(g, L, ProcedureParams(), 2, 0, tmp_path, {})
+        base = peak(2 * TRIAL_CHUNK)
+        assert peak(20_000) <= 1.25 * base and peak(100_000) <= 1.25 * base
 
     def test_memory_per_trial_cell(self, tmp_path):
         # estimate holds the draws (10 bytes per (vertex, trial) cell) and the
@@ -549,11 +617,11 @@ class TestEstimateRows:
 
 
 class TestDrawTrials:
-    @pytest.mark.parametrize("trials", [1, 7, FLIP_BLOCK // 3 + 1])
+    @pytest.mark.parametrize("trials", [1, 7, 21_846])
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     @pytest.mark.parametrize("equalize", [True, False])
     def test_flip_blocks_equal_one_array_draw(self, trials, rho, equalize):
-        # at the largest width each flip block holds two rows of five
+        # the flips of all five rows are one draw, at every width
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3)])
         L = make_lists([range(3), range(66), range(2, 6), range(64), range(1)])
         inst = compile_lists(g, L)
@@ -577,17 +645,21 @@ class TestDrawTrials:
 
 
 def test_draw_left_writes_the_uncolored_mask_into_the_draws():
-    """draw_left's activations and phi_left equal those made from draw_trials'
-    raw draws on the same stream, across a trial chunk boundary."""
+    """Each chunk draw_left yields, its activations and phi_left, equals
+    draw_trials then uncolored_trials on the same stream, across a trial
+    chunk boundary."""
     g, L = _estimate_instance()
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
     table = check_equalization_precondition(inst, params)
-    act, phi_idx, heads = draw_trials(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
-    want = phi_left(inst, phi_idx, uncolored_trials(inst, act, phi_idx, heads))
-    got_act, got_left = draw_left(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
-    assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
+    got = list(draw_left(inst, params, table, TRIAL_CHUNK + 1, rng_of(8)))
+    chunks = chunked_draws(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
+    assert [act.shape[1] for act, _ in got] == [TRIAL_CHUNK, 1]
+    for (got_act, got_left), (act, phi_idx, heads) in zip(got, chunks, strict=True):
+        want = phi_left(inst, phi_idx, uncolored_trials(inst, act, phi_idx, heads))
+        assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
     # some vertex is uncolored in some trial and colored in another
-    assert (want == inst.sizes[:, None]).any() and (want < inst.sizes[:, None]).any()
+    left = got[0][1]
+    assert (left == inst.sizes[:, None]).any() and (left < inst.sizes[:, None]).any()
 
 
 @st.composite
@@ -785,14 +857,14 @@ class _CountingRng:
 def test_color_draws_follow_the_per_vertex_stream(trials):
     """draw_trials' color indices, and the generator state it leaves, equal a
     per-vertex rng.integers reference, for lists of size 1 and of 64 or more;
-    below TRIAL_CHUNK trials it draws every index in one call."""
+    it draws every index in one call, at every width."""
     sizes = [1, 64, 1, 100, 67, 1]
     g = Graph.from_edges(len(sizes), [])
     inst = compile_lists(g, make_lists([range(k) for k in sizes]))
     params = ProcedureParams()
     rng = _CountingRng(rng_of(11))
     act, phi_idx, _ = draw_trials(inst, params, None, trials, rng)
-    assert rng.calls.count("integers") == (1 if trials < TRIAL_CHUNK else len(sizes))
+    assert rng.calls.count("integers") == 1
     ref = rng_of(11)
     assert np.array_equal(act, ref.random((len(sizes), trials)) < params.rho)
     assert np.array_equal(phi_idx, draw_color_indices(sizes, trials, ref))
@@ -891,14 +963,17 @@ def _narrow_chunk_case():
 
 
 def test_savings_per_trial_across_a_narrow_last_chunk():
-    """The coded table is scaled by TRIAL_CHUNK whatever a chunk's width: at
-    TRIAL_CHUNK + 3 trials the last chunk is 3 trials wide.  Every trial
-    matches the scalar reference, on an uncolored set it computes itself."""
+    """The coded table is scaled by each chunk's own width: at TRIAL_CHUNK + 3
+    trials, drawn chunk by chunk as draw_left draws them, the last chunk is 3
+    trials wide.  Every trial matches the scalar reference, on an uncolored
+    set it computes itself."""
     g, ca, params = _narrow_chunk_case()
     inst = compile_instance(g, ca)
     trials = TRIAL_CHUNK + 3
-    act, phi_idx, heads = draw_trials(inst, params, keep_table(inst, params.rho), trials, rng_of(9))
-    batch = stack_trials(inst, params, act, phi_idx, heads)
+    chunks = chunked_draws(inst, params, keep_table(inst, params.rho), trials, rng_of(10))
+    assert [act.shape[1] for act, _, _ in chunks] == [TRIAL_CHUNK, 3]
+    act, phi_idx, heads = (np.concatenate(a, axis=1) for a in zip(*chunks))
+    batch = stack_chunks(inst, params, chunks)
     prec = list_size_order(ca.lists)
     want = np.empty((4, g.n, trials), dtype=np.int64)
     for t in range(trials):
@@ -967,9 +1042,9 @@ def test_greedy_complete_with_every_vertex_uncolored(inst_case):
 
 # SHA-256 of each stacked batch field (dtype, bytes) of the instance below,
 # and of the save_drop settle_trials computes on the same draws.  They pin the
-# random stream and every value of uncolored_trials and savings_rows, which
-# `estimate` output depends on byte for byte.  2500 trials span several evaluation chunks, the
-# last one partial.
+# random stream of draw_trials and every value of uncolored_trials and
+# savings_rows, which `estimate` output depends on byte for byte.  The 2500
+# trials are drawn and evaluated in one pass, wider than estimate's chunks.
 GOLDEN_BATCH = {
     "phi_idx": ("<i8", "6221cf91a36e198894c9f5ee8e5769537b7a43c01b58dd9b1605a32e84b09f4f"),
     "activated": ("|b1", "a1fd49c4175b116bcf59d7e014be658c36465212a082e2086411a6001d40dc13"),
