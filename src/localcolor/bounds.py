@@ -78,9 +78,10 @@ def savings_gap_certificate(
     k = keep_constant(e, rho)
     c1 = 0.25 - e * (4 + b + 2 * a) / (2 * (1 - e))
     c2 = 0.5 - e * (1 + b) / (2 * (1 - e))
-    sp1 = c1 - 1.01 * e * (1 + a) / (a * k) * c2
+    # K = 0 (rho = 0), or an a * K that underflows, means the certificate
+    # already collapsed, and so does a non-positive sparsity level
+    sp1 = c1 - 1.01 * e * (1 + a) / (a * k) * c2 if a * k > 0 else -math.inf
     sp2 = 0.5
-    # a non-positive sparsity level means the certificate already collapsed
     vals = tuple(
         k * (k / (1 + a) ** 2 - math.sqrt(2 * sp) / (3 * (1 - e))) * sp
         if sp > 0

@@ -1,5 +1,6 @@
 """Simple undirected graphs and the exact primitives the commands use on them:
-local clique numbers, complement edge counts and maximum antimatchings.
+local clique numbers (one networkx maximal-clique pass per graph, cached),
+complement edge counts and maximum antimatchings.
 
 Vertices are integers 0..n-1.  A graph is a sorted CSR: the neighbors of v
 are nbr[ptr[v]:ptr[v + 1]], in ascending order, so adjacency order does not
@@ -108,6 +109,18 @@ class Graph:
         ptr, nbr = self.ptr.tolist(), self.nbr.tolist()
         return tuple(frozenset(nbr[ptr[v] : ptr[v + 1]]) for v in range(self.n))
 
+    @cached_property
+    def clique_numbers(self) -> tuple[int, ...]:
+        """ω(v) of every vertex: the size of the largest maximal clique through
+        v, folded in as networkx's find_cliques yields each one."""
+        h = nx.empty_graph(self.n)  # all n nodes: an isolated vertex is a clique of 1
+        h.add_edges_from(self.edges())
+        best = [0] * self.n
+        for clique in nx.find_cliques(h):
+            for v in clique:
+                best[v] = max(best[v], len(clique))
+        return tuple(best)
+
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, ascending."""
         tail = np.repeat(np.arange(self.n), np.diff(self.ptr))
@@ -176,27 +189,10 @@ def degree(g: Graph, v: int) -> int:
 
 
 def local_clique_number(g: Graph, v: int) -> int:
-    """Size of a largest clique containing v: an exact branch and bound over
-    N(v) on an explicit stack of (clique size, common candidates), so no
-    recursion limit applies.  An entry branches on the candidates outside the
-    neighborhood of its pivot, the candidate with the most candidate
-    neighbors, and is dropped if all its candidates cannot beat the best."""
+    """Size ω(v) of a largest clique containing v.  The first call on g finds
+    every vertex's ω at once (Graph.clique_numbers); later calls read it."""
     _check_vertex(g, v)
-    adj, best, stack = g.adj, 0, [(0, g.adj[v])]
-    while stack:
-        size, cand = stack.pop()
-        if size + len(cand) <= best:
-            continue
-        if not cand:
-            best = size
-            continue
-        pivot = max(cand, key=lambda u: len(adj[u] & cand))
-        rest, children = set(cand), []
-        for u in cand - adj[pivot]:
-            children.append((size + 1, adj[u] & rest))
-            rest.remove(u)  # a later sibling's cliques hold no earlier branch
-        stack += reversed(children)  # popped in branch order
-    return 1 + best
+    return g.clique_numbers[v]
 
 
 def complement_edge_count(g: Graph, s: Iterable[int]) -> int:

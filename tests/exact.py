@@ -2,9 +2,9 @@
 
 Backtracking list-colorability and L-criticality, the constructive list
 coloring of K_n minus a matching under its list-size hypotheses, the
-triangle count with Rivin's bound, and a plain edge walk that checks a
-coloring.  All are exact and meant for desk-scale instances; no command
-calls them.
+triangle count with Rivin's bound, a plain edge walk that checks a
+coloring, and a branch and bound for the local clique number ω(v).  All are
+exact and meant for desk-scale instances; no command calls them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from localcolor.graph import Graph, Matching
+from localcolor.graph import Graph, Matching, _check_vertex
 from localcolor.lists import Color, Coloring, ListAssignment, check_list_count, is_proper
 
 
@@ -176,7 +176,31 @@ def color_knm(inst: KnmInstance) -> Coloring:
     return coloring
 
 
-# --- triangles --------------------------------------------------------------
+# --- cliques and triangles --------------------------------------------------
+
+
+def clique_search(g: Graph, v: int) -> int:
+    """Size of a largest clique containing v: an exact branch and bound over
+    N(v) on an explicit stack of (clique size, common candidates), so no
+    recursion limit applies.  An entry branches on the candidates outside the
+    neighborhood of its pivot, the candidate with the most candidate
+    neighbors, and is dropped if all its candidates cannot beat the best."""
+    _check_vertex(g, v)
+    adj, best, stack = g.adj, 0, [(0, g.adj[v])]
+    while stack:
+        size, cand = stack.pop()
+        if size + len(cand) <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        pivot = max(cand, key=lambda u: len(adj[u] & cand))
+        rest, children = set(cand), []
+        for u in cand - adj[pivot]:
+            children.append((size + 1, adj[u] & rest))
+            rest.remove(u)  # a later sibling's cliques hold no earlier branch
+        stack += reversed(children)  # popped in branch order
+    return 1 + best
 
 
 def triangle_count(g: Graph) -> int:

@@ -72,6 +72,14 @@ class TestCertificate:
     def test_large_eps_fails(self):
         assert not savings_gap_certificate(1 / 50, 1 / 50, 0.4, RHO).holds
 
+    @pytest.mark.parametrize("rho", [0, 1e-320])
+    def test_zero_keep_constant_collapses(self, rho):
+        # K = 0 at rho = 0, and a * K underflows to 0 at 1e-320: the first
+        # sparsity level is -inf instead of a division by zero
+        rep = savings_gap_certificate(1 / 50, 1 / 50, 1 / 330, rho)
+        assert rep.context["sparsity"][0] == rep.context["value"][0] == rep.lhs == -math.inf
+        assert not rep.holds
+
     def test_localizes_constant(self):
         # raising eps to 1/250 with other defaults fixed breaks the certificate
         assert not savings_gap_certificate(1 / 50, 1 / 50, 1 / 250, RHO).holds

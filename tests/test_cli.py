@@ -2,11 +2,13 @@
 rejected at the boundary with exit code 2 and a message that names them."""
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +49,10 @@ GOLDEN_REPORTS = {
     # its savings-gap value is -Infinity
     "certify-constants --eps 1/10": (
         1, "c1ccb7d49c4d244ccfb9d1b523e90ec7c3b17f30ec96fb908bade3a8aab44505",
+    ),
+    # K = 0, so its first sparsity level and savings-gap value are -Infinity
+    "certify-constants --rho 0": (
+        1, "5b715fa7ad14a36616558935eaf9fb7d202055cc96ccbaf4cd2b2279316aa828",
     ),
 }
 
@@ -563,6 +569,15 @@ def test_params_are_built_once_per_call(gnp40, capsys, monkeypatch, argv):
 def test_default_option_text_builds_the_default_params():
     """PARAM_DEFAULTS, the text a manifest records, builds ProcedureParams()."""
     assert _params_of(argparse.Namespace(**PARAM_DEFAULTS)) == (ProcedureParams(), PARAM_DEFAULTS)
+
+
+def test_option_defaults_are_the_field_defaults():
+    """PARAM_DEFAULTS repeats ProcedureParams' field defaults, name by name,
+    as option text, rho's "auto" standing for None; the two keep their own
+    orders, the manifest's being PARAM_DEFAULTS'."""
+    fields = {f.name: f.default for f in dataclasses.fields(ProcedureParams)}
+    given = {name: None if t == "auto" else Fraction(t) for name, t in PARAM_DEFAULTS.items()}
+    assert given == fields
 
 
 def test_manifest_records_the_parameter_text_as_given(gnp40, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import KnmInstance, rivin_triangle_bound, triangle_count
-from localcolor.generators import gen_c5_blowup
+from exact import KnmInstance, clique_search, rivin_triangle_bound, triangle_count
+from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import (
     Graph,
     GraphError,
@@ -223,6 +224,54 @@ class TestCliques:
             assert local_clique_number(g, 0) == 300
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestCliquePass:
+    """ω of every vertex comes from one networkx maximal-clique pass per Graph
+    object, folded as the cliques are yielded."""
+
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_every_vertex_against_the_search(self, n, p, seed):
+        g = gen_gnp(n, p, seed)
+        assert [local_clique_number(g, v) for v in range(n)] == [
+            clique_search(g, v) for v in range(n)
+        ]
+
+    def test_one_pass_per_graph_object(self, monkeypatch):
+        calls = []
+        find_cliques = nx.find_cliques
+
+        def counted(h):
+            calls.append(h)
+            return find_cliques(h)
+
+        monkeypatch.setattr(nx, "find_cliques", counted)
+        g = gen_gnp(30, 1 / 2, 1)
+        L = uniform_lists(g.n, 5)
+        for v in range(g.n):
+            profile(g, L, v, Fraction(1, 50), Fraction(1, 50))
+        assert len(calls) == 1
+        twin = Graph(g.n, g.ptr, g.nbr)
+        assert twin == g
+        assert [gap(twin, v) for v in range(g.n)] == [gap(g, v) for v in range(g.n)]
+        assert len(calls) == 2
+
+    def test_the_pass_does_not_hold_the_cliques(self):
+        # 16,687 maximal cliques; held in a list they peak above twice
+        # what the whole pass does, its networkx graph included
+        g = gen_gnp(100, 1 / 2, 2)
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        peaks = []
+        for run in (lambda: g.clique_numbers, lambda: list(nx.find_cliques(h))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 2 * peaks[0] < peaks[1]
 
 
 class TestComplementAndTriangles:
