@@ -1,6 +1,8 @@
 """Simple undirected graphs and the exact primitives the commands use on them:
-local clique numbers (one networkx maximal-clique pass per graph, cached),
-complement edge counts and maximum antimatchings.
+local clique numbers (one bitset branch and bound pass per graph, cached),
+complement edge counts and maximum antimatchings (Edmonds' blossom
+algorithm).  Both searches run on explicit stacks and queues, so no input
+size meets Python's recursion limit.
 
 Vertices are integers 0..n-1.  A graph is a sorted CSR: the neighbors of v
 are nbr[ptr[v]:ptr[v + 1]], in ascending order, so adjacency order does not
@@ -15,10 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 
@@ -111,15 +111,8 @@ class Graph:
 
     @cached_property
     def clique_numbers(self) -> tuple[int, ...]:
-        """ω(v) of every vertex: the size of the largest maximal clique through
-        v, folded in as networkx's find_cliques yields each one."""
-        h = nx.empty_graph(self.n)  # all n nodes: an isolated vertex is a clique of 1
-        h.add_edges_from(self.edges())
-        best = [0] * self.n
-        for clique in nx.find_cliques(h):
-            for v in clique:
-                best[v] = max(best[v], len(clique))
-        return tuple(best)
+        """ω(v) of every vertex, from one _clique_pass over the graph."""
+        return _clique_pass(self)
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, ascending."""
@@ -195,6 +188,83 @@ def local_clique_number(g: Graph, v: int) -> int:
     return g.clique_numbers[v]
 
 
+def _clique_pass(g: Graph) -> tuple[int, ...]:
+    """ω(v) of every vertex by a branch and bound over each neighborhood in
+    turn, in descending degree order.
+
+    best[u] is the largest clique through u found so far and top[u] a bound
+    on ω(u): 1 + d(u), and ω(u) itself once u is searched.  Each clique found
+    raises best[] of all its members, so later searches start warm; v is not
+    searched at all once best[v] reaches top[v], and its search drops the
+    neighbors u with top[u] <= best[v], which lie on no larger clique through v.
+
+    The search runs over v's remaining neighbors relabelled 0..k-1 in the
+    same order, as k-bit int masks: candidate sets are ints, and mask[i] holds
+    i's candidate neighbors.  It is Tomita's: each depth colors its candidates
+    greedily (_colored) and branches on them from the highest color down, a
+    branch whose clique size plus color cannot beat best[v] ending the frame.
+    One explicit stack frame per depth makes its children one at a time:
+    [clique mask, clique size, colored order, colors, cursor, candidates].
+    """
+    adj, deg = g.adj, np.diff(g.ptr).tolist()
+    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    best, top = [1] * g.n, [d + 1 for d in deg]
+    for v in order:
+        floor = best[v]
+        cand = sorted((u for u in adj[v] if top[u] > floor), key=rank.__getitem__)
+        if len(cand) >= floor:  # else v and all of cand make no larger clique
+            bit, inside = {u: 1 << i for i, u in enumerate(cand)}, frozenset(cand)
+            mask = [sum(map(bit.__getitem__, inside & adj[u])) for u in cand]
+            full = (1 << len(cand)) - 1
+            colored, colors = _colored(full, mask, floor)
+            stack = [[0, 1, colored, colors, len(colored), full]]
+            while stack:
+                frame = stack[-1]
+                clique, size, colored, colors, i, left = frame
+                i -= 1
+                if i < 0 or size + colors[i] <= floor:
+                    stack.pop()
+                    continue
+                u = colored[i]
+                low = 1 << u
+                frame[4], frame[5] = i, left ^ low
+                sub = left & mask[u]
+                if sub:
+                    colored, colors = _colored(sub, mask, floor - size)
+                    if colored:
+                        stack.append([clique | low, size + 1, colored, colors, len(colored), sub])
+                elif size + 1 > floor:
+                    floor, clique = size + 1, clique | low
+                    while clique:
+                        w = cand[(clique & -clique).bit_length() - 1]
+                        best[w] = max(best[w], floor)
+                        clique &= clique - 1
+        best[v] = top[v] = floor
+    return tuple(best)
+
+
+def _colored(left: int, mask: list[int], least: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidates in `left`: each color class takes the
+    lowest candidate, then the lowest one adjacent to none taken, until none
+    is left.  Returns the candidates of color >= least, and their colors, in
+    ascending color: a lesser color cannot lift a branch above the best."""
+    colored, colors, color = [], [], 0
+    while left:
+        color += 1
+        free = left
+        while free:
+            low = free & -free
+            u = low.bit_length() - 1
+            free &= ~mask[u]
+            free ^= low
+            left ^= low
+            if color >= least:
+                colored.append(u)
+                colors.append(color)
+    return colored, colors
+
+
 def complement_edge_count(g: Graph, s: Iterable[int]) -> int:
     """Edge count of the complement of the subgraph induced on s."""
     vs = _vertex_set(g, s)
@@ -204,13 +274,74 @@ def complement_edge_count(g: Graph, s: Iterable[int]) -> int:
 
 
 def max_antimatching(g: Graph, s: Iterable[int]) -> Matching:
-    """Maximum matching in the complement of g[s] (networkx's blossom
-    algorithm, on a networkx graph of the complement over g's own ids)."""
+    """Maximum matching in the complement of g[s]: _max_matching of the
+    complement on s relabelled 0..|s|-1, its pairs mapped back to g's ids."""
     vs = _vertex_set(g, s)
-    comp = nx.Graph()
-    comp.add_nodes_from(vs)
-    comp.add_edges_from((u, v) for u, v in combinations(vs, 2) if v not in g.adj[u])
-    return Matching.of(nx.max_weight_matching(comp, maxcardinality=True))
+    mate = _max_matching([[j for j, u in enumerate(vs) if u != v and u not in g.adj[v]] for v in vs])
+    return Matching.of((vs[i], vs[j]) for i, j in enumerate(mate) if i < j)
+
+
+def _max_matching(nbrs: list[list[int]]) -> list[int]:
+    """A maximum-cardinality matching of the graph on 0..k-1 whose neighbor
+    lists are nbrs, as mate[v] (-1 for a free vertex): Edmonds' blossom
+    algorithm.
+
+    Each free root runs one breadth-first search for an augmenting path over
+    alternating trees.  An edge that closes an odd cycle contracts the cycle
+    (a blossom) by pointing base[] of its vertices at the cycle's base, found
+    as the lowest common ancestor of the edge's ends; the path found is
+    flipped along parent[] and mate[].  A root with no augmenting path never
+    gets one later, so one search per root suffices: O(k^3), no recursion.
+    """
+    k = len(nbrs)
+    mate = [-1] * k
+    for root in range(k):
+        if mate[root] >= 0:
+            continue
+        parent, base, seen = [-1] * k, list(range(k)), [False] * k
+        seen[root], queue, head, end = True, [root], 0, -1
+        while head < len(queue) and end < 0:
+            v = queue[head]
+            head += 1
+            for u in nbrs[v]:
+                if base[v] == base[u] or mate[v] == u:
+                    continue
+                if u == root or mate[u] >= 0 and parent[mate[u]] >= 0:  # both ends outer
+                    # the blossom's base: the first base on u's way to the root
+                    # that is also on v's
+                    path, x = [False] * k, base[v]
+                    path[x] = True
+                    while mate[x] >= 0:
+                        x = base[parent[mate[x]]]
+                        path[x] = True
+                    top = base[u]
+                    while not path[top]:
+                        top = base[parent[mate[top]]]
+                    blossom = [False] * k
+                    for a, child in ((v, u), (u, v)):
+                        while base[a] != top:
+                            blossom[base[a]] = blossom[base[mate[a]]] = True
+                            parent[a], child = child, mate[a]
+                            a = parent[mate[a]]
+                    for w in range(k):
+                        if blossom[base[w]]:
+                            base[w] = top
+                            if not seen[w]:
+                                seen[w] = True
+                                queue.append(w)
+                elif parent[u] < 0:
+                    parent[u] = v
+                    if mate[u] < 0:
+                        end = u
+                        break
+                    seen[mate[u]] = True
+                    queue.append(mate[u])
+        while end >= 0:
+            v = parent[end]
+            nxt = mate[v]
+            mate[end], mate[v] = v, end
+            end = nxt
+    return mate
 
 
 def average_degree(g: Graph) -> Fraction:

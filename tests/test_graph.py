@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact import KnmInstance, clique_search, rivin_triangle_bound, triangle_count
+from localcolor import graph as graph_module
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import (
     Graph,
@@ -227,8 +228,8 @@ class TestCliques:
 
 
 class TestCliquePass:
-    """ω of every vertex comes from one networkx maximal-clique pass per Graph
-    object, folded as the cliques are yielded."""
+    """ω of every vertex comes from one branch and bound pass (`_clique_pass`)
+    per Graph object, cached as `Graph.clique_numbers`."""
 
     @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
@@ -240,13 +241,13 @@ class TestCliquePass:
 
     def test_one_pass_per_graph_object(self, monkeypatch):
         calls = []
-        find_cliques = nx.find_cliques
+        clique_pass = graph_module._clique_pass
 
-        def counted(h):
-            calls.append(h)
-            return find_cliques(h)
+        def counted(g):
+            calls.append(g)
+            return clique_pass(g)
 
-        monkeypatch.setattr(nx, "find_cliques", counted)
+        monkeypatch.setattr(graph_module, "_clique_pass", counted)
         g = gen_gnp(30, 1 / 2, 1)
         L = uniform_lists(g.n, 5)
         for v in range(g.n):
@@ -346,6 +347,55 @@ class TestAntimatching:
             assert len(m) == brute_max_matching(Graph.from_edges(g.n, non_edges))
             for u, v in m.edges:
                 assert u in s and v in s and not g.has_edge(u, v)
+
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_maximum_vs_networkx(self, n, p, seed, data):
+        g = gen_gnp(n, p, seed)
+        s = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        whole = nx.empty_graph(n)
+        whole.add_edges_from(g.edges())
+        h = nx.complement(whole.subgraph(s))
+        m = max_antimatching(g, s)
+        assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
+        ends = [x for pair in m.edges for x in pair]
+        assert len(ends) == len(set(ends))
+        for u, v in m.edges:
+            assert u in s and v in s and not g.has_edge(u, v)
+
+    def test_nested_blossoms_without_recursion(self):
+        # The complement is two ladders, each of rungs (a_i, b_i), i = 1..100,
+        # crossings b_(i-1) -- a_i and a_(i-1) -- b_i, and a triangle of its
+        # first rung with a free vertex; their last a's are joined.  The rungs
+        # are matched first; then the one augmenting path, between the free
+        # vertices, runs through 100 odd cycles on each side, each contracted
+        # around the one before it, and leaves the first ladder from a_100,
+        # which only the last contraction makes reachable.  100 frames above
+        # this test's own depth; a matching that recursed once per blossom or
+        # per path edge (403 of them) would need more.
+        m = 100
+
+        def ladder(first, free):  # rungs (first + 2i, first + 2i + 1)
+            rungs = [(first + 2 * i, first + 2 * i + 1) for i in range(m)]
+            edges = set(rungs) | {(rungs[0][0], free), (rungs[0][1], free)}
+            for (a0, b0), (a1, b1) in zip(rungs, rungs[1:]):
+                edges |= {(b0, a1), (a0, b1)}
+            return edges, rungs[-1][0]
+
+        (left, a), (right, b) = ladder(0, 4 * m), ladder(2 * m, 4 * m + 1)
+        h = left | right | {(a, b)}
+        g = Graph.from_edges(4 * m + 2, set(itertools.combinations(range(4 * m + 2), 2)) - h)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            matching = max_antimatching(g, range(g.n))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(matching) == 2 * m + 1
+        assert all(pair in h for pair in matching.edges)
 
 
 # Every public entry that takes a vertex id or a vertex set, called on C5 with

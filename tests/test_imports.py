@@ -3,11 +3,15 @@ module imports another module's underscore (private) names, the package
 exports each name from the module that defines it, every exported name,
 indeed every top-level definition, is reached from a command or named in the
 README's library overview, no function calls itself, so no input size
-meets Python's recursion limit, and only the two callers that decide how
-many trials are drawn at once read TRIAL_CHUNK."""
+meets Python's recursion limit, only the two callers that decide how
+many trials are drawn at once read TRIAL_CHUNK, and importing the CLI loads
+no networkx module."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import localcolor
@@ -294,3 +298,16 @@ def test_only_the_chunking_callers_read_the_trial_chunk():
     assert {read.rsplit(":", 1)[0] for read in chunk_reads("procedure", sources["procedure"])} == (
         CHUNK_READERS
     )
+
+
+def test_the_cli_imports_no_networkx():
+    # networkx is a test dependency only; its import alone was 0.12 s of the
+    # CLI's start-up
+    script = "import sys, localcolor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
