@@ -38,11 +38,11 @@ def _estimate_rows(
     # the int64 sum of squares of w trials is exact while w * top[v] < 2^63
     top = [max(d, math.comb(d, 2), math.comb(d, 3)) ** 2 for d in np.diff(inst.ptr).tolist()]
     sums = [[0] * 8 for _ in range(g.n)]  # Σx then Σx² of each component, Python ints
-    for act, phi_left in procedure.draw_left(inst, params, table, trials, rng):
-        for v, x in enumerate(procedure.savings_rows(inst, params, act, phi_left)):
+    for plan, act, phi_left in procedure.draw_left(inst, params, table, trials, rng):
+        for v, x in enumerate(procedure.savings_rows(plan, act, phi_left)):
             if top[v] * x.shape[1] >= 2**63:
                 x = x.astype(object)  # the int64 sum of squares could wrap around
-            part = x.sum(axis=1).tolist() + np.einsum("ij,ij->i", x, x).tolist()
+            part = x.sum(axis=1).tolist() + (x * x).sum(axis=1).tolist()
             sums[v] = [a + b for a, b in zip(sums[v], part)]
     rows = []
     k = params.keep

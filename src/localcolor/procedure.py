@@ -17,16 +17,15 @@ Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
 `draw_trials` draws a batch, and each caller evaluates it with the
-evaluator that computes what it reads.  For `estimate`, `draw_left` yields
-the trials TRIAL_CHUNK at a time, the uncolored set of `uncolored_trials`
-(per vertex) written into each chunk's color indices in place, an uncolored
-vertex's index becoming |L(v)|; `savings_rows` reads those (`phi_left`) and
-yields one vertex at a time its savings components over the chunk.  It
-codes each directed edge's block of `match`, plus one entry for an
-uncolored tail, as rows of the head's (color, trial) count grid, so a
-vertex is a gather, a table lookup and one bincount.  `estimate` folds each
-row into exact sums as it arrives, so it holds one chunk's draws (10 bytes
-per (vertex, trial) cell) and uncolored mask, whatever the trial count.
+evaluator that computes what it reads.  For `estimate`, `draw_left` builds
+one `EstimatePlan` per run and yields the trials TRIAL_CHUNK at a time,
+drawn row by row, the uncolored set of `uncolored_trials` written into each
+chunk's color indices; `savings_rows` reads those (`phi_left`) and yields
+one vertex at a time its savings over the chunk, through the plan's coded
+table: each edge's block of `match`, plus one entry for an uncolored tail,
+as rows of the head's (color, trial) count grid.  `estimate` folds each row
+into exact sums as it arrives, so it holds one chunk's draws (10 bytes per
+(vertex, trial) cell) and uncolored mask, whatever the trial count.
 `settle_trials` (all directed edges at once) gives `pipeline_color`'s
 savings check the uncolored set, unact and save_drop, and `greedy_complete`
 the colors each vertex loses to its kept neighbors.  `compile_lists` builds
@@ -285,13 +284,10 @@ def draw_trials(
     return act, phi_idx, rng.random((n, trials)) < pflip[inst.start[:-1, None] + phi_idx]
 
 
-def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over colors of C(k, 2) and C(k, 3) per trial, k = counts[color, trial]:
-    every k(k-1) is even and every k(k-1)(k-2) a multiple of 6, so both divide exactly."""
-    falling = counts * (counts - 1)
-    pairs = falling.sum(axis=0) // 2
-    falling *= counts - 2
-    return pairs, falling.sum(axis=0) // 6
+def _pairs_trips(counts: np.ndarray, choose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over colors of C(k, 2) and C(k, 3) per trial, k = counts[color, trial],
+    each read from the table choose[j, k] = C(k, j + 2)."""
+    return choose[0].take(counts).sum(axis=0), choose[1].take(counts).sum(axis=0)
 
 
 # trials per batch of pipeline_color and per chunk of draw_left, bounding
@@ -299,8 +295,48 @@ def _pairs_trips(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TRIAL_CHUNK = 1024
 
 
+@dataclass(frozen=True)
+class EstimatePlan:
+    """What `estimate`'s chunk loop reads, built once per run by `estimate_plan`.
+    Its groupings hold heads grouped by tail, v's from tail offset [v] to [v + 1]."""
+
+    inst: CompiledInstance
+    stride: int  # the widest chunk savings_rows takes, its count grids' row length
+    flips: list[np.ndarray]  # per vertex, the flip probability of each of its colors
+    threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, back blocks, tail offsets
+    egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
+    small: tuple[np.ndarray, list[int]]  # heads with strictly smaller lists, tail offsets
+    code: np.ndarray  # savings_rows' coded table, scaled by stride
+    choose: np.ndarray  # C(k, 2) and C(k, 3) for every count k up to the largest degree
+
+
+def estimate_plan(inst: CompiledInstance, params: ProcedureParams, table: np.ndarray,
+                  stride: int) -> EstimatePlan:
+    """The plan of chunks of at most `stride` trials on `inst` and its keep table."""
+    sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
+    # with rho = 0 every keep probability is 0 and the flips are irrelevant
+    pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
+    # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
+    # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
+    num, den = params.sigma.numerator, params.sigma.denominator
+    least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
+    egal = sizes[head] >= least[inst.tail]
+    # each block of match gains its sentinel at its end, so edge e's coded
+    # block starts e entries later, and the reverse edge's at back[e] plus
+    # its edge number (blocks are nonempty, so block ascends)
+    code = np.where(inst.match < 0, 1, inst.match + 2) * stride
+    code = np.insert(code, block + sizes[inst.tail], 0)
+    coded_back = inst.back + np.searchsorted(block, inst.back)
+    tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
+    k = np.arange(np.diff(inst.ptr).max(initial=0) + 1)  # k(k-1) and k(k-1)(k-2) divide exactly
+    return EstimatePlan(inst, stride, np.split(pflip, inst.start[1:-1].tolist()),
+                        (head[big], inst.back[big][:, None], tp),
+                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), code,
+                        np.stack([k * (k - 1) // 2, k * (k - 1) * (k - 2) // 6]))
+
+
 def uncolored_trials(
-    inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
+    plan: EstimatePlan, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
 ) -> np.ndarray:
     """The uncolored mask of the drawn trials, of shape (n, trials).
 
@@ -310,43 +346,40 @@ def uncolored_trials(
     TRIAL_CHUNK trials settle_trials' edge-wide layout is 2 to 3 times
     slower, its temporaries too large to stay in cache.
     """
-    n, trials = phi_idx.shape
-    # the heads of big edges, the threats, with their reverse blocks, grouped
-    # by tail: vertex v's are threat[tp[v]:tp[v + 1]]
-    threat, bk = inst.head[inst.big], inst.back[inst.big][:, None]
-    tp = np.concatenate(([0], np.cumsum(inst.big)))[inst.ptr].tolist()
-    uncolored = np.empty((n, trials), dtype=bool)
-    for v in range(n):
+    threat, bk, tp = plan.threats
+    uncolored = heads | ~act
+    for v in range(len(phi_idx)):
         u = threat[tp[v] : tp[v + 1]]
         # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
         # which never equals phi(v)
-        mu = inst.match[bk[tp[v] : tp[v + 1]] + phi_idx[u]]
-        uncolored[v] = ~act[v] | heads[v] | (act[u] & (mu == phi_idx[v])).any(axis=0)
+        mu = plan.inst.match.take(bk[tp[v] : tp[v + 1]] + phi_idx.take(u, axis=0))
+        uncolored[v] |= (act.take(u, axis=0) & (mu == phi_idx[v])).any(axis=0)
     return uncolored
 
 
 def draw_left(
     inst: CompiledInstance, params: ProcedureParams, table: np.ndarray, trials: int,
     rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(activated, phi_left) of `trials` trials, what savings_rows reads,
-    yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower).
-    Each chunk is drawn by draw_trials, and its uncolored mask is written
-    into the color indices in place, an uncolored vertex's index becoming
-    |L(v)|, so no second (n, trials) index array is made.  Only one chunk's
-    arrays are alive at once, so memory does not grow with `trials`."""
+) -> Iterator[tuple[EstimatePlan, np.ndarray, np.ndarray]]:
+    """(plan, activated, phi_left) of `trials` trials, what savings_rows reads,
+    yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower) with
+    the run's one plan.  Each chunk takes draw_trials' numbers into fresh
+    arrays, activations and flips row by row, with no float (n, width) array;
+    its uncolored mask is written into the color indices in place, as |L(v)|."""
+    plan = estimate_plan(inst, params, table, min(TRIAL_CHUNK, trials))
     for done in range(0, trials, TRIAL_CHUNK):
-        act, phi_idx, heads = draw_trials(inst, params, table, min(TRIAL_CHUNK, trials - done), rng)
-        np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(inst, act, phi_idx, heads))
-        yield act, phi_idx
+        width = min(TRIAL_CHUNK, trials - done)
+        act, heads = np.empty((2, len(inst.lists), width), dtype=bool)
+        for v in range(len(act)):
+            act[v] = rng.random(width) < params.rho
+        phi_idx = rng.integers(0, inst.sizes[:, None], size=act.shape)
+        for v, flip in enumerate(plan.flips):
+            heads[v] = rng.random(width) < flip.take(phi_idx[v])
+        np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(plan, act, phi_idx, heads))
+        yield plan, act, phi_idx
 
 
-def savings_rows(
-    inst: CompiledInstance,
-    params: ProcedureParams,
-    act: np.ndarray,
-    phi_left: np.ndarray,
-) -> Iterator[np.ndarray]:
+def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> Iterator[np.ndarray]:
     """Each vertex's savings components over the drawn trials, vertex by
     vertex: an int64 array of shape (4, trials) whose rows are aberrance,
     pairs, trips and unact.
@@ -361,41 +394,28 @@ def savings_rows(
     smaller lists: greedy completion colors them after v, so each one leaves
     v a color.
 
-    A coded table gives every directed edge (u, v) a block of |L(u)| + 1
-    entries, one per color of u and one for "u uncolored": the row of v's
-    (row, trial) count grid that u's color lands in, times the trial count.
-    Row 0 is uncolored, row 1 unmatched, row 2 + i matched to v's i-th
-    color.  So each vertex is one gather from phi_left, one from the table
-    and one bincount over the egalitarian neighbors.
+    The plan's coded table gives every directed edge (u, v) a block of
+    |L(u)| + 1 entries, one per color of u and one for "u uncolored": the
+    row of v's (row, trial) count grid that u's color lands in, times the
+    stride.  Row 0 is uncolored, row 1 unmatched, row 2 + i matched to v's
+    i-th color.  So each vertex is one gather from phi_left, one from the
+    table and one bincount over the egalitarian neighbors.
     """
     n, trials = phi_left.shape
-    sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
-    # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
-    # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
-    num, den = params.sigma.numerator, params.sigma.denominator
-    least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
-    egal = sizes[head] >= least[inst.tail]
-    # each block of match gains its sentinel at its end, so edge e's coded
-    # block starts e entries later, and the reverse edge's at back[e] plus
-    # its edge number (blocks are nonempty, so block ascends)
-    code = np.where(inst.match < 0, 1, inst.match + 2) * trials
-    code = np.insert(code, block + sizes[inst.tail], 0)
-    coded_back = inst.back + np.searchsorted(block, inst.back)
-    # the egalitarian heads with their coded reverse blocks, and the heads with
-    # smaller lists, grouped by tail as in uncolored_trials
-    nb, bk, small = head[egal], coded_back[egal][:, None], head[~big]
-    ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (egal, ~big))
-    tr = np.arange(trials)
-    for v, size in enumerate(sizes.tolist()):
+    if trials > plan.stride:
+        raise ValueError(f"{trials} trials are more than the plan's stride {plan.stride}")
+    (nb, bk, ep), (small, sp), code, stride = plan.egal, plan.small, plan.code, plan.stride
+    tr, idle = np.arange(trials), ~act
+    for v, size in enumerate(plan.inst.sizes.tolist()):
         # per (egalitarian neighbor u, trial): u's coded entry, then its flat
         # (row, trial) cell in the count grid
-        cell = phi_left[nb[ep[v] : ep[v + 1]]]
+        cell = phi_left.take(nb[ep[v] : ep[v + 1]], axis=0)
         cell += bk[ep[v] : ep[v + 1]]
-        cell = code[cell]
+        cell = code.take(cell)
         cell += tr
-        grid = np.bincount(cell.ravel(), minlength=(size + 2) * trials).reshape(-1, trials)
-        unact = (~act[small[sp[v] : sp[v + 1]]]).sum(axis=0)
-        yield np.array([grid[1], *_pairs_trips(grid[2:]), unact])
+        grid = np.bincount(cell.ravel(), minlength=(size + 2) * stride).reshape(-1, stride)
+        grid, unact = grid[:, :trials], idle.take(small[sp[v] : sp[v + 1]], axis=0).sum(axis=0)
+        yield np.array([grid[1], *_pairs_trips(grid[2:], plan.choose), unact])
 
 
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:

@@ -6,7 +6,8 @@ indices in place and folds the rows of `savings_rows` into sums one vertex
 at a time.  Tests that compare trial by trial stack those rows here,
 reading the indices through `phi_left`, a copy, so the draws stay as drawn
 for the checks that reuse them; `chunked_draws` and `stack_chunks` draw and
-stack chunk by chunk, as `estimate` does.  `keep_frequency` reads the
+stack chunk by chunk, as `estimate` does, every chunk read through one
+plan as wide as the first.  `plan_of` builds the plan the evaluators read.  `keep_frequency` reads the
 empirical keep rate of each color off a batch's color indices and uncolored
 mask.
 """
@@ -23,7 +24,10 @@ from localcolor.procedure import (
     CompiledInstance,
     ProcedureParams,
     check_equalization_precondition,
+    EstimatePlan,
     draw_trials,
+    estimate_plan,
+    keep_table,
     savings_rows,
     uncolored_trials,
 )
@@ -49,17 +53,27 @@ def phi_left(inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray)
     return np.where(uncolored, inst.sizes[:, None], phi_idx)
 
 
+def plan_of(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
+    """The plan of chunks of at most `stride` trials on `inst`, over its keep
+    table unchecked: the tests' general correspondences need not meet the
+    precondition, and the evaluators do not read the flips."""
+    return estimate_plan(inst, params, keep_table(inst, params.rho), stride)
+
+
 def stack_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
     act: np.ndarray,
     phi_idx: np.ndarray,
     heads: np.ndarray,
+    plan: EstimatePlan | None = None,
 ) -> Batch:
     """The mask of uncolored_trials and the rows of savings_rows on the given
-    draws, stacked."""
-    uncolored = uncolored_trials(inst, act, phi_idx, heads)
-    rows = savings_rows(inst, params, act, phi_left(inst, phi_idx, uncolored))
+    draws, stacked, read through `plan` (by default one as wide as the draws)."""
+    if plan is None:
+        plan = plan_of(inst, params, act.shape[1])
+    uncolored = uncolored_trials(plan, act, phi_idx, heads)
+    rows = savings_rows(plan, act, phi_left(inst, phi_idx, uncolored))
     terms = np.stack(list(rows), axis=1)
     return Batch(phi_idx, act, uncolored, *terms)
 
@@ -84,8 +98,10 @@ def stack_chunks(
     params: ProcedureParams,
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> Batch:
-    """Each chunk of draws stacked, and the chunks joined along the trial axis."""
-    parts = [vars(stack_trials(inst, params, *draws)) for draws in chunks]
+    """Each chunk of draws stacked, through one plan as wide as the first chunk
+    as draw_left's, and the chunks joined along the trial axis."""
+    plan = plan_of(inst, params, chunks[0][0].shape[1])
+    parts = [vars(stack_trials(inst, params, *draws, plan)) for draws in chunks]
     return Batch(**{name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]})
 
 

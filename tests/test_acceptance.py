@@ -55,6 +55,7 @@ from stacked import (
     keep_frequency,
     naive_draws,
     phi_left,
+    plan_of,
     stack_trials,
     stacked_batch,
 )
@@ -173,7 +174,7 @@ def test_03_equalized_keep_probability(capsys):
         tested += 1
         # only the uncolored pass: the keep rate needs no savings
         draws = equalized_draws(inst, PARAMS, 10**5, seed)
-        uncolored = uncolored_trials(inst, *draws)
+        uncolored = uncolored_trials(plan_of(inst, PARAMS, 10**5), *draws)
         # one designated (vertex, color) per instance: vertex 0, least color
         c0 = inst.lists[0][0]
         freq, m = keep_frequency(draws[1], uncolored, inst, 0)[c0]
@@ -404,8 +405,9 @@ def test_12_talagrand_star(capsys):
         """stacked_batch(inst, PARAMS, trials, seed, equalize=False).unact[0]:
         the row evaluator stops after the center, vertex 0."""
         act, phi_idx, heads = naive_draws(inst, PARAMS, trials, seed)
-        uncolored = uncolored_trials(inst, act, phi_idx, heads)
-        return next(savings_rows(inst, PARAMS, act, phi_left(inst, phi_idx, uncolored)))[3]
+        plan = plan_of(inst, PARAMS, trials)
+        uncolored = uncolored_trials(plan, act, phi_idx, heads)
+        return next(savings_rows(plan, act, phi_left(inst, phi_idx, uncolored)))[3]
 
     samples = [center_unact(50_000, 7000 + chunk) for chunk in range(20)]
     x = np.concatenate(samples).astype(float)

@@ -62,6 +62,7 @@ from stacked import (
     equalized_draws,
     keep_frequency,
     phi_left,
+    plan_of,
     stack_chunks,
     stack_trials,
     stacked_batch,
@@ -103,10 +104,11 @@ def correspondence_calls(monkeypatch):
 @pytest.fixture
 def evaluator_calls(monkeypatch):
     """Names of the evaluator calls made from here on, whichever module looks
-    them up: the row evaluator uncolored_trials and savings_rows (with its
+    them up: estimate_plan, which builds the plan the row evaluators read,
+    the row evaluator uncolored_trials and savings_rows (with its
     _pairs_trips), and settle_trials."""
     calls = []
-    names = ("uncolored_trials", "savings_rows", "_pairs_trips", "settle_trials")
+    names = ("estimate_plan", "uncolored_trials", "savings_rows", "_pairs_trips", "settle_trials")
     for module in (procedure, experiment):
         for name in names:
             if not hasattr(module, name):
@@ -478,7 +480,17 @@ class TestDeterminism:
         L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
         run_estimate(g, L, ProcedureParams(), 50, 0, tmp_path, {})
         # 50 trials are one chunk: one _pairs_trips call per vertex
-        assert evaluator_calls == ["uncolored_trials", "savings_rows"] + ["_pairs_trips"] * g.n
+        assert evaluator_calls == (
+            ["estimate_plan", "uncolored_trials", "savings_rows"] + ["_pairs_trips"] * g.n
+        )
+
+    def test_estimate_builds_its_plan_once(self, evaluator_calls, tmp_path):
+        # three chunks, each evaluated through the one plan built before the first draw
+        g = gen_gnp(40, 0.2, 2)
+        L = make_lists([list(range(len(g.adj[v]) + 1)) for v in range(g.n)])
+        run_estimate(g, L, ProcedureParams(), 2 * TRIAL_CHUNK + 3, 0, tmp_path, {})
+        chunk = ["uncolored_trials", "savings_rows"] + ["_pairs_trips"] * g.n
+        assert evaluator_calls == ["estimate_plan"] + chunk * 3
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_fewer_than_two_trials_is_named(self, trials, tmp_path):
@@ -615,6 +627,31 @@ class TestEstimateRows:
             tracemalloc.stop()
         assert peak / (g.n * trials) <= 16
 
+    def test_chunk_loop_memory_per_cell(self):
+        # the chunk loop of estimate, draw_left then savings_rows, holds the
+        # chunk being read and the one being drawn (11 bytes per (vertex,
+        # trial) cell each, with its uncolored mask) and the plan, built
+        # once; float (n, width) temporaries for the flips, or a coded table
+        # rebuilt per chunk, would add about 18 bytes
+        g = gnm(100, 495, 3)
+        L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+        inst, params = compile_lists(g, L), ProcedureParams()
+        table = check_equalization_precondition(inst, params)
+
+        def loop(trials):
+            for plan, act, left in draw_left(inst, params, table, trials, rng_of(0)):
+                for _ in savings_rows(plan, act, left):
+                    pass
+
+        loop(2 * TRIAL_CHUNK)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            loop(3 * TRIAL_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (g.n * TRIAL_CHUNK) <= 36
+
 
 class TestDrawTrials:
     @pytest.mark.parametrize("trials", [1, 7, 21_846])
@@ -644,22 +681,48 @@ class TestDrawTrials:
         assert ours.random(3).tolist() == rng.random(3).tolist()
 
 
+def _one_color_case():
+    """A path and a star sharing vertex 1, whose leaves 0, 2 and 5 have 1-color
+    lists, and the isolated vertex 6."""
+    g = Graph.from_edges(7, [(0, 1), (1, 3), (3, 2), (1, 5)])
+    return g, make_lists([range(1), range(3), range(1), range(4), range(2), range(1), range(2)])
+
+
 def test_draw_left_writes_the_uncolored_mask_into_the_draws():
     """Each chunk draw_left yields, its activations and phi_left, equals
-    draw_trials then uncolored_trials on the same stream, across a trial
-    chunk boundary."""
-    g, L = _estimate_instance()
-    inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
-    table = check_equalization_precondition(inst, params)
-    got = list(draw_left(inst, params, table, TRIAL_CHUNK + 1, rng_of(8)))
-    chunks = chunked_draws(inst, params, table, TRIAL_CHUNK + 1, rng_of(8))
-    assert [act.shape[1] for act, _ in got] == [TRIAL_CHUNK, 1]
-    for (got_act, got_left), (act, phi_idx, heads) in zip(got, chunks, strict=True):
-        want = phi_left(inst, phi_idx, uncolored_trials(inst, act, phi_idx, heads))
-        assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
-    # some vertex is uncolored in some trial and colored in another
-    left = got[0][1]
-    assert (left == inst.sizes[:, None]).any() and (left < inst.sizes[:, None]).any()
+    draw_trials then uncolored_trials on the same stream, chunk by chunk:
+    the row-by-row draws take the numbers draw_trials takes, lists of one
+    color drawing no index, and leave the generator where it leaves it.
+    Every chunk is a fresh array, read through one plan as wide as the
+    first chunk.  Across trial counts on both sides of a chunk boundary,
+    lists of 64 or more colors, lists of one color, and rho 0."""
+    cases = [(_estimate_instance, None), (_one_color_case, None), (_estimate_instance, 0.0)]
+    widths = [2, 7, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3]
+    for (case, rho), trials in itertools.product(cases, widths):
+        g, L = case()
+        inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4), rho=rho)
+        table = check_equalization_precondition(inst, params)
+        ours, ref = rng_of(8), rng_of(8)
+        got = list(draw_left(inst, params, table, trials, ours))
+        chunks = chunked_draws(inst, params, table, trials, ref)
+        assert [act.shape[1] for _, act, _ in got] == [act.shape[1] for act, _, _ in chunks]
+        assert ours.random(3).tolist() == ref.random(3).tolist()
+        plan = got[0][0]
+        assert plan.stride == min(trials, TRIAL_CHUNK)
+        arrays = []
+        for (got_plan, got_act, got_left), (act, phi_idx, heads) in zip(got, chunks, strict=True):
+            assert got_plan is plan
+            want = phi_left(inst, phi_idx, uncolored_trials(plan, act, phi_idx, heads))
+            assert got_act.dtype == act.dtype and got_left.dtype == want.dtype
+            assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
+            arrays += [got_act, got_left]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        left = np.concatenate([left for _, _, left in got], axis=1)
+        if rho == 0:
+            assert (left == inst.sizes[:, None]).all()
+        else:
+            # some vertex is uncolored in some trial and colored in another
+            assert (left == inst.sizes[:, None]).any() and (left < inst.sizes[:, None]).any()
 
 
 @st.composite
@@ -963,10 +1026,10 @@ def _narrow_chunk_case():
 
 
 def test_savings_per_trial_across_a_narrow_last_chunk():
-    """The coded table is scaled by each chunk's own width: at TRIAL_CHUNK + 3
+    """The coded table is scaled by the widest chunk's width: at TRIAL_CHUNK + 3
     trials, drawn chunk by chunk as draw_left draws them, the last chunk is 3
-    trials wide.  Every trial matches the scalar reference, on an uncolored
-    set it computes itself."""
+    trials wide and is read through the plan of the first.  Every trial
+    matches the scalar reference, on an uncolored set it computes itself."""
     g, ca, params = _narrow_chunk_case()
     inst = compile_instance(g, ca)
     trials = TRIAL_CHUNK + 3
@@ -1001,12 +1064,22 @@ def test_evaluators_only_read_the_draws():
     want = stack_trials(inst, params, *(a.copy() for a in draws))
     for a in draws:
         a.flags.writeable = False
-    uncolored = uncolored_trials(inst, *draws)
+    plan = plan_of(inst, params, 2 * TRIAL_CHUNK + 3)
+    uncolored = uncolored_trials(plan, *draws)
     left = phi_left(inst, draws[1], uncolored)
     left.flags.writeable = False
-    got = np.stack(list(savings_rows(inst, params, draws[0], left)), axis=1)
+    got = np.stack(list(savings_rows(plan, draws[0], left)), axis=1)
     assert np.array_equal(uncolored, want.uncolored)
     assert np.array_equal(got, [want.aberrance, want.pairs, want.trips, want.unact])
+
+
+def test_savings_rows_names_a_chunk_wider_than_its_plan():
+    # the count grids' rows are the plan's stride long, so a wider chunk
+    # would spill each trial's counts into the next row
+    inst, params = compile_lists(star(5), uniform_lists(6, 6)), ProcedureParams()
+    act, phi_idx, _ = equalized_draws(inst, params, 3, 0)
+    with pytest.raises(ValueError, match="3 trials"):
+        next(savings_rows(plan_of(inst, params, 2), act, phi_idx))
 
 
 def _blocked_k4_case():
