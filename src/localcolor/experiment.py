@@ -31,8 +31,9 @@ def _estimate_rows(
     """The CSV rows of run_estimate, from trials on `inst` and its keep table
     drawn by draw_left on a Philox stream fixed by `seed`.  Each chunk's
     savings rows are folded, as savings_rows yields them, into exact integer
-    sums of x and x^2 per (vertex, component); the means and standard errors
-    are taken from those, so memory does not grow with `trials`."""
+    sums of x and x^2 per (vertex, component), and dropped before the next
+    chunk is drawn; the means and standard errors are taken from those sums,
+    so memory does not grow with `trials`."""
     rng = np.random.default_rng(np.random.Philox(seed))
     # a savings value of v is at most max(d, C(d, 2), C(d, 3)), d = d(v), so
     # the int64 sum of squares of w trials is exact while w * top[v] < 2^63
@@ -44,6 +45,7 @@ def _estimate_rows(
                 x = x.astype(object)  # the int64 sum of squares could wrap around
             part = x.sum(axis=1).tolist() + (x * x).sum(axis=1).tolist()
             sums[v] = [a + b for a, b in zip(sums[v], part)]
+        del act, phi_left  # not held while the next chunk is drawn
     rows = []
     k = params.keep
     for v, row in enumerate(sums):

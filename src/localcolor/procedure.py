@@ -24,8 +24,9 @@ chunk's color indices; `savings_rows` reads those (`phi_left`) and yields
 one vertex at a time its savings over the chunk, through the plan's coded
 table: each edge's block of `match`, plus one entry for an uncolored tail,
 as rows of the head's (color, trial) count grid.  `estimate` folds each row
-into exact sums as it arrives, so it holds one chunk's draws (10 bytes per
-(vertex, trial) cell) and uncolored mask, whatever the trial count.
+into exact sums as it arrives and drops each chunk before the next is
+drawn, so it holds one chunk, its activations and int32 color indices (5
+bytes per (vertex, trial) cell), whatever the trial count.
 `settle_trials` (all directed edges at once) gives `pipeline_color`'s
 savings check the uncolored set, unact and save_drop, and `greedy_complete`
 the colors each vertex loses to its kept neighbors.  `compile_lists` builds
@@ -284,10 +285,15 @@ def draw_trials(
     return act, phi_idx, rng.random((n, trials)) < pflip[inst.start[:-1, None] + phi_idx]
 
 
-def _pairs_trips(counts: np.ndarray, choose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over colors of C(k, 2) and C(k, 3) per trial, k = counts[color, trial],
-    each read from the table choose[j, k] = C(k, j + 2)."""
-    return choose[0].take(counts).sum(axis=0), choose[1].take(counts).sum(axis=0)
+def _pairs_trips(grid: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over colors of C(k, 2) and C(k, 3) per trial, k a color's count in
+    the flat `grid`, read at the (neighbor, trial) `cell`s only: each of its k
+    cells adds j = k - 1 and j(j - 1), 2 and 6 times the share of one cell.
+    Rows of the grid that are no color must read 1, so that they add 0."""
+    j = grid.take(cell)
+    j -= 1
+    twice = j.sum(axis=0)
+    return twice // 2, ((j * j).sum(axis=0) - twice) // 6
 
 
 # trials per batch of pipeline_color and per chunk of draw_left, bounding
@@ -307,7 +313,6 @@ class EstimatePlan:
     egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
     small: tuple[np.ndarray, list[int]]  # heads with strictly smaller lists, tail offsets
     code: np.ndarray  # savings_rows' coded table, scaled by stride
-    choose: np.ndarray  # C(k, 2) and C(k, 3) for every count k up to the largest degree
 
 
 def estimate_plan(inst: CompiledInstance, params: ProcedureParams, table: np.ndarray,
@@ -328,11 +333,9 @@ def estimate_plan(inst: CompiledInstance, params: ProcedureParams, table: np.nda
     code = np.insert(code, block + sizes[inst.tail], 0)
     coded_back = inst.back + np.searchsorted(block, inst.back)
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
-    k = np.arange(np.diff(inst.ptr).max(initial=0) + 1)  # k(k-1) and k(k-1)(k-2) divide exactly
     return EstimatePlan(inst, stride, np.split(pflip, inst.start[1:-1].tolist()),
                         (head[big], inst.back[big][:, None], tp),
-                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), code,
-                        np.stack([k * (k - 1) // 2, k * (k - 1) * (k - 2) // 6]))
+                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), code)
 
 
 def uncolored_trials(
@@ -347,7 +350,7 @@ def uncolored_trials(
     slower, its temporaries too large to stay in cache.
     """
     threat, bk, tp = plan.threats
-    uncolored = heads | ~act
+    uncolored = heads >= act  # heads | ~act, with no (n, trials) temporary
     for v in range(len(phi_idx)):
         u = threat[tp[v] : tp[v + 1]]
         # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
@@ -365,18 +368,24 @@ def draw_left(
     yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower) with
     the run's one plan.  Each chunk takes draw_trials' numbers into fresh
     arrays, activations and flips row by row, with no float (n, width) array;
-    its uncolored mask is written into the color indices in place, as |L(v)|."""
+    its uncolored mask is written into the color indices in place, as |L(v)|.
+    The indices are int32, the same numbers from the stream as int64, so
+    |L(v)| must be below 2^31, as any list held in memory is.  A chunk is
+    dropped here before the next is drawn; a caller that does too holds one."""
     plan = estimate_plan(inst, params, table, min(TRIAL_CHUNK, trials))
     for done in range(0, trials, TRIAL_CHUNK):
         width = min(TRIAL_CHUNK, trials - done)
-        act, heads = np.empty((2, len(inst.lists), width), dtype=bool)
+        act = np.empty((len(inst.lists), width), dtype=bool)
+        heads = np.empty_like(act)
         for v in range(len(act)):
             act[v] = rng.random(width) < params.rho
-        phi_idx = rng.integers(0, inst.sizes[:, None], size=act.shape)
+        phi_idx = rng.integers(0, inst.sizes[:, None], size=act.shape, dtype=np.int32)
         for v, flip in enumerate(plan.flips):
             heads[v] = rng.random(width) < flip.take(phi_idx[v])
         np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(plan, act, phi_idx, heads))
+        del heads
         yield plan, act, phi_idx
+        del act, phi_idx  # not held while the next chunk is drawn
 
 
 def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> Iterator[np.ndarray]:
@@ -386,36 +395,39 @@ def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> I
 
     phi_left is the color index of each (vertex, trial) where the vertex
     stayed colored, and |L(vertex)| where it is uncolored (the draws' phi_idx
-    with the mask of uncolored_trials written over it); it is only read.
-    Aberrance counts the colored egalitarian neighbors whose color is
-    matched to none of v's; pairs and trips sum C(k, 2) and C(k, 3) over v's
-    colors, k the colored egalitarian neighbors whose color is matched to
-    that one.  unact(v) counts the non-activated neighbors with strictly
-    smaller lists: greedy completion colors them after v, so each one leaves
-    v a color.
+    with the mask of uncolored_trials written over it), int32 or int64; it
+    is only read.  Aberrance counts the colored egalitarian neighbors whose
+    color is matched to none of v's; pairs and trips sum C(k, 2) and C(k, 3)
+    over v's colors, k the colored egalitarian neighbors whose color is
+    matched to that one.  unact(v) counts the non-activated neighbors with
+    strictly smaller lists: greedy completion colors them after v, so each
+    one leaves v a color.
 
     The plan's coded table gives every directed edge (u, v) a block of
     |L(u)| + 1 entries, one per color of u and one for "u uncolored": the
     row of v's (row, trial) count grid that u's color lands in, times the
     stride.  Row 0 is uncolored, row 1 unmatched, row 2 + i matched to v's
     i-th color.  So each vertex is one gather from phi_left, one from the
-    table and one bincount over the egalitarian neighbors.
+    table and one bincount over the egalitarian neighbors, whose cells alone
+    are read back for pairs and trips, not all |L(v)| rows.
     """
     n, trials = phi_left.shape
     if trials > plan.stride:
         raise ValueError(f"{trials} trials are more than the plan's stride {plan.stride}")
     (nb, bk, ep), (small, sp), code, stride = plan.egal, plan.small, plan.code, plan.stride
     tr, idle = np.arange(trials), ~act
-    for v, size in enumerate(plan.inst.sizes.tolist()):
-        # per (egalitarian neighbor u, trial): u's coded entry, then its flat
-        # (row, trial) cell in the count grid
-        cell = phi_left.take(nb[ep[v] : ep[v + 1]], axis=0)
+    for v in range(n):
+        # per (egalitarian neighbor u, trial): u's coded entry, in int64 whatever
+        # phi_left's dtype, then its flat (row, trial) cell in the count grid
+        cell = phi_left.take(nb[ep[v] : ep[v + 1]], axis=0).astype(np.int64, copy=False)
         cell += bk[ep[v] : ep[v + 1]]
         cell = code.take(cell)
         cell += tr
-        grid = np.bincount(cell.ravel(), minlength=(size + 2) * stride).reshape(-1, stride)
-        grid, unact = grid[:, :trials], idle.take(small[sp[v] : sp[v + 1]], axis=0).sum(axis=0)
-        yield np.array([grid[1], *_pairs_trips(grid[2:], plan.choose), unact])
+        grid = np.bincount(cell.ravel(), minlength=2 * stride)
+        aberr = grid[stride : stride + trials].copy()
+        grid[: 2 * stride] = 1  # uncolored and unmatched neighbors share no color
+        unact = idle.take(small[sp[v] : sp[v + 1]], axis=0).sum(axis=0)
+        yield np.array([aberr, *_pairs_trips(grid, cell), unact])
 
 
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:

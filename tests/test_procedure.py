@@ -614,8 +614,9 @@ class TestEstimateRows:
         assert peak(20_000) <= 1.25 * base and peak(100_000) <= 1.25 * base
 
     def test_memory_per_trial_cell(self, tmp_path):
-        # estimate holds the draws (10 bytes per (vertex, trial) cell) and the
-        # uncolored mask (1 byte); a batch of savings would add 32 more
+        # estimate holds one chunk of draws whatever the trial count; a batch
+        # of savings of every trial (32 bytes per (vertex, trial) cell) would
+        # not fit
         g = gnm(100, 495, 3)
         L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
         trials = 20_000
@@ -628,29 +629,25 @@ class TestEstimateRows:
         assert peak / (g.n * trials) <= 16
 
     def test_chunk_loop_memory_per_cell(self):
-        # the chunk loop of estimate, draw_left then savings_rows, holds the
-        # chunk being read and the one being drawn (11 bytes per (vertex,
-        # trial) cell each, with its uncolored mask) and the plan, built
-        # once; float (n, width) temporaries for the flips, or a coded table
-        # rebuilt per chunk, would add about 18 bytes
+        # estimate's chunk loop holds one chunk at a time: its activations and
+        # int32 color indices (5 bytes per (vertex, trial) cell), its flips
+        # and uncolored mask while they are drawn, and the plan, built once.
+        # A previous chunk still bound while the next is drawn, or int64
+        # indices, would add 5 or 4 bytes; float (n, width) temporaries for
+        # the flips, or a coded table rebuilt per chunk, about 18
         g = gnm(100, 495, 3)
         L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
         inst, params = compile_lists(g, L), ProcedureParams()
         table = check_equalization_precondition(inst, params)
-
-        def loop(trials):
-            for plan, act, left in draw_left(inst, params, table, trials, rng_of(0)):
-                for _ in savings_rows(plan, act, left):
-                    pass
-
-        loop(2 * TRIAL_CHUNK)  # one-time allocations stay out of the peak
+        # one-time allocations stay out of the peak
+        experiment._estimate_rows(g, L, params, inst, table, 2 * TRIAL_CHUNK, 0)
         tracemalloc.start()
         try:
-            loop(3 * TRIAL_CHUNK)
+            experiment._estimate_rows(g, L, params, inst, table, 3 * TRIAL_CHUNK, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (g.n * TRIAL_CHUNK) <= 36
+        assert peak / (g.n * TRIAL_CHUNK) <= 16
 
 
 class TestDrawTrials:
@@ -691,8 +688,9 @@ def _one_color_case():
 def test_draw_left_writes_the_uncolored_mask_into_the_draws():
     """Each chunk draw_left yields, its activations and phi_left, equals
     draw_trials then uncolored_trials on the same stream, chunk by chunk:
-    the row-by-row draws take the numbers draw_trials takes, lists of one
-    color drawing no index, and leave the generator where it leaves it.
+    the row-by-row draws and the int32 color indices take the numbers
+    draw_trials takes, lists of one color drawing no index, and leave the
+    generator where it leaves it.
     Every chunk is a fresh array, read through one plan as wide as the
     first chunk.  Across trial counts on both sides of a chunk boundary,
     lists of 64 or more colors, lists of one color, and rho 0."""
@@ -713,7 +711,7 @@ def test_draw_left_writes_the_uncolored_mask_into_the_draws():
         for (got_plan, got_act, got_left), (act, phi_idx, heads) in zip(got, chunks, strict=True):
             assert got_plan is plan
             want = phi_left(inst, phi_idx, uncolored_trials(plan, act, phi_idx, heads))
-            assert got_act.dtype == act.dtype and got_left.dtype == want.dtype
+            assert got_act.dtype == act.dtype and got_left.dtype == np.int32
             assert np.array_equal(got_act, act) and np.array_equal(got_left, want)
             arrays += [got_act, got_left]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
@@ -1056,21 +1054,25 @@ def test_savings_per_trial_across_a_narrow_last_chunk():
 
 def test_evaluators_only_read_the_draws():
     """uncolored_trials and savings_rows take read-only arrays and give what
-    they give on writeable copies: the draws they are handed are reused."""
+    they give on writeable copies: the draws they are handed are reused.
+    Color indices in int32, as draw_left draws them, give what draw_trials'
+    int64 ones give."""
     g = gen_gnp(30, 0.2, 3)
     L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
-    draws = equalized_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
-    want = stack_trials(inst, params, *(a.copy() for a in draws))
-    for a in draws:
-        a.flags.writeable = False
+    act, phi_idx, heads = equalized_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
+    want = stack_trials(inst, params, act.copy(), phi_idx.copy(), heads.copy())
     plan = plan_of(inst, params, 2 * TRIAL_CHUNK + 3)
-    uncolored = uncolored_trials(plan, *draws)
-    left = phi_left(inst, draws[1], uncolored)
-    left.flags.writeable = False
-    got = np.stack(list(savings_rows(plan, draws[0], left)), axis=1)
-    assert np.array_equal(uncolored, want.uncolored)
-    assert np.array_equal(got, [want.aberrance, want.pairs, want.trips, want.unact])
+    for dtype in (np.int64, np.int32):
+        draws = (act, phi_idx.astype(dtype), heads)
+        for a in draws:
+            a.flags.writeable = False
+        uncolored = uncolored_trials(plan, *draws)
+        left = phi_left(inst, draws[1], uncolored).astype(dtype)
+        left.flags.writeable = False
+        got = np.stack(list(savings_rows(plan, act, left)), axis=1)
+        assert np.array_equal(uncolored, want.uncolored)
+        assert np.array_equal(got, [want.aberrance, want.pairs, want.trips, want.unact])
 
 
 def test_savings_rows_names_a_chunk_wider_than_its_plan():
