@@ -16,17 +16,15 @@ on the same compiled instance.
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
-`draw_trials` draws a batch, and each caller evaluates it with the
-evaluator that computes what it reads.  For `estimate`, `draw_left` builds
-one `EstimatePlan` per run and yields the trials TRIAL_CHUNK at a time,
-drawn row by row, the uncolored set of `uncolored_trials` written into each
-chunk's color indices; `savings_rows` reads those (`phi_left`) and yields
-one vertex at a time its savings over the chunk, through the plan's coded
-table: each edge's block of `match`, plus one entry for an uncolored tail,
-as rows of the head's (color, trial) count grid.  `estimate` folds each row
-into exact sums as it arrives and drops each chunk before the next is
-drawn, so it holds one chunk, its activations and int32 color indices (5
-bytes per (vertex, trial) cell), whatever the trial count.
+`draw_trials`, the one drawer, draws a batch, and each caller evaluates it
+with the evaluator that computes what it reads.  For `estimate`, `draw_left`
+builds one `EstimatePlan` per run and yields one draw_trials call per
+TRIAL_CHUNK trials, the uncolored set of `uncolored_trials` written into its
+int32 color indices; `savings_rows` reads those (`phi_left`) and yields one
+vertex at a time its savings over the chunk, through the plan's coded table:
+each edge's block of `match`, plus an entry for an uncolored tail, as rows of
+the head's (color, trial) count grid.  `estimate` folds each row into exact
+sums, holding one chunk at a time.
 `settle_trials` (all directed edges at once) gives `pipeline_color`'s
 savings check the uncolored set, unact and save_drop, and `greedy_complete`
 the colors each vertex loses to its kept neighbors.  `compile_lists` builds
@@ -260,6 +258,12 @@ def check_equalization_precondition(
 # --- the batch sampler -------------------------------------------------------
 
 
+# rows times trials of one block of draw_trials' coins: its float64
+# temporaries then stay within 64 KiB, below glibc's default 128 KiB mmap
+# threshold, so they reuse heap memory rather than fault in fresh pages
+BLOCK = 8192
+
+
 def draw_trials(
     inst: CompiledInstance,
     params: ProcedureParams,
@@ -267,22 +271,30 @@ def draw_trials(
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(activated, phi_idx, heads) of `trials` trials, each of shape (n, trials).
+    """(activated, phi_idx, heads) of `trials` trials, each (n, trials): every
+    activation, then every color index, then every flip.  heads[v, t] is the
+    equalizing flip at v's chosen color, the only flip that can uncolor v;
+    table=None draws none (the naive procedure).  The coins are drawn
+    max(1, BLOCK // trials) vertex rows at a time, the numbers of one call.
+    The int32 color indices are one rng.integers call with a column of
+    bounds, the numbers of an int64 call per vertex (so |L(v)| < 2^31, as for
+    any list held in memory)."""
+    n, rows = len(inst.lists), max(1, BLOCK // max(trials, 1))
 
-    heads[v, t] is the equalizing flip at v's chosen color: only that flip
-    can uncolor v, so only it is drawn.  table=None draws no flips (the
-    naive procedure).  The color indices are one rng.integers call with a
-    column of bounds, which takes the same numbers from the stream as one
-    call per vertex.
-    """
-    n = len(inst.lists)
-    act = rng.random((n, trials)) < params.rho
-    phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials))
+    def coins(prob):  # per cell of rows r:s, a uniform draw below prob(r, s)
+        out = np.empty((n, trials), dtype=bool)
+        for r in range(0, n, rows):
+            block = out[r : r + rows]
+            np.less(rng.random(block.shape), prob(r, r + len(block)), out=block)
+        return out
+
+    act = coins(lambda r, s: params.rho)
+    phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials), dtype=np.int32)
     if table is None:
         return act, phi_idx, np.zeros((n, trials), dtype=bool)
     # with rho = 0 every keep probability is 0 and the flips are irrelevant
     pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
-    return act, phi_idx, rng.random((n, trials)) < pflip[inst.start[:-1, None] + phi_idx]
+    return act, phi_idx, coins(lambda r, s: pflip.take(inst.start[r:s, None] + phi_idx[r:s]))
 
 
 def _pairs_trips(grid: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,24 +315,21 @@ TRIAL_CHUNK = 1024
 
 @dataclass(frozen=True)
 class EstimatePlan:
-    """What `estimate`'s chunk loop reads, built once per run by `estimate_plan`.
-    Its groupings hold heads grouped by tail, v's from tail offset [v] to [v + 1]."""
+    """What `estimate`'s evaluators read, built once per run by `estimate_plan`;
+    the draws read none of it.  Its groupings hold heads by tail, v's from
+    tail offset [v] to [v + 1]."""
 
     inst: CompiledInstance
     stride: int  # the widest chunk savings_rows takes, its count grids' row length
-    flips: list[np.ndarray]  # per vertex, the flip probability of each of its colors
     threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, back blocks, tail offsets
     egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
     small: tuple[np.ndarray, list[int]]  # heads with strictly smaller lists, tail offsets
     code: np.ndarray  # savings_rows' coded table, scaled by stride
 
 
-def estimate_plan(inst: CompiledInstance, params: ProcedureParams, table: np.ndarray,
-                  stride: int) -> EstimatePlan:
-    """The plan of chunks of at most `stride` trials on `inst` and its keep table."""
+def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
+    """The plan of chunks of at most `stride` trials on `inst`."""
     sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
-    # with rho = 0 every keep probability is 0 and the flips are irrelevant
-    pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
     num, den = params.sigma.numerator, params.sigma.denominator
@@ -333,8 +342,7 @@ def estimate_plan(inst: CompiledInstance, params: ProcedureParams, table: np.nda
     code = np.insert(code, block + sizes[inst.tail], 0)
     coded_back = inst.back + np.searchsorted(block, inst.back)
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
-    return EstimatePlan(inst, stride, np.split(pflip, inst.start[1:-1].tolist()),
-                        (head[big], inst.back[big][:, None], tp),
+    return EstimatePlan(inst, stride, (head[big], inst.back[big][:, None], tp),
                         (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), code)
 
 
@@ -366,22 +374,12 @@ def draw_left(
 ) -> Iterator[tuple[EstimatePlan, np.ndarray, np.ndarray]]:
     """(plan, activated, phi_left) of `trials` trials, what savings_rows reads,
     yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower) with
-    the run's one plan.  Each chunk takes draw_trials' numbers into fresh
-    arrays, activations and flips row by row, with no float (n, width) array;
-    its uncolored mask is written into the color indices in place, as |L(v)|.
-    The indices are int32, the same numbers from the stream as int64, so
-    |L(v)| must be below 2^31, as any list held in memory is.  A chunk is
+    the run's one plan.  Each chunk is one draw_trials call, its uncolored
+    mask written into its color indices in place, as |L(v)|.  A chunk is
     dropped here before the next is drawn; a caller that does too holds one."""
-    plan = estimate_plan(inst, params, table, min(TRIAL_CHUNK, trials))
+    plan = estimate_plan(inst, params, min(TRIAL_CHUNK, trials))
     for done in range(0, trials, TRIAL_CHUNK):
-        width = min(TRIAL_CHUNK, trials - done)
-        act = np.empty((len(inst.lists), width), dtype=bool)
-        heads = np.empty_like(act)
-        for v in range(len(act)):
-            act[v] = rng.random(width) < params.rho
-        phi_idx = rng.integers(0, inst.sizes[:, None], size=act.shape, dtype=np.int32)
-        for v, flip in enumerate(plan.flips):
-            heads[v] = rng.random(width) < flip.take(phi_idx[v])
+        act, phi_idx, heads = draw_trials(inst, params, table, min(TRIAL_CHUNK, trials - done), rng)
         np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(plan, act, phi_idx, heads))
         del heads
         yield plan, act, phi_idx
@@ -458,6 +456,7 @@ def settle_trials(
     """
     n, trials = phi_idx.shape
     tail, head = inst.tail, inst.head
+    phi_idx = phi_idx.astype(np.int64, copy=False)  # int32 plus back in place would wrap
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
     mu = phi_idx[head]
     mu += inst.back[:, None]

@@ -1,15 +1,17 @@
 """Per-trial stacked arrays of a batch, for tests that read every trial.
 
 The library never holds an (n, trials) array of savings: `estimate` draws
-TRIAL_CHUNK trials at a time, writes the uncolored mask into the color
-indices in place and folds the rows of `savings_rows` into sums one vertex
-at a time.  Tests that compare trial by trial stack those rows here,
-reading the indices through `phi_left`, a copy, so the draws stay as drawn
-for the checks that reuse them; `chunked_draws` and `stack_chunks` draw and
-stack chunk by chunk, as `estimate` does, every chunk read through one
-plan as wide as the first.  `plan_of` builds the plan the evaluators read.  `keep_frequency` reads the
-empirical keep rate of each color off a batch's color indices and uncolored
-mask.
+TRIAL_CHUNK trials at a time through `draw_trials`, the one drawer
+(activations and flips in blocks of rows, int32 color indices in one call),
+writes the uncolored mask into the color indices in place and folds the
+rows of `savings_rows` into sums one vertex at a time.  Tests that compare
+trial by trial stack those rows here, reading the indices through
+`phi_left`, a copy, so the draws stay as drawn for the checks that reuse
+them; `chunked_draws` and `stack_chunks` draw and stack chunk by chunk, as
+`estimate` does, every chunk read through one plan as wide as the first.
+`plan_of` builds the plan the evaluators read.  `keep_frequency` reads the
+empirical keep rate of each color off a batch's color indices and
+uncolored mask.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from localcolor.procedure import (
     EstimatePlan,
     draw_trials,
     estimate_plan,
-    keep_table,
     savings_rows,
     uncolored_trials,
 )
@@ -54,10 +55,8 @@ def phi_left(inst: CompiledInstance, phi_idx: np.ndarray, uncolored: np.ndarray)
 
 
 def plan_of(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
-    """The plan of chunks of at most `stride` trials on `inst`, over its keep
-    table unchecked: the tests' general correspondences need not meet the
-    precondition, and the evaluators do not read the flips."""
-    return estimate_plan(inst, params, keep_table(inst, params.rho), stride)
+    """The plan of chunks of at most `stride` trials on `inst`."""
+    return estimate_plan(inst, params, stride)
 
 
 def stack_trials(

@@ -4,8 +4,9 @@ exports each name from the module that defines it, every exported name,
 indeed every top-level definition, is reached from a command or named in the
 README's library overview, no function calls itself, so no input size
 meets Python's recursion limit, only the two callers that decide how
-many trials are drawn at once read TRIAL_CHUNK, and importing the CLI loads
-no networkx module."""
+many trials are drawn at once read TRIAL_CHUNK, only `draw_trials` and
+`gen_gnp` call a Generator's draw methods, and importing the CLI loads no
+networkx module."""
 
 import ast
 import os
@@ -298,6 +299,59 @@ def test_only_the_chunking_callers_read_the_trial_chunk():
     assert {read.rsplit(":", 1)[0] for read in chunk_reads("procedure", sources["procedure"])} == (
         CHUNK_READERS
     )
+
+
+# The functions that draw random numbers from a Generator: the procedure's
+# one drawer and the G(n, p) generator.  Every other function takes its draws
+# from them.
+DRAWERS = {"procedure.draw_trials", "generators.gen_gnp"}
+
+
+def draw_calls(module: str, source: str) -> list[str]:
+    """"m.owner:line" for each call of a method named `random` or `integers`,
+    a Generator's draw methods, in module m, owner the top-level definition
+    that holds it or <module>."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        out += [
+            f"{module}.{owner}:{sub.lineno}"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) in ("random", "integers")
+        ]
+    return out
+
+
+def stray_draws(sources: dict[str, str]) -> list[str]:
+    return sorted(
+        call
+        for module, source in sources.items()
+        for call in draw_calls(module, source)
+        if call.rsplit(":", 1)[0] not in DRAWERS
+    )
+
+
+def test_drawer_guard_catches_a_second_drawer():
+    sources = {
+        "procedure": (
+            "def draw_trials(rng, n):\n"
+            "    return rng.random(n), rng.integers(0, 3, size=n)\n"
+            "def draw_left(rng, n):\n"
+            "    act = [rng.random(1) for _ in range(n)]\n"
+            "    return act, np.random.default_rng(0).integers(3)\n"
+        ),
+        "experiment": "rng = np.random.default_rng(np.random.Philox(0))\nx = rng.random()\n",
+    }
+    assert stray_draws(sources) == [
+        "experiment.<module>:2", "procedure.draw_left:4", "procedure.draw_left:5",
+    ]
+
+
+def test_only_the_drawers_draw():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert stray_draws(sources) == []
+    drawn = {call.rsplit(":", 1)[0] for m, source in sources.items() for call in draw_calls(m, source)}
+    assert drawn == DRAWERS
 
 
 def test_the_cli_imports_no_networkx():

@@ -651,7 +651,7 @@ class TestEstimateRows:
 
 
 class TestDrawTrials:
-    @pytest.mark.parametrize("trials", [1, 7, 21_846])
+    @pytest.mark.parametrize("trials", [1, 7, 2_000, 21_846])
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     @pytest.mark.parametrize("equalize", [True, False])
     def test_flip_blocks_equal_one_array_draw(self, trials, rho, equalize):
@@ -671,11 +671,27 @@ class TestDrawTrials:
             pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
             heads = rng.random((5, trials)) < pflip[inst.start[:-1, None] + phi_idx]
         for a, b in zip(got, (act, phi_idx, heads)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(a, b)
+        assert [a.dtype for a in got] == [np.bool_, np.int32, np.bool_]
         if equalize and rho and trials > 1:
             assert heads.any() and not heads.all()
         # both took the same doubles from the stream
         assert ours.random(3).tolist() == rng.random(3).tolist()
+
+    @pytest.mark.parametrize("equalize", [True, False])
+    def test_zero_trials_draw_nothing(self, equalize):
+        # (n, 0) arrays, and the generator is left where it was
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        inst = compile_lists(g, make_lists([range(3), range(66), range(2, 6), range(64), range(1)]))
+        params = ProcedureParams()
+        table = keep_table(inst, params.rho) if equalize else None
+        ours = rng_of(31)
+        got = draw_trials(inst, params, table, 0, ours)
+        assert [a.shape for a in got] == [(5, 0)] * 3
+        assert [a.dtype for a in got] == [np.bool_, np.int32, np.bool_]
+        ref = rng_of(31)
+        for draw in (lambda r: r.integers(1000, size=3, dtype=np.int32), lambda r: r.random(3)):
+            assert np.array_equal(draw(ours), draw(ref))
 
 
 def _one_color_case():
@@ -929,7 +945,7 @@ def test_color_draws_follow_the_per_vertex_stream(trials):
     ref = rng_of(11)
     assert np.array_equal(act, ref.random((len(sizes), trials)) < params.rho)
     assert np.array_equal(phi_idx, draw_color_indices(sizes, trials, ref))
-    assert phi_idx.dtype == np.int64
+    assert phi_idx.dtype == np.int32
     for draw in (lambda r: r.integers(1000, size=3), lambda r: r.random(3)):
         assert np.array_equal(draw(rng.rng), draw(ref))
 
@@ -1053,16 +1069,20 @@ def test_savings_per_trial_across_a_narrow_last_chunk():
 
 
 def test_evaluators_only_read_the_draws():
-    """uncolored_trials and savings_rows take read-only arrays and give what
-    they give on writeable copies: the draws they are handed are reused.
-    Color indices in int32, as draw_left draws them, give what draw_trials'
-    int64 ones give."""
+    """uncolored_trials, savings_rows, settle_trials and greedy_complete take
+    read-only arrays and give what they give on writeable copies, and leave
+    the caller's arrays as they were: the draws they are handed are reused.
+    Color indices in int32, as draw_trials draws them, give what int64 ones
+    give."""
     g = gen_gnp(30, 0.2, 3)
     L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
     inst, params = compile_lists(g, L), ProcedureParams(sigma=Fraction(1, 4))
     act, phi_idx, heads = equalized_draws(inst, params, 2 * TRIAL_CHUNK + 3, 5)
+    kept = [a.copy() for a in (act, phi_idx, heads)]
     want = stack_trials(inst, params, act.copy(), phi_idx.copy(), heads.copy())
+    settled = settle_trials(inst, act.copy(), phi_idx.copy(), heads.copy())
     plan = plan_of(inst, params, 2 * TRIAL_CHUNK + 3)
+    completed = []
     for dtype in (np.int64, np.int32):
         draws = (act, phi_idx.astype(dtype), heads)
         for a in draws:
@@ -1073,6 +1093,18 @@ def test_evaluators_only_read_the_draws():
         got = np.stack(list(savings_rows(plan, act, left)), axis=1)
         assert np.array_equal(uncolored, want.uncolored)
         assert np.array_equal(got, [want.aberrance, want.pairs, want.trips, want.unact])
+        got_settled = settle_trials(inst, *draws)
+        assert all(np.array_equal(a, b) for a, b in zip(got_settled, settled, strict=True))
+        removed = got_settled[3]
+        removed.flags.writeable = False
+        runs = [
+            greedy_complete(inst, draws[1][:, t], uncolored[:, t], removed[:, t])
+            for t in range(draws[1].shape[1])
+        ]
+        completed.append([(None if c is None else c.tolist(), b) for c, b in runs])
+        assert all(np.array_equal(a, b) for a, b in zip(draws, kept, strict=True))
+    assert completed[0] == completed[1]
+    assert any(c is not None for c, _ in completed[0])
 
 
 def test_savings_rows_names_a_chunk_wider_than_its_plan():
@@ -1144,7 +1176,9 @@ def test_batch_golden():
     assert np.array_equal(uncolored, batch.uncolored) and np.array_equal(unact, batch.unact)
     got = {
         name: (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
-        for name, a in {**vars(batch), "save_drop": save_drop}.items()
+        for name, a in {
+            **vars(batch), "phi_idx": batch.phi_idx.astype("<i8"), "save_drop": save_drop
+        }.items()
     }
     assert got == GOLDEN_BATCH
 
