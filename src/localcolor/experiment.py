@@ -30,25 +30,29 @@ def _estimate_rows(
 ) -> list[list]:
     """The CSV rows of run_estimate, from trials on `inst` and its keep table
     drawn by draw_left on a Philox stream fixed by `seed`.  Each chunk's
-    savings rows are folded, as savings_rows yields them, into exact integer
-    sums of x and x^2 per (vertex, component), and dropped before the next
-    chunk is drawn; the means and standard errors are taken from those sums,
-    so memory does not grow with `trials`."""
+    savings rows are summed, as savings_rows yields them, into an (n, 8) int64
+    buffer of Σx then Σx² per (vertex, component) (in Python ints where int64
+    could wrap), added once per chunk to exact Python-int totals; each chunk
+    is dropped before the next is drawn, so memory does not grow with `trials`."""
     rng = np.random.default_rng(np.random.Philox(seed))
     # a savings value of v is at most max(d, C(d, 2), C(d, 3)), d = d(v), so
     # the int64 sum of squares of w trials is exact while w * top[v] < 2^63
     top = [max(d, math.comb(d, 2), math.comb(d, 3)) ** 2 for d in np.diff(inst.ptr).tolist()]
-    sums = [[0] * 8 for _ in range(g.n)]  # Σx then Σx² of each component, Python ints
+    sums = np.zeros((g.n, 8), dtype=object)  # Python ints
+    part = np.empty((g.n, 8), dtype=np.int64)
     for plan, act, phi_left in procedure.draw_left(inst, params, table, trials, rng):
         for v, x in enumerate(procedure.savings_rows(plan, act, phi_left)):
-            if top[v] * x.shape[1] >= 2**63:
-                x = x.astype(object)  # the int64 sum of squares could wrap around
-            part = x.sum(axis=1).tolist() + (x * x).sum(axis=1).tolist()
-            sums[v] = [a + b for a, b in zip(sums[v], part)]
+            if top[v] * x.shape[1] < 2**63:
+                x.sum(axis=1, out=part[v, :4])
+                np.square(x).sum(axis=1, out=part[v, 4:])
+            else:  # the int64 sum of squares could wrap around
+                x, part[v] = x.astype(object), 0
+                sums[v] += np.concatenate((x.sum(axis=1), (x * x).sum(axis=1)))
+        sums += part
         del act, phi_left  # not held while the next chunk is drawn
     rows = []
     k = params.keep
-    for v, row in enumerate(sums):
+    for v, row in enumerate(sums.tolist()):
         total, square = row[:4], row[4:]
         aberr, pairs, trips, unact = (t / trials for t in total)
         aberr_se, pairs_se, trips_se, unact_se = (

@@ -16,15 +16,16 @@ on the same compiled instance.
 Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge has a table
 mapping a color index at one endpoint to the matched index at the other.
-`draw_trials`, the one drawer, draws a batch, and each caller evaluates it
-with the evaluator that computes what it reads.  For `estimate`, `draw_left`
-builds one `EstimatePlan` per run and yields one draw_trials call per
-TRIAL_CHUNK trials, the uncolored set of `uncolored_trials` written into its
-int32 color indices; `savings_rows` reads those (`phi_left`) and yields one
-vertex at a time its savings over the chunk, through the plan's coded table:
-each edge's block of `match`, plus an entry for an uncolored tail, as rows of
-the head's (color, trial) count grid.  `estimate` folds each row into exact
-sums, holding one chunk at a time.
+`draw_trials`, the one drawer, draws a batch (color indices row by row from
+ROW_DRAWS trials), and each caller evaluates it with the evaluator that
+computes what it reads.  For `estimate`, `draw_left` builds one
+`EstimatePlan` per run and yields one draw_trials call per TRIAL_CHUNK
+trials, the uncolored set of `uncolored_trials` written into its int32 color
+indices; `savings_rows` reads those (`phi_left`) and yields one vertex at a
+time its savings over the chunk, through the plan's coded table: each edge's
+block of `match`, plus an entry for an uncolored tail, as rows of the head's
+(color, trial) count grid.  `estimate` sums each row into a chunk buffer and
+folds that into exact totals once per chunk, holding one chunk at a time.
 `settle_trials` (all directed edges at once) gives `pipeline_color`'s
 savings check the uncolored set, unact and save_drop, and `greedy_complete`
 the colors each vertex loses to its kept neighbors.  `compile_lists` builds
@@ -263,6 +264,8 @@ def check_equalization_precondition(
 # threshold, so they reuse heap memory rather than fault in fresh pages
 BLOCK = 8192
 
+ROW_DRAWS = 576  # trials from which a call per row draws colors faster than one call
+
 
 def draw_trials(
     inst: CompiledInstance,
@@ -276,9 +279,9 @@ def draw_trials(
     equalizing flip at v's chosen color, the only flip that can uncolor v;
     table=None draws none (the naive procedure).  The coins are drawn
     max(1, BLOCK // trials) vertex rows at a time, the numbers of one call.
-    The int32 color indices are one rng.integers call with a column of
-    bounds, the numbers of an int64 call per vertex (so |L(v)| < 2^31, as for
-    any list held in memory)."""
+    The int32 color indices are the numbers of an int64 rng.integers call per
+    vertex (so |L(v)| < 2^31, as for any list held in memory): one call with a
+    column of bounds below ROW_DRAWS trials, else one per list of 2+ colors."""
     n, rows = len(inst.lists), max(1, BLOCK // max(trials, 1))
 
     def coins(prob):  # per cell of rows r:s, a uniform draw below prob(r, s)
@@ -289,7 +292,12 @@ def draw_trials(
         return out
 
     act = coins(lambda r, s: params.rho)
-    phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials), dtype=np.int32)
+    if trials < ROW_DRAWS:
+        phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials), dtype=np.int32)
+    else:
+        phi_idx = np.zeros((n, trials), dtype=np.int32)
+        for v in np.flatnonzero(inst.sizes > 1).tolist():  # a one-color list draws no number
+            phi_idx[v] = rng.integers(0, inst.sizes[v], size=trials, dtype=np.int32)
     if table is None:
         return act, phi_idx, np.zeros((n, trials), dtype=bool)
     # with rho = 0 every keep probability is 0 and the flips are irrelevant
@@ -297,15 +305,16 @@ def draw_trials(
     return act, phi_idx, coins(lambda r, s: pflip.take(inst.start[r:s, None] + phi_idx[r:s]))
 
 
-def _pairs_trips(grid: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over colors of C(k, 2) and C(k, 3) per trial, k a color's count in
-    the flat `grid`, read at the (neighbor, trial) `cell`s only: each of its k
-    cells adds j = k - 1 and j(j - 1), 2 and 6 times the share of one cell.
-    Rows of the grid that are no color must read 1, so that they add 0."""
+def _pairs_trips(grid: np.ndarray, cell: np.ndarray, out: np.ndarray) -> None:
+    """Sums over colors of C(k, 2) and C(k, 3) per trial, into out's two rows,
+    k a color's count in the flat `grid`, read at the (neighbor, trial) `cell`s
+    only: each of its k cells adds j = k - 1 and j(j - 1), 2 and 6 times the
+    share of one cell.  Rows of the grid that are no color must read 1."""
     j = grid.take(cell)
     j -= 1
     twice = j.sum(axis=0)
-    return twice // 2, ((j * j).sum(axis=0) - twice) // 6
+    np.right_shift(twice, 1, out=out[0])
+    np.floor_divide(np.square(j, out=j).sum(axis=0) - twice, 6, out=out[1])
 
 
 # trials per batch of pipeline_color and per chunk of draw_left, bounding
@@ -375,13 +384,18 @@ def draw_left(
     """(plan, activated, phi_left) of `trials` trials, what savings_rows reads,
     yielded TRIAL_CHUNK trials at a time (the last chunk may be narrower) with
     the run's one plan.  Each chunk is one draw_trials call, its uncolored
-    mask written into its color indices in place, as |L(v)|.  A chunk is
-    dropped here before the next is drawn; a caller that does too holds one."""
+    mask written into its color indices in place as |L(v)|, their maximum with
+    the mask times |L(v)| (an index is below |L(v)|).  A chunk is dropped here
+    before the next is drawn; a caller that does too holds one."""
     plan = estimate_plan(inst, params, min(TRIAL_CHUNK, trials))
+    sizes = inst.sizes.astype(np.int32)[:, None]  # the indices' dtype: mixed is much slower
     for done in range(0, trials, TRIAL_CHUNK):
         act, phi_idx, heads = draw_trials(inst, params, table, min(TRIAL_CHUNK, trials - done), rng)
-        np.copyto(phi_idx, inst.sizes[:, None], where=uncolored_trials(plan, act, phi_idx, heads))
-        del heads
+        uncolored = uncolored_trials(plan, act, phi_idx, heads)
+        for r in range(0, len(sizes), BLOCK // TRIAL_CHUNK):  # a BLOCK-cell product reuses heap
+            s = slice(r, r + BLOCK // TRIAL_CHUNK)
+            np.maximum(phi_idx[s], uncolored[s] * sizes[s], out=phi_idx[s])
+        del heads, uncolored
         yield plan, act, phi_idx
         del act, phi_idx  # not held while the next chunk is drawn
 
@@ -415,17 +429,18 @@ def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> I
     (nb, bk, ep), (small, sp), code, stride = plan.egal, plan.small, plan.code, plan.stride
     tr, idle = np.arange(trials), ~act
     for v in range(n):
-        # per (egalitarian neighbor u, trial): u's coded entry, in int64 whatever
-        # phi_left's dtype, then its flat (row, trial) cell in the count grid
-        cell = phi_left.take(nb[ep[v] : ep[v + 1]], axis=0).astype(np.int64, copy=False)
-        cell += bk[ep[v] : ep[v + 1]]
-        cell = code.take(cell)
+        # per (egalitarian neighbor u, trial): u's coded entry, in int64 (as bk)
+        # whatever phi_left's dtype, then its flat (row, trial) cell in the grid
+        e = slice(ep[v], ep[v + 1])
+        cell = code.take(np.add(phi_left.take(nb[e], axis=0), bk[e]))
         cell += tr
         grid = np.bincount(cell.ravel(), minlength=2 * stride)
-        aberr = grid[stride : stride + trials].copy()
+        x = np.empty((4, trials), dtype=np.int64)
+        x[0] = grid[stride : stride + trials]
         grid[: 2 * stride] = 1  # uncolored and unmatched neighbors share no color
-        unact = idle.take(small[sp[v] : sp[v + 1]], axis=0).sum(axis=0)
-        yield np.array([aberr, *_pairs_trips(grid, cell), unact])
+        _pairs_trips(grid, cell, x[1:3])
+        idle.take(small[sp[v] : sp[v + 1]], axis=0).sum(axis=0, out=x[3])
+        yield x
 
 
 def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 The library never holds an (n, trials) array of savings: `estimate` draws
 TRIAL_CHUNK trials at a time through `draw_trials`, the one drawer
-(activations and flips in blocks of rows, int32 color indices in one call),
-writes the uncolored mask into the color indices in place and folds the
-rows of `savings_rows` into sums one vertex at a time.  Tests that compare
-trial by trial stack those rows here, reading the indices through
-`phi_left`, a copy, so the draws stay as drawn for the checks that reuse
-them; `chunked_draws` and `stack_chunks` draw and stack chunk by chunk, as
-`estimate` does, every chunk read through one plan as wide as the first.
+(activations and flips in blocks of rows, int32 color indices in one call
+below ROW_DRAWS trials and one call per row from there), writes the
+uncolored mask into the color indices in place, sums the rows of
+`savings_rows` one vertex at a time and folds those sums into its totals
+once per chunk.  Tests that compare trial by trial stack those rows here,
+reading the indices through `phi_left`, a copy, so the draws stay as drawn
+for the checks that reuse them; `chunked_draws` and `stack_chunks` draw and
+stack chunk by chunk, as `estimate` does, every chunk read through one plan
+as wide as the first.
 `plan_of` builds the plan the evaluators read.  `keep_frequency` reads the
 empirical keep rate of each color off a batch's color indices and
 uncolored mask.

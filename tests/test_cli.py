@@ -28,6 +28,11 @@ GOLDEN_MANIFEST_SHA256 = "6ee401e6ccb24839fbf3a40f0276aa6dd2193cfa607f060ed38df3
 # once: one chunk draws the same numbers, and only se may move in its last digit.
 GOLDEN_ONE_CHUNK_COLUMNS_SHA256 = "c26e2f6228408e1da10392907d645dd0ec781f498436b2b42e96a1005951c056"
 
+# SHA-256 of a 2,148-trial `estimate` CSV, measured while every chunk still
+# drew its color indices in one call: two 1,024-trial chunks draw them row by
+# row, and the last chunk of 100 trials in one call.
+GOLDEN_TWO_PATH_CSV_SHA256 = "71691b40d35fde65f4e6f9b16bb42a6e741e75fae5ac2b596ba6c9127283ea27"
+
 # SHA-256 of `color` stdout, measured while the greedy completion still ran on
 # the frozenset residual assignment; the compiled completion must match it.
 GOLDEN_COLOR_GNP40_SHA256 = "84e9f20d7ca1796f079e4dd7ad4ee128318432d1e4558642ba3bf6fbd05a90ff"
@@ -99,6 +104,16 @@ def test_one_chunk_estimate_columns_are_pinned(gnp40):
     rows = (gnp40 / "out" / "estimate_results.csv").read_text().splitlines()
     columns = "".join(",".join(r[:3] + r[4:]) + "\n" for r in (row.split(",") for row in rows))
     assert sha256(columns.encode()) == GOLDEN_ONE_CHUNK_COLUMNS_SHA256
+
+
+def test_estimate_across_both_color_draws_is_pinned(gnp40):
+    # its chunks straddle ROW_DRAWS: the CSV reads both ways of drawing colors
+    assert procedure.TRIAL_CHUNK >= procedure.ROW_DRAWS > 2148 - 2 * procedure.TRIAL_CHUNK
+    assert main([
+        "estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "5",
+        "--trials", "2148", "--sigma", "1/4", "--out-dir", "out",
+    ]) in (0, 1)
+    assert sha256((gnp40 / "out" / "estimate_results.csv").read_bytes()) == GOLDEN_TWO_PATH_CSV_SHA256
 
 
 def test_color_output_is_pinned(gnp40, capsys):

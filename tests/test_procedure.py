@@ -23,6 +23,7 @@ from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.experiment import run_estimate
 from localcolor.procedure import (
+    ROW_DRAWS,
     TRIAL_CHUNK,
     CompiledInstance,
     PreconditionError,
@@ -704,9 +705,9 @@ def _one_color_case():
 def test_draw_left_writes_the_uncolored_mask_into_the_draws():
     """Each chunk draw_left yields, its activations and phi_left, equals
     draw_trials then uncolored_trials on the same stream, chunk by chunk:
-    the row-by-row draws and the int32 color indices take the numbers
-    draw_trials takes, lists of one color drawing no index, and leave the
-    generator where it leaves it.
+    each chunk's coins and int32 color indices take the numbers draw_trials
+    takes, lists of one color drawing no index, and leave the generator
+    where it leaves it.
     Every chunk is a fresh array, read through one plan as wide as the
     first chunk.  Across trial counts on both sides of a chunk boundary,
     lists of 64 or more colors, lists of one color, and rho 0."""
@@ -930,18 +931,21 @@ class _CountingRng:
         return counted
 
 
-@pytest.mark.parametrize("trials", [1, 2, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1])
+@pytest.mark.parametrize(
+    "trials", [1, 2, ROW_DRAWS - 1, ROW_DRAWS, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1]
+)
 def test_color_draws_follow_the_per_vertex_stream(trials):
     """draw_trials' color indices, and the generator state it leaves, equal a
     per-vertex rng.integers reference, for lists of size 1 and of 64 or more;
-    it draws every index in one call, at every width."""
+    it draws every index in one call below ROW_DRAWS trials, and from there
+    one call per list of two or more colors."""
     sizes = [1, 64, 1, 100, 67, 1]
     g = Graph.from_edges(len(sizes), [])
     inst = compile_lists(g, make_lists([range(k) for k in sizes]))
     params = ProcedureParams()
     rng = _CountingRng(rng_of(11))
     act, phi_idx, _ = draw_trials(inst, params, None, trials, rng)
-    assert rng.calls.count("integers") == 1
+    assert rng.calls.count("integers") == (1 if trials < ROW_DRAWS else sum(k > 1 for k in sizes))
     ref = rng_of(11)
     assert np.array_equal(act, ref.random((len(sizes), trials)) < params.rho)
     assert np.array_equal(phi_idx, draw_color_indices(sizes, trials, ref))
