@@ -124,7 +124,10 @@ def _params_of(args) -> tuple[ProcedureParams, dict]:
         if (name, text) != ("rho", "auto")
     }
     if "rho" in kw:
-        kw["rho"] = float(kw["rho"])
+        try:
+            kw["rho"] = float(kw["rho"])
+        except OverflowError:  # beyond the float range, so outside [0, 1] too
+            raise argparse.ArgumentTypeError("rho must be in [0, 1]") from None
     try:
         return ProcedureParams(**kw), raw
     except ValueError as exc:

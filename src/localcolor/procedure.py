@@ -32,9 +32,12 @@ the colors each vertex loses to its kept neighbors.  `compile_lists` builds
 the tables of a list assignment (the identity correspondence made total)
 straight from the sorted lists, building `match` in a few steps over its
 own cells, so that no more than two cells-long arrays are alive at once and
-a call faults in little fresh memory; `keep_table` reads only the cells of
-the edges whose head can uncolor their tail, and which of them are matched
-from one byte mask over the match table.  `pipeline_color` takes lists,
+a call faults in little fresh memory, and zipping free colors only on the
+edges with free colors at both ends.  `keep_table` multiplies each
+vertex's factors once, not once per color, and goes cell by cell only when
+an edge whose head can uncolor its tail has an unmatched cell, which
+`compile_lists` never leaves.  `settle_trials` gathers its (edge, trial)
+rows with `take`.  `pipeline_color` takes lists,
 completes its trial with `greedy_complete` (from those removed colors, a
 loop over the edges between uncolored vertices) and checks its finished
 coloring against the lists: every vertex colored from its own list, no edge
@@ -150,7 +153,11 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     (head, rank) key to its list position, each step adding to it in place
     or gathering from a table no longer than the lists or `match`, so no
     more than two cells-long arrays are alive at once.  The free cells are
-    counted per block by one reduceat, and no cell's edge is looked up.
+    counted per block by one reduceat, and no cell's edge is looked up.  Only
+    an edge with free colors at both ends zips them, so nested lists (such as
+    deg+1 lists) and uniform lists, which have no such edge, gather no free
+    cell.  A big edge's tail has no more colors than its head, so each of
+    its cells ends matched: `keep_table` relies on it.
     """
     check_list_count(g, L)
     lists = [sorted(L[v]) for v in range(g.n)]
@@ -186,9 +193,12 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
         pos[~common] = -1
         match = pos
     # the free colors of each block zip in ascending order with those of the
-    # reverse block
+    # reverse block; only an edge with free colors at both ends has any to
+    # pair, so the others' free colors are left out
     free = match < 0
     nfree = np.add.reduceat(free, block, dtype=np.int64)  # lists, so blocks, are nonempty
+    nfree *= nfree[rev] > 0
+    free &= np.repeat(nfree > 0, width)
     free = np.flatnonzero(free)
     free_start = np.cumsum(nfree) - nfree
     free_rank = np.arange(len(free)) - np.repeat(free_start, nfree)
@@ -203,22 +213,35 @@ def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     """The flat keep table: table[start[v] + i] is the exact probability that v
     survives given it chose lists[v][i], rho times 1 - rho / |L(u)| for each
     threatening neighbor u (big edge, color matched), multiplied in ascending
-    neighbor order.  Only the cells of big edges are visited: no other cell
-    carries a factor.  Which of them are matched is read from one byte mask
-    over `match`, not from a gather of their places in it."""
+    neighbor order.
+
+    When every big-edge cell is matched, as `compile_lists` makes every one,
+    that product is the same for all of a vertex's colors: it is taken once
+    per vertex over its big edges and repeated over its colors.  Otherwise
+    (only a partial correspondence has an unmatched big-edge cell) every
+    entry is taken cell by cell over the big edges, with factor 1.0 at an
+    unmatched cell, which leaves the entry exactly as it was; so each entry
+    is the same sequence of products either way."""
+    width = inst.sizes[inst.tail]
     big = np.flatnonzero(inst.big)
-    tail = inst.tail[big]
-    width = inst.sizes[tail]
+    factor = 1 - rho / inst.sizes[inst.head[big]]
+    # the unmatched cells of big edges, from byte masks over `match`
+    unmatched = inst.match < 0
+    cells = np.repeat(inst.big, width)
+    unmatched &= cells
+    if not unmatched.any():
+        prod = np.full(len(inst.sizes), float(rho))
+        # ufunc.at applies the factors in edge order, which is ascending neighbor order
+        np.multiply.at(prod, inst.tail[big], factor)
+        return np.repeat(prod, inst.sizes)
     # every cell of a big edge's block, in edge order: the flat table entry of
-    # its tail's color
+    # its tail's color, and its factor
+    tail, width = inst.tail[big], width[big]
     entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
     entry += np.arange(len(entry))
-    # an unmatched color is not threatened: its factor is 1.0, which leaves
-    # the entry exactly as it was
-    factor = np.repeat(1 - rho / inst.sizes[inst.head[big]], width)
-    factor[(inst.match < 0)[np.repeat(inst.big, inst.sizes[inst.tail])]] = 1.0
+    factor = np.repeat(factor, width)
+    factor[unmatched[cells]] = 1.0
     flat = np.full(int(inst.start[-1]), float(rho))
-    # ufunc.at applies the factors in cell order, which is ascending neighbor order
     np.multiply.at(flat, entry, factor)
     return flat
 
@@ -473,19 +496,19 @@ def settle_trials(
     tail, head = inst.tail, inst.head
     phi_idx = phi_idx.astype(np.int64, copy=False)  # int32 plus back in place would wrap
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
-    mu = phi_idx[head]
+    mu = phi_idx.take(head, axis=0)
     mu += inst.back[:, None]
-    mu = inst.match[mu]
+    mu = inst.match.take(mu)
     # an activated head with a list at least as large, its color matched to the tail's
-    threat = mu == phi_idx[tail]
-    threat &= act[head]
+    threat = mu == phi_idx.take(tail, axis=0)
+    threat &= act.take(head, axis=0)
     threat &= inst.big[:, None]
     uncolored = _count_by_vertex(tail, np.flatnonzero(threat), n, trials) > 0
     uncolored |= ~act
     uncolored |= heads
     # the colors of the tails that colored heads remove, as one flat (tail
     # color, trial) mask; mu becomes the flat cell of each, in place
-    off = uncolored[head]
+    off = uncolored.take(head, axis=0)
     hit = mu >= 0
     hit &= ~off
     mu += inst.start[tail][:, None]
@@ -501,7 +524,8 @@ def settle_trials(
     )
     # the non-activated heads with strictly smaller lists
     small = np.flatnonzero(~inst.big)
-    unact = _count_by_vertex(tail[small], np.flatnonzero(~act[head[small]]), n, trials)
+    idle = ~act.take(head[small], axis=0)
+    unact = _count_by_vertex(tail[small], np.flatnonzero(idle), n, trials)
     return uncolored, unact, colored_heads - distinct, removed.reshape(-1, trials)
 
 

@@ -361,6 +361,14 @@ def test_report_output_is_pinned(command, capsys):
          "bound 'ky': parameter 'k' given twice"),
         (["generate", "--name", "c5_blowup", "--param", "t=1", "--param", "t=2"],
          "generator 'c5_blowup': parameter 't' given twice"),
+        # a rho beyond the float range, on each side; "-1e400" is given with
+        # "=", as argparse reads a lone "-1e400" as an option
+        (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--rho", "1e400"],
+         "color: rho must be in [0, 1]"),
+        (["certify-constants", "--rho", "1e400"], "certify-constants: rho must be in [0, 1]"),
+        (["certify-constants", "--rho=-1e400"], "certify-constants: rho must be in [0, 1]"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
+          "--rho=-1e400", "--out-dir", "out"], "estimate: rho must be in [0, 1]"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):

@@ -839,7 +839,17 @@ SIGNED_AND_HUGE = (
         [2**63 - 1, 2**63, -1],
     ]),
 )
-COMPILE_EDGE_CASES = (EDGELESS, ONE_VERTEX, ISOLATED_ENDS, ISOLATED_ENDS_SPARSE, SIGNED_AND_HUGE)
+# nested neighbor lists (0-1, 3-4: one side has no free color, nothing to
+# zip) beside partly overlapping ones (1-2, 2-3, 2-5: free colors at both
+# ends, zipped), so one instance has both kinds of edge
+NESTED_AND_OVERLAPPING = (
+    Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+    make_lists([[0, 1], [0, 1, 2], [1, 2, 5, 6], [5, 6, 7], [5, 6, 7, 8], [0, 6, 9, 10]]),
+)
+COMPILE_EDGE_CASES = (
+    EDGELESS, ONE_VERTEX, ISOLATED_ENDS, ISOLATED_ENDS_SPARSE, SIGNED_AND_HUGE,
+    NESTED_AND_OVERLAPPING,
+)
 
 
 def _compiled_fields_equal(a: CompiledInstance, b: CompiledInstance) -> None:
@@ -871,6 +881,14 @@ class TestCompileLists:
     def test_equals_compiled_identity_made_total(self, case):
         g, L = case
         _compiled_fields_equal(compile_lists(g, L), _made_total(g, L))
+
+    @given(list_instance())
+    @_with_examples(COMPILE_EDGE_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_no_big_edge_cell_is_unmatched(self, case):
+        # keep_table's one product per vertex rests on this
+        inst = compile_lists(*case)
+        assert (inst.match[np.repeat(inst.big, inst.sizes[inst.tail])] >= 0).all()
 
 
 def test_equal_graphs_compile_equally():
@@ -962,6 +980,21 @@ class TestSamplerMatchesReference:
         g, L = case
         ca = make_total(g, identity_correspondence(g, L))
         inst = compile_lists(g, L)
+        table = keep_table(inst, rho)
+        for v in range(g.n):
+            for i, c in enumerate(inst.lists[v]):
+                assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
+
+    @given(list_instance(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @_with_examples(COMPILE_EDGE_CASES, rho=0.9)
+    @settings(max_examples=60, deadline=None)
+    def test_keep_table_of_partial_identity(self, case, rho):
+        # the identity correspondence not made total: a big edge whose head
+        # lacks some of its tail's colors leaves those cells unmatched, and
+        # their entries are taken cell by cell
+        g, L = case
+        ca = identity_correspondence(g, L)
+        inst = compile_instance(g, ca)
         table = keep_table(inst, rho)
         for v in range(g.n):
             for i, c in enumerate(inst.lists[v]):
