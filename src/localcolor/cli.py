@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -105,6 +106,17 @@ def _key_values(text: str) -> list[tuple[str, str]]:
 
 # The procedure options with their defaults, in the order the manifest lists them.
 PARAM_DEFAULTS = {"eps": "1/330", "alpha": "1/50", "beta": "1/50", "sigma": "0", "rho": "auto"}
+
+
+def _signed_values(argv: list[str]) -> list[str]:
+    """argv with a value such as -1/2 or -1e400 joined to the procedure option
+    before it (--rho=-1/2), which argparse alone reads as an option."""
+    flags, out = {f"--{name}" for name in PARAM_DEFAULTS}, []
+    for arg in argv:
+        if out and out[-1] in flags and re.match(r"-[\d.]", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
 
 
 def _add_param_args(p: argparse.ArgumentParser, names: tuple[str, ...]):
@@ -273,16 +285,8 @@ def cmd_extract(args) -> int:
         res = extract_dense_subgraph(g, args.alpha, args.eps)
     except ValueError as exc:  # alpha and eps out of range, or the degree hypothesis fails
         raise argparse.ArgumentTypeError(str(exc)) from None
-    print(
-        json.dumps(
-            {
-                "kept": list(res.kept),
-                "removed_high": list(res.removed_high),
-                "removed_peel": list(res.removed_peel),
-            },
-            indent=2,
-        )
-    )
+    fields = ("kept", "removed_high", "removed_peel")
+    print(json.dumps({name: list(getattr(res, name)) for name in fields}, indent=2))
     return 0
 
 
@@ -362,7 +366,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (argparse.ArgumentTypeError, PreconditionError) as exc:  # found by the command

@@ -21,25 +21,50 @@ import numpy as np
 
 from . import bounds, procedure
 from .graph import Graph, complement_edge_count
-from .lists import ListAssignment, profile
+from .lists import ListAssignment, neighbor_classes
+
+
+def _lower_bounds(
+    g: Graph, inst: procedure.CompiledInstance, params: procedure.ProcedureParams
+) -> list[tuple]:
+    """Each vertex's lower bounds on aberrance, pairs - trips and unact, from
+    `inst` and g's ω alone, so known before any trial is drawn: one
+    neighbor_classes call over the directed edges, one bincount of classes by
+    tail, e1 over each tail's VertexProfile.egalitarian heads, Python ints."""
+    deg, sizes, tail = np.diff(inst.ptr), inst.sizes, inst.tail
+    gaps = deg + 1 - np.array(g.clique_numbers, dtype=np.int64)
+    code = neighbor_classes(sizes[inst.head], sizes[tail], gaps[tail], params.alpha, params.beta)
+    counts = np.bincount(4 * tail + code, minlength=4 * g.n).reshape(g.n, 4).tolist()
+    is_egal = np.isin(code, (1, 2))
+    ep = np.concatenate(([0], np.cumsum(is_egal)))[inst.ptr].tolist()
+    egal = inst.head[is_egal].tolist()
+    k, a, out = params.keep, params.alpha, []
+    per_vertex = zip(deg.tolist(), gaps.tolist(), sizes.tolist(), counts)
+    for v, (d, gap_v, size, (n_sub, _, n_weak, n_lord)) in enumerate(per_vertex):
+        e1 = complement_edge_count(g, egal[ep[v] : ep[v + 1]])
+        out.append((bounds.aberrance_lower_bound(k, a, params.beta, gap_v, d, n_lord, n_weak),
+                    bounds.pairs_trips_lower_bound(k, a, size, e1, d * (d - 1) // 2),
+                    bounds.unact_expectation(params.rho, n_sub)))
+    return out
 
 
 def _estimate_rows(
-    g: Graph, L: ListAssignment, params: procedure.ProcedureParams,
-    inst: procedure.CompiledInstance, table: np.ndarray, trials: int, seed: int,
+    inst: procedure.CompiledInstance, params: procedure.ProcedureParams, table: np.ndarray,
+    trials: int, seed: int, lower: list[tuple],
 ) -> list[list]:
-    """The CSV rows of run_estimate, from trials on `inst` and its keep table
-    drawn by draw_left on a Philox stream fixed by `seed`.  Each chunk's
-    savings rows are summed, as savings_rows yields them, into an (n, 8) int64
-    buffer of Σx then Σx² per (vertex, component) (in Python ints where int64
-    could wrap), added once per chunk to exact Python-int totals; each chunk
-    is dropped before the next is drawn, so memory does not grow with `trials`."""
+    """The CSV rows of run_estimate, each vertex's means beside its `lower`
+    bounds, from trials on `inst` and its keep table drawn by draw_left on a
+    Philox stream fixed by `seed`.  Each chunk's savings rows are summed, as
+    savings_rows yields them, into an (n, 8) int64 buffer of Σx then Σx² per
+    (vertex, component) (in Python ints where int64 could wrap), added once
+    per chunk to exact Python-int totals; each chunk is dropped before the
+    next is drawn, so memory does not grow with `trials`."""
     rng = np.random.default_rng(np.random.Philox(seed))
     # a savings value of v is at most max(d, C(d, 2), C(d, 3)), d = d(v), so
     # the int64 sum of squares of w trials is exact while w * top[v] < 2^63
     top = [max(d, math.comb(d, 2), math.comb(d, 3)) ** 2 for d in np.diff(inst.ptr).tolist()]
-    sums = np.zeros((g.n, 8), dtype=object)  # Python ints
-    part = np.empty((g.n, 8), dtype=np.int64)
+    sums = np.zeros((len(top), 8), dtype=object)  # Python ints
+    part = np.empty((len(top), 8), dtype=np.int64)
     for plan, act, phi_left in procedure.draw_left(inst, params, table, trials, rng):
         for v, x in enumerate(procedure.savings_rows(plan, act, phi_left)):
             if top[v] * x.shape[1] < 2**63:
@@ -50,46 +75,15 @@ def _estimate_rows(
                 sums[v] += np.concatenate((x.sum(axis=1), (x * x).sum(axis=1)))
         sums += part
         del act, phi_left  # not held while the next chunk is drawn
-    rows = []
-    k = params.keep
-    for v, row in enumerate(sums.tolist()):
-        total, square = row[:4], row[4:]
-        aberr, pairs, trips, unact = (t / trials for t in total)
-        aberr_se, pairs_se, trips_se, unact_se = (
-            math.sqrt((trials * q - t * t) / (trials * trials * (trials - 1)))
-            for t, q in zip(total, square)
-        )
-        prof = profile(g, L, v, params.alpha, params.beta)
-        d = prof.degree
-        e1 = complement_edge_count(g, prof.egalitarian)
-        checks = [
-            (
-                "aberrance",
-                aberr,
-                aberr_se,
-                bounds.aberrance_lower_bound(
-                    k, params.alpha, params.beta, prof.gap, d,
-                    len(prof.lordlier), len(prof.weak_egal),
-                ),
-            ),
-            (
-                "pairs_minus_trips",
-                pairs - trips,
-                math.hypot(pairs_se, trips_se),
-                bounds.pairs_trips_lower_bound(
-                    k, params.alpha, len(L[v]), e1, d * (d - 1) // 2
-                ),
-            ),
-            (
-                "unact",
-                unact,
-                unact_se,
-                bounds.unact_expectation(params.rho, len(prof.subservient)),
-            ),
-        ]
-        for name, mean, se, bound in checks:
-            ok = mean >= bound - 3 * se
-            rows.append([v, name, repr(mean), repr(se), repr(float(bound)), ok])
+    rows, names = [], ("aberrance", "pairs_minus_trips", "unact")
+    for v, (row, bound) in enumerate(zip(sums.tolist(), lower)):
+        # aberrance, pairs, trips and unact: their means and standard errors
+        m = [t / trials for t in row[:4]]
+        se = [math.sqrt((trials * q - t * t) / (trials * trials * (trials - 1)))
+              for t, q in zip(row[:4], row[4:])]
+        means, ses = (m[0], m[1] - m[2], m[3]), (se[0], math.hypot(se[1], se[2]), se[3])
+        for name, mean, s, b in zip(names, means, ses, bound):
+            rows.append([v, name, repr(mean), repr(s), repr(float(b)), mean >= b - 3 * s])
     return rows
 
 
@@ -110,7 +104,8 @@ def run_estimate(
     parameter text), then `trials`, `seed` and `content_hash`, the SHA-256
     of the CSV text followed by a NUL byte.  Returns (every check passed,
     number of checks).  The inputs are checked, `out_dir` made and both
-    files opened for writing before any trial is drawn.
+    files opened for writing, and then every bound computed, before any
+    trial is drawn.
     """
     if trials < 2:
         raise ValueError(f"a standard error needs at least 2 trials, got trials={trials}")
@@ -121,7 +116,7 @@ def run_estimate(
     csv_path, manifest_path = out / "estimate_results.csv", out / "estimate_manifest.json"
     for path in (csv_path, manifest_path):
         path.open("a").close()  # append mode neither truncates nor needs the file
-    rows = _estimate_rows(g, L, params, inst, table, trials, seed)
+    rows = _estimate_rows(inst, params, table, trials, seed, _lower_bounds(g, inst, params))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex", "var", "mean", "se", "bound", "pass"])

@@ -49,14 +49,29 @@ def save(g: Graph, L: ListAssignment, v: int) -> int:
     return degree(g, v) + 1 - len(L[v])
 
 
+def neighbor_classes(size_u, size_v, gap_v, alpha, beta) -> np.ndarray:
+    """The class of a neighbor u of v by list size, elementwise over the
+    broadcast arrays, as VertexProfile defines them: 0 subservient, 1 strongly
+    egalitarian, 2 weakly egalitarian, 3 lordlier.  Both cut-offs are compared
+    in Python ints over the exact ratios of the positive rationals alpha and
+    beta, so neither is rounded at any size."""
+    a, b = alpha.as_integer_ratio()
+    c, d = beta.as_integer_ratio()
+    su, sv, gv = (np.asarray(x).astype(object) for x in (size_u, size_v, gap_v))
+    conditions = [su < sv, su * b >= (a + b) * sv, su * d < sv * d + c * gv]
+    return np.select(conditions, [0, 3, 1], 2)  # the first that holds, else weak
+
+
 @dataclass(frozen=True)
 class VertexProfile:
     """Neighbor taxonomy of one vertex under a list assignment.
 
     Neighbors are partitioned by list size relative to |L(v)|: strictly
-    smaller (subservient), within [|L(v)|, |L(v)| + beta*gap) (strongly
-    egalitarian), up to (1+alpha)|L(v)| (weakly egalitarian), and at least
-    (1+alpha)|L(v)| (lordlier).
+    smaller (subservient), at least (1+alpha)|L(v)| (lordlier), and of the
+    rest those below |L(v)| + beta*gap (strongly egalitarian) and the others
+    (weakly egalitarian).  `egalitarian`, the strong and weak ones, holds
+    the pairs - trips bound's e1; unlike the sigma-egalitarian heads that
+    savings_rows samples, it reads no sigma and holds no lordlier neighbor.
     """
 
     vertex: int
@@ -77,29 +92,10 @@ def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction
         raise ValueError("alpha and beta must be positive")
     check_list_count(g, L)
     gap_v = gap(g, v)
-    size_v = len(L[v])
-    strong_cut = size_v + beta * gap_v        # exact rational thresholds
-    lord_cut = (1 + alpha) * size_v
-    sub, strong, weak, lord = set(), set(), set(), set()
-    for u in g.adj[v]:
-        size_u = len(L[u])
-        if size_u < size_v:
-            sub.add(u)
-        elif size_u >= lord_cut:
-            lord.add(u)
-        elif size_u < strong_cut:
-            strong.add(u)
-        else:
-            weak.add(u)
-    return VertexProfile(
-        vertex=v,
-        degree=degree(g, v),
-        gap=gap_v,
-        subservient=frozenset(sub),
-        strong_egal=frozenset(strong),
-        weak_egal=frozenset(weak),
-        lordlier=frozenset(lord),
-    )
+    nbrs = g.nbr[g.ptr[v] : g.ptr[v + 1]]
+    code = neighbor_classes([len(L[u]) for u in nbrs.tolist()], len(L[v]), gap_v, alpha, beta)
+    classes = (frozenset(nbrs[code == c].tolist()) for c in range(4))  # in field order
+    return VertexProfile(v, len(nbrs), gap_v, *classes)
 
 
 def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:

@@ -360,7 +360,8 @@ class EstimatePlan:
 
 
 def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
-    """The plan of chunks of at most `stride` trials on `inst`."""
+    """The plan of chunks of at most `stride` trials on `inst`; its egalitarian
+    heads are savings_rows' sigma-egalitarian ones, lordlier included."""
     sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
@@ -434,9 +435,11 @@ def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> I
     is only read.  Aberrance counts the colored egalitarian neighbors whose
     color is matched to none of v's; pairs and trips sum C(k, 2) and C(k, 3)
     over v's colors, k the colored egalitarian neighbors whose color is
-    matched to that one.  unact(v) counts the non-activated neighbors with
-    strictly smaller lists: greedy completion colors them after v, so each
-    one leaves v a color.
+    matched to that one.  Egalitarian here means |L(u)| >= (1 - sigma)|L(v)|,
+    lordlier neighbors included, not VertexProfile.egalitarian, which the
+    pairs - trips bound reads.  unact(v) counts the non-activated neighbors
+    with strictly smaller lists: greedy completion colors them after v, so
+    each one leaves v a color.
 
     The plan's coded table gives every directed edge (u, v) a block of
     |L(u)| + 1 entries, one per color of u and one for "u uncolored": the

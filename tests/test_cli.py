@@ -2,18 +2,24 @@
 rejected at the boundary with exit code 2 and a message that names them."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcolor import procedure
-from localcolor.cli import BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, main
+from localcolor.cli import (
+    BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, _signed_values, main,
+)
 from localcolor.procedure import ProcedureParams
 
 # Measured once estimate drew its trials TRIAL_CHUNK at a time; the bytes
@@ -361,14 +367,22 @@ def test_report_output_is_pinned(command, capsys):
          "bound 'ky': parameter 'k' given twice"),
         (["generate", "--name", "c5_blowup", "--param", "t=1", "--param", "t=2"],
          "generator 'c5_blowup': parameter 't' given twice"),
-        # a rho beyond the float range, on each side; "-1e400" is given with
-        # "=", as argparse reads a lone "-1e400" as an option
+        # a rho beyond the float range, on each side, with and without "="
         (["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--rho", "1e400"],
          "color: rho must be in [0, 1]"),
         (["certify-constants", "--rho", "1e400"], "certify-constants: rho must be in [0, 1]"),
         (["certify-constants", "--rho=-1e400"], "certify-constants: rho must be in [0, 1]"),
         (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
           "--rho=-1e400", "--out-dir", "out"], "estimate: rho must be in [0, 1]"),
+        (["certify-constants", "--rho", "-1e400"], "certify-constants: rho must be in [0, 1]"),
+        # a negative fraction given as its own argument reaches the range check,
+        # though argparse alone would read it as an option
+        (["certify-constants", "--rho", "-1/2"], "certify-constants: rho must be in [0, 1]"),
+        (["certify-constants", "--eps", "-1/2"], "certify-constants: eps must be in [0, 1)"),
+        (["extract", "--graph", "g.col", "--alpha", "-1/2", "--eps", "1/10"],
+         "extract: need 0 < eps < alpha < 1"),
+        (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
+          "--sigma", "-1/10", "--out-dir", "out"], "estimate: sigma must be in [0, 1)"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -390,6 +404,38 @@ def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
     assert exc.value.code == 2
     assert named in err and "Traceback" not in err and out == ""
     assert not (gnp40 / "out").exists() and not (gnp40 / "u.json").exists()
+
+
+def _parsed(argv):
+    """The namespace argparse reads from argv as a dict, or None if it refuses it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@given(
+    st.sampled_from(["certify-constants", "extract", "color", "audit"]),
+    st.lists(st.sampled_from([
+        "--rho", "--eps", "--alpha", "--beta", "--sigma", "--graph", "--lists", "--seed",
+        "--subset", "--out-dir", "g.col", "1", "1/2", "-1", "-.5", "-1/2", "-1e400", "-x",
+    ]), max_size=8),
+)
+@settings(max_examples=400, deadline=None)
+def test_joining_signed_values_changes_no_accepted_argv(cmd, tokens):
+    # every argv argparse reads alone reads the same with signed values
+    # joined; only an argv it refuses can read differently
+    argv = [cmd, *tokens]
+    raw = _parsed(argv)
+    assert raw is None or _parsed(_signed_values(argv)) == raw
+
+
+def test_a_signed_value_is_joined_to_a_procedure_option_only():
+    assert _signed_values(["certify-constants", "--rho", "-1/2", "--eps", "-1e400"]) == [
+        "certify-constants", "--rho=-1/2", "--eps=-1e400"]
+    argv = ["audit", "--graph", "-1/2", "--subset", "-1", "--rho=1", "-1/2", "--rho", "x"]
+    assert _signed_values(argv) == argv
 
 
 @pytest.mark.parametrize("out_dir, named", [

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from localcolor.lists import (
     gap,
     is_proper,
     make_lists,
+    neighbor_classes,
     profile,
     save,
     uniform_lists,
@@ -96,6 +98,74 @@ class TestProfile:
         p = profile(g, L, 2, self.A, self.B)
         classes = p.subservient | p.strong_egal | p.weak_egal | p.lordlier
         assert classes == g.adj[2]
+
+
+def class_of(size_u, size_v, gap_v, alpha, beta):
+    """VertexProfile's classes for one neighbor, in Fractions: 0 subservient,
+    1 strongly egalitarian, 2 weakly egalitarian, 3 lordlier."""
+    if size_u < size_v:
+        return 0
+    if size_u >= (1 + alpha) * size_v:
+        return 3
+    if size_u < size_v + beta * gap_v:
+        return 1
+    return 2
+
+
+# positive rationals whose numerators and denominators pass 2^63
+RATIONALS = st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)) | st.sampled_from(
+    [Fraction(1, 50), Fraction(1, 3), Fraction(3, 2), Fraction(7, 10**25 + 3), Fraction(1, 10**30)]
+)
+
+
+@st.composite
+def neighbor_sizes(draw, size_v, gap_v, alpha, beta):
+    """A list size for a neighbor, often at or beside one of the cut-offs."""
+    cut = draw(st.sampled_from([size_v, math.ceil((1 + alpha) * size_v),
+                                math.ceil(size_v + beta * gap_v)]))
+    size = draw(st.one_of(st.integers(1, 2**62), st.integers(cut - 1, cut + 1)))
+    return max(1, min(size, 2**62))
+
+
+class TestNeighborClasses:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_fraction_rule_over_arrays(self, data):
+        alpha, beta = data.draw(RATIONALS), data.draw(RATIONALS)
+        count = data.draw(st.integers(0, 12))
+        size_v = data.draw(st.lists(st.integers(1, 2**62), min_size=count, max_size=count))
+        gap_v = data.draw(st.lists(st.integers(0, 2**62), min_size=count, max_size=count))
+        size_u = [data.draw(neighbor_sizes(s, g, alpha, beta)) for s, g in zip(size_v, gap_v)]
+        want = [class_of(*row, alpha, beta) for row in zip(size_u, size_v, gap_v)]
+        arrays = (np.array(x, dtype=np.int64) for x in (size_u, size_v, gap_v))
+        assert neighbor_classes(*arrays, alpha, beta).tolist() == want
+
+    def test_the_lord_cut_is_exact_where_floats_and_int64_are_not(self):
+        # (1 + alpha) |L(v)| is 2^62 exactly, one above |L(v)|: in floats
+        # 1 + alpha is 1 and both sizes round to 2^62, and the cross products
+        # the cut is compared by pass int64
+        size_v, alpha = 2**62 - 1, Fraction(1, 2**62 - 1)
+        sizes = [2**62 - 1, 2**62]
+        got = neighbor_classes(np.array(sizes), size_v, 0, alpha, Fraction(1))
+        assert got.tolist() == [class_of(u, size_v, 0, alpha, 1) for u in sizes] == [2, 3]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_profile_equals_the_fraction_rule(self, data):
+        n = data.draw(st.integers(1, 9))
+        possible = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        g = Graph.from_edges(n, edges)
+        L = make_lists([range(data.draw(st.integers(1, 12))) for _ in range(n)])
+        alpha, beta = data.draw(RATIONALS), data.draw(RATIONALS)
+        for v in range(n):
+            p = profile(g, L, v, alpha, beta)
+            classes = [set(), set(), set(), set()]
+            for u in g.adj[v]:
+                classes[class_of(len(L[u]), len(L[v]), gap(g, v), alpha, beta)].add(u)
+            assert [p.subservient, p.strong_egal, p.weak_egal, p.lordlier] == classes
+            assert p.egalitarian == classes[1] | classes[2]
+            assert (p.vertex, p.degree, p.gap) == (v, len(g.adj[v]), gap(g, v))
 
 
 class TestBruteForce:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from localcolor import experiment, procedure
+from localcolor import bounds, experiment, lists, procedure
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
@@ -556,8 +556,9 @@ class TestEstimateRows:
         params = ProcedureParams(sigma=sigma)
         inst = compile_lists(g, L)
         table = check_equalization_precondition(inst, params)
+        lower = experiment._lower_bounds(g, inst, params)
         batch = stack_chunks(inst, params, chunked_draws(inst, params, table, trials, rng_of(17)))
-        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 17)
+        rows = experiment._estimate_rows(inst, params, table, trials, 17, lower)
         got = [row[:4] for row in rows]
         assert got == _exact_rows(batch)
         # the isolated vertex saves nothing, and each of its bounds is 0
@@ -577,9 +578,10 @@ class TestEstimateRows:
         params = ProcedureParams(sigma=Fraction(99, 100))
         inst = compile_lists(g, L)
         table = check_equalization_precondition(inst, params)
+        lower = experiment._lower_bounds(g, inst, params)
         trials = 2 * TRIAL_CHUNK + 3
         batch = stack_chunks(inst, params, chunked_draws(inst, params, table, trials, rng_of(4)))
-        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 4)
+        rows = experiment._estimate_rows(inst, params, table, trials, 4, lower)
         assert [row[:4] for row in rows] == _exact_rows(batch)
         assert batch.pairs[0].any() and batch.trips[0].any()
         # the center at its largest values in every trial: an int64 sum of
@@ -591,7 +593,7 @@ class TestEstimateRows:
                 yield np.broadcast_to(top, x.shape) if v == 0 else x
 
         monkeypatch.setattr(procedure, "savings_rows", center_at_top)
-        rows = experiment._estimate_rows(g, L, params, inst, table, trials, 4)
+        rows = experiment._estimate_rows(inst, params, table, trials, 4, lower)
         want = [float(d), float(math.comb(d, 2) - math.comb(d, 3)), float(d)]
         assert [row[2:4] for row in rows[:3]] == [[repr(m), "0.0"] for m in want]
 
@@ -640,15 +642,42 @@ class TestEstimateRows:
         L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
         inst, params = compile_lists(g, L), ProcedureParams()
         table = check_equalization_precondition(inst, params)
+        lower = experiment._lower_bounds(g, inst, params)
         # one-time allocations stay out of the peak
-        experiment._estimate_rows(g, L, params, inst, table, 2 * TRIAL_CHUNK, 0)
+        experiment._estimate_rows(inst, params, table, 2 * TRIAL_CHUNK, 0, lower)
         tracemalloc.start()
         try:
-            experiment._estimate_rows(g, L, params, inst, table, 3 * TRIAL_CHUNK, 0)
+            experiment._estimate_rows(inst, params, table, 3 * TRIAL_CHUNK, 0, lower)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / (g.n * TRIAL_CHUNK) <= 16
+
+    def test_every_bound_is_known_before_the_first_draw(self, tmp_path, monkeypatch):
+        # run_estimate classes the neighbors without profile, and calls each
+        # bound evaluator once per vertex before draw_trials draws anything
+        g = gnm(30, 80, 5)
+        L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+        calls = []
+
+        def record(module, name):
+            fn = getattr(module, name, None)  # experiment need not hold profile
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded, raising=False)
+
+        names = ("aberrance_lower_bound", "pairs_trips_lower_bound", "unact_expectation")
+        for module, name in [(lists, "profile"), (experiment, "profile"),
+                             (procedure, "draw_trials"), *((bounds, b) for b in names)]:
+            record(module, name)
+        run_estimate(g, L, ProcedureParams(), TRIAL_CHUNK + 1, 0, tmp_path, {})
+        first = calls.index("draw_trials")
+        assert "profile" not in calls
+        assert calls[first:] == ["draw_trials"] * 2
+        assert sorted(calls[:first]) == sorted(names * g.n)
 
 
 class TestDrawTrials:
