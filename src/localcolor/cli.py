@@ -109,11 +109,18 @@ PARAM_DEFAULTS = {"eps": "1/330", "alpha": "1/50", "beta": "1/50", "sigma": "0",
 
 
 def _signed_values(argv: list[str]) -> list[str]:
-    """argv with a value such as -1/2 or -1e400 joined to the procedure option
-    before it (--rho=-1/2), which argparse alone reads as an option."""
+    """argv with a value opening with one dash (-1/2, -1e400, -inf), which
+    argparse alone reads as an option, joined to the procedure option before
+    it (--rho=-1/2), named in full or by a prefix of no other option of the
+    command; a value that is an option of the command, such as -h, is not."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    known = sub.choices[argv[0]]._option_string_actions if argv and argv[0] in sub.choices else {}
     flags, out = {f"--{name}" for name in PARAM_DEFAULTS}, []
     for arg in argv:
-        if out and out[-1] in flags and re.match(r"-[\d.]", arg):
+        prev = out[-1] if out else ""
+        long = prev.startswith("--")
+        named = [prev] if prev in known else [s for s in known if long and s.startswith(prev)]
+        if len(named) == 1 and named[0] in flags and re.match(r"-[^-]", arg) and arg not in known:
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out

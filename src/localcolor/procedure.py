@@ -14,40 +14,43 @@ vertex's deficit is covered, then finishes greedily on the uncolored part,
 on the same compiled instance.
 
 Trials are sampled in batches with numpy on a compiled instance: colors are
-indices into each vertex's sorted list, and each directed edge has a table
-mapping a color index at one endpoint to the matched index at the other.
+indices into each vertex's sorted list, and each directed edge maps a color
+index at its tail to the matched index at its head.  The maps are not
+stored cell by cell: a match is the identity's, looked up by color rank in
+a (vertex, color rank) position table (`lookup`), except at explicit pairs,
+and `match_blocks` lays maps out flat where a caller reads them by cell.
 `draw_trials`, the one drawer, draws a batch (color indices row by row from
 ROW_DRAWS trials), and each caller evaluates it with the evaluator that
 computes what it reads.  For `estimate`, `draw_left` builds one
-`EstimatePlan` per run and yields one draw_trials call per TRIAL_CHUNK
-trials, the uncolored set of `uncolored_trials` written into its int32 color
-indices; `savings_rows` reads those (`phi_left`) and yields one vertex at a
-time its savings over the chunk, through the plan's coded table: each edge's
-block of `match`, plus an entry for an uncolored tail, as rows of the head's
-(color, trial) count grid.  `estimate` sums each row into a chunk buffer and
-folds that into exact totals once per chunk, holding one chunk at a time.
-`settle_trials` (all directed edges at once) gives `pipeline_color`'s
-savings check the uncolored set, unact and save_drop, and `greedy_complete`
-the colors each vertex loses to its kept neighbors.  `compile_lists` builds
-the tables of a list assignment (the identity correspondence made total)
-straight from the sorted lists, building `match` in a few steps over its
-own cells, so that no more than two cells-long arrays are alive at once and
-a call faults in little fresh memory, and zipping free colors only on the
-edges with free colors at both ends.  `keep_table` multiplies each
-vertex's factors once, not once per color, and goes cell by cell only when
-an edge whose head can uncolor its tail has an unmatched cell, which
-`compile_lists` never leaves.  `settle_trials` gathers its (edge, trial)
-rows with `take`.  `pipeline_color` takes lists,
-completes its trial with `greedy_complete` (from those removed colors, a
-loop over the edges between uncolored vertices) and checks its finished
-coloring against the lists: every vertex colored from its own list, no edge
-with equal colors at its ends.
+`EstimatePlan` per run, which lays out every map once, and yields one
+draw_trials call per TRIAL_CHUNK trials, the uncolored set of
+`uncolored_trials` written into its int32 color indices; `savings_rows`
+reads those (`phi_left`) and yields one vertex at a time its savings over
+the chunk, through the plan's coded table: each edge's map, plus an entry
+for an uncolored tail, as rows of the head's (color, trial) count grid.
+`estimate` sums each row into a chunk buffer and folds that into exact
+totals once per chunk, holding one chunk at a time.  `settle_trials` (all
+directed edges at once, one lookup per (edge, trial)) gives
+`pipeline_color`'s savings check the uncolored set, unact and save_drop, and
+`greedy_complete` the colors each vertex loses to its kept neighbors.
+`compile_lists` builds the arrays of a list assignment (the identity
+correspondence made total) straight from the sorted lists, storing only the
+zipped free colors as pairs, so `color` holds no array with a cell per
+(edge, tail color).  `keep_table` multiplies each vertex's factors once, not
+once per color, and goes cell by cell only when an edge whose head can
+uncolor its tail has an unmatched cell, which `compile_lists` never leaves.
+`pipeline_color` takes lists, completes its trial with `greedy_complete`
+(from those removed colors, a loop over the edges between uncolored
+vertices) and checks its finished coloring against the lists: every vertex
+colored from its own list, no edge with equal colors at its ends.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,12 +122,16 @@ class CompiledInstance:
     ascending: those of vertex v are ptr[v] .. ptr[v + 1] - 1, and edge e
     runs from tail[e] to head[e], so graphs that compare equal compile to
     equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the
-    head can uncolor the tail.
-    Its map starts at block[e] in `match`, a flat array: match[block[e] + i]
-    is the index in lists[head[e]] of the color matched to the i-th color of
-    the tail, or -1 when that color is unmatched.  back[e] is the block of
-    the reverse edge.  Any flat (vertex, color) table, such as the keep
-    table, holds the entry of lists[v][i] at start[v] + i.
+    head can uncolor the tail.  Any flat (vertex, color) table, such as the
+    keep table, holds the entry of lists[v][i] at start[v] + i.
+    Edge e's map has a cell per tail color, block[e] + i for the i-th;
+    back[e] is the reverse edge's first cell, and matched[e] counts its
+    matched cells.  A cell's match (the index in lists[head[e]] of the color
+    matched to that tail color, or -1) is not stored: `lookup` takes the
+    identity's, the tail color's rank (ranks[start[v] + i]) found in a dense
+    (vertex, color rank) table `where`, kept when it has no more entries
+    than there are cells, or in the sorted (vertex, color rank) keys; then
+    pair_match[k] overrides the match of cell pair_cell[k], ascending.
     """
 
     lists: list[list[Color]]  # each vertex's list, sorted
@@ -136,77 +143,109 @@ class CompiledInstance:
     big: np.ndarray  # bool
     block: np.ndarray
     back: np.ndarray
-    match: np.ndarray
+    matched: np.ndarray
+    ranks: np.ndarray
+    colors: int  # how many distinct colors the lists hold
+    where: np.ndarray | None  # where[v * colors + r]: the index of rank r in lists[v], or -1
+    pair_cell: np.ndarray
+    pair_match: np.ndarray
 
 
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     """The compiled instance of `L`: the identity correspondence made total.
 
     On every edge the common colors pair as identity, then each side's
-    remaining colors zip in ascending order.  Colors are replaced by their
-    rank among all colors before any array is formed, so no color value
-    bounds the input.  Each cell finds its tail's color in its head's list
-    through a dense (vertex, color rank) table when that table is no larger
-    than `match`, and by a binary search otherwise.
-
-    `match` goes through each cell's tail entry, that color's rank and its
-    (head, rank) key to its list position, each step adding to it in place
-    or gathering from a table no longer than the lists or `match`, so no
-    more than two cells-long arrays are alive at once.  The free cells are
-    counted per block by one reduceat, and no cell's edge is looked up.  Only
-    an edge with free colors at both ends zips them, so nested lists (such as
-    deg+1 lists) and uniform lists, which have no such edge, gather no free
-    cell.  A big edge's tail has no more colors than its head, so each of
-    its cells ends matched: `keep_table` relies on it.
+    remaining colors zip in ascending order; only the zipped pairs are
+    stored.  Colors are replaced by their rank among all colors before any
+    array is formed, so no color value bounds the input.  Each edge's common
+    colors are counted from packed membership rows of the dense table, or
+    by looking up each color of its smaller list; only an edge with fewer
+    common colors than either list has free colors at both ends, and only
+    its cells are laid out, to zip them.  Nested lists (such as deg+1 lists)
+    and uniform lists have none.  A big edge's tail has no more colors than
+    its head, so each of its cells ends matched: `keep_table` relies on it.
     """
     check_list_count(g, L)
     lists = [sorted(L[v]) for v in range(g.n)]
     rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
-    sizes = np.array([len(row) for row in lists], dtype=np.int64)
-    ranks = np.array([rank[c] for row in lists for c in row], dtype=np.int64)
-    # (vertex, color rank) of every list entry as one key, ascending end to end
-    key = np.repeat(np.arange(g.n), sizes) * len(rank) + ranks
+    colors, sizes = len(rank), np.array([len(row) for row in lists], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(sizes)))
-    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
-    head = g.nbr
-    width = sizes[tail]
+    ranks = itertools.chain.from_iterable(lists)
+    ranks = np.fromiter(map(rank.__getitem__, ranks), np.int64, start[-1])
+    where, none, tail = None, np.zeros(0, dtype=np.int64), np.repeat(np.arange(g.n), np.diff(g.ptr))
+    head, width = g.nbr, sizes[tail]
+    if g.n * colors <= width.sum():
+        # a dense (vertex, color rank) table of list positions, no larger than the cells
+        where = np.full(g.n * colors, -1)
+        key = np.repeat(np.arange(g.n) * colors, sizes)
+        key += ranks
+        where[key] = np.arange(len(ranks)) - np.repeat(start[:-1], sizes)
     block = np.cumsum(width) - width
-    big = sizes[head] >= width
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
-    # every cell looks its tail's color up in its head's list: the flat
-    # (vertex, color) entry of that color, its rank, then its (head, rank) key
-    match = np.repeat(start[tail] - block, width)
-    match += np.arange(len(match))
-    match = ranks[match]
-    match += np.repeat(head * len(rank), width)
-    if g.n * len(rank) <= len(match):
-        # a dense (vertex, color rank) table of list positions, no larger than match
-        where = np.full(g.n * len(rank), -1)
-        where[key] = np.arange(len(key)) - np.repeat(start[:-1], sizes)
-        match = where[match]
+    big = sizes[head] >= width
+    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, block[rev],
+                            np.minimum(width, sizes[head]), ranks, colors, where, none, none)
+    # the colors each edge's tail shares with its head, counted on the edges up
+    up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
+    if where is not None:
+        member = np.packbits(where.reshape(g.n, colors) >= 0, axis=1)
+        shared = member[tail[up]]
+        shared &= member[head[up]]
+        common[up] = np.bitwise_count(shared, out=shared).sum(axis=1)
     else:
-        pos = np.searchsorted(key, match)
-        np.minimum(pos, len(key) - 1, out=pos)
-        common = key[pos] == match
-        pos -= np.repeat(start[head], width)
-        pos[~common] = -1
-        match = pos
-    # the free colors of each block zip in ascending order with those of the
-    # reverse block; only an edge with free colors at both ends has any to
-    # pair, so the others' free colors are left out
-    free = match < 0
-    nfree = np.add.reduceat(free, block, dtype=np.int64)  # lists, so blocks, are nonempty
-    nfree *= nfree[rev] > 0
-    free &= np.repeat(nfree > 0, width)
-    free = np.flatnonzero(free)
+        # each color of the smaller list, looked up in the other
+        small = np.where(big[up], up, rev[up])
+        found = match_blocks(inst, small) >= 0
+        common[up] = np.bincount(np.repeat(np.arange(len(up)), width[small]), found, len(up))
+    common[rev[up]] = common[up]
+    # the free colors of an edge with some at both ends zip in ascending order
+    # with those of its reverse
+    z = np.flatnonzero((common < width) & (common < sizes[head]))
+    free = np.flatnonzero(match_blocks(inst, z) < 0)
+    nfree, zbase = width[z] - common[z], np.cumsum(width[z]) - width[z]
     free_start = np.cumsum(nfree) - nfree
     free_rank = np.arange(len(free)) - np.repeat(free_start, nfree)
-    other = np.repeat(rev, nfree)
+    other = np.repeat(np.searchsorted(z, rev[z]), nfree)
     paired = free_rank < nfree[other]
     other = other[paired]
-    match[free[paired]] = free[free_start[other] + free_rank[paired]] - block[other]
-    return CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, block[rev], match)
+    cell = free[paired] + np.repeat(block[z] - zbase, nfree)[paired]
+    match = free[free_start[other] + free_rank[paired]] - zbase[other]
+    return dataclasses.replace(inst, pair_cell=cell, pair_match=match)
+
+
+def lookup(inst: CompiledInstance, key: np.ndarray, cells: Callable[[], np.ndarray]) -> np.ndarray:
+    """The match of each cell of (vertex, color rank) key v * colors + r,
+    head v and tail color of rank r: that color's index in lists[v] or -1,
+    from the dense table or the sorted keys, but the explicit pairs' at the
+    flat cells `cells()` gives, called only when there are any."""
+    if inst.where is not None:
+        match = inst.where.take(key)
+    else:
+        keys = np.repeat(np.arange(len(inst.sizes)), inst.sizes) * inst.colors + inst.ranks
+        pos = np.searchsorted(keys, key)
+        np.minimum(pos, len(keys) - 1, out=pos)
+        match = np.where(keys.take(pos) == key, pos - inst.start[key // inst.colors], -1)
+    if len(inst.pair_cell):
+        cell = cells()
+        k = np.searchsorted(inst.pair_cell, cell)
+        np.minimum(k, len(inst.pair_cell) - 1, out=k)
+        hit = inst.pair_cell.take(k) == cell
+        match[hit] = inst.pair_match[k[hit]]
+    return match
+
+
+def match_blocks(inst: CompiledInstance, edges: np.ndarray) -> np.ndarray:
+    """The maps of `edges` through `lookup`, one after another in the order
+    given: of all edges in order, the match of cell block[e] + i at it."""
+    tail = inst.tail[edges]
+    width = inst.sizes[tail]
+    # each cell's flat (vertex, color) entry of its tail color, then its key
+    entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
+    entry += np.arange(len(entry))
+    key = inst.ranks.take(entry)
+    key += np.repeat(inst.head[edges] * inst.colors, width)
+    return lookup(inst, key, lambda: entry + np.repeat(inst.block[edges] - inst.start[tail], width))
 
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
@@ -215,21 +254,16 @@ def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     threatening neighbor u (big edge, color matched), multiplied in ascending
     neighbor order.
 
-    When every big-edge cell is matched, as `compile_lists` makes every one,
-    that product is the same for all of a vertex's colors: it is taken once
-    per vertex over its big edges and repeated over its colors.  Otherwise
-    (only a partial correspondence has an unmatched big-edge cell) every
-    entry is taken cell by cell over the big edges, with factor 1.0 at an
-    unmatched cell, which leaves the entry exactly as it was; so each entry
-    is the same sequence of products either way."""
+    When every big edge has all its cells matched, as `compile_lists` makes
+    every one, that product is the same for all of a vertex's colors: it is
+    taken once per vertex and repeated over its colors.  Otherwise (only a
+    partial correspondence has an unmatched big-edge cell) every entry is
+    taken cell by cell over the laid-out big edges, with factor 1.0 at an
+    unmatched cell, so each entry is the same sequence of products."""
     width = inst.sizes[inst.tail]
     big = np.flatnonzero(inst.big)
     factor = 1 - rho / inst.sizes[inst.head[big]]
-    # the unmatched cells of big edges, from byte masks over `match`
-    unmatched = inst.match < 0
-    cells = np.repeat(inst.big, width)
-    unmatched &= cells
-    if not unmatched.any():
+    if (inst.matched[big] == width[big]).all():
         prod = np.full(len(inst.sizes), float(rho))
         # ufunc.at applies the factors in edge order, which is ascending neighbor order
         np.multiply.at(prod, inst.tail[big], factor)
@@ -240,7 +274,7 @@ def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
     entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
     entry += np.arange(len(entry))
     factor = np.repeat(factor, width)
-    factor[unmatched[cells]] = 1.0
+    factor[match_blocks(inst, big) < 0] = 1.0
     flat = np.full(int(inst.start[-1]), float(rho))
     np.multiply.at(flat, entry, factor)
     return flat
@@ -356,6 +390,7 @@ class EstimatePlan:
     threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, back blocks, tail offsets
     egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
     small: tuple[np.ndarray, list[int]]  # heads with strictly smaller lists, tail offsets
+    match: np.ndarray  # every edge's map, laid out by match_blocks
     code: np.ndarray  # savings_rows' coded table, scaled by stride
 
 
@@ -368,15 +403,16 @@ def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) 
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = sizes[head] >= least[inst.tail]
+    match = match_blocks(inst, np.arange(len(head)))
     # each block of match gains its sentinel at its end, so edge e's coded
     # block starts e entries later, and the reverse edge's at back[e] plus
     # its edge number (blocks are nonempty, so block ascends)
-    code = np.where(inst.match < 0, 1, inst.match + 2) * stride
+    code = np.where(match < 0, 1, match + 2) * stride
     code = np.insert(code, block + sizes[inst.tail], 0)
     coded_back = inst.back + np.searchsorted(block, inst.back)
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
     return EstimatePlan(inst, stride, (head[big], inst.back[big][:, None], tp),
-                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), code)
+                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), match, code)
 
 
 def uncolored_trials(
@@ -396,7 +432,7 @@ def uncolored_trials(
         u = threat[tp[v] : tp[v + 1]]
         # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
         # which never equals phi(v)
-        mu = plan.inst.match.take(bk[tp[v] : tp[v + 1]] + phi_idx.take(u, axis=0))
+        mu = plan.match.take(bk[tp[v] : tp[v + 1]] + phi_idx.take(u, axis=0))
         uncolored[v] |= (act.take(u, axis=0) & (mu == phi_idx[v])).any(axis=0)
     return uncolored
 
@@ -499,9 +535,9 @@ def settle_trials(
     tail, head = inst.tail, inst.head
     phi_idx = phi_idx.astype(np.int64, copy=False)  # int32 plus back in place would wrap
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
-    mu = phi_idx.take(head, axis=0)
-    mu += inst.back[:, None]
-    mu = inst.match.take(mu)
+    key = inst.ranks.take(inst.start[:-1, None] + phi_idx).take(head, axis=0)
+    key += (tail * inst.colors)[:, None]
+    mu = lookup(inst, key, lambda: phi_idx.take(head, axis=0) + inst.back[:, None])
     # an activated head with a list at least as large, its color matched to the tail's
     threat = mu == phi_idx.take(tail, axis=0)
     threat &= act.take(head, axis=0)
@@ -548,8 +584,9 @@ def greedy_complete(
 
     The free bytes start as the colors that kept neighbors did not remove;
     the loop in completion order reads only the edges to uncolored neighbors
-    completed before it, and takes the first free byte.
-    """
+    completed before it, and takes the first free byte.  An edge reads the
+    dense table at the neighbor color's rank, or with explicit pairs or no
+    dense table its laid-out reverse map at that color's entry."""
     start, tail, head, back = inst.start, inst.tail, inst.head, inst.back
     free = bytearray(~removed)
     order = np.flatnonzero(uncolored)
@@ -561,19 +598,25 @@ def greedy_complete(
     e = np.flatnonzero(uncolored[tail] & uncolored[head])
     e = e[rank[head[e]] < rank[tail[e]]]
     ptr = np.searchsorted(tail[e], np.arange(len(uncolored) + 1)).tolist()
-    heads, backs, starts = head[e].tolist(), back[e].tolist(), start.tolist()
-    color = np.where(uncolored, -1, phi_idx).tolist()
-    cells = memoryview(inst.match)  # indexing it yields Python ints, 4x faster than match[k]
+    if inst.where is not None and not len(inst.pair_cell):
+        cells, base, pick = inst.where, tail[e] * inst.colors, memoryview(inst.ranks)
+    else:
+        width = inst.sizes[head[e]]
+        cells = match_blocks(inst, np.searchsorted(inst.block, back[e]))
+        base, pick = np.cumsum(width) - width - start[head[e]], range(int(start[-1]))
+    cells = memoryview(cells)  # indexing it yields Python ints, 4x faster than an array
+    heads, bases, starts = head[e].tolist(), base.tolist(), start.tolist()
+    color, got = np.where(uncolored, -1, phi_idx).tolist(), [0] * len(uncolored)
     for v in order.tolist():
         s = starts[v]
         for k in range(ptr[v], ptr[v + 1]):
-            t = cells[backs[k] + color[heads[k]]]
+            t = cells[bases[k] + got[heads[k]]]
             if t >= 0:
                 free[s + t] = 0
         i = free.find(1, s, starts[v + 1])
         if i < 0:
             return None, v
-        color[v] = i - s
+        color[v], got[v] = i - s, pick[i]
     return np.array(color, dtype=np.int64), None
 
 

@@ -152,7 +152,9 @@ def keep_probability(
 
 
 def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
-    """The index arrays of `ca`, built edge by edge over `g.adj`."""
+    """The index arrays of `ca`, built edge by edge over `g.adj`: every cell's
+    match in a list, and from it the explicit pairs, the cells whose match is
+    not the identity's (any value, -1 included)."""
     lists = [sorted(ca.lists[v]) for v in range(g.n)]
     index_of = [{c: i for i, c in enumerate(row)} for row in lists]
     start, ptr, tail, head, big, block = [0], [0], [], [], [], []
@@ -174,13 +176,32 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
             iu, iv = index_of[u][cu], index_of[v][cv]
             match[offset[(u, v)] + iu] = iv
             match[offset[(v, u)] + iv] = iu
+    matched = [sum(m >= 0 for m in match[b : b + len(lists[v])]) for v, b in zip(tail, block)]
+    # each color's rank among all colors, and where each (vertex, rank) sits
+    # in its list, as a dense table when it has no more entries than the cells
+    rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
+    ranks = [rank[c] for row in lists for c in row]
+    where = None
+    if g.n * len(rank) <= cells:
+        where = [-1] * (g.n * len(rank))
+        for v, row in enumerate(lists):
+            for i, c in enumerate(row):
+                where[v * len(rank) + rank[c]] = i
+    # the explicit pairs: every cell whose match is not the identity's, the
+    # index in the head's list of the same color
+    identity = [
+        index_of[u].get(c, -1) for v, u in zip(tail, head) for c in lists[v]
+    ]
+    pairs = [(k, m) for k, (m, same) in enumerate(zip(match, identity)) if m != same]
 
     def ints(x):
         return np.array(x, dtype=np.int64)
 
     return CompiledInstance(
         lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
-        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(match),
+        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(matched),
+        ints(ranks), len(rank), None if where is None else ints(where),
+        ints([k for k, _ in pairs]), ints([m for _, m in pairs]),
     )
 
 

@@ -383,6 +383,10 @@ def test_report_output_is_pinned(command, capsys):
          "extract: need 0 < eps < alpha < 1"),
         (["estimate", "--graph", "g.col", "--lists", "l.json", "--seed", "1",
           "--sigma", "-1/10", "--out-dir", "out"], "estimate: sigma must be in [0, 1)"),
+        # so does one after an abbreviated option, and a dashed word
+        (["certify-constants", "--rh", "-1/2"], "certify-constants: rho must be in [0, 1]"),
+        (["certify-constants", "--rho", "-inf"],
+         "certify-constants: parameter rho: expected a fraction such as 1/20, got '-inf'"),
     ],
 )
 def test_bad_arguments_exit_2_naming_them(gnp40, capsys, argv, named):
@@ -420,6 +424,7 @@ def _parsed(argv):
     st.lists(st.sampled_from([
         "--rho", "--eps", "--alpha", "--beta", "--sigma", "--graph", "--lists", "--seed",
         "--subset", "--out-dir", "g.col", "1", "1/2", "-1", "-.5", "-1/2", "-1e400", "-x",
+        "--rh", "--r", "--e", "--s", "--su", "--al", "-inf", "-h", "--",
     ]), max_size=8),
 )
 @settings(max_examples=400, deadline=None)
@@ -435,6 +440,12 @@ def test_a_signed_value_is_joined_to_a_procedure_option_only():
     assert _signed_values(["certify-constants", "--rho", "-1/2", "--eps", "-1e400"]) == [
         "certify-constants", "--rho=-1/2", "--eps=-1e400"]
     argv = ["audit", "--graph", "-1/2", "--subset", "-1", "--rho=1", "-1/2", "--rho", "x"]
+    assert _signed_values(argv) == argv
+    # an abbreviation is joined where it names one procedure option of the
+    # command: --r is --rho in certify-constants, but --rho or --rounds in color
+    assert _signed_values(["certify-constants", "--r", "-inf", "--rho", "-h"]) == [
+        "certify-constants", "--r=-inf", "--rho", "-h"]
+    argv = ["color", "--r", "-1/2", "--s", "-1"]
     assert _signed_values(argv) == argv
 
 

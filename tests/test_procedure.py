@@ -36,6 +36,7 @@ from localcolor.procedure import (
     greedy_complete,
     keep_constant,
     keep_table,
+    match_blocks,
     pipeline_color,
     savings_rows,
     settle_trials,
@@ -875,9 +876,15 @@ NESTED_AND_OVERLAPPING = (
     Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
     make_lists([[0, 1], [0, 1, 2], [1, 2, 5, 6], [5, 6, 7], [5, 6, 7, 8], [0, 6, 9, 10]]),
 )
+# the same kinds of edge where the (vertex, color rank) table is dense:
+# 0-1, 1-2 and 0-2 zip, 2-3 is nested
+DENSE_OVERLAPPING = (
+    Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    make_lists([[0, 1, 2], [1, 2, 3], [0, 3], [0, 1, 2, 3]]),
+)
 COMPILE_EDGE_CASES = (
     EDGELESS, ONE_VERTEX, ISOLATED_ENDS, ISOLATED_ENDS_SPARSE, SIGNED_AND_HUGE,
-    NESTED_AND_OVERLAPPING,
+    NESTED_AND_OVERLAPPING, DENSE_OVERLAPPING,
 )
 
 
@@ -894,6 +901,25 @@ def _made_total(g: Graph, L) -> CompiledInstance:
     return compile_instance(g, make_total(g, identity_correspondence(g, L)))
 
 
+def _match(inst: CompiledInstance) -> np.ndarray:
+    """The flat map of every directed edge, laid out by match_blocks."""
+    return match_blocks(inst, np.arange(len(inst.tail)))
+
+
+def _searched(inst: CompiledInstance) -> CompiledInstance:
+    """`inst` without its dense table, so that lookups search the sorted keys."""
+    return dataclasses.replace(inst, where=None)
+
+
+def _dense(inst: CompiledInstance) -> CompiledInstance:
+    """`inst` with a dense (vertex, color rank) table, however large."""
+    n, colors = len(inst.sizes), inst.colors
+    owner = np.repeat(np.arange(n), inst.sizes)
+    where = np.full(n * colors, -1)
+    where[owner * colors + inst.ranks] = np.arange(len(owner)) - inst.start[owner]
+    return dataclasses.replace(inst, where=where)
+
+
 def _with_examples(cases, **fixed):
     """The test with an @example for each case (and the `fixed` arguments)."""
     def decorate(test):
@@ -908,8 +934,12 @@ class TestCompileLists:
     @_with_examples(COMPILE_EDGE_CASES)
     @settings(max_examples=150, deadline=None)
     def test_equals_compiled_identity_made_total(self, case):
+        # the fields, and the maps both lookups lay out from them
         g, L = case
-        _compiled_fields_equal(compile_lists(g, L), _made_total(g, L))
+        inst, want = compile_lists(g, L), _made_total(g, L)
+        _compiled_fields_equal(inst, want)
+        for a in (_dense(inst), _searched(inst)):
+            assert np.array_equal(_match(a), _match(want))
 
     @given(list_instance())
     @_with_examples(COMPILE_EDGE_CASES)
@@ -917,7 +947,53 @@ class TestCompileLists:
     def test_no_big_edge_cell_is_unmatched(self, case):
         # keep_table's one product per vertex rests on this
         inst = compile_lists(*case)
-        assert (inst.match[np.repeat(inst.big, inst.sizes[inst.tail])] >= 0).all()
+        assert (_match(inst)[np.repeat(inst.big, inst.sizes[inst.tail])] >= 0).all()
+
+
+def _cell_map(g: Graph, ca: CorrespondenceAssignment) -> list[int]:
+    """Every cell's match read off the pairs themselves: for each directed
+    edge (v, u) in CSR order and each color of v, the index in u's sorted
+    list of the color matched to it, or -1."""
+    lists = [sorted(ca.lists[v]) for v in range(g.n)]
+    out = []
+    for v in range(g.n):
+        for u in sorted(g.adj[v]):
+            pairs = dict(ca.pairs(v, u))
+            out += [lists[u].index(pairs[c]) if c in pairs else -1 for c in lists[v]]
+    return out
+
+
+@given(sampler_instance())
+@example(_isolated_vertex_case())
+@settings(max_examples=80, deadline=None)
+def test_lookup_of_general_correspondences(inst_case):
+    """On general correspondences made total, whose explicit pairs may hold
+    any value, -1 included, through a dense table and by binary search: the
+    laid-out map equals the pairs cell by cell, and so do the matched
+    counts; settle_trials gives the same on both, and greedy_complete with
+    every vertex uncolored (every edge read) gives the scalar reference's."""
+    g, ca, params, _, seed = inst_case
+    inst = compile_instance(g, ca)
+    want = _cell_map(g, ca)
+    width = inst.sizes[inst.tail]
+    assert inst.matched.tolist() == [
+        sum(m >= 0 for m in want[b : b + w]) for b, w in zip(inst.block.tolist(), width.tolist())
+    ]
+    draws = draw_trials(inst, params, None, 4, rng_of(seed))
+    phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
+    phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
+    completed, blocked = complete_reference(g, ca, phi, frozenset(range(g.n)))
+    settled = []
+    for x in (_dense(inst), _searched(inst)):
+        assert _match(x).tolist() == want
+        settled.append(settle_trials(x, *draws))
+        removed = np.zeros(int(inst.start[-1]), dtype=bool)
+        color, got_blocked = greedy_complete(x, phi_idx, np.ones(g.n, dtype=bool), removed)
+        assert got_blocked == blocked
+        assert color is None if completed is None else (
+            {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == completed
+        )
+    assert all(np.array_equal(a, b) for a, b in zip(*settled, strict=True))
 
 
 def test_equal_graphs_compile_equally():
@@ -936,7 +1012,7 @@ def test_equal_graphs_compile_equally():
 
 def test_compile_lists_lookup_on_both_sides():
     """compile_lists looks colors up in a dense (vertex, color rank) table when
-    n * (distinct colors) is at most the number of match cells, and by
+    n * (distinct colors) is at most the number of cells, and by
     searchsorted otherwise.  Isolated vertices whose one-color lists are
     spaced 10**6 apart add vertices and colors but no cells, so the padded
     instance takes searchsorted and must agree with the plain one on every
@@ -951,15 +1027,41 @@ def test_compile_lists_lookup_on_both_sides():
         L = make_lists(L)
         inst = compile_lists(graph, L)
         colors = len(set().union(*L))
-        assert (graph.n * colors <= len(inst.match)) == dense
+        assert (graph.n * colors <= inst.sizes[inst.tail].sum()) == dense
+        assert (inst.where is not None) == dense
         _compiled_fields_equal(inst, _made_total(graph, L))
         insts.append(inst)
     plain, padded = insts
-    for name in ("tail", "head", "big", "block", "back", "match"):
+    assert len(plain.pair_cell) == 0
+    for name in ("tail", "head", "big", "block", "back", "matched", "pair_cell", "pair_match"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
+    assert np.array_equal(_match(plain), _match(padded))
     for name in ("start", "ptr"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)[: g.n + 1]), name
     assert padded.lists[: g.n] == plain.lists
+
+
+def test_color_holds_no_array_with_a_cell_per_edge_and_color():
+    """compile_lists and a one-round pipeline_color on G(200, 1/10) with
+    deg+1 lists, traced together, peak below one int64 per (directed edge,
+    tail color) cell: no cells-long int64 array is alive at any point.  The
+    instance they hold (the lists, the color ranks, the dense table and the
+    per-edge arrays) is 0.38 of that by itself here, and the call peaks near
+    0.73 of it; with a per-cell `match` it peaked at 2.6 times it."""
+    g = gen_gnp(200, 0.1, 1)
+    L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
+    cells = sum(len(g.adj[v]) * len(L[v]) for v in range(g.n))
+    params = ProcedureParams()
+    pipeline_color(g, L, params, 1, rng_of(0))  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        compile_lists(g, L)
+        report = pipeline_color(g, L, params, 1, rng_of(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.succeeded
+    assert peak < cells * 8
 
 
 class _CountingRng:
@@ -1028,6 +1130,32 @@ class TestSamplerMatchesReference:
         for v in range(g.n):
             for i, c in enumerate(inst.lists[v]):
                 assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
+
+    @given(st.sampled_from(["lists", "partial"]), list_instance(), st.sampled_from([0.5, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_keep_table_paths_agree(self, kind, case, rho):
+        # matched counts one short send keep_table cell by cell, through the
+        # maps themselves, and that path runs exactly when a big edge holds
+        # an unmatched cell, which no compile_lists instance does
+        g, L = case
+        ca = identity_correspondence(g, L)
+        inst = compile_lists(g, L) if kind == "lists" else compile_instance(g, ca)
+        laid_out = []
+
+        def counted(inst, edges):
+            laid_out.append(len(edges))
+            return match_blocks(inst, edges)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(procedure, "match_blocks", counted)
+            table = keep_table(inst, rho)
+            unmatched = (_match(inst) < 0)[np.repeat(inst.big, inst.sizes[inst.tail])].any()
+            assert bool(laid_out) == unmatched
+            assert not (kind == "lists" and laid_out)
+            laid_out.clear()
+            short = dataclasses.replace(inst, matched=inst.matched - 1)
+            assert np.array_equal(keep_table(short, rho), table)
+            assert bool(laid_out) == bool(inst.big.any())
 
     @given(sampler_instance())
     @example(_edgeless_case())
