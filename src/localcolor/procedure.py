@@ -6,7 +6,8 @@ uncoloring coin per color.  A vertex stays colored when it is activated and
 no activated neighbor with an at-least-as-large list received a color
 matched to its own.  The equalizing coins are biased so that the retention
 probability of every (vertex, color) pair is exactly the keep constant
-K = 0.999 * rho * exp(-rho / (1 - eps)).
+K = 0.999 * rho * exp(-rho / (1 - eps)).  On a compiled instance those
+coins have one bias per vertex, so the sampler draws one flip per vertex.
 
 Savings random variables (aberrance, pairs, trips, unact) measure how much
 a vertex's residual color deficit shrank; the pipeline resamples until every
@@ -36,9 +37,8 @@ directed edges at once, one lookup per (edge, trial)) gives
 `compile_lists` builds the arrays of a list assignment (the identity
 correspondence made total) straight from the sorted lists, storing only the
 zipped free colors as pairs, so `color` holds no array with a cell per
-(edge, tail color).  `keep_table` multiplies each vertex's factors once, not
-once per color, and goes cell by cell only when an edge whose head can
-uncolor its tail has an unmatched cell, which `compile_lists` never leaves.
+(edge, tail color).  `keep_table` holds one keep probability per vertex,
+its factors multiplied once over its big edges.
 `pipeline_color` takes lists, completes its trial with `greedy_complete`
 (from those removed colors, a loop over the edges between uncolored
 vertices) and checks its finished coloring against the lists: every vertex
@@ -115,23 +115,25 @@ def keep_constant(eps: float | Fraction, rho: float) -> float:
 @dataclass(frozen=True)
 class CompiledInstance:
     """A list assignment as flat index arrays, compiled by `compile_lists`.
-    The arrays can also hold a general correspondence assignment, a partial
-    matching between the lists of each edge's ends; the tests build those.
+    The arrays can also hold a general correspondence assignment made total;
+    the tests build those.  Either way every cell of a big edge is matched
+    (its tail has no more colors than its head, and a total correspondence
+    saturates the smaller list), which the per-vertex keep table rests on.
 
     The directed edges are the graph's CSR entries, numbered by (tail, head)
     ascending: those of vertex v are ptr[v] .. ptr[v + 1] - 1, and edge e
     runs from tail[e] to head[e], so graphs that compare equal compile to
     equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the
-    head can uncolor the tail.  Any flat (vertex, color) table, such as the
-    keep table, holds the entry of lists[v][i] at start[v] + i.
-    Edge e's map has a cell per tail color, block[e] + i for the i-th;
-    back[e] is the reverse edge's first cell, and matched[e] counts its
-    matched cells.  A cell's match (the index in lists[head[e]] of the color
-    matched to that tail color, or -1) is not stored: `lookup` takes the
-    identity's, the tail color's rank (ranks[start[v] + i]) found in a dense
-    (vertex, color rank) table `where`, kept when it has no more entries
-    than there are cells, or in the sorted (vertex, color rank) keys; then
-    pair_match[k] overrides the match of cell pair_cell[k], ascending.
+    head can uncolor the tail.  Any flat (vertex, color) table, such as
+    settle_trials' removed mask, holds the entry of lists[v][i] at
+    start[v] + i.  Edge e's map has a cell per tail color, block[e] + i for
+    the i-th; back[e] is the reverse edge's first cell.  A cell's match (the
+    index in lists[head[e]] of the color matched to that tail color, or -1)
+    is not stored: `lookup` takes the identity's, the tail color's rank
+    (ranks[start[v] + i]) found in a dense (vertex, color rank) table
+    `where`, kept when it has no more entries than there are cells, or in
+    the sorted (vertex, color rank) keys; then pair_match[k] overrides the
+    match of cell pair_cell[k], ascending.
     """
 
     lists: list[list[Color]]  # each vertex's list, sorted
@@ -143,7 +145,6 @@ class CompiledInstance:
     big: np.ndarray  # bool
     block: np.ndarray
     back: np.ndarray
-    matched: np.ndarray
     ranks: np.ndarray
     colors: int  # how many distinct colors the lists hold
     where: np.ndarray | None  # where[v * colors + r]: the index of rank r in lists[v], or -1
@@ -185,7 +186,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     rev = np.argsort(head * g.n + tail)
     big = sizes[head] >= width
     inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, block[rev],
-                            np.minimum(width, sizes[head]), ranks, colors, where, none, none)
+                            ranks, colors, where, none, none)
     # the colors each edge's tail shares with its head, counted on the edges up
     up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
     if where is not None:
@@ -249,48 +250,28 @@ def match_blocks(inst: CompiledInstance, edges: np.ndarray) -> np.ndarray:
 
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
-    """The flat keep table: table[start[v] + i] is the exact probability that v
-    survives given it chose lists[v][i], rho times 1 - rho / |L(u)| for each
-    threatening neighbor u (big edge, color matched), multiplied in ascending
-    neighbor order.
-
-    When every big edge has all its cells matched, as `compile_lists` makes
-    every one, that product is the same for all of a vertex's colors: it is
-    taken once per vertex and repeated over its colors.  Otherwise (only a
-    partial correspondence has an unmatched big-edge cell) every entry is
-    taken cell by cell over the laid-out big edges, with factor 1.0 at an
-    unmatched cell, so each entry is the same sequence of products."""
-    width = inst.sizes[inst.tail]
+    """The keep table: table[v] is the exact probability that v survives
+    given any color of its list, rho times 1 - rho / |L(u)| for each
+    threatening neighbor u (big edge), multiplied in ascending neighbor
+    order.  Every cell of a big edge is matched (see CompiledInstance), so
+    each threat applies to every color of v alike."""
     big = np.flatnonzero(inst.big)
-    factor = 1 - rho / inst.sizes[inst.head[big]]
-    if (inst.matched[big] == width[big]).all():
-        prod = np.full(len(inst.sizes), float(rho))
-        # ufunc.at applies the factors in edge order, which is ascending neighbor order
-        np.multiply.at(prod, inst.tail[big], factor)
-        return np.repeat(prod, inst.sizes)
-    # every cell of a big edge's block, in edge order: the flat table entry of
-    # its tail's color, and its factor
-    tail, width = inst.tail[big], width[big]
-    entry = np.repeat(inst.start[tail] - (np.cumsum(width) - width), width)
-    entry += np.arange(len(entry))
-    factor = np.repeat(factor, width)
-    factor[match_blocks(inst, big) < 0] = 1.0
-    flat = np.full(int(inst.start[-1]), float(rho))
-    np.multiply.at(flat, entry, factor)
-    return flat
+    prod = np.full(len(inst.sizes), float(rho))
+    # ufunc.at applies the factors in edge order, which is ascending neighbor order
+    np.multiply.at(prod, inst.tail[big], 1 - rho / inst.sizes[inst.head[big]])
+    return prod
 
 
 def check_equalization_precondition(
     inst: CompiledInstance, params: ProcedureParams
 ) -> np.ndarray:
-    """The flat keep table of `inst` (see keep_table), every entry verified to
-    be at least K.
+    """The keep table of `inst` (see keep_table), one probability per vertex,
+    every entry verified to be at least K.
 
     The theoretical minimum-degree floor ceil(1000 / (1 - eps)^2) is
     astronomically large, so the implementation checks the condition it
     exists to guarantee: every exact keep probability is at least the keep
-    constant.  A failure names the first offending vertex by id, and for the
-    keep probability its first offending color.
+    constant.  A failure names the first offending vertex by id.
     """
     # |L(v)| < (1 - num / den) d(v) as |L(v)| den < (den - num) d(v), on object
     # arrays of Python ints, so exact for any eps
@@ -304,11 +285,9 @@ def check_equalization_precondition(
     k = params.keep
     low = np.flatnonzero(table < k)
     if low.size:
-        j = int(low[0])
-        v = int(np.searchsorted(inst.start, j, side="right")) - 1
+        v = int(low[0])
         raise PreconditionError(
-            f"keep probability {table[j]:.6f} of vertex {v}, "
-            f"color {inst.lists[v][j - int(inst.start[v])]} is below K = {k:.6f}"
+            f"keep probability {table[v]:.6f} of vertex {v} is below K = {k:.6f}"
         )
     return table
 
@@ -332,23 +311,24 @@ def draw_trials(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(activated, phi_idx, heads) of `trials` trials, each (n, trials): every
-    activation, then every color index, then every flip.  heads[v, t] is the
-    equalizing flip at v's chosen color, the only flip that can uncolor v;
-    table=None draws none (the naive procedure).  The coins are drawn
-    max(1, BLOCK // trials) vertex rows at a time, the numbers of one call.
+    activation, then every color index, then every flip.  heads[v, t] is v's
+    flip, the equalizing coin of whichever color v drew, true with
+    probability 1 - K / table[v] (0 where table[v] is 0); table=None draws
+    none (the naive procedure).  The coins are
+    drawn max(1, BLOCK // trials) vertex rows at a time, the numbers of one call.
     The int32 color indices are the numbers of an int64 rng.integers call per
     vertex (so |L(v)| < 2^31, as for any list held in memory): one call with a
     column of bounds below ROW_DRAWS trials, else one per list of 2+ colors."""
     n, rows = len(inst.lists), max(1, BLOCK // max(trials, 1))
 
-    def coins(prob):  # per cell of rows r:s, a uniform draw below prob(r, s)
+    def coins(prob):  # per (vertex v, trial), a uniform draw below prob[v]
         out = np.empty((n, trials), dtype=bool)
         for r in range(0, n, rows):
             block = out[r : r + rows]
-            np.less(rng.random(block.shape), prob(r, r + len(block)), out=block)
+            np.less(rng.random(block.shape), prob[r : r + rows, None], out=block)
         return out
 
-    act = coins(lambda r, s: params.rho)
+    act = coins(np.full(n, params.rho))
     if trials < ROW_DRAWS:
         phi_idx = rng.integers(0, inst.sizes[:, None], size=(n, trials), dtype=np.int32)
     else:
@@ -359,7 +339,7 @@ def draw_trials(
         return act, phi_idx, np.zeros((n, trials), dtype=bool)
     # with rho = 0 every keep probability is 0 and the flips are irrelevant
     pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
-    return act, phi_idx, coins(lambda r, s: pflip.take(inst.start[r:s, None] + phi_idx[r:s]))
+    return act, phi_idx, coins(pflip)
 
 
 def _pairs_trips(grid: np.ndarray, cell: np.ndarray, out: np.ndarray) -> None:

@@ -12,7 +12,9 @@ identity correspondence made total), `keep_table` (against
 `keep_probability`), `uncolored_trials` and `savings_rows` (stacked by
 `stacked.stack_trials`), `settle_trials` and `greedy_complete` must match:
 compiling, sampling and savings, then the residual assignment, its greedy
-coloring and the splice back onto the colored part.
+coloring and the splice back onto the colored part.  `sample_equalized`
+checks the precondition from these definitions itself, so no production
+precondition code runs in the oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ import numpy as np
 
 from localcolor.graph import Graph
 from localcolor.lists import Color, Coloring, ListAssignment
-from localcolor.procedure import (
-    CompiledInstance,
-    ProcedureParams,
-    check_equalization_precondition,
-)
+from localcolor.procedure import CompiledInstance, PreconditionError, ProcedureParams
 
 Edge = tuple[int, int]
 Pair = tuple[Color, Color]
@@ -154,7 +152,9 @@ def keep_probability(
 def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
     """The index arrays of `ca`, built edge by edge over `g.adj`: every cell's
     match in a list, and from it the explicit pairs, the cells whose match is
-    not the identity's (any value, -1 included)."""
+    not the identity's (any value, -1 included).  The sampler reads the
+    instance of a total `ca` only: its per-vertex keep table needs every
+    cell of a big edge matched."""
     lists = [sorted(ca.lists[v]) for v in range(g.n)]
     index_of = [{c: i for i, c in enumerate(row)} for row in lists]
     start, ptr, tail, head, big, block = [0], [0], [], [], [], []
@@ -176,7 +176,6 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
             iu, iv = index_of[u][cu], index_of[v][cv]
             match[offset[(u, v)] + iu] = iv
             match[offset[(v, u)] + iv] = iu
-    matched = [sum(m >= 0 for m in match[b : b + len(lists[v])]) for v, b in zip(tail, block)]
     # each color's rank among all colors, and where each (vertex, rank) sits
     # in its list, as a dense table when it has no more entries than the cells
     rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
@@ -199,9 +198,8 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
 
     return CompiledInstance(
         lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
-        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(matched),
-        ints(ranks), len(rank), None if where is None else ints(where),
-        ints([k for k, _ in pairs]), ints([m for _, m in pairs]),
+        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(ranks),
+        len(rank), None if where is None else ints(where), ints([k for k, _ in pairs]), ints([m for _, m in pairs]),
     )
 
 
@@ -386,14 +384,27 @@ def sample_equalized(
     params: ProcedureParams,
     rng: np.random.Generator,
 ) -> PartialColoring:
-    """One trial with equalizing coin flips: P[v kept | phi(v) = c] = K exactly."""
-    check_equalization_precondition(compile_instance(g, ca), params)
+    """One trial with equalizing coin flips: P[v kept | phi(v) = c] = K exactly.
+
+    The precondition is checked here from the definitions, on any
+    correspondence, partial ones included: first |L(v)| >= (1 - eps) d(v) at
+    every vertex, then keep_probability(v, c) >= K at every (v, c), the
+    first offender named as the compiled check names it (and its color)."""
+    for v in range(g.n):
+        if len(ca.lists[v]) < (1 - params.eps) * len(g.adj[v]):
+            raise PreconditionError(f"vertex {v}: |L(v)| = {len(ca.lists[v])} < (1 - eps) d(v)")
     k = params.keep
     sorted_lists = [sorted(ca.lists[v]) for v in range(g.n)]
     table = [
         {c: keep_probability(g, ca, params.rho, v, c) for c in sorted_lists[v]}
         for v in range(g.n)
     ]
+    low = [(v, c) for v in range(g.n) for c in sorted_lists[v] if table[v][c] < k]
+    if low:
+        v, c = low[0]
+        raise PreconditionError(
+            f"keep probability {table[v][c]:.6f} of vertex {v}, color {c} is below K = {k:.6f}"
+        )
     activated = rng.random(g.n) < params.rho
     phi = tuple(sorted_lists[v][rng.integers(len(sorted_lists[v]))] for v in range(g.n))
     # one flip per (vertex, color); only the flip at the chosen color can

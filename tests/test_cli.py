@@ -599,6 +599,27 @@ def test_unmet_precondition_exits_2_naming_the_vertex(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cmd", [["color"], ["estimate", "--out-dir", "out"]])
+def test_unmet_keep_precondition_exits_2_naming_the_vertex(tmp_path, monkeypatch, capsys, cmd):
+    """The C5 blowup t = 3 is 8-regular, so 8-color lists pass the list-size
+    check at the default eps, but each vertex's eight threatening neighbors
+    bring its keep probability below K."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "generate", "--name", "c5_blowup", "--param", "t=3", "--out", "g.col",
+        "--lists-out", "l.json", "--uniform-lists", "8",
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--graph", "g.col", "--lists", "l.json", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "keep probability 0.343953 of vertex 0 is below K = 0.366395" in err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("table", [GENERATORS, BOUNDS])
 def test_table_keys_are_the_function_parameters(table):
     """Each K=V key is its function's parameter of that name, in order."""

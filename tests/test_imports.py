@@ -5,8 +5,8 @@ indeed every top-level definition, is reached from a command or named in the
 README's library overview, no function calls itself, so no input size
 meets Python's recursion limit, only the two callers that decide how
 many trials are drawn at once read TRIAL_CHUNK, only `draw_trials` and
-`gen_gnp` call a Generator's draw methods, and importing the CLI loads no
-networkx module."""
+`gen_gnp` call a Generator's draw methods, only `compile_lists` builds a
+CompiledInstance, and importing the CLI loads no networkx module."""
 
 import ast
 import os
@@ -246,34 +246,41 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def sites(module: str, source: str, hit) -> list[str]:
+    """"m.owner:line" for each AST node of module m that `hit` accepts, owner
+    the top-level definition that holds it or <module>."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        out += [f"{module}.{owner}:{sub.lineno}" for sub in ast.walk(node) if hit(sub)]
+    return out
+
+
+def owners(sources: dict[str, str], hit) -> set[str]:
+    return {site.rsplit(":", 1)[0] for m, source in sources.items() for site in sites(m, source, hit)}
+
+
+def strays(sources: dict[str, str], hit, allowed: set[str]) -> list[str]:
+    """The sites `hit` accepts outside the `allowed` owners, sorted."""
+    return sorted(
+        site
+        for module, source in sources.items()
+        for site in sites(module, source, hit)
+        if site.rsplit(":", 1)[0] not in allowed
+    )
+
+
 # The functions that decide how many trials are drawn at once: every other
 # caller takes the trials it is given.
 CHUNK_READERS = {"procedure.pipeline_color", "procedure.draw_left"}
 
 
-def chunk_reads(module: str, source: str) -> list[str]:
-    """"m.owner:line" for each read or import of TRIAL_CHUNK in module m, as a
-    name or an attribute, owner the top-level definition that holds it or
-    <module>."""
-    out = []
-    for node in ast.parse(source).body:
-        owner = getattr(node, "name", "<module>")
-        out += [
-            f"{module}.{owner}:{sub.lineno}"
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and sub.id == "TRIAL_CHUNK" and isinstance(sub.ctx, ast.Load)
-            or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_CHUNK"
-            or isinstance(sub, ast.alias) and sub.name == "TRIAL_CHUNK"
-        ]
-    return out
-
-
-def stray_chunk_reads(sources: dict[str, str]) -> list[str]:
-    return sorted(
-        read
-        for module, source in sources.items()
-        for read in chunk_reads(module, source)
-        if read.rsplit(":", 1)[0] not in CHUNK_READERS
+def reads_chunk(sub: ast.AST) -> bool:
+    """A read or import of TRIAL_CHUNK, as a name or an attribute."""
+    return (
+        isinstance(sub, ast.Name) and sub.id == "TRIAL_CHUNK" and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_CHUNK"
+        or isinstance(sub, ast.alias) and sub.name == "TRIAL_CHUNK"
     )
 
 
@@ -288,17 +295,15 @@ def test_chunk_guard_catches_a_read_from_elsewhere():
         ),
         "experiment": "from .procedure import TRIAL_CHUNK as CHUNK\n",
     }
-    assert stray_chunk_reads(sources) == [
+    assert strays(sources, reads_chunk, CHUNK_READERS) == [
         "experiment.<module>:1", "procedure.savings_rows:4", "procedure.savings_rows:5",
     ]
 
 
 def test_only_the_chunking_callers_read_the_trial_chunk():
     sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
-    assert stray_chunk_reads(sources) == []
-    assert {read.rsplit(":", 1)[0] for read in chunk_reads("procedure", sources["procedure"])} == (
-        CHUNK_READERS
-    )
+    assert strays(sources, reads_chunk, CHUNK_READERS) == []
+    assert owners({"procedure": sources["procedure"]}, reads_chunk) == CHUNK_READERS
 
 
 # The functions that draw random numbers from a Generator: the procedure's
@@ -307,28 +312,10 @@ def test_only_the_chunking_callers_read_the_trial_chunk():
 DRAWERS = {"procedure.draw_trials", "generators.gen_gnp"}
 
 
-def draw_calls(module: str, source: str) -> list[str]:
-    """"m.owner:line" for each call of a method named `random` or `integers`,
-    a Generator's draw methods, in module m, owner the top-level definition
-    that holds it or <module>."""
-    out = []
-    for node in ast.parse(source).body:
-        owner = getattr(node, "name", "<module>")
-        out += [
-            f"{module}.{owner}:{sub.lineno}"
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) in ("random", "integers")
-        ]
-    return out
-
-
-def stray_draws(sources: dict[str, str]) -> list[str]:
-    return sorted(
-        call
-        for module, source in sources.items()
-        for call in draw_calls(module, source)
-        if call.rsplit(":", 1)[0] not in DRAWERS
-    )
+def draws(sub: ast.AST) -> bool:
+    """A call of a method named `random` or `integers`, a Generator's draw
+    methods."""
+    return isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) in ("random", "integers")
 
 
 def test_drawer_guard_catches_a_second_drawer():
@@ -342,16 +329,56 @@ def test_drawer_guard_catches_a_second_drawer():
         ),
         "experiment": "rng = np.random.default_rng(np.random.Philox(0))\nx = rng.random()\n",
     }
-    assert stray_draws(sources) == [
+    assert strays(sources, draws, DRAWERS) == [
         "experiment.<module>:2", "procedure.draw_left:4", "procedure.draw_left:5",
     ]
 
 
 def test_only_the_drawers_draw():
     sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
-    assert stray_draws(sources) == []
-    drawn = {call.rsplit(":", 1)[0] for m, source in sources.items() for call in draw_calls(m, source)}
-    assert drawn == DRAWERS
+    assert strays(sources, draws, DRAWERS) == []
+    assert owners(sources, draws) == DRAWERS
+
+
+# The one function that builds a CompiledInstance or copies one through
+# dataclasses.replace.  Its instances leave no cell of a big edge unmatched,
+# which keep_table's one probability per vertex rests on; a second builder
+# could make the partial maps that keep_table does not handle.
+INSTANCE_BUILDERS = {"procedure.compile_lists"}
+
+
+def builds(sub: ast.AST) -> bool:
+    """A call of CompiledInstance (as a name or an attribute), of
+    dataclasses.replace, or of a bare `replace`."""
+    f = sub.func if isinstance(sub, ast.Call) else None
+    if isinstance(f, ast.Name):
+        return f.id in ("CompiledInstance", "replace")
+    return isinstance(f, ast.Attribute) and (
+        f.attr == "CompiledInstance"
+        or f.attr == "replace" and isinstance(f.value, ast.Name) and f.value.id == "dataclasses"
+    )
+
+
+def test_instance_guard_catches_a_second_constructor():
+    sources = {
+        "procedure": (
+            "def compile_lists(g, L):\n"
+            "    inst = CompiledInstance(L, g)\n"
+            "    return dataclasses.replace(inst, where=None)\n"
+            "def compile_partial(g, L):\n"
+            "    return replace(compile_lists(g, L), pair_cell=None), text.replace('a', 'b')\n"
+        ),
+        "experiment": "inst = procedure.CompiledInstance([], None)\n",
+    }
+    assert strays(sources, builds, INSTANCE_BUILDERS) == [
+        "experiment.<module>:1", "procedure.compile_partial:5",
+    ]
+
+
+def test_only_compile_lists_builds_instances():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert strays(sources, builds, INSTANCE_BUILDERS) == []
+    assert owners(sources, builds) == INSTANCE_BUILDERS
 
 
 def test_the_cli_imports_no_networkx():

@@ -217,32 +217,35 @@ class TestSampleNaive:
 
 class TestSampleEqualized:
     def test_precondition_failure_names_offender(self):
+        # the compiled check and the scalar reference's own name the same
+        # offender; the reference also names the keep probability's color
+        def both_raise(g, L, want, want_ref=None):
+            with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+                check_equalization_precondition(compile_lists(g, L), ProcedureParams())
+            ca = make_total(g, identity_correspondence(g, L))
+            with pytest.raises(PreconditionError, match=f"^{re.escape(want_ref or want)}$"):
+                sample_equalized(g, ca, ProcedureParams(), rng_of(0))
+
         # 2-color lists on K4 are too short for (1 - eps) d(v)
         g = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        ca = identity_correspondence(g, uniform_lists(4, 2))
-        want = "vertex 0: |L(v)| = 2 < (1 - eps) d(v)"
-        with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
-            sample_equalized(g, ca, ProcedureParams(), rng_of(0))
+        both_raise(g, uniform_lists(4, 2), "vertex 0: |L(v)| = 2 < (1 - eps) d(v)")
         # and at the center of a star, vertex 1, only
         g = Graph.from_edges(4, [(1, 0), (1, 2), (1, 3)])
-        ca = identity_correspondence(g, make_lists([[0], [0, 1], [0], [0]]))
-        want = "vertex 1: |L(v)| = 2 < (1 - eps) d(v)"
-        with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
-            sample_equalized(g, ca, ProcedureParams(), rng_of(0))
+        both_raise(g, make_lists([[0], [0, 1], [0], [0]]), "vertex 1: |L(v)| = 2 < (1 - eps) d(v)")
         # the first keep probability below K is not at vertex 0: two isolated
-        # vertices, then a star whose three leaves share two colors with its
-        # center, so the first shared one is the offender.  With leaves
-        # [11, 12, 15] it is at color index 1; with [10, 11, 15] at index 0,
-        # the first entry of vertex 2 in the flat table.
+        # vertices, then a star whose three leaves have lists as large as its
+        # center's, so made total they threaten every color of it: the
+        # center, vertex 2, is the offender, at its first color for the
+        # reference, and no leaf is
         g = Graph.from_edges(6, [(2, 3), (2, 4), (2, 5)])
-        params = ProcedureParams()
-        for leaf, c in (([11, 12, 15], 11), ([10, 11, 15], 10)):
-            ca = identity_correspondence(g, make_lists([[0], [0], [10, 11, 12]] + [leaf] * 3))
-            p = keep_probability(g, ca, params.rho, 2, c)
-            want = f"keep probability {p:.6f} of vertex 2, color {c} "
-            want += f"is below K = {params.keep:.6f}"
-            with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
-                sample_equalized(g, ca, params, rng_of(0))
+        L = make_lists([[0], [0], [10, 11, 12]] + [[11, 12, 15]] * 3)
+        ca, params = make_total(g, identity_correspondence(g, L)), ProcedureParams()
+        p = keep_probability(g, ca, params.rho, 2, 10)
+        assert all(keep_probability(g, ca, params.rho, 2, c) == p for c in (11, 12))
+        assert keep_probability(g, ca, params.rho, 3, 11) >= params.keep
+        below = f"is below K = {params.keep:.6f}"
+        both_raise(g, L, f"keep probability {p:.6f} of vertex 2 {below}",
+                   f"keep probability {p:.6f} of vertex 2, color 10 {below}")
 
     @pytest.mark.parametrize(
         "eps", [Fraction(1, 10**30), Fraction(1, 3), Fraction(1, 4), Fraction(2, 7)]
@@ -700,7 +703,7 @@ class TestDrawTrials:
         heads = np.zeros((5, trials), dtype=bool)
         if equalize:
             pflip = np.where(table > 0, 1 - params.keep / np.where(table > 0, table, 1.0), 0.0)
-            heads = rng.random((5, trials)) < pflip[inst.start[:-1, None] + phi_idx]
+            heads = rng.random((5, trials)) < pflip[:, None]
         for a, b in zip(got, (act, phi_idx, heads)):
             assert np.array_equal(a, b)
         assert [a.dtype for a in got] == [np.bool_, np.int32, np.bool_]
@@ -969,16 +972,12 @@ def _cell_map(g: Graph, ca: CorrespondenceAssignment) -> list[int]:
 def test_lookup_of_general_correspondences(inst_case):
     """On general correspondences made total, whose explicit pairs may hold
     any value, -1 included, through a dense table and by binary search: the
-    laid-out map equals the pairs cell by cell, and so do the matched
-    counts; settle_trials gives the same on both, and greedy_complete with
-    every vertex uncolored (every edge read) gives the scalar reference's."""
+    laid-out map equals the pairs cell by cell; settle_trials gives the same
+    on both, and greedy_complete with every vertex uncolored (every edge
+    read) gives the scalar reference's."""
     g, ca, params, _, seed = inst_case
     inst = compile_instance(g, ca)
     want = _cell_map(g, ca)
-    width = inst.sizes[inst.tail]
-    assert inst.matched.tolist() == [
-        sum(m >= 0 for m in want[b : b + w]) for b, w in zip(inst.block.tolist(), width.tolist())
-    ]
     draws = draw_trials(inst, params, None, 4, rng_of(seed))
     phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
     phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
@@ -1033,7 +1032,7 @@ def test_compile_lists_lookup_on_both_sides():
         insts.append(inst)
     plain, padded = insts
     assert len(plain.pair_cell) == 0
-    for name in ("tail", "head", "big", "block", "back", "matched", "pair_cell", "pair_match"):
+    for name in ("tail", "head", "big", "block", "back", "pair_cell", "pair_match"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
     assert np.array_equal(_match(plain), _match(padded))
     for name in ("start", "ptr"):
@@ -1112,50 +1111,10 @@ class TestSamplerMatchesReference:
         ca = make_total(g, identity_correspondence(g, L))
         inst = compile_lists(g, L)
         table = keep_table(inst, rho)
+        assert table.shape == (g.n,)
         for v in range(g.n):
-            for i, c in enumerate(inst.lists[v]):
-                assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
-
-    @given(list_instance(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
-    @_with_examples(COMPILE_EDGE_CASES, rho=0.9)
-    @settings(max_examples=60, deadline=None)
-    def test_keep_table_of_partial_identity(self, case, rho):
-        # the identity correspondence not made total: a big edge whose head
-        # lacks some of its tail's colors leaves those cells unmatched, and
-        # their entries are taken cell by cell
-        g, L = case
-        ca = identity_correspondence(g, L)
-        inst = compile_instance(g, ca)
-        table = keep_table(inst, rho)
-        for v in range(g.n):
-            for i, c in enumerate(inst.lists[v]):
-                assert table[inst.start[v] + i] == keep_probability(g, ca, rho, v, c)
-
-    @given(st.sampled_from(["lists", "partial"]), list_instance(), st.sampled_from([0.5, 0.9]))
-    @settings(max_examples=60, deadline=None)
-    def test_keep_table_paths_agree(self, kind, case, rho):
-        # matched counts one short send keep_table cell by cell, through the
-        # maps themselves, and that path runs exactly when a big edge holds
-        # an unmatched cell, which no compile_lists instance does
-        g, L = case
-        ca = identity_correspondence(g, L)
-        inst = compile_lists(g, L) if kind == "lists" else compile_instance(g, ca)
-        laid_out = []
-
-        def counted(inst, edges):
-            laid_out.append(len(edges))
-            return match_blocks(inst, edges)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(procedure, "match_blocks", counted)
-            table = keep_table(inst, rho)
-            unmatched = (_match(inst) < 0)[np.repeat(inst.big, inst.sizes[inst.tail])].any()
-            assert bool(laid_out) == unmatched
-            assert not (kind == "lists" and laid_out)
-            laid_out.clear()
-            short = dataclasses.replace(inst, matched=inst.matched - 1)
-            assert np.array_equal(keep_table(short, rho), table)
-            assert bool(laid_out) == bool(inst.big.any())
+            for c in inst.lists[v]:
+                assert table[v] == keep_probability(g, ca, rho, v, c)
 
     @given(sampler_instance())
     @example(_edgeless_case())
@@ -1166,8 +1125,8 @@ class TestSamplerMatchesReference:
         inst = compile_instance(g, ca)
         table = keep_table(inst, params.rho)
         for v in range(g.n):
-            for i, c in enumerate(inst.lists[v]):
-                assert table[inst.start[v] + i] == keep_probability(g, ca, params.rho, v, c)
+            for c in inst.lists[v]:
+                assert table[v] == keep_probability(g, ca, params.rho, v, c)
         prec = list_size_order(ca.lists)
         trials = 6
         act, phi_idx, heads = draw_trials(
