@@ -1,13 +1,13 @@
 """On-disk formats: DIMACS .col graphs and JSON color lists.
 
 `parse_dimacs` reads a text shaped like `emit_dimacs` output (the problem
-line first, then only `e u v` lines of ASCII digits and spaces, each ended
-by a newline but perhaps the last) in one pass over the whole file: a few
-counts and a byte check decide the shape, and all ends convert in one
-numpy call.  Any other text, and any text with an error, goes to the line
-loop `_parse_dimacs_lines`, which accepts comments, blank lines, CRLF and
-any whitespace, and names the line of every error.  Both return equal
-graphs on every text the fast pass accepts.
+line first, then m lines `e u v` of one space and ASCII digits, each ended
+by a newline but perhaps the last) in one pass over the whole file: one
+regular expression and a newline count decide the shape, and all ends
+convert in one numpy call.  Any other text, and any text with an error,
+goes to the line loop `_parse_dimacs_lines`, which accepts comments, blank
+lines, CRLF and any whitespace, and names the line of every error.  Both
+return equal graphs on every text the fast pass accepts.
 
 A lists file must be a JSON object whose "lists" array holds one array
 per vertex, and every color in it must be a JSON integer."""
@@ -37,8 +37,8 @@ def _field(x: str, lineno: int) -> int:
 
 
 _PROBLEM = re.compile(r"p edge (\d+) (\d+)", re.ASCII)
-# the bytes of every line after the problem line in emit_dimacs output
-_EDGE_BYTES = b"0123456789 \ne"
+# every line after the problem line in emit_dimacs output
+_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*", re.ASCII)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -48,34 +48,20 @@ def parse_dimacs(text: str) -> Graph:
     whose edge count differs from the number of `e` lines or whose vertex
     count is more than a Graph holds.
 
-    A text with only the problem line and m `e u v` lines, nothing else, is
-    read in one pass; any other text, errors included, line by line."""
+    A text of the problem line and then exactly its m `e u v` lines, each
+    field after a single space, is read in one pass; any other text, errors
+    included, line by line."""
     problem, _, body = text.partition("\n")
     head = _PROBLEM.fullmatch(problem)
-    if head is None or not body.isascii():
-        return _parse_dimacs_lines(text)
-    n, m = int(head[1]), int(head[2])
     if body and not body.endswith("\n"):
         body += "\n"
-    # Only digits, spaces and newlines, and m lines that each start with an
-    # `e` field, the only `e` in the body: then str.split and splitlines see
-    # what the line loop sees, and every line is `e` and digit fields.
-    if (
-        body.encode().translate(None, _EDGE_BYTES)
-        or body.count("e") != m
-        or ("\n" + body).count("\ne ") != m
-        or body.count("\n") != m
-    ):
+    if head is None or not _EDGES.fullmatch(body) or body.count("\n") != int(head[2]):
         return _parse_dimacs_lines(text)
-    tokens = body.split()
-    if len(tokens) != 3 * m or tokens[::3].count("e") != m:  # two fields on every line
-        return _parse_dimacs_lines(text)
-    del tokens[::3]
     # fromstring saturates a field beyond int64 at 2**63 - 1, which from_edges'
     # range check rejects for every n a Graph holds; it rejects a larger n too
-    uv = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+    uv = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
     try:
-        return Graph.from_edges(n, uv)
+        return Graph.from_edges(int(head[1]), uv)
     except GraphError:  # an end out of range, a loop or too many vertices
         return _parse_dimacs_lines(text)  # which names the line
 

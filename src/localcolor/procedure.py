@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,8 +72,9 @@ def default_rho(alpha: Fraction) -> float:
 
 @dataclass(frozen=True)
 class ProcedureParams:
-    """Knobs of the equalized procedure.  A rho left out is default_rho(alpha),
-    set after alpha is checked."""
+    """Knobs of the equalized procedure.  eps, sigma, alpha and beta are exact
+    rationals (int or Fraction), which the exact checks read; rho is a float.
+    A rho left out is default_rho(alpha), set after alpha is checked."""
 
     eps: Fraction = Fraction(1, 330)
     sigma: Fraction = Fraction(0)
@@ -81,6 +83,10 @@ class ProcedureParams:
     beta: Fraction = Fraction(1, 50)
 
     def __post_init__(self):
+        for name in ("eps", "sigma", "alpha", "beta"):
+            x = getattr(self, name)
+            if not isinstance(x, numbers.Rational):
+                raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
         if not (0 <= self.eps < 1):
             raise ValueError("eps must be in [0, 1)")
         if not (0 <= self.sigma < 1):
@@ -127,7 +133,7 @@ class CompiledInstance:
     head can uncolor the tail.  Any flat (vertex, color) table, such as
     settle_trials' removed mask, holds the entry of lists[v][i] at
     start[v] + i.  Edge e's map has a cell per tail color, block[e] + i for
-    the i-th; back[e] is the reverse edge's first cell.  A cell's match (the
+    the i-th; rev[e] is the reverse edge.  A cell's match (the
     index in lists[head[e]] of the color matched to that tail color, or -1)
     is not stored: `lookup` takes the identity's, the tail color's rank
     (ranks[start[v] + i]) found in a dense (vertex, color rank) table
@@ -144,7 +150,7 @@ class CompiledInstance:
     head: np.ndarray
     big: np.ndarray  # bool
     block: np.ndarray
-    back: np.ndarray
+    rev: np.ndarray
     ranks: np.ndarray
     colors: int  # how many distinct colors the lists hold
     where: np.ndarray | None  # where[v * colors + r]: the index of rank r in lists[v], or -1
@@ -185,8 +191,8 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
     big = sizes[head] >= width
-    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, block[rev],
-                            ranks, colors, where, none, none)
+    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, rev, ranks,
+                            colors, where, none, none)
     # the colors each edge's tail shares with its head, counted on the edges up
     up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
     if where is not None:
@@ -365,7 +371,6 @@ class EstimatePlan:
     the draws read none of it.  Its groupings hold heads by tail, v's from
     tail offset [v] to [v + 1]."""
 
-    inst: CompiledInstance
     stride: int  # the widest chunk savings_rows takes, its count grids' row length
     threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, back blocks, tail offsets
     egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
@@ -384,15 +389,16 @@ def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) 
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = sizes[head] >= least[inst.tail]
     match = match_blocks(inst, np.arange(len(head)))
+    back = block[inst.rev]  # each reverse edge's first cell
     # each block of match gains its sentinel at its end, so edge e's coded
     # block starts e entries later, and the reverse edge's at back[e] plus
-    # its edge number (blocks are nonempty, so block ascends)
-    code = np.where(match < 0, 1, match + 2) * stride
+    # its edge number; a match is -1 (row 1) or an index i (row 2 + i)
+    code = (match + 2) * stride
     code = np.insert(code, block + sizes[inst.tail], 0)
-    coded_back = inst.back + np.searchsorted(block, inst.back)
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
-    return EstimatePlan(inst, stride, (head[big], inst.back[big][:, None], tp),
-                        (head[egal], coded_back[egal][:, None], ep), (head[~big], sp), match, code)
+    return EstimatePlan(stride, (head[big], back[big][:, None], tp),
+                        (head[egal], (back + inst.rev)[egal][:, None], ep), (head[~big], sp),
+                        match, code)
 
 
 def uncolored_trials(
@@ -517,7 +523,7 @@ def settle_trials(
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
     key = inst.ranks.take(inst.start[:-1, None] + phi_idx).take(head, axis=0)
     key += (tail * inst.colors)[:, None]
-    mu = lookup(inst, key, lambda: phi_idx.take(head, axis=0) + inst.back[:, None])
+    mu = lookup(inst, key, lambda: phi_idx.take(head, axis=0) + inst.block.take(inst.rev)[:, None])
     # an activated head with a list at least as large, its color matched to the tail's
     threat = mu == phi_idx.take(tail, axis=0)
     threat &= act.take(head, axis=0)
@@ -567,7 +573,7 @@ def greedy_complete(
     completed before it, and takes the first free byte.  An edge reads the
     dense table at the neighbor color's rank, or with explicit pairs or no
     dense table its laid-out reverse map at that color's entry."""
-    start, tail, head, back = inst.start, inst.tail, inst.head, inst.back
+    start, tail, head = inst.start, inst.tail, inst.head
     free = bytearray(~removed)
     order = np.flatnonzero(uncolored)
     order = order[np.argsort(-inst.sizes[order], kind="stable")]
@@ -582,7 +588,7 @@ def greedy_complete(
         cells, base, pick = inst.where, tail[e] * inst.colors, memoryview(inst.ranks)
     else:
         width = inst.sizes[head[e]]
-        cells = match_blocks(inst, np.searchsorted(inst.block, back[e]))
+        cells = match_blocks(inst, inst.rev[e])
         base, pick = np.cumsum(width) - width - start[head[e]], range(int(start[-1]))
     cells = memoryview(cells)  # indexing it yields Python ints, 4x faster than an array
     heads, bases, starts = head[e].tolist(), base.tolist(), start.tolist()

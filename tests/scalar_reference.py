@@ -169,7 +169,8 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
             cells += len(lists[v])
         ptr.append(len(tail))
     offset = dict(zip(zip(tail, head), block))
-    back = [offset[(u, v)] for v, u in zip(tail, head)]
+    edge = {(v, u): k for k, (v, u) in enumerate(zip(tail, head))}
+    rev = [edge[(u, v)] for v, u in zip(tail, head)]
     match = [-1] * cells
     for (u, v), pairs in ca.matchings.items():
         for cu, cv in pairs:
@@ -198,7 +199,7 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
 
     return CompiledInstance(
         lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
-        ints(head), np.array(big, dtype=bool), ints(block), ints(back), ints(ranks),
+        ints(head), np.array(big, dtype=bool), ints(block), ints(rev), ints(ranks),
         len(rank), None if where is None else ints(where), ints([k for k, _ in pairs]), ints([m for _, m in pairs]),
     )
 

@@ -232,6 +232,9 @@ def _outcome(parse, text):
 class TestDimacsWholeFile:
     @given(dimacs_texts())
     @example("p edge 3 2\ne 1 2 3\ne 2\n")
+    @example("p edge 6 2\ne 1 2 3\ne 4 5 6\n")  # a third field, yet 3m fields in all
+    @example("p edge 3 3\ne 1 2\ne 2 3\n")  # m lines of e, but one fewer newline
+    @example("p edge 3 2\ne 1  2\ne 2 3 \n")  # doubled and trailing spaces
     @example(f"p edge {2**63 - 1} 1\ne 1 {2**64}\n")  # the field saturates at 2**63 - 1
     @example(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
     @example(f"p edge {2**63} 1\ne 1 2\n")
@@ -364,6 +367,13 @@ class TestBuildParams:
         assert estimate_params("--alpha", "1/10").rho == want
         assert estimate_params("--alpha", "1/10", "--rho", "auto").rho == want
         assert estimate_params("--alpha", "1/10", "--rho", "1/2").rho == 0.5
+
+    @pytest.mark.parametrize("field", ["eps", "sigma", "alpha", "beta"])
+    def test_exact_fields_take_rationals_only(self, field):
+        # the exact checks read numerator and denominator, which a float lacks
+        with pytest.raises(TypeError, match=f"^{field} must be an int or a Fraction, got 0.1$"):
+            ProcedureParams(**{field: 0.1})
+        assert getattr(ProcedureParams(**{field: Fraction(1, 10)}), field) == Fraction(1, 10)
 
     def test_alpha_is_checked_before_default_rho(self):
         # default_rho divides by 1 + alpha, which is 0 here

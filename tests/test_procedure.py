@@ -1032,7 +1032,7 @@ def test_compile_lists_lookup_on_both_sides():
         insts.append(inst)
     plain, padded = insts
     assert len(plain.pair_cell) == 0
-    for name in ("tail", "head", "big", "block", "back", "pair_cell", "pair_match"):
+    for name in ("tail", "head", "big", "block", "rev", "pair_cell", "pair_match"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
     assert np.array_equal(_match(plain), _match(padded))
     for name in ("start", "ptr"):
