@@ -1,8 +1,8 @@
 """Closed-form evaluators for the quantitative bounds, plus tail bounds.
 
 Every evaluator takes raw numbers rather than graph handles, so the abstract
-inequalities can be certified independently of any instance; thin helpers in
-the experiment runner extract the parameters from vertex profiles.  The tail
+inequalities can be certified independently of any instance; the experiment
+runner reads the parameters off one `neighbor_classes` call.  The tail
 bounds are a Talagrand-style inequality tolerating exceptional outcomes, in
 expectation and median forms, and the exceptional-outcome probability bound.
 """

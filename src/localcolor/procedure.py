@@ -18,7 +18,7 @@ Trials are sampled in batches with numpy on a compiled instance: colors are
 indices into each vertex's sorted list, and each directed edge maps a color
 index at its tail to the matched index at its head.  The maps are not
 stored cell by cell: a match is the identity's, looked up by color rank in
-a (vertex, color rank) position table (`lookup`), except at explicit pairs,
+a position table (`lookup`), except on zip edges, whose maps are laid out,
 and `match_blocks` lays maps out flat where a caller reads them by cell.
 `draw_trials`, the one drawer, draws a batch (color indices row by row from
 ROW_DRAWS trials), and each caller evaluates it with the evaluator that
@@ -35,10 +35,10 @@ directed edges at once, one lookup per (edge, trial)) gives
 `pipeline_color`'s savings check the uncolored set, unact and save_drop, and
 `greedy_complete` the colors each vertex loses to its kept neighbors.
 `compile_lists` builds the arrays of a list assignment (the identity
-correspondence made total) straight from the sorted lists, storing only the
-zipped free colors as pairs, so `color` holds no array with a cell per
-(edge, tail color).  `keep_table` holds one keep probability per vertex,
-its factors multiplied once over its big edges.
+correspondence made total) straight from the sorted lists, laying out only
+the maps of zip edges (free colors at both ends), so on nested lists `color`
+holds no array with a cell per (edge, tail color).  `keep_table` holds one
+keep probability per vertex, its factors multiplied once over its big edges.
 `pipeline_color` takes lists, completes its trial with `greedy_complete`
 (from those removed colors, a loop over the edges between uncolored
 vertices) and checks its finished coloring against the lists: every vertex
@@ -132,14 +132,14 @@ class CompiledInstance:
     equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the
     head can uncolor the tail.  Any flat (vertex, color) table, such as
     settle_trials' removed mask, holds the entry of lists[v][i] at
-    start[v] + i.  Edge e's map has a cell per tail color, block[e] + i for
-    the i-th; rev[e] is the reverse edge.  A cell's match (the
-    index in lists[head[e]] of the color matched to that tail color, or -1)
-    is not stored: `lookup` takes the identity's, the tail color's rank
-    (ranks[start[v] + i]) found in a dense (vertex, color rank) table
-    `where`, kept when it has no more entries than there are cells, or in
-    the sorted (vertex, color rank) keys; then pair_match[k] overrides the
-    match of cell pair_cell[k], ascending.
+    start[v] + i.  Edge e's map has a cell per tail color, the i-th its
+    match: the index in lists[head[e]] of the color matched to lists[v][i],
+    or -1; rev[e] is the reverse edge.  Where zoff[e] >= 0 the map is laid
+    out whole, the i-th match at zmap[zoff[e] + i]; the other maps are the
+    identity's and not stored: `lookup` finds the tail color's rank
+    (ranks[start[v] + i]) in a dense (vertex, color rank) table `where`,
+    kept when it has no more entries than there are cells, or in the sorted
+    (vertex, color rank) keys.
     """
 
     lists: list[list[Color]]  # each vertex's list, sorted
@@ -149,26 +149,25 @@ class CompiledInstance:
     tail: np.ndarray
     head: np.ndarray
     big: np.ndarray  # bool
-    block: np.ndarray
     rev: np.ndarray
     ranks: np.ndarray
     colors: int  # how many distinct colors the lists hold
     where: np.ndarray | None  # where[v * colors + r]: the index of rank r in lists[v], or -1
-    pair_cell: np.ndarray
-    pair_match: np.ndarray
+    zoff: np.ndarray  # each edge's offset in zmap, or -1 where its map is the identity's
+    zmap: np.ndarray  # the laid-out maps, in edge order
 
 
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     """The compiled instance of `L`: the identity correspondence made total.
 
     On every edge the common colors pair as identity, then each side's
-    remaining colors zip in ascending order; only the zipped pairs are
-    stored.  Colors are replaced by their rank among all colors before any
+    remaining colors zip in ascending order; only the maps of edges that zip
+    are kept.  Colors are replaced by their rank among all colors before any
     array is formed, so no color value bounds the input.  Each edge's common
     colors are counted from packed membership rows of the dense table, or
     by looking up each color of its smaller list; only an edge with fewer
     common colors than either list has free colors at both ends, and only
-    its cells are laid out, to zip them.  Nested lists (such as deg+1 lists)
+    its map is laid out, to zip it.  Nested lists (such as deg+1 lists)
     and uniform lists have none.  A big edge's tail has no more colors than
     its head, so each of its cells ends matched: `keep_table` relies on it.
     """
@@ -187,12 +186,11 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
         key = np.repeat(np.arange(g.n) * colors, sizes)
         key += ranks
         where[key] = np.arange(len(ranks)) - np.repeat(start[:-1], sizes)
-    block = np.cumsum(width) - width
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
     big = sizes[head] >= width
-    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, block, rev, ranks,
-                            colors, where, none, none)
+    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, rev, ranks, colors,
+                            where, none, none)
     # the colors each edge's tail shares with its head, counted on the edges up
     up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
     if where is not None:
@@ -209,23 +207,26 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     # the free colors of an edge with some at both ends zip in ascending order
     # with those of its reverse
     z = np.flatnonzero((common < width) & (common < sizes[head]))
-    free = np.flatnonzero(match_blocks(inst, z) < 0)
+    zmap = match_blocks(inst, z)
+    free = np.flatnonzero(zmap < 0)
     nfree, zbase = width[z] - common[z], np.cumsum(width[z]) - width[z]
     free_start = np.cumsum(nfree) - nfree
     free_rank = np.arange(len(free)) - np.repeat(free_start, nfree)
     other = np.repeat(np.searchsorted(z, rev[z]), nfree)
     paired = free_rank < nfree[other]
     other = other[paired]
-    cell = free[paired] + np.repeat(block[z] - zbase, nfree)[paired]
-    match = free[free_start[other] + free_rank[paired]] - zbase[other]
-    return dataclasses.replace(inst, pair_cell=cell, pair_match=match)
+    zmap[free[paired]] = free[free_start[other] + free_rank[paired]] - zbase[other]
+    zoff = np.full(len(tail), -1)
+    zoff[z] = zbase
+    return dataclasses.replace(inst, zoff=zoff, zmap=zmap)
 
 
-def lookup(inst: CompiledInstance, key: np.ndarray, cells: Callable[[], np.ndarray]) -> np.ndarray:
+def lookup(inst: CompiledInstance, key: np.ndarray, cells: Callable[[], tuple]) -> np.ndarray:
     """The match of each cell of (vertex, color rank) key v * colors + r,
     head v and tail color of rank r: that color's index in lists[v] or -1,
-    from the dense table or the sorted keys, but the explicit pairs' at the
-    flat cells `cells()` gives, called only when there are any."""
+    from the dense table or the sorted keys, but from zmap on an edge with a
+    laid-out map: `cells()`, called only if there is one, gives each cell's
+    edge's zoff and its tail color index, broadcast to key's shape."""
     if inst.where is not None:
         match = inst.where.take(key)
     else:
@@ -233,18 +234,16 @@ def lookup(inst: CompiledInstance, key: np.ndarray, cells: Callable[[], np.ndarr
         pos = np.searchsorted(keys, key)
         np.minimum(pos, len(keys) - 1, out=pos)
         match = np.where(keys.take(pos) == key, pos - inst.start[key // inst.colors], -1)
-    if len(inst.pair_cell):
-        cell = cells()
-        k = np.searchsorted(inst.pair_cell, cell)
-        np.minimum(k, len(inst.pair_cell) - 1, out=k)
-        hit = inst.pair_cell.take(k) == cell
-        match[hit] = inst.pair_match[k[hit]]
+    if len(inst.zmap):
+        off, i = np.broadcast_arrays(*cells())
+        laid = off >= 0
+        match[laid] = inst.zmap.take(off[laid] + i[laid])
     return match
 
 
 def match_blocks(inst: CompiledInstance, edges: np.ndarray) -> np.ndarray:
     """The maps of `edges` through `lookup`, one after another in the order
-    given: of all edges in order, the match of cell block[e] + i at it."""
+    given, a match per tail color: of all edges in order, the per-cell map."""
     tail = inst.tail[edges]
     width = inst.sizes[tail]
     # each cell's flat (vertex, color) entry of its tail color, then its key
@@ -252,7 +251,8 @@ def match_blocks(inst: CompiledInstance, edges: np.ndarray) -> np.ndarray:
     entry += np.arange(len(entry))
     key = inst.ranks.take(entry)
     key += np.repeat(inst.head[edges] * inst.colors, width)
-    return lookup(inst, key, lambda: entry + np.repeat(inst.block[edges] - inst.start[tail], width))
+    return lookup(inst, key, lambda: (np.repeat(inst.zoff[edges], width),
+                                      entry - np.repeat(inst.start[tail], width)))
 
 
 def keep_table(inst: CompiledInstance, rho: float) -> np.ndarray:
@@ -382,19 +382,19 @@ class EstimatePlan:
 def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
     """The plan of chunks of at most `stride` trials on `inst`; its egalitarian
     heads are savings_rows' sigma-egalitarian ones, lordlier included."""
-    sizes, head, big, block = inst.sizes, inst.head, inst.big, inst.block
+    sizes, head, big, end = inst.sizes, inst.head, inst.big, np.cumsum(inst.sizes[inst.tail])
     # u is egalitarian iff |L(u)| >= (1 - sigma) |L(v)|, that is |L(u)| >= least,
     # the integer ceiling of (den - num) |L(v)| / den, taken in Python ints
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = sizes[head] >= least[inst.tail]
     match = match_blocks(inst, np.arange(len(head)))
-    back = block[inst.rev]  # each reverse edge's first cell
+    back = end[inst.rev] - sizes[head]  # each reverse edge's first cell
     # each block of match gains its sentinel at its end, so edge e's coded
     # block starts e entries later, and the reverse edge's at back[e] plus
     # its edge number; a match is -1 (row 1) or an index i (row 2 + i)
     code = (match + 2) * stride
-    code = np.insert(code, block + sizes[inst.tail], 0)
+    code = np.insert(code, end, 0)
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
     return EstimatePlan(stride, (head[big], back[big][:, None], tp),
                         (head[egal], (back + inst.rev)[egal][:, None], ep), (head[~big], sp),
@@ -523,7 +523,7 @@ def settle_trials(
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
     key = inst.ranks.take(inst.start[:-1, None] + phi_idx).take(head, axis=0)
     key += (tail * inst.colors)[:, None]
-    mu = lookup(inst, key, lambda: phi_idx.take(head, axis=0) + inst.block.take(inst.rev)[:, None])
+    mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi_idx.take(head, axis=0)))
     # an activated head with a list at least as large, its color matched to the tail's
     threat = mu == phi_idx.take(tail, axis=0)
     threat &= act.take(head, axis=0)
@@ -571,8 +571,8 @@ def greedy_complete(
     The free bytes start as the colors that kept neighbors did not remove;
     the loop in completion order reads only the edges to uncolored neighbors
     completed before it, and takes the first free byte.  An edge reads the
-    dense table at the neighbor color's rank, or with explicit pairs or no
-    dense table its laid-out reverse map at that color's entry."""
+    dense table at the neighbor color's rank, or with a laid-out map or no
+    dense table its reverse map from match_blocks at that color's entry."""
     start, tail, head = inst.start, inst.tail, inst.head
     free = bytearray(~removed)
     order = np.flatnonzero(uncolored)
@@ -584,7 +584,7 @@ def greedy_complete(
     e = np.flatnonzero(uncolored[tail] & uncolored[head])
     e = e[rank[head[e]] < rank[tail[e]]]
     ptr = np.searchsorted(tail[e], np.arange(len(uncolored) + 1)).tolist()
-    if inst.where is not None and not len(inst.pair_cell):
+    if inst.where is not None and not len(inst.zmap):
         cells, base, pick = inst.where, tail[e] * inst.colors, memoryview(inst.ranks)
     else:
         width = inst.sizes[head[e]]

@@ -151,8 +151,8 @@ def keep_probability(
 
 def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance:
     """The index arrays of `ca`, built edge by edge over `g.adj`: every cell's
-    match in a list, and from it the explicit pairs, the cells whose match is
-    not the identity's (any value, -1 included).  The sampler reads the
+    match in a list, and from it the laid-out maps, those of the edges whose
+    map is not the identity's (at any cell, -1 included).  The sampler reads the
     instance of a total `ca` only: its per-vertex keep table needs every
     cell of a big edge matched."""
     lists = [sorted(ca.lists[v]) for v in range(g.n)]
@@ -187,20 +187,24 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
         for v, row in enumerate(lists):
             for i, c in enumerate(row):
                 where[v * len(rank) + rank[c]] = i
-    # the explicit pairs: every cell whose match is not the identity's, the
-    # index in the head's list of the same color
-    identity = [
-        index_of[u].get(c, -1) for v, u in zip(tail, head) for c in lists[v]
-    ]
-    pairs = [(k, m) for k, (m, same) in enumerate(zip(match, identity)) if m != same]
+    # the laid-out maps: the whole map of each edge whose match differs, at
+    # some cell, from the identity's (the head's index of the same color)
+    zoff, zmap = [], []
+    for v, u, b in zip(tail, head, block):
+        row = match[b : b + len(lists[v])]
+        if row == [index_of[u].get(c, -1) for c in lists[v]]:
+            zoff.append(-1)
+        else:
+            zoff.append(len(zmap))
+            zmap += row
 
     def ints(x):
         return np.array(x, dtype=np.int64)
 
     return CompiledInstance(
         lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
-        ints(head), np.array(big, dtype=bool), ints(block), ints(rev), ints(ranks),
-        len(rank), None if where is None else ints(where), ints([k for k, _ in pairs]), ints([m for _, m in pairs]),
+        ints(head), np.array(big, dtype=bool), ints(rev), ints(ranks), len(rank),
+        None if where is None else ints(where), ints(zoff), ints(zmap),
     )
 
 

@@ -20,7 +20,10 @@ from localcolor import procedure
 from localcolor.cli import (
     BOUNDS, GENERATORS, PARAM_DEFAULTS, _params_of, _parser, _signed_values, main,
 )
-from localcolor.procedure import ProcedureParams
+from localcolor.formats import emit_dimacs, parse_dimacs
+from localcolor.graph import Graph
+from localcolor.lists import make_lists
+from localcolor.procedure import ProcedureParams, compile_lists
 
 # Measured once estimate drew its trials TRIAL_CHUNK at a time; the bytes
 # must not change for a fixed instance and seed.
@@ -43,6 +46,20 @@ GOLDEN_TWO_PATH_CSV_SHA256 = "71691b40d35fde65f4e6f9b16bb42a6e741e75fae5ac2b596b
 # the frozenset residual assignment; the compiled completion must match it.
 GOLDEN_COLOR_GNP40_SHA256 = "84e9f20d7ca1796f079e4dd7ad4ee128318432d1e4558642ba3bf6fbd05a90ff"
 GOLDEN_COLOR_C5_SHA256 = "a6341bb3e1dad1f8ebb3ef2c7937c1ccdd282548abf30fd7a386c85087b87929"
+
+# (SHA-256 of `color` stdout, SHA-256 of the `estimate` CSV) on zip-heavy
+# lists, without and with isolated far-apart colors, measured at 7170dcc,
+# while the zipped matches were still sorted explicit pairs.
+GOLDEN_ZIP = {
+    False: (
+        "7d09dec996b89594da6e1b791fc9b6689aa76ca7162375f599e3279ab39f43c2",
+        "7cb6f51c32a7dc1b291614a256297dd34510d79f2914a38cb4339bb3c06d6f34",
+    ),
+    True: (
+        "04eef0579da707a7b5a60e834d9a7d44f5ca741c93685c18676f45fc4ce7f314",
+        "b58a76ac76432b28ea70019207da9f619c3a4124877c6e8eab5b4c705f3adebf",
+    ),
+}
 
 # SHA-256 of `audit` stdout on the whole of the gnp40 fixture, measured while
 # its JSON was still built field by field.
@@ -128,6 +145,34 @@ def test_color_output_is_pinned(gnp40, capsys):
     out = capsys.readouterr().out
     assert rc == 0 and json.loads(out)["succeeded"]
     assert sha256(out.encode()) == GOLDEN_COLOR_GNP40_SHA256
+
+
+@pytest.mark.parametrize("padded", GOLDEN_ZIP)
+def test_zip_heavy_outputs_are_pinned(gnp40, capsys, padded):
+    """The gnp40 graph with d(v) + 2 of 24 colors per vertex: many edges have
+    free colors at both ends, which zip, and the (vertex, color) table is
+    dense.  Padded with 40 isolated vertices whose one-color lists lie 10**6
+    apart, the same edges compile without the dense table."""
+    g = parse_dimacs((gnp40 / "g.col").read_text())
+    rnd = random.Random(3)
+    rows = [sorted(rnd.sample(range(24), len(g.adj[v]) + 2)) for v in range(g.n)]
+    pad = 40 if padded else 0
+    rows += [[10**6 * (j + 1)] for j in range(pad)]
+    g = Graph.from_edges(g.n + pad, g.edges())
+    assert any(len(set(rows[u]) & set(rows[v])) < min(len(rows[u]), len(rows[v])) for u, v in g.edges())
+    assert (compile_lists(g, make_lists(rows)).where is None) == padded
+    (gnp40 / "z.col").write_text(emit_dimacs(g))
+    (gnp40 / "z.json").write_text(json.dumps({"lists": rows}))
+    capsys.readouterr()
+    rc = main(["color", "--graph", "z.col", "--lists", "z.json", "--seed", "5", "--rounds", "20"])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out)["succeeded"]
+    assert main([
+        "estimate", "--graph", "z.col", "--lists", "z.json", "--seed", "5",
+        "--trials", "1100", "--sigma", "1/4", "--out-dir", "out",
+    ]) in (0, 1)
+    csv_bytes = (gnp40 / "out" / "estimate_results.csv").read_bytes()
+    assert (sha256(out.encode()), sha256(csv_bytes)) == GOLDEN_ZIP[padded]
 
 
 def test_color_output_is_pinned_over_many_rounds(tmp_path, monkeypatch, capsys):

@@ -366,7 +366,7 @@ def test_instance_guard_catches_a_second_constructor():
             "    inst = CompiledInstance(L, g)\n"
             "    return dataclasses.replace(inst, where=None)\n"
             "def compile_partial(g, L):\n"
-            "    return replace(compile_lists(g, L), pair_cell=None), text.replace('a', 'b')\n"
+            "    return replace(compile_lists(g, L), zmap=None), text.replace('a', 'b')\n"
         ),
         "experiment": "inst = procedure.CompiledInstance([], None)\n",
     }

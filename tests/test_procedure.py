@@ -1031,8 +1031,8 @@ def test_compile_lists_lookup_on_both_sides():
         _compiled_fields_equal(inst, _made_total(graph, L))
         insts.append(inst)
     plain, padded = insts
-    assert len(plain.pair_cell) == 0
-    for name in ("tail", "head", "big", "block", "rev", "pair_cell", "pair_match"):
+    assert len(plain.zmap) == 0
+    for name in ("tail", "head", "big", "rev", "zoff", "zmap"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
     assert np.array_equal(_match(plain), _match(padded))
     for name in ("start", "ptr"):

@@ -1,11 +1,14 @@
-"""The README's Python example and CLI block run as written, so the docs
-cannot keep a name or a flag that the package no longer has."""
+"""The README's Python example and CLI block run as written, and it names
+every field of CompiledInstance, so the docs cannot keep a name or a flag
+that the package no longer has, nor miss a field it gains."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from localcolor.cli import main
+from localcolor.procedure import CompiledInstance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +35,8 @@ def test_cli_block_runs(tmp_path, monkeypatch):
         "generate": 0, "color": 0, "estimate": 0, "audit": 1,
         "extract": 0, "bounds": 0, "certify-constants": 0,
     }
+
+
+def test_names_every_compiled_instance_field():
+    named = set(re.findall(r"`(\w+)`", README.read_text()))
+    assert [f.name for f in dataclasses.fields(CompiledInstance) if f.name not in named] == []
