@@ -30,10 +30,11 @@ reads those (`phi_left`) and yields one vertex at a time its savings over
 the chunk, through the plan's coded table: each edge's map, plus an entry
 for an uncolored tail, as rows of the head's (color, trial) count grid.
 `estimate` sums each row into a chunk buffer and folds that into exact
-totals once per chunk, holding one chunk at a time.  `settle_trials` (all
-directed edges at once, one lookup per (edge, trial)) gives
-`pipeline_color`'s savings check the uncolored set, unact and save_drop, and
-`greedy_complete` the colors each vertex loses to its kept neighbors.
+totals once per chunk, holding one chunk at a time.  `settle_trials` (in
+trial slices of at most SLICE (edge, trial) cells, one lookup per cell, its
+counts segment reductions over each tail's rows) gives `pipeline_color`'s
+savings check the uncolored set, unact and save_drop, and `greedy_complete`
+the colors each vertex loses to its kept neighbors.
 `compile_lists` builds the arrays of a list assignment (the identity
 correspondence made total) straight from the sorted lists, laying out only
 the maps of zip edges (free colors at both ends), so on nested lists `color`
@@ -195,9 +196,12 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
     if where is not None:
         member = np.packbits(where.reshape(g.n, colors) >= 0, axis=1)
-        shared = member[tail[up]]
-        shared &= member[head[up]]
-        common[up] = np.bitwise_count(shared, out=shared).sum(axis=1)
+        rows = max(1, SLICE // max(member.shape[1], 1))  # up-edges per block of SLICE bytes
+        for b in range(0, len(up), rows):
+            e = up[b : b + rows]
+            shared = member[tail[e]]
+            shared &= member[head[e]]
+            common[e] = np.bitwise_count(shared, out=shared).sum(axis=1)
     else:
         # each color of the smaller list, looked up in the other
         small = np.where(big[up], up, rev[up])
@@ -306,6 +310,10 @@ def check_equalization_precondition(
 # threshold, so they reuse heap memory rather than fault in fresh pages
 BLOCK = 8192
 
+# (edge, trial) cells of one trial slice of settle_trials, and packed bytes
+# of one block of compile_lists' common-color count
+SLICE = 1 << 15
+
 ROW_DRAWS = 576  # trials from which a call per row draws colors faster than one call
 
 
@@ -408,9 +416,9 @@ def uncolored_trials(
 
     v is uncolored when it is not activated, when its flip came up, or when
     an activated neighbor with a list at least as large got a color matched
-    to v's.  Work is vectorized per vertex over (neighbor, trial) arrays: at
-    TRIAL_CHUNK trials settle_trials' edge-wide layout is 2 to 3 times
-    slower, its temporaries too large to stay in cache.
+    to v's.  Work is vectorized per vertex over (neighbor, trial) arrays.
+    settle_trials also lays out and counts the removed colors, and on
+    TRIAL_CHUNK-trial chunks it takes 3.6 to 6.7 times as long.
     """
     threat, bk, tp = plan.threats
     uncolored = heads >= act  # heads | ~act, with no (n, trials) temporary
@@ -491,17 +499,6 @@ def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> I
         yield x
 
 
-def _count_by_vertex(owner: np.ndarray, cells: np.ndarray, n: int, trials: int) -> np.ndarray:
-    """Per (vertex, trial): how many of the flat (row, trial) `cells` have their
-    row owned by that vertex, `owner` giving each row's vertex."""
-    # cell = row * trials + t, and its (vertex, trial) key owner[row] * trials + t
-    # is the cell shifted by (owner[row] - row) * trials
-    shift = (owner - np.arange(len(owner))) * trials
-    key = shift[cells // trials]
-    key += cells
-    return np.bincount(key, minlength=n * trials).reshape(n, trials)
-
-
 def settle_trials(
     inst: CompiledInstance, act: np.ndarray, phi_idx: np.ndarray, heads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -514,44 +511,59 @@ def settle_trials(
     colors are its residual list L'(v).  save_drop(v) = Save_L(v) -
     Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): v's colored neighbors
     minus the distinct colors of v they remove, meaningful only where v is
-    uncolored.  Work is vectorized over all directed edges at once, and each
-    (edge, trial) mask is reduced through the flat indices of the cells it hits.
+    uncolored.
+
+    The trials are settled in slices of at most max(1, SLICE // edges)
+    trials, as few as fit, in trial order: one lookup per (directed edge,
+    trial) cell of the slice, and each count a segment reduction
+    (`reduceat`) over the slice's rows of one tail, its edges, small edges
+    or removed colors.  So an (edge, trial) temporary holds at most SLICE
+    cells (one trial's, if there are more edges) however wide the batch;
+    only the draws and the four results span it.
     """
     n, trials = phi_idx.shape
-    tail, head = inst.tail, inst.head
-    phi_idx = phi_idx.astype(np.int64, copy=False)  # int32 plus back in place would wrap
-    # per (edge, trial): the index in L(tail) matched to phi(head), or -1
-    key = inst.ranks.take(inst.start[:-1, None] + phi_idx).take(head, axis=0)
-    key += (tail * inst.colors)[:, None]
-    mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi_idx.take(head, axis=0)))
-    # an activated head with a list at least as large, its color matched to the tail's
-    threat = mu == phi_idx.take(tail, axis=0)
-    threat &= act.take(head, axis=0)
-    threat &= inst.big[:, None]
-    uncolored = _count_by_vertex(tail, np.flatnonzero(threat), n, trials) > 0
-    uncolored |= ~act
-    uncolored |= heads
-    # the colors of the tails that colored heads remove, as one flat (tail
-    # color, trial) mask; mu becomes the flat cell of each, in place
-    off = uncolored.take(head, axis=0)
-    hit = mu >= 0
-    hit &= ~off
-    mu += inst.start[tail][:, None]
-    mu *= trials
-    mu += np.arange(trials)
-    removed = np.zeros(int(inst.start[-1]) * trials, dtype=bool)
-    removed[mu[hit]] = True
-    del mu  # the largest array here; the counts below need their own keys
-    owner = np.repeat(np.arange(n), inst.sizes)
-    distinct = _count_by_vertex(owner, np.flatnonzero(removed), n, trials)
-    colored_heads = np.diff(inst.ptr)[:, None] - _count_by_vertex(
-        tail, np.flatnonzero(off), n, trials
-    )
-    # the non-activated heads with strictly smaller lists
+    tail, head, ptr, start = inst.tail, inst.head, inst.ptr, inst.start
+    # reduceat gives an empty segment its first element, not 0, so the edge
+    # counts reduce over the vertices with an edge (a small edge) only; every
+    # list is nonempty
     small = np.flatnonzero(~inst.big)
-    idle = ~act.take(head[small], axis=0)
-    unact = _count_by_vertex(tail[small], np.flatnonzero(idle), n, trials)
-    return uncolored, unact, colored_heads - distinct, removed.reshape(-1, trials)
+    sp = np.searchsorted(small, ptr)  # the small edges' offsets by tail
+    has_edge, has_small = (np.flatnonzero(p[1:] > p[:-1]) for p in (ptr, sp))
+    uncolored = heads >= act  # heads | ~act
+    unact, save_drop = np.zeros((2, n, trials), dtype=np.int64)
+    removed = np.zeros((int(start[-1]), trials), dtype=bool)
+    # as few slices as hold SLICE (edge, trial) cells each, of about equal
+    # width: 16 trials of C5[K12] in 8 + 8 took 0.84 of 15 + 1's time
+    width = max(1, SLICE // max(len(tail), 1))
+    width = -(-trials // -(-trials // width)) if trials > width else width
+    for t in range(0, trials, width):
+        s = slice(t, t + width)
+        phi = phi_idx[:, s].astype(np.int64)  # int32 plus back in place would wrap
+        # per (edge, trial): the index in L(tail) matched to phi(head), or -1
+        key = inst.ranks.take(start[:-1, None] + phi).take(head, axis=0)
+        key += (tail * inst.colors)[:, None]
+        mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi.take(head, axis=0)))
+        # an activated head with a list at least as large, its color matched to the tail's
+        threat = mu == phi.take(tail, axis=0)
+        threat &= act[:, s].take(head, axis=0)
+        threat &= inst.big[:, None]
+        uncolored[has_edge, s] |= np.logical_or.reduceat(threat, ptr[has_edge], axis=0)
+        # the colors of the tails that heads staying colored remove, as flat
+        # (tail color, trial) cells of removed, in place in mu
+        off = uncolored[:, s].take(head, axis=0)
+        hit = (mu >= 0) > off  # matched, and the head not off
+        mu += start[tail][:, None]
+        mu *= trials
+        mu += np.arange(t, t + phi.shape[1])
+        removed.reshape(-1)[np.compress(hit.ravel(), mu)] = True
+        # v's colored heads minus the distinct colors of v they remove
+        busy = np.add.reduceat(off, ptr[has_edge], axis=0)
+        save_drop[has_edge, s] = np.diff(ptr)[has_edge, None] - busy
+        save_drop[:, s] -= np.add.reduceat(removed[:, s], start[:-1], axis=0)
+        # the non-activated heads with strictly smaller lists
+        idle = ~act[:, s].take(head[small], axis=0)
+        unact[has_small, s] = np.add.reduceat(idle, sp[has_small], axis=0)
+    return uncolored, unact, save_drop, removed
 
 
 # --- the end-to-end pipeline ------------------------------------------------

@@ -944,6 +944,16 @@ class TestCompileLists:
         for a in (_dense(inst), _searched(inst)):
             assert np.array_equal(_match(a), _match(want))
 
+    @given(list_instance(), st.sampled_from([1, 2, 3, 17]))
+    @_with_examples(COMPILE_EDGE_CASES, cells=1)
+    @settings(max_examples=60, deadline=None)
+    def test_common_colors_in_blocks_of_edges(self, case, cells):
+        # blocks of a few up-edges' packed rows count what one block counts
+        want = compile_lists(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(procedure, "SLICE", cells)
+            _compiled_fields_equal(compile_lists(*case), want)
+
     @given(list_instance())
     @_with_examples(COMPILE_EDGE_CASES)
     @settings(max_examples=100, deadline=None)
@@ -1061,6 +1071,84 @@ def test_color_holds_no_array_with_a_cell_per_edge_and_color():
         tracemalloc.stop()
     assert report.succeeded
     assert peak < cells * 8
+
+
+def test_color_memory_is_flat_once_rounds_fail():
+    """K_60 with 59-color lists passes the precondition at eps 1/50 but is not
+    colorable, so every round fails and 2,047 rounds reach a 1,024-trial
+    batch.  settle_trials evaluates it in trial slices, so the traced call
+    peaks below that batch's removed mask plus 16 slices of int64: the
+    (vertex, trial) arrays of the batch (its draws, the three counts and the
+    savings check) take about 1.9 of those slices here, and the slices some
+    4.  (edge, trial) arrays over the whole batch peaked at removed plus 373."""
+    n = 60
+    g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+    L, params = uniform_lists(n, n - 1), ProcedureParams(eps=Fraction(1, 50))
+    pipeline_color(g, L, params, 1, rng_of(0))  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        report = pipeline_color(g, L, params, 2 * TRIAL_CHUNK - 1, rng_of(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.succeeded and report.rounds_used == 2 * TRIAL_CHUNK - 1
+    assert peak < n * (n - 1) * TRIAL_CHUNK + 16 * procedure.SLICE * 8
+
+
+# settle_trials' slice boundaries: vertices 0 and 9 are isolated (empty edge
+# segments first and last, each beside a big edge), the path 1-2-3 has lists
+# of 2, 3 and 2 colors (1 and 3 have no small edge, 2 no big edge), and 4-8,
+# a 5-cycle with a chord, has lists of 3 of 6 colors, most of whose edges zip
+SLICED = (
+    Graph.from_edges(10, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (4, 6)]),
+    make_lists([
+        [0], [0, 1], [0, 1, 2], [1, 2], [0, 1, 3], [1, 2, 4], [0, 3, 5], [2, 4, 5],
+        [1, 3, 5], [7, 8],
+    ]),
+)
+
+
+@pytest.mark.parametrize("table", [_dense, _searched])
+def test_settle_trials_across_slice_boundaries(monkeypatch, table):
+    """With slices of at most cap = 4 trials, batches of 1, cap - 1, cap,
+    cap + 1 and 3 cap + 2 trials give what the same draws give settled one
+    column at a time, and every trial matches the scalar reference: the
+    uncolored set and unact, and save_drop and the removed colors of each
+    uncolored vertex."""
+    g, L = SLICED
+    ca = make_total(g, identity_correspondence(g, L))
+    inst, params, cap = table(compile_lists(g, L)), ProcedureParams(rho=0.7), 4
+    assert len(inst.zmap) and not inst.big.all() and (np.diff(inst.ptr) == 0).any()
+    monkeypatch.setattr(procedure, "SLICE", cap * len(inst.tail))
+    prec, rng, seen = list_size_order(ca.lists), rng_of(7), []
+    for trials in (1, cap - 1, cap, cap + 1, 3 * cap + 2):
+        draws = draw_trials(inst, params, keep_table(inst, params.rho), trials, rng)
+        uncolored, unact, save_drop, removed = settled = settle_trials(inst, *draws)
+        columns = [settle_trials(inst, *(a[:, t : t + 1] for a in draws)) for t in range(trials)]
+        for got, want in zip(settled, zip(*columns), strict=True):
+            assert np.array_equal(got, np.concatenate(want, axis=1))
+        act, phi_idx, heads = draws
+        for t in range(trials):
+            phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+            unc = frozenset(
+                _uncolored_naive(g, ca, phi, act[:, t]) | set(np.flatnonzero(heads[:, t]).tolist())
+            )
+            assert set(np.flatnonzero(uncolored[:, t]).tolist()) == unc
+            pc = PartialColoring(phi, unc, frozenset(np.flatnonzero(act[:, t]).tolist()))
+            assert unact[:, t].tolist() == list(savings_of(g, ca, params, prec, pc).unact)
+            res = residual(g, ca, phi, unc)
+            for v in res.vertices:
+                d_res = sum(1 for u in g.adj[v] if u in unc)
+                drop = (len(g.adj[v]) - d_res) - (len(ca.lists[v]) - len(res.lists[v]))
+                assert save_drop[v, t] == drop
+                lost = np.flatnonzero(removed[inst.start[v] : inst.start[v + 1], t])
+                assert {inst.lists[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
+        seen.append(settled)
+    # the draws reach every count: some vertex uncolored, some colored, some
+    # unact, save_drop and removed color
+    for got in zip(*seen):
+        assert any(a.any() for a in got)
+    assert not all(a.all() for a in next(zip(*seen)))
 
 
 class _CountingRng:

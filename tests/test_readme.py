@@ -1,12 +1,14 @@
 """The README's Python example and CLI block run as written, and it names
-every field of CompiledInstance, so the docs cannot keep a name or a flag
-that the package no longer has, nor miss a field it gains."""
+every field of CompiledInstance and every module constant of procedure with
+its value, so the docs cannot keep a name or a flag that the package no
+longer has, nor miss a field or a constant it gains."""
 
 import dataclasses
 import re
 import shlex
 from pathlib import Path
 
+from localcolor import procedure
 from localcolor.cli import main
 from localcolor.procedure import CompiledInstance
 
@@ -40,3 +42,11 @@ def test_cli_block_runs(tmp_path, monkeypatch):
 def test_names_every_compiled_instance_field():
     named = set(re.findall(r"`(\w+)`", README.read_text()))
     assert [f.name for f in dataclasses.fields(CompiledInstance) if f.name not in named] == []
+
+
+def test_names_every_procedure_constant_with_its_value():
+    # as `NAME` (value), the value with or without thousands separators
+    text = README.read_text()
+    constants = {k: v for k, v in vars(procedure).items() if k.isupper() and isinstance(v, int)}
+    assert constants.keys() >= {"BLOCK", "ROW_DRAWS", "TRIAL_CHUNK", "SLICE"}
+    assert [k for k, v in constants.items() if not re.search(rf"`{k}` \(({v}|{v:,})\)", text)] == []
