@@ -30,11 +30,12 @@ reads those (`phi_left`) and yields one vertex at a time its savings over
 the chunk, through the plan's coded table: each edge's map, plus an entry
 for an uncolored tail, as rows of the head's (color, trial) count grid.
 `estimate` sums each row into a chunk buffer and folds that into exact
-totals once per chunk, holding one chunk at a time.  `settle_trials` (in
-trial slices of at most SLICE (edge, trial) cells, one lookup per cell, its
-counts segment reductions over each tail's rows) gives `pipeline_color`'s
-savings check the uncolored set, unact and save_drop, and `greedy_complete`
-the colors each vertex loses to its kept neighbors.
+totals once per chunk, holding one chunk at a time.  `settle_trials` (one
+lookup per (edge, trial) cell, its counts segment reductions over each
+tail's rows) gives `pipeline_color`'s savings check the uncolored set, unact
+and save_drop, and `greedy_complete` the colors each vertex loses to its
+kept neighbors; `pipeline_color` hands it one trial slice of at most SLICE
+(edge, trial) cells at a time.
 `compile_lists` builds the arrays of a list assignment (the identity
 correspondence made total) straight from the sorted lists, laying out only
 the maps of zip edges (free colors at both ends), so on nested lists `color`
@@ -310,8 +311,8 @@ def check_equalization_precondition(
 # threshold, so they reuse heap memory rather than fault in fresh pages
 BLOCK = 8192
 
-# (edge, trial) cells of one trial slice of settle_trials, and packed bytes
-# of one block of compile_lists' common-color count
+# (edge, trial) cells of one trial slice of pipeline_color, and packed
+# bytes of one block of compile_lists' common-color count
 SLICE = 1 << 15
 
 ROW_DRAWS = 576  # trials from which a call per row draws colors faster than one call
@@ -380,11 +381,10 @@ class EstimatePlan:
     tail offset [v] to [v + 1]."""
 
     stride: int  # the widest chunk savings_rows takes, its count grids' row length
-    threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, back blocks, tail offsets
+    threats: tuple[np.ndarray, np.ndarray, list[int]]  # big-edge heads, coded back blocks, tail offsets
     egal: tuple[np.ndarray, np.ndarray, list[int]]  # egal heads, coded back blocks, tail offsets
     small: tuple[np.ndarray, list[int]]  # heads with strictly smaller lists, tail offsets
-    match: np.ndarray  # every edge's map, laid out by match_blocks
-    code: np.ndarray  # savings_rows' coded table, scaled by stride
+    code: np.ndarray  # every edge's map coded as savings_rows' grid rows, scaled by stride
 
 
 def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) -> EstimatePlan:
@@ -396,17 +396,15 @@ def estimate_plan(inst: CompiledInstance, params: ProcedureParams, stride: int) 
     num, den = params.sigma.numerator, params.sigma.denominator
     least = (-((num - den) * sizes.astype(object) // den)).astype(np.int64)
     egal = sizes[head] >= least[inst.tail]
-    match = match_blocks(inst, np.arange(len(head)))
-    back = end[inst.rev] - sizes[head]  # each reverse edge's first cell
-    # each block of match gains its sentinel at its end, so edge e's coded
-    # block starts e entries later, and the reverse edge's at back[e] plus
-    # its edge number; a match is -1 (row 1) or an index i (row 2 + i)
-    code = (match + 2) * stride
+    # every edge's map, each block gaining a sentinel at its end, so edge e's
+    # coded block starts e entries later, the reverse edge's at its first cell
+    # plus its edge number; a match is -1 (row 1) or an index i (row 2 + i)
+    code = (match_blocks(inst, np.arange(len(head))) + 2) * stride
     code = np.insert(code, end, 0)
+    back = end[inst.rev] - sizes[head] + inst.rev
     tp, ep, sp = (np.concatenate(([0], np.cumsum(m)))[inst.ptr].tolist() for m in (big, egal, ~big))
     return EstimatePlan(stride, (head[big], back[big][:, None], tp),
-                        (head[egal], (back + inst.rev)[egal][:, None], ep), (head[~big], sp),
-                        match, code)
+                        (head[egal], back[egal][:, None], ep), (head[~big], sp), code)
 
 
 def uncolored_trials(
@@ -417,17 +415,18 @@ def uncolored_trials(
     v is uncolored when it is not activated, when its flip came up, or when
     an activated neighbor with a list at least as large got a color matched
     to v's.  Work is vectorized per vertex over (neighbor, trial) arrays.
-    settle_trials also lays out and counts the removed colors, and on
-    TRIAL_CHUNK-trial chunks it takes 3.6 to 6.7 times as long.
+    settle_trials also lays out and counts the removed colors: on 1,024 trials
+    in SLICE slices it took 5 (C5[K12]) to 11 (G(100, 1/10)) times as long.
     """
     threat, bk, tp = plan.threats
     uncolored = heads >= act  # heads | ~act, with no (n, trials) temporary
     for v in range(len(phi_idx)):
         u = threat[tp[v] : tp[v + 1]]
-        # per (threat u, trial): the index in L(v) matched to phi(u), or -1,
-        # which never equals phi(v)
-        mu = plan.match.take(bk[tp[v] : tp[v + 1]] + phi_idx.take(u, axis=0))
-        uncolored[v] |= (act.take(u, axis=0) & (mu == phi_idx[v])).any(axis=0)
+        # per (threat u, trial): the coded row in v's grid of phi(u), which is
+        # that of phi(v) when matched to it; in int64, as an int32 product wraps
+        mu = plan.code.take(bk[tp[v] : tp[v + 1]] + phi_idx.take(u, axis=0))
+        mine = (phi_idx[v] + np.int64(2)) * plan.stride
+        uncolored[v] |= (act.take(u, axis=0) & (mu == mine)).any(axis=0)
     return uncolored
 
 
@@ -513,13 +512,10 @@ def settle_trials(
     minus the distinct colors of v they remove, meaningful only where v is
     uncolored.
 
-    The trials are settled in slices of at most max(1, SLICE // edges)
-    trials, as few as fit, in trial order: one lookup per (directed edge,
-    trial) cell of the slice, and each count a segment reduction
-    (`reduceat`) over the slice's rows of one tail, its edges, small edges
-    or removed colors.  So an (edge, trial) temporary holds at most SLICE
-    cells (one trial's, if there are more edges) however wide the batch;
-    only the draws and the four results span it.
+    One pass over the trials given: one lookup per (directed edge, trial)
+    cell, and each count a segment reduction (`reduceat`) over the rows of
+    one tail, its edges, small edges or removed colors.  The caller bounds
+    the (edge, trial) temporaries by the trials it passes.
     """
     n, trials = phi_idx.shape
     tail, head, ptr, start = inst.tail, inst.head, inst.ptr, inst.start
@@ -532,37 +528,31 @@ def settle_trials(
     uncolored = heads >= act  # heads | ~act
     unact, save_drop = np.zeros((2, n, trials), dtype=np.int64)
     removed = np.zeros((int(start[-1]), trials), dtype=bool)
-    # as few slices as hold SLICE (edge, trial) cells each, of about equal
-    # width: 16 trials of C5[K12] in 8 + 8 took 0.84 of 15 + 1's time
-    width = max(1, SLICE // max(len(tail), 1))
-    width = -(-trials // -(-trials // width)) if trials > width else width
-    for t in range(0, trials, width):
-        s = slice(t, t + width)
-        phi = phi_idx[:, s].astype(np.int64)  # int32 plus back in place would wrap
-        # per (edge, trial): the index in L(tail) matched to phi(head), or -1
-        key = inst.ranks.take(start[:-1, None] + phi).take(head, axis=0)
-        key += (tail * inst.colors)[:, None]
-        mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi.take(head, axis=0)))
-        # an activated head with a list at least as large, its color matched to the tail's
-        threat = mu == phi.take(tail, axis=0)
-        threat &= act[:, s].take(head, axis=0)
-        threat &= inst.big[:, None]
-        uncolored[has_edge, s] |= np.logical_or.reduceat(threat, ptr[has_edge], axis=0)
-        # the colors of the tails that heads staying colored remove, as flat
-        # (tail color, trial) cells of removed, in place in mu
-        off = uncolored[:, s].take(head, axis=0)
-        hit = (mu >= 0) > off  # matched, and the head not off
-        mu += start[tail][:, None]
-        mu *= trials
-        mu += np.arange(t, t + phi.shape[1])
-        removed.reshape(-1)[np.compress(hit.ravel(), mu)] = True
-        # v's colored heads minus the distinct colors of v they remove
-        busy = np.add.reduceat(off, ptr[has_edge], axis=0)
-        save_drop[has_edge, s] = np.diff(ptr)[has_edge, None] - busy
-        save_drop[:, s] -= np.add.reduceat(removed[:, s], start[:-1], axis=0)
-        # the non-activated heads with strictly smaller lists
-        idle = ~act[:, s].take(head[small], axis=0)
-        unact[has_small, s] = np.add.reduceat(idle, sp[has_small], axis=0)
+    phi = phi_idx.astype(np.int64)  # int32 plus back in place would wrap
+    # per (edge, trial): the index in L(tail) matched to phi(head), or -1
+    key = inst.ranks.take(start[:-1, None] + phi).take(head, axis=0)
+    key += (tail * inst.colors)[:, None]
+    mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi.take(head, axis=0)))
+    # an activated head with a list at least as large, its color matched to the tail's
+    threat = mu == phi.take(tail, axis=0)
+    threat &= act.take(head, axis=0)
+    threat &= inst.big[:, None]
+    uncolored[has_edge] |= np.logical_or.reduceat(threat, ptr[has_edge], axis=0)
+    # the colors of the tails that heads staying colored remove, as flat
+    # (tail color, trial) cells of removed, in place in mu
+    off = uncolored.take(head, axis=0)
+    hit = (mu >= 0) > off  # matched, and the head not off
+    mu += start[tail][:, None]
+    mu *= trials
+    mu += np.arange(trials)
+    removed.reshape(-1)[np.compress(hit.ravel(), mu)] = True
+    # v's colored heads minus the distinct colors of v they remove
+    busy = np.add.reduceat(off, ptr[has_edge], axis=0)
+    save_drop[has_edge] = np.diff(ptr)[has_edge, None] - busy
+    save_drop -= np.add.reduceat(removed, start[:-1], axis=0)
+    # the non-activated heads with strictly smaller lists
+    idle = ~act.take(head[small], axis=0)
+    unact[has_small] = np.add.reduceat(idle, sp[has_small], axis=0)
     return uncolored, unact, save_drop, removed
 
 
@@ -643,12 +633,13 @@ def pipeline_color(
 
     Each round is a full independent trial.  Trials are drawn from `rng` in
     batches of 1, 2, 4, ... up to TRIAL_CHUNK (1024), capped by the rounds
-    left, so memory does not grow with max_rounds; the first trial in
-    which every uncolored vertex v has save_full(v) - save_drop(v) <= unact(v)
-    is completed, and the rest of its batch is discarded.  The lists are
-    compiled by `compile_lists`, and the completed coloring is checked to be
-    a proper coloring from `L` on `g` and `L` themselves, not on the compiled
-    arrays.
+    left, so memory does not grow with max_rounds.  Each batch is settled in
+    trial slices of at most SLICE (edge, trial) cells, in trial order; the
+    first trial in which every uncolored vertex v has save_full(v) -
+    save_drop(v) <= unact(v) is completed, and the slices after its own are
+    not settled.  The lists are compiled by `compile_lists`, and the
+    completed coloring is checked to be a proper coloring from `L` on `g`
+    and `L` themselves, not on the compiled arrays.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -659,27 +650,33 @@ def pipeline_color(
     batch = 1
     while len(violations) < max_rounds:
         trials = min(batch, TRIAL_CHUNK, max_rounds - len(violations))
+        batch *= 2
         act, phi_idx, heads = draw_trials(inst, params, table, trials, rng)
-        uncolored, unact, save_drop, removed = settle_trials(inst, act, phi_idx, heads)
-        bad = (uncolored & (save_full[:, None] - save_drop > unact)).sum(axis=0)
-        good = np.flatnonzero(bad == 0)
-        if not good.size:
-            violations.extend(bad.tolist())
-            batch *= 2
-            del removed  # Σ|L(v)| bytes per trial, not held while the next batch settles
-            continue
-        t = int(good[0])
-        violations.extend(bad[: t + 1].tolist())
-        color, blocked = greedy_complete(inst, phi_idx[:, t], uncolored[:, t], removed[:, t])
-        if color is None:
-            # the savings check guarantees greedy succeeds: unact(v) counts
-            # the neighbors that are colored after v
-            raise RuntimeError(
-                f"greedy completion blocked at vertex {blocked} after the savings "
-                "check passed; pipeline fault"
+        # as few slices as hold SLICE (edge, trial) cells each, of about equal
+        # width: 16 trials of C5[K12] in 8 + 8 took 0.84 of 15 + 1's time
+        width = max(1, SLICE // max(len(inst.tail), 1))
+        width = -(-trials // -(-trials // width))
+        for s in range(0, trials, width):
+            cut = slice(s, s + width)
+            uncolored, unact, save_drop, removed = settle_trials(
+                inst, act[:, cut], phi_idx[:, cut], heads[:, cut]
             )
-        coloring = {v: inst.lists[v][i] for v, i in enumerate(color.tolist())}
-        if not (len(coloring) == g.n and is_proper(g, L, coloring)):
-            raise RuntimeError("completed coloring is improper; pipeline fault")
-        return PipelineReport(coloring, len(violations), tuple(violations))
+            bad = (uncolored & (save_full[:, None] - save_drop > unact)).sum(axis=0)
+            t = int(bad.argmin())  # the slice's first good trial, if it has one
+            if bad[t]:
+                violations.extend(bad.tolist())
+                continue
+            violations.extend(bad[: t + 1].tolist())
+            color, blocked = greedy_complete(inst, phi_idx[:, s + t], uncolored[:, t], removed[:, t])
+            if color is None:
+                # the savings check guarantees greedy succeeds: unact(v) counts
+                # the neighbors that are colored after v
+                raise RuntimeError(
+                    f"greedy completion blocked at vertex {blocked} after the savings "
+                    "check passed; pipeline fault"
+                )
+            coloring = {v: inst.lists[v][i] for v, i in enumerate(color.tolist())}
+            if not (len(coloring) == g.n and is_proper(g, L, coloring)):
+                raise RuntimeError("completed coloring is improper; pipeline fault")
+            return PipelineReport(coloring, len(violations), tuple(violations))
     return PipelineReport(None, max_rounds, tuple(violations))

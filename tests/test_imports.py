@@ -4,8 +4,9 @@ exports each name from the module that defines it, every exported name,
 indeed every top-level definition, is reached from a command or named in the
 README's library overview, no function calls itself, so no input size
 meets Python's recursion limit, only the two callers that decide how
-many trials are drawn at once read TRIAL_CHUNK, only `draw_trials` and
-`gen_gnp` call a Generator's draw methods, only `compile_lists` builds a
+many trials are drawn at once read TRIAL_CHUNK, only the two that cut
+their work into slices read SLICE, only `draw_trials` and `gen_gnp` call
+a Generator's draw methods, only `compile_lists` builds a
 CompiledInstance, and importing the CLI loads no networkx module."""
 
 import ast
@@ -275,12 +276,13 @@ def strays(sources: dict[str, str], hit, allowed: set[str]) -> list[str]:
 CHUNK_READERS = {"procedure.pipeline_color", "procedure.draw_left"}
 
 
-def reads_chunk(sub: ast.AST) -> bool:
-    """A read or import of TRIAL_CHUNK, as a name or an attribute."""
-    return (
-        isinstance(sub, ast.Name) and sub.id == "TRIAL_CHUNK" and isinstance(sub.ctx, ast.Load)
-        or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_CHUNK"
-        or isinstance(sub, ast.alias) and sub.name == "TRIAL_CHUNK"
+def reads(name: str):
+    """The test for a read or import of the constant `name`, as a name or an
+    attribute."""
+    return lambda sub: (
+        isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute) and sub.attr == name
+        or isinstance(sub, ast.alias) and sub.name == name
     )
 
 
@@ -295,15 +297,42 @@ def test_chunk_guard_catches_a_read_from_elsewhere():
         ),
         "experiment": "from .procedure import TRIAL_CHUNK as CHUNK\n",
     }
-    assert strays(sources, reads_chunk, CHUNK_READERS) == [
+    assert strays(sources, reads("TRIAL_CHUNK"), CHUNK_READERS) == [
         "experiment.<module>:1", "procedure.savings_rows:4", "procedure.savings_rows:5",
     ]
 
 
 def test_only_the_chunking_callers_read_the_trial_chunk():
     sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
-    assert strays(sources, reads_chunk, CHUNK_READERS) == []
-    assert owners({"procedure": sources["procedure"]}, reads_chunk) == CHUNK_READERS
+    assert strays(sources, reads("TRIAL_CHUNK"), CHUNK_READERS) == []
+    assert owners({"procedure": sources["procedure"]}, reads("TRIAL_CHUNK")) == CHUNK_READERS
+
+
+# The functions that cut their work into slices of SLICE cells or bytes:
+# settle_trials and every other function take the trials or edges they are given.
+SLICE_READERS = {"procedure.pipeline_color", "procedure.compile_lists"}
+
+
+def test_slice_guard_catches_a_read_from_settle_trials():
+    sources = {
+        "procedure": (
+            "SLICE = 1 << 15\n"
+            "def pipeline_color(trials):\n"
+            "    return SLICE // trials\n"
+            "def settle_trials(inst, act):\n"
+            "    width = max(1, SLICE // len(inst.tail))\n"
+            "    return procedure.SLICE\n"
+        ),
+    }
+    assert strays(sources, reads("SLICE"), SLICE_READERS) == [
+        "procedure.settle_trials:5", "procedure.settle_trials:6",
+    ]
+
+
+def test_only_the_slicing_callers_read_the_slice():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert strays(sources, reads("SLICE"), SLICE_READERS) == []
+    assert owners(sources, reads("SLICE")) == SLICE_READERS
 
 
 # The functions that draw random numbers from a Generator: the procedure's

@@ -1076,11 +1076,11 @@ def test_color_holds_no_array_with_a_cell_per_edge_and_color():
 def test_color_memory_is_flat_once_rounds_fail():
     """K_60 with 59-color lists passes the precondition at eps 1/50 but is not
     colorable, so every round fails and 2,047 rounds reach a 1,024-trial
-    batch.  settle_trials evaluates it in trial slices, so the traced call
-    peaks below that batch's removed mask plus 16 slices of int64: the
-    (vertex, trial) arrays of the batch (its draws, the three counts and the
-    savings check) take about 1.9 of those slices here, and the slices some
-    4.  (edge, trial) arrays over the whole batch peaked at removed plus 373."""
+    batch.  pipeline_color settles it in trial slices, so the traced call
+    peaks below that batch's draws (6 bytes per (vertex, trial)) plus 16
+    slices of int64; it peaked near 1.5 MB of the bound's 4.6 MB.  A removed
+    mask over the whole batch took 3.6 MB by itself, and (edge, trial)
+    arrays over the whole batch peaked at 373 slices more."""
     n = 60
     g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
     L, params = uniform_lists(n, n - 1), ProcedureParams(eps=Fraction(1, 50))
@@ -1092,13 +1092,13 @@ def test_color_memory_is_flat_once_rounds_fail():
     finally:
         tracemalloc.stop()
     assert not report.succeeded and report.rounds_used == 2 * TRIAL_CHUNK - 1
-    assert peak < n * (n - 1) * TRIAL_CHUNK + 16 * procedure.SLICE * 8
+    assert peak < n * TRIAL_CHUNK * 6 + 16 * procedure.SLICE * 8
 
 
-# settle_trials' slice boundaries: vertices 0 and 9 are isolated (empty edge
-# segments first and last, each beside a big edge), the path 1-2-3 has lists
-# of 2, 3 and 2 colors (1 and 3 have no small edge, 2 no big edge), and 4-8,
-# a 5-cycle with a chord, has lists of 3 of 6 colors, most of whose edges zip
+# Vertices 0 and 9 are isolated (empty edge segments first and last, each
+# beside a big edge), the path 1-2-3 has lists of 2, 3 and 2 colors (1 and 3
+# have no small edge, 2 no big edge), and 4-8, a 5-cycle with a chord, has
+# lists of 3 of 6 colors, most of whose edges zip
 SLICED = (
     Graph.from_edges(10, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (4, 6)]),
     make_lists([
@@ -1109,19 +1109,17 @@ SLICED = (
 
 
 @pytest.mark.parametrize("table", [_dense, _searched])
-def test_settle_trials_across_slice_boundaries(monkeypatch, table):
-    """With slices of at most cap = 4 trials, batches of 1, cap - 1, cap,
-    cap + 1 and 3 cap + 2 trials give what the same draws give settled one
-    column at a time, and every trial matches the scalar reference: the
-    uncolored set and unact, and save_drop and the removed colors of each
-    uncolored vertex."""
+def test_settle_trials_matches_the_scalar_reference(table):
+    """Batches of 1, 3, 4, 5 and 14 trials give what the same draws give
+    settled one column at a time, and every trial matches the scalar
+    reference: the uncolored set and unact, and save_drop and the removed
+    colors of each uncolored vertex."""
     g, L = SLICED
     ca = make_total(g, identity_correspondence(g, L))
-    inst, params, cap = table(compile_lists(g, L)), ProcedureParams(rho=0.7), 4
+    inst, params = table(compile_lists(g, L)), ProcedureParams(rho=0.7)
     assert len(inst.zmap) and not inst.big.all() and (np.diff(inst.ptr) == 0).any()
-    monkeypatch.setattr(procedure, "SLICE", cap * len(inst.tail))
     prec, rng, seen = list_size_order(ca.lists), rng_of(7), []
-    for trials in (1, cap - 1, cap, cap + 1, 3 * cap + 2):
+    for trials in (1, 3, 4, 5, 14):
         draws = draw_trials(inst, params, keep_table(inst, params.rho), trials, rng)
         uncolored, unact, save_drop, removed = settled = settle_trials(inst, *draws)
         columns = [settle_trials(inst, *(a[:, t : t + 1] for a in draws)) for t in range(trials)]
@@ -1149,6 +1147,53 @@ def test_settle_trials_across_slice_boundaries(monkeypatch, table):
     for got in zip(*seen):
         assert any(a.any() for a in got)
     assert not all(a.all() for a in next(zip(*seen)))
+
+
+@pytest.mark.parametrize("table", [_dense, _searched])
+def test_pipeline_color_stops_at_the_first_good_slice(monkeypatch, table):
+    """With slices of at most cap = 4 trials, pipeline_color reports what it
+    reports with one slice per batch.  It settles each batch in the slices
+    of the equal-width rule, in trial order, and no column after the slice
+    that holds the good trial.  The cases place that trial in the first, a
+    middle and the last slice of a batch (once a short last slice), and one
+    budget has no good trial, its last batch 5 trials in 3 + 2."""
+    g, L = SLICED
+    compile_, draw, settle = procedure.compile_lists, procedure.draw_trials, procedure.settle_trials
+    batches = []  # per drawn batch, its trials and the widths settle_trials was given
+
+    def drawn(inst, params, table, trials, rng):
+        batches.append((trials, []))
+        return draw(inst, params, table, trials, rng)
+
+    def settled(inst, act, phi_idx, heads):
+        batches[-1][1].append(phi_idx.shape[1])
+        return settle(inst, act, phi_idx, heads)
+
+    monkeypatch.setattr(procedure, "compile_lists", lambda g, L: table(compile_(g, L)))
+    monkeypatch.setattr(procedure, "draw_trials", drawn)
+    monkeypatch.setattr(procedure, "settle_trials", settled)
+    params, edges, cap, placed = ProcedureParams(eps=Fraction(1, 5), rho=0.2), len(g.nbr), 4, []
+    for seed, rounds in ((2, 200), (6, 200), (10, 200), (0, 12), (1, 12)):
+        monkeypatch.setattr(procedure, "SLICE", TRIAL_CHUNK * edges)
+        want = pipeline_color(g, L, params, rounds, rng_of(seed))
+        monkeypatch.setattr(procedure, "SLICE", cap * edges)
+        batches.clear()
+        assert pipeline_color(g, L, params, rounds, rng_of(seed)) == want
+        cuts = []
+        for trials, _ in batches:
+            width = -(-trials // -(-trials // cap))
+            cuts.append([min(width, trials - s) for s in range(0, trials, width)])
+        if want.succeeded:
+            t = want.rounds_used - sum(trials for trials, _ in batches[:-1]) - 1
+            k = int(np.searchsorted(np.cumsum(cuts[-1]), t, side="right"))
+            placed.append((k, len(cuts[-1])))
+            cuts[-1] = cuts[-1][: k + 1]
+        else:
+            placed.append(None)
+        assert [widths for _, widths in batches] == cuts
+    # (the good trial's slice, the slices of its batch): the first of 8 trials'
+    # two, the second of 16 trials' four, the last of 8's and of 5's 3 + 2
+    assert placed == [(0, 2), (1, 4), (1, 2), (1, 2), None]
 
 
 class _CountingRng:
@@ -1346,6 +1391,23 @@ def test_evaluators_only_read_the_draws():
         assert all(np.array_equal(a, b) for a, b in zip(draws, kept, strict=True))
     assert completed[0] == completed[1]
     assert any(c is not None for c, _ in completed[0])
+
+
+def test_uncolored_trials_compares_coded_rows_in_int64():
+    """The coded row of v's color index i is (i + 2) * stride, past 2^31 for
+    int32 indices from i = 2^21 at 1,024 trials, so it is taken in int64.  A
+    hand-built plan: vertex 1 threatens vertex 0, and its color 0 matches
+    v's index 2^21 (trial 0), its color 1 none (trial 1)."""
+    i, stride = 1 << 21, TRIAL_CHUNK
+    code = np.array([(i + 2) * stride, stride])  # vertex 1's block, no sentinel read
+    empty = np.zeros(0, dtype=np.int64)
+    plan = procedure.EstimatePlan(
+        stride, threats=(np.array([1]), np.array([[0]]), [0, 1, 1]),
+        egal=(empty, empty[:, None], [0, 0, 0]), small=(empty, [0, 0, 0]), code=code,
+    )
+    phi_idx = np.array([[i, i], [0, 1]], dtype=np.int32)
+    act, heads = np.ones((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool)
+    assert uncolored_trials(plan, act, phi_idx, heads).tolist() == [[True, False], [False, False]]
 
 
 def test_savings_rows_names_a_chunk_wider_than_its_plan():
