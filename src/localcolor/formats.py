@@ -10,7 +10,8 @@ lines, CRLF and any whitespace, and names the line of every error.  Both
 return equal graphs on every text the fast pass accepts.
 
 A lists file must be a JSON object whose "lists" array holds one array
-per vertex, and every color in it must be a JSON integer."""
+per vertex, and every color in it must be a JSON integer; only a file with
+an error is read row by row, to name it."""
 
 from __future__ import annotations
 
@@ -128,7 +129,8 @@ def emit_dimacs(g: Graph) -> str:
 
 
 def lists_to_json(L: ListAssignment) -> dict:
-    return {"lists": [sorted(row) for row in L]}
+    colors, start = L.colors.tolist(), L.start.tolist()
+    return {"lists": [colors[a:b] for a, b in zip(start, start[1:])]}
 
 
 # what json.loads makes of each JSON type, named as JSON names it
@@ -156,19 +158,16 @@ def lists_from_json(obj: object) -> ListAssignment:
             raise FormatError(
                 f"bad lists object: list of vertex {v} must be an array, got {_json_type(row)}"
             )
-    # one pass over every color; a frozenset per row is only formed once all
-    # are integers (a list among them would make it raise), and serves both
-    # the repeat check and the lists
-    typed = {type(c) for row in rows for c in row} <= {int}
-    sets = [frozenset(row) for row in rows] if typed else []
-    if not typed or any(len(s) != len(row) for s, row in zip(sets, rows)):
-        # name the first offending color
-        for v, row in enumerate(rows):
-            seen = set()
-            for c in row:
-                if type(c) is not int:  # bool is a subclass of int, and True == 1
-                    raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
-                if c in seen:
-                    raise FormatError(f"list of vertex {v} repeats color {c}")
-                seen.add(c)
-    return make_lists(sets)
+    # one pass over every color; the rows are flattened only if all are
+    # integers (a list among them would make it raise)
+    if {type(c) for row in rows for c in row} <= {int}:
+        return make_lists(rows)  # which names a repeated color, then an empty list
+    # name the first offending color, a repeat before it included
+    for v, row in enumerate(rows):
+        seen = set()
+        for c in row:
+            if type(c) is not int:  # bool is a subclass of int, and True == 1
+                raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
+            if c in seen:
+                raise FormatError(f"list of vertex {v} repeats color {c}")
+            seen.add(c)

@@ -1,31 +1,68 @@
 """List assignments, vertex profiles, and the properness check.
 
-A list assignment holds one nonempty frozenset of colors per vertex, in
-vertex order; every entry that takes a graph and lists checks that there is
-one list per vertex before it reads any.
+A list assignment holds one nonempty list of colors per vertex, flat (see
+ListAssignment); every entry that takes a graph and lists checks that there
+is one list per vertex before it reads any.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .graph import Graph, GraphError, degree, local_clique_number
 
 Color = int
-ListAssignment = tuple[frozenset[Color], ...]
 Coloring = dict[int, Color]
 
 
-def make_lists(lists: Sequence[Sequence[Color]]) -> ListAssignment:
-    out = tuple(frozenset(l) for l in lists)
-    for v, l in enumerate(out):
-        if not l:
-            raise ValueError(f"list of vertex {v} is empty")
-    return out
+@dataclass(frozen=True, eq=False)
+class ListAssignment:
+    """Vertex v's colors, distinct and ascending, are colors[start[v] :
+    start[v + 1]]: int64, or Python ints in an object array when some color
+    leaves int64.  L[v] is v's list as a frozenset, built when it is read."""
+
+    start: np.ndarray
+    colors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, v: int) -> frozenset[Color]:
+        v = range(len(self))[v]  # an IndexError past the end ends iteration
+        return frozenset(self.colors[self.start[v] : self.start[v + 1]].tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ListAssignment) and list(self) == list(other)
+
+
+def make_lists(rows: Sequence[Collection[Color]]) -> ListAssignment:
+    """The assignment of one collection of distinct int colors per vertex, as
+    one array sorted by (row, color) only if some row is not ascending.  A
+    ValueError names the first row that repeats a color, else the first empty one."""
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    try:
+        colors = np.fromiter(itertools.chain.from_iterable(rows), np.int64, start[-1])
+    except OverflowError:  # a color beyond int64
+        colors = np.fromiter(itertools.chain.from_iterable(rows), object, start[-1])
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    inside = owner[1:] == owner[:-1]
+    if (colors[1:] <= colors[:-1])[inside].any():
+        colors = colors[np.lexsort((colors, owner))]  # owner is ascending already
+        same = np.flatnonzero((colors[1:] == colors[:-1]) & inside)
+        if same.size:
+            v = int(owner[same[0]])
+            c = next(c for i, c in enumerate(rows[v]) if c in rows[v][:i])  # in row order
+            raise ValueError(f"list of vertex {v} repeats color {c}")
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"list of vertex {empty[0]} is empty")
+    return ListAssignment(start, colors)
 
 
 def uniform_lists(n: int, k: int) -> ListAssignment:
@@ -46,7 +83,7 @@ def gap(g: Graph, v: int) -> int:
 def save(g: Graph, L: ListAssignment, v: int) -> int:
     """d(v) + 1 - |L(v)|: deficit of the list below greedy-sufficiency."""
     check_list_count(g, L)
-    return degree(g, v) + 1 - len(L[v])
+    return degree(g, v) + 1 - int(L.start[v + 1] - L.start[v])
 
 
 def neighbor_classes(size_u, size_v, gap_v, alpha, beta) -> np.ndarray:
@@ -93,7 +130,8 @@ def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction
     check_list_count(g, L)
     gap_v = gap(g, v)
     nbrs = g.nbr[g.ptr[v] : g.ptr[v + 1]]
-    code = neighbor_classes([len(L[u]) for u in nbrs.tolist()], len(L[v]), gap_v, alpha, beta)
+    sizes = np.diff(L.start)
+    code = neighbor_classes(sizes[nbrs], sizes[v], gap_v, alpha, beta)
     classes = (frozenset(nbrs[code == c].tolist()) for c in range(4))  # in field order
     return VertexProfile(v, len(nbrs), gap_v, *classes)
 
@@ -102,19 +140,21 @@ def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
     """Proper on its domain and list-respecting; a key that is not a vertex
     of g is a GraphError.
 
-    Colors are replaced by ranks before any array is formed, so no color
-    value bounds the check; both ends of every CSR edge are then compared
-    at once, an uncolored end as -1."""
+    The colors are compared in the lists' dtype where they convert exactly,
+    else as Python objects: every list entry with its vertex's color at
+    once, then both ends of every CSR edge at once."""
     check_list_count(g, L)
     for v in coloring:
-        if not 0 <= v < g.n:  # before L[v] can alias it
+        if not 0 <= v < g.n:  # before color[v] can alias it
             raise GraphError(f"vertex {v} out of range [0, {g.n})")
-    if not all(c in L[v] for v, c in coloring.items()):
-        return False
-    rank = {c: r for r, c in enumerate(set(coloring.values()))}
-    color = np.full(g.n, -1, dtype=np.int64)
-    color[np.fromiter(coloring, dtype=np.int64, count=len(coloring))] = [
-        rank[c] for c in coloring.values()
-    ]
-    at_tail = color[np.repeat(np.arange(g.n), np.diff(g.ptr))]
-    return not ((at_tail >= 0) & (at_tail == color[g.nbr])).any()
+    vs = np.fromiter(coloring, np.int64, len(coloring))
+    cast = np.array(list(coloring.values()))
+    if cast.dtype != L.colors.dtype:  # 1.5, "1" or 2**63 beside int64 colors
+        cast = np.array(list(coloring.values()), dtype=object)
+    color, colored = np.zeros(g.n, dtype=cast.dtype), np.zeros(g.n, dtype=bool)
+    color[vs], colored[vs] = cast, True
+    owner = np.repeat(np.arange(g.n), np.diff(L.start))
+    if np.count_nonzero((L.colors == color[owner]) & colored[owner]) != len(vs):
+        return False  # a row holds each color once, so some color is not in its row
+    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
+    return not (colored[tail] & colored[g.nbr] & (color[tail] == color[g.nbr])).any()

@@ -37,7 +37,7 @@ and save_drop, and `greedy_complete` the colors each vertex loses to its
 kept neighbors; `pipeline_color` hands it one trial slice of at most SLICE
 (edge, trial) cells at a time.
 `compile_lists` builds the arrays of a list assignment (the identity
-correspondence made total) straight from the sorted lists, laying out only
+correspondence made total) straight from its flat sorted rows, laying out only
 the maps of zip edges (free colors at both ends), so on nested lists `color`
 holds no array with a cell per (edge, tail color).  `keep_table` holds one
 keep probability per vertex, its factors multiplied once over its big edges.
@@ -50,7 +50,6 @@ colored from its own list, no edge with equal colors at its ends.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 from collections.abc import Callable, Iterator
@@ -60,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import Graph
-from .lists import Color, Coloring, ListAssignment, check_list_count, is_proper
+from .lists import Coloring, ListAssignment, check_list_count, is_proper
 
 
 class PreconditionError(ValueError):
@@ -131,20 +130,20 @@ class CompiledInstance:
     The directed edges are the graph's CSR entries, numbered by (tail, head)
     ascending: those of vertex v are ptr[v] .. ptr[v + 1] - 1, and edge e
     runs from tail[e] to head[e], so graphs that compare equal compile to
-    equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the
-    head can uncolor the tail.  Any flat (vertex, color) table, such as
-    settle_trials' removed mask, holds the entry of lists[v][i] at
-    start[v] + i.  Edge e's map has a cell per tail color, the i-th its
-    match: the index in lists[head[e]] of the color matched to lists[v][i],
-    or -1; rev[e] is the reverse edge.  Where zoff[e] >= 0 the map is laid
-    out whole, the i-th match at zmap[zoff[e] + i]; the other maps are the
-    identity's and not stored: `lookup` finds the tail color's rank
-    (ranks[start[v] + i]) in a dense (vertex, color rank) table `where`,
-    kept when it has no more entries than there are cells, or in the sorted
-    (vertex, color rank) keys.
+    equal arrays; big[e] holds when |L(head)| >= |L(tail)|, so that the head
+    can uncolor the tail.  Any flat (vertex, color) table, such as values
+    (L's colors) or settle_trials' removed mask, holds the entry of v's i-th
+    color, ascending, at start[v] + i.  Edge e's map has a cell per tail
+    color, the i-th its match: the index in head[e]'s list of the color
+    matched to v's i-th, or -1; rev[e] is the reverse edge.  Where zoff[e]
+    >= 0 the map is laid out whole, the i-th match at zmap[zoff[e] + i]; the
+    other maps are the identity's and not stored: `lookup` finds the tail
+    color's rank (ranks[start[v] + i]) in a dense (vertex, color rank) table
+    `where`, kept when it has no more entries than there are cells, or in
+    the sorted (vertex, color rank) keys.
     """
 
-    lists: list[list[Color]]  # each vertex's list, sorted
+    values: np.ndarray  # each entry's color: int64, or Python ints as objects
     sizes: np.ndarray
     start: np.ndarray  # n + 1 offsets into a flat (vertex, color) table
     ptr: np.ndarray  # n + 1 offsets of each vertex's directed edges
@@ -154,7 +153,7 @@ class CompiledInstance:
     rev: np.ndarray
     ranks: np.ndarray
     colors: int  # how many distinct colors the lists hold
-    where: np.ndarray | None  # where[v * colors + r]: the index of rank r in lists[v], or -1
+    where: np.ndarray | None  # where[v * colors + r]: the index of rank r in v's list, or -1
     zoff: np.ndarray  # each edge's offset in zmap, or -1 where its map is the identity's
     zmap: np.ndarray  # the laid-out maps, in edge order
 
@@ -164,22 +163,23 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
 
     On every edge the common colors pair as identity, then each side's
     remaining colors zip in ascending order; only the maps of edges that zip
-    are kept.  Colors are replaced by their rank among all colors before any
-    array is formed, so no color value bounds the input.  Each edge's common
-    colors are counted from packed membership rows of the dense table, or
-    by looking up each color of its smaller list; only an edge with fewer
-    common colors than either list has free colors at both ends, and only
-    its map is laid out, to zip it.  Nested lists (such as deg+1 lists)
-    and uniform lists have none.  A big edge's tail has no more colors than
-    its head, so each of its cells ends matched: `keep_table` relies on it.
+    are kept.  Colors are replaced by their rank among all colors, from one
+    sort of L's flat colors, so no color value bounds the input.  Each
+    edge's common colors are counted from packed membership rows of the
+    dense table, or by looking up each color of its smaller list; only an
+    edge with fewer common colors than either list has free colors at both
+    ends, and only its map is laid out, to zip it.  Nested lists (such as
+    deg+1 lists) and uniform lists have none.  A big edge's tail has no more
+    colors than its head, so each of its cells ends matched: `keep_table`
+    relies on it.
     """
     check_list_count(g, L)
-    lists = [sorted(L[v]) for v in range(g.n)]
-    rank = {c: r for r, c in enumerate(sorted(set().union(*lists)))}
-    colors, sizes = len(rank), np.array([len(row) for row in lists], dtype=np.int64)
-    start = np.concatenate(([0], np.cumsum(sizes)))
-    ranks = itertools.chain.from_iterable(lists)
-    ranks = np.fromiter(map(rank.__getitem__, ranks), np.int64, start[-1])
+    # each color's rank among the distinct colors, by one sort and one binary
+    # search, 0.6 of the time np.unique's inverse takes on color_gnp200's lists
+    s = np.sort(L.colors)
+    distinct = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    ranks = np.searchsorted(distinct, L.colors)
+    colors, sizes, start = len(distinct), np.diff(L.start), L.start
     where, none, tail = None, np.zeros(0, dtype=np.int64), np.repeat(np.arange(g.n), np.diff(g.ptr))
     head, width = g.nbr, sizes[tail]
     if g.n * colors <= width.sum():
@@ -191,7 +191,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
     rev = np.argsort(head * g.n + tail)
     big = sizes[head] >= width
-    inst = CompiledInstance(lists, sizes, start, g.ptr, tail, head, big, rev, ranks, colors,
+    inst = CompiledInstance(L.colors, sizes, start, g.ptr, tail, head, big, rev, ranks, colors,
                             where, none, none)
     # the colors each edge's tail shares with its head, counted on the edges up
     up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
@@ -228,7 +228,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
 
 def lookup(inst: CompiledInstance, key: np.ndarray, cells: Callable[[], tuple]) -> np.ndarray:
     """The match of each cell of (vertex, color rank) key v * colors + r,
-    head v and tail color of rank r: that color's index in lists[v] or -1,
+    head v and tail color of rank r: that color's index in v's list or -1,
     from the dense table or the sorted keys, but from zmap on an edge with a
     laid-out map: `cells()`, called only if there is one, gives each cell's
     edge's zoff and its tail color index, broadcast to key's shape."""
@@ -334,7 +334,7 @@ def draw_trials(
     The int32 color indices are the numbers of an int64 rng.integers call per
     vertex (so |L(v)| < 2^31, as for any list held in memory): one call with a
     column of bounds below ROW_DRAWS trials, else one per list of 2+ colors."""
-    n, rows = len(inst.lists), max(1, BLOCK // max(trials, 1))
+    n, rows = len(inst.sizes), max(1, BLOCK // max(trials, 1))
 
     def coins(prob):  # per (vertex v, trial), a uniform draw below prob[v]
         out = np.empty((n, trials), dtype=bool)
@@ -505,7 +505,7 @@ def settle_trials(
     pipeline_color reads; the first three are (n, trials), equal to
     uncolored_trials' mask and savings_rows' unact.
 
-    removed[start[v] + i, t] marks lists[v][i] as matched to the trial color
+    removed[start[v] + i, t] marks v's i-th color as matched to the trial color
     of a neighbor that stays colored; where v is uncolored, its unmarked
     colors are its residual list L'(v).  save_drop(v) = Save_L(v) -
     Save_L'(v) = (d - d_res) - (|L(v)| - |L'(v)|): v's colored neighbors
@@ -675,7 +675,7 @@ def pipeline_color(
                     f"greedy completion blocked at vertex {blocked} after the savings "
                     "check passed; pipeline fault"
                 )
-            coloring = {v: inst.lists[v][i] for v, i in enumerate(color.tolist())}
+            coloring = dict(enumerate(inst.values[inst.start[:-1] + color].tolist()))
             if not (len(coloring) == g.n and is_proper(g, L, coloring)):
                 raise RuntimeError("completed coloring is improper; pipeline fault")
             return PipelineReport(coloring, len(violations), tuple(violations))

@@ -201,8 +201,12 @@ def compile_instance(g: Graph, ca: CorrespondenceAssignment) -> CompiledInstance
     def ints(x):
         return np.array(x, dtype=np.int64)
 
+    # every color in its list's order, in int64 unless some color leaves it
+    values = [c for row in lists for c in row]
+    wide = any(not -(2**63) <= c < 2**63 for c in values)
     return CompiledInstance(
-        lists, ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
+        np.array(values, dtype=object if wide else np.int64),
+        ints([len(row) for row in lists]), ints(start), ints(ptr), ints(tail),
         ints(head), np.array(big, dtype=bool), ints(rev), ints(ranks), len(rank),
         None if where is None else ints(where), ints(zoff), ints(zmap),
     )

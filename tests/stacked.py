@@ -146,8 +146,14 @@ def keep_frequency(
     trials), from the (n, trials) color indices and uncolored mask of a batch."""
     out = {}
     kept = ~uncolored[v]
-    for i, c in enumerate(inst.lists[v]):
+    for i, c in enumerate(sorted_lists(inst)[v]):
         sel = phi_idx[v] == i
         m = int(sel.sum())
         out[c] = (float(kept[sel].mean()) if m else float("nan"), m)
     return out
+
+
+def sorted_lists(inst: CompiledInstance) -> list[list[Color]]:
+    """Each vertex's colors, ascending, as read from the instance's flat values."""
+    values, start = inst.values.tolist(), inst.start.tolist()
+    return [values[a:b] for a, b in zip(start, start[1:])]

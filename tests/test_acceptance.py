@@ -176,7 +176,7 @@ def test_03_equalized_keep_probability(capsys):
         draws = equalized_draws(inst, PARAMS, 10**5, seed)
         uncolored = uncolored_trials(plan_of(inst, PARAMS, 10**5), *draws)
         # one designated (vertex, color) per instance: vertex 0, least color
-        c0 = inst.lists[0][0]
+        c0 = inst.values[0].item()
         freq, m = keep_frequency(draws[1], uncolored, inst, 0)[c0]
         se = math.sqrt(k * (1 - k) / m)
         if abs(freq - k) > 3 * se:

@@ -7,7 +7,8 @@ meets Python's recursion limit, only the two callers that decide how
 many trials are drawn at once read TRIAL_CHUNK, only the two that cut
 their work into slices read SLICE, only `draw_trials` and `gen_gnp` call
 a Generator's draw methods, only `compile_lists` builds a
-CompiledInstance, and importing the CLI loads no networkx module."""
+CompiledInstance, only `make_lists` builds a ListAssignment, and importing
+the CLI loads no module outside the standard library, numpy and the package."""
 
 import ast
 import os
@@ -410,14 +411,60 @@ def test_only_compile_lists_builds_instances():
     assert owners(sources, builds) == INSTANCE_BUILDERS
 
 
-def test_the_cli_imports_no_networkx():
-    # networkx is a test dependency only; its import alone was 0.12 s of the
-    # CLI's start-up
-    script = "import sys, localcolor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+# The one function that builds a ListAssignment, so the flat format (rows
+# ascending, int64 or Python ints) has one owner; formats goes through it.
+LIST_BUILDERS = {"lists.make_lists"}
+
+
+def builds_lists(sub: ast.AST) -> bool:
+    """A call of ListAssignment, as a name or an attribute."""
+    f = sub.func if isinstance(sub, ast.Call) else None
+    return getattr(f, "id", None) == "ListAssignment" or getattr(f, "attr", None) == "ListAssignment"
+
+
+def test_list_guard_catches_a_second_constructor():
+    sources = {
+        "lists": (
+            "def make_lists(rows):\n"
+            "    return ListAssignment(start, colors)\n"
+            "def uniform_lists(n, k):\n"
+            "    return make_lists([range(k)] * n)\n"
+        ),
+        "formats": "def lists_from_json(obj):\n    return lists.ListAssignment(s, c)\n",
+    }
+    assert strays(sources, builds_lists, LIST_BUILDERS) == ["formats.lists_from_json:2"]
+
+
+def test_only_make_lists_builds_list_assignments():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert strays(sources, builds_lists, LIST_BUILDERS) == []
+    assert owners(sources, builds_lists) == LIST_BUILDERS
+
+
+def foreign_modules(loaded: set[str]) -> list[str]:
+    """The top-level names of the modules in `loaded` that are neither in the
+    standard library nor numpy nor the package."""
+    tops = {name.split(".")[0] for name in loaded}
+    return sorted(tops - set(sys.stdlib_module_names) - {"numpy", "localcolor"})
+
+
+def test_import_guard_catches_a_third_party_module():
+    loaded = {"json", "_ctypes", "numpy.linalg", "localcolor.cli", "scipy.sparse", "networkx"}
+    assert foreign_modules(loaded) == ["networkx", "scipy"]
+
+
+def test_the_cli_imports_only_the_stdlib_and_numpy():
+    # what a CLI start-up and perfbench's set-up pay for: networkx (a test
+    # dependency) alone took 0.12 s
+    script = (
+        "import sys; bare = set(sys.modules); import localcolor.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
     path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = set(proc.stdout.split())
+    assert "localcolor.cli" in loaded and foreign_modules(loaded) == []

@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from exact import brute_force_L_colorable, is_L_critical, is_proper_walk
 from localcolor.experiment import run_estimate
+from localcolor.formats import lists_from_json
 from localcolor.graph import Graph, GraphError, Matching
 from localcolor.knm import density_audit
 from localcolor.lists import (
@@ -48,6 +52,26 @@ class TestGapSave:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             make_lists([[]])
+
+
+def test_lists_hold_about_one_int64_per_color():
+    """20,000 loaded JSON rows of 8-12 colors, out of order, make an
+    assignment that keeps at most 16 B per color and 16 B per row: the flat
+    int64 colors and offsets, not a frozenset per row (one of 10 small ints
+    is about 730 B)."""
+    rng = random.Random(0)
+    rows = [rng.sample(range(200), rng.randint(8, 12)) for _ in range(20_000)]
+    obj = json.loads(json.dumps({"lists": rows}))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        L = lists_from_json(obj)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = sum(map(len, rows))
+    assert len(L) == len(rows) and L[0] == frozenset(rows[0])
+    assert held <= 16 * cells + 16 * len(rows)
 
 
 class TestProfile:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +66,7 @@ from stacked import (
     keep_frequency,
     phi_left,
     plan_of,
+    sorted_lists,
     stack_chunks,
     stack_trials,
     stacked_batch,
@@ -987,10 +989,10 @@ def test_lookup_of_general_correspondences(inst_case):
     read) gives the scalar reference's."""
     g, ca, params, _, seed = inst_case
     inst = compile_instance(g, ca)
-    want = _cell_map(g, ca)
+    want, ordered = _cell_map(g, ca), sorted_lists(inst)
     draws = draw_trials(inst, params, None, 4, rng_of(seed))
     phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
-    phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
+    phi = tuple(ordered[v][i] for v, i in enumerate(phi_idx.tolist()))
     completed, blocked = complete_reference(g, ca, phi, frozenset(range(g.n)))
     settled = []
     for x in (_dense(inst), _searched(inst)):
@@ -1000,7 +1002,7 @@ def test_lookup_of_general_correspondences(inst_case):
         color, got_blocked = greedy_complete(x, phi_idx, np.ones(g.n, dtype=bool), removed)
         assert got_blocked == blocked
         assert color is None if completed is None else (
-            {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == completed
+            {v: ordered[v][i] for v, i in enumerate(color.tolist())} == completed
         )
     assert all(np.array_equal(a, b) for a, b in zip(*settled, strict=True))
 
@@ -1047,7 +1049,78 @@ def test_compile_lists_lookup_on_both_sides():
     assert np.array_equal(_match(plain), _match(padded))
     for name in ("start", "ptr"):
         assert np.array_equal(getattr(plain, name), getattr(padded, name)[: g.n + 1]), name
-    assert padded.lists[: g.n] == plain.lists
+    assert np.array_equal(padded.values[: plain.start[-1]], plain.values)
+
+
+@st.composite
+def relabeled_instance(draw):
+    """A small graph with lists of d(v) + 1 to d(v) + 3 colors from 0..15,
+    perhaps padded as test_compile_lists_lookup_on_both_sides pads it, and
+    an increasing relabeling c -> a c + b, b often past -2^63 or 2^63 - 1."""
+    n = draw(st.integers(2, 8))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True))
+    g = Graph.from_edges(n, edges)
+    rows = [
+        draw(st.lists(st.integers(0, 15), min_size=len(g.adj[v]) + 1,
+                      max_size=len(g.adj[v]) + 3, unique=True))
+        for v in range(n)
+    ]
+    padded = draw(st.booleans())
+    if padded:
+        rows += [[10**6 * (j + 1)] for j in range(40)]
+        g = Graph.from_edges(n + 40, g.edges())
+    a = draw(st.integers(1, 9))
+    b = draw(st.one_of(st.integers(-9, 9), st.integers(2**63 - 10**9, 2**64),
+                       st.integers(-(2**64), -(2**63) - 1)))
+    return g, rows, padded, (a, b)
+
+
+def _outputs(g: Graph, L, seed: int):
+    """`estimate`'s CSV and `color`'s report on (g, L), or the precondition
+    error they raise."""
+    params = ProcedureParams(eps=Fraction(1, 20), rho=0.4)
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_estimate(g, L, params, 16, seed, out, {})
+        except PreconditionError as exc:
+            return str(exc)
+        csv_text = (Path(out) / "estimate_results.csv").read_bytes()
+    return csv_text, pipeline_color(g, L, params, 20, rng_of(seed))
+
+
+@given(relabeled_instance(), st.integers(0, 2**32))
+@example(
+    case=(Graph.from_edges(3, [(0, 1), (1, 2)]), [[0, 3], [1, 3, 5], [2, 5]], False, (2, 2**63)),
+    seed=1,
+)
+@example(
+    case=(Graph.from_edges(43, [(0, 1), (1, 2)]),
+          [[0, 3], [1, 3, 5], [2, 5]] + [[10**6 * (j + 1)] for j in range(40)], True,
+          (1, 2**63 - 4)),
+    seed=2,
+)
+@settings(max_examples=40, deadline=None)
+def test_outputs_are_invariant_under_an_increasing_relabeling(case, seed):
+    """Colors only enter through their order: relabeled by c -> a c + b (a >= 1),
+    the lists take the same lookup, `estimate` writes the same CSV and
+    `color` reports the same rounds and violations, its coloring relabeled;
+    the relabeled lists are Python ints wherever a color leaves int64."""
+    g, rows, padded, (a, b) = case
+    L = make_lists(rows)
+    moved = make_lists([[a * c + b for c in row] for row in rows])
+    wide = any(not -(2**63) <= a * c + b < 2**63 for row in rows for c in row)
+    assert L.colors.dtype == np.int64 and moved.colors.dtype == (object if wide else np.int64)
+    dense = [compile_lists(g, x).where is not None for x in (L, moved)]
+    assert dense[0] == dense[1] and not (padded and dense[0])
+    base, other = _outputs(g, L, seed), _outputs(g, moved, seed)
+    if isinstance(base, str):
+        assert other == base
+        return
+    (csv_base, got), (csv_other, want) = base, other
+    assert csv_other == csv_base
+    assert (want.rounds_used, want.violations_per_round) == (got.rounds_used, got.violations_per_round)
+    relabeled = None if got.coloring is None else {v: a * c + b for v, c in got.coloring.items()}
+    assert want.coloring == relabeled
 
 
 def test_color_holds_no_array_with_a_cell_per_edge_and_color():
@@ -1117,6 +1190,7 @@ def test_settle_trials_matches_the_scalar_reference(table):
     g, L = SLICED
     ca = make_total(g, identity_correspondence(g, L))
     inst, params = table(compile_lists(g, L)), ProcedureParams(rho=0.7)
+    ordered = sorted_lists(inst)
     assert len(inst.zmap) and not inst.big.all() and (np.diff(inst.ptr) == 0).any()
     prec, rng, seen = list_size_order(ca.lists), rng_of(7), []
     for trials in (1, 3, 4, 5, 14):
@@ -1127,7 +1201,7 @@ def test_settle_trials_matches_the_scalar_reference(table):
             assert np.array_equal(got, np.concatenate(want, axis=1))
         act, phi_idx, heads = draws
         for t in range(trials):
-            phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+            phi = tuple(ordered[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
             unc = frozenset(
                 _uncolored_naive(g, ca, phi, act[:, t]) | set(np.flatnonzero(heads[:, t]).tolist())
             )
@@ -1140,7 +1214,7 @@ def test_settle_trials_matches_the_scalar_reference(table):
                 drop = (len(g.adj[v]) - d_res) - (len(ca.lists[v]) - len(res.lists[v]))
                 assert save_drop[v, t] == drop
                 lost = np.flatnonzero(removed[inst.start[v] : inst.start[v + 1], t])
-                assert {inst.lists[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
+                assert {ordered[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
         seen.append(settled)
     # the draws reach every count: some vertex uncolored, some colored, some
     # unact, save_drop and removed color
@@ -1246,7 +1320,7 @@ class TestSamplerMatchesReference:
         table = keep_table(inst, rho)
         assert table.shape == (g.n,)
         for v in range(g.n):
-            for c in inst.lists[v]:
+            for c in L[v]:
                 assert table[v] == keep_probability(g, ca, rho, v, c)
 
     @given(sampler_instance())
@@ -1256,9 +1330,9 @@ class TestSamplerMatchesReference:
     def test_per_trial(self, inst_case):
         g, ca, params, equalize, seed = inst_case
         inst = compile_instance(g, ca)
-        table = keep_table(inst, params.rho)
+        table, ordered = keep_table(inst, params.rho), sorted_lists(inst)
         for v in range(g.n):
-            for c in inst.lists[v]:
+            for c in ordered[v]:
                 assert table[v] == keep_probability(g, ca, params.rho, v, c)
         prec = list_size_order(ca.lists)
         trials = 6
@@ -1273,7 +1347,7 @@ class TestSamplerMatchesReference:
         assert np.array_equal(unact_settled, batch.unact)
         assert removed.shape == (inst.start[-1], trials) and removed.dtype == bool
         for t in range(trials):
-            phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+            phi = tuple(ordered[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
             uncolored = frozenset(
                 _uncolored_naive(g, ca, phi, act[:, t])
                 | set(np.flatnonzero(heads[:, t]).tolist())
@@ -1293,7 +1367,7 @@ class TestSamplerMatchesReference:
                 assert save_drop[v, t] == save_full - save_res
                 # the colors v loses to its colored neighbors: L(v) minus L'(v)
                 lost = np.flatnonzero(removed[inst.start[v] : inst.start[v + 1], t])
-                assert {inst.lists[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
+                assert {ordered[v][i] for i in lost.tolist()} == ca.lists[v] - res.lists[v]
             # the completion, on every trial: those that pass the savings
             # check (the ones pipeline_color completes) and those that block
             color, blocked = greedy_complete(
@@ -1304,7 +1378,7 @@ class TestSamplerMatchesReference:
             if want is None:
                 assert color is None
             else:
-                assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
+                assert {v: ordered[v][i] for v, i in enumerate(color.tolist())} == want
 
 
 def _narrow_chunk_case():
@@ -1332,6 +1406,7 @@ def test_savings_per_trial_across_a_narrow_last_chunk():
     matches the scalar reference, on an uncolored set it computes itself."""
     g, ca, params = _narrow_chunk_case()
     inst = compile_instance(g, ca)
+    ordered = sorted_lists(inst)
     trials = TRIAL_CHUNK + 3
     chunks = chunked_draws(inst, params, keep_table(inst, params.rho), trials, rng_of(10))
     assert [act.shape[1] for act, _, _ in chunks] == [TRIAL_CHUNK, 3]
@@ -1340,7 +1415,7 @@ def test_savings_per_trial_across_a_narrow_last_chunk():
     prec = list_size_order(ca.lists)
     want = np.empty((4, g.n, trials), dtype=np.int64)
     for t in range(trials):
-        phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
+        phi = tuple(ordered[v][i] for v, i in enumerate(phi_idx[:, t].tolist()))
         unc = frozenset(
             _uncolored_naive(g, ca, phi, act[:, t]) | set(np.flatnonzero(heads[:, t]).tolist())
         )
@@ -1439,7 +1514,8 @@ def test_greedy_complete_with_every_vertex_uncolored(inst_case):
     g, ca, _, _, seed = inst_case
     inst = compile_instance(g, ca)
     phi_idx = np.array([seed % size for size in inst.sizes.tolist()], dtype=np.int64)
-    phi = tuple(inst.lists[v][i] for v, i in enumerate(phi_idx.tolist()))
+    ordered = sorted_lists(inst)
+    phi = tuple(ordered[v][i] for v, i in enumerate(phi_idx.tolist()))
     removed = np.zeros(int(inst.start[-1]), dtype=bool)
     color, blocked = greedy_complete(inst, phi_idx, np.ones(g.n, dtype=bool), removed)
     want, want_blocked = complete_reference(g, ca, phi, frozenset(range(g.n)))
@@ -1447,7 +1523,7 @@ def test_greedy_complete_with_every_vertex_uncolored(inst_case):
     if want is None:
         assert color is None
     else:
-        assert {v: inst.lists[v][i] for v, i in enumerate(color.tolist())} == want
+        assert {v: ordered[v][i] for v, i in enumerate(color.tolist())} == want
 
 
 # SHA-256 of each stacked batch field (dtype, bytes) of the instance below,
