@@ -18,18 +18,13 @@ from .graph import (
     Graph,
     Matching,
     average_degree,
-    local_clique_number,
     max_antimatching,
 )
 from .knm import DensityAudit, density_audit
 from .lists import (
     ListAssignment,
-    VertexProfile,
-    gap,
     is_proper,
     make_lists,
-    profile,
-    save,
     uniform_lists,
 )
 from .procedure import (

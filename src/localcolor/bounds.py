@@ -55,8 +55,9 @@ def pairs_trips_lower_bound(
     """Lower bound on E[Pairs - Trips]:
     min over e in {e1, e2} of (K e / listsize)(K/(1+alpha)^2 - sqrt(2e)/(3 listsize)).
 
-    e1 counts non-edges in VertexProfile.egalitarian (no sigma or lordlier), e2 = C(d, 2);
-    the sampled pairs and trips range over the sigma-egalitarian set, lordlier too.
+    e1 counts non-edges among neighbor_classes classes 1 and 2 (no sigma or
+    lordlier), e2 = C(d, 2); the sampled pairs and trips range over the
+    sigma-egalitarian set, lordlier too.
     """
     alpha = float(alpha)
     if listsize < 1:

@@ -30,7 +30,8 @@ def _lower_bounds(
     """Each vertex's lower bounds on aberrance, pairs - trips and unact, from
     `inst` and g's ω alone, so known before any trial is drawn: one
     neighbor_classes call over the directed edges, one bincount of classes by
-    tail, e1 over each tail's VertexProfile.egalitarian heads, Python ints."""
+    tail, e1 over each tail's heads of neighbor_classes classes 1 and 2, Python
+    ints."""
     deg, sizes, tail = np.diff(inst.ptr), inst.sizes, inst.tail
     gaps = deg + 1 - np.array(g.clique_numbers, dtype=np.int64)
     code = neighbor_classes(sizes[inst.head], sizes[tail], gaps[tail], params.alpha, params.beta)

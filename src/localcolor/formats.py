@@ -160,14 +160,14 @@ def lists_from_json(obj: object) -> ListAssignment:
             )
     # one pass over every color; the rows are flattened only if all are
     # integers (a list among them would make it raise)
-    if {type(c) for row in rows for c in row} <= {int}:
-        return make_lists(rows)  # which names a repeated color, then an empty list
-    # name the first offending color, a repeat before it included
-    for v, row in enumerate(rows):
-        seen = set()
-        for c in row:
-            if type(c) is not int:  # bool is a subclass of int, and True == 1
-                raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
-            if c in seen:
-                raise FormatError(f"list of vertex {v} repeats color {c}")
-            seen.add(c)
+    if not {type(c) for row in rows for c in row} <= {int}:
+        # name the first offending color, a repeat before it included
+        for v, row in enumerate(rows):
+            seen = set()
+            for c in row:
+                if type(c) is not int:  # bool is a subclass of int, and True == 1
+                    raise FormatError(f"list of vertex {v}: color {c!r} is not an integer")
+                if c in seen:
+                    raise FormatError(f"list of vertex {v} repeats color {c}")
+                seen.add(c)
+    return make_lists(rows)  # which names a repeated color, then an empty list

@@ -111,7 +111,8 @@ class Graph:
 
     @cached_property
     def clique_numbers(self) -> tuple[int, ...]:
-        """ω(v) of every vertex, from one _clique_pass over the graph."""
+        """ω(v), the size of a largest clique containing v, of every vertex:
+        one _clique_pass over the graph, made when first read."""
         return _clique_pass(self)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -130,14 +131,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return int(np.diff(self.ptr).min()) if self.n else 0
-
-    def subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph, relabeled to 0..k-1 in sorted vertex order."""
-        vs = _vertex_set(self, vertices)
-        index = {v: i for i, v in enumerate(vs)}
-        return Graph.from_edges(
-            len(vs), [(i, index[u]) for i, v in enumerate(vs) for u in self.adj[v] if u in index]
-        )
 
 
 @dataclass(frozen=True)
@@ -174,18 +167,6 @@ def _vertex_set(g: Graph, s: Iterable[int]) -> list[int]:
     for v in vs:
         _check_vertex(g, v)
     return vs
-
-
-def degree(g: Graph, v: int) -> int:
-    _check_vertex(g, v)
-    return int(g.ptr[v + 1] - g.ptr[v])
-
-
-def local_clique_number(g: Graph, v: int) -> int:
-    """Size ω(v) of a largest clique containing v.  The first call on g finds
-    every vertex's ω at once (Graph.clique_numbers); later calls read it."""
-    _check_vertex(g, v)
-    return g.clique_numbers[v]
 
 
 def _clique_pass(g: Graph) -> tuple[int, ...]:

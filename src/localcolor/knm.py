@@ -6,8 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .graph import Graph, Matching, complement_edge_count
-from .lists import ListAssignment, check_list_count, save
+from .lists import ListAssignment, check_list_count
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,8 @@ def density_audit(g: Graph, L: ListAssignment, subset: Sequence[int], m: Matchin
     for u, v in m.edges:
         if u not in in_subset or v not in in_subset or g.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an antimatching pair inside the subset")
-    lhs = complement_edge_count(g, vs)
+    lhs = complement_edge_count(g, vs)  # which names an id outside g before vs indexes
     k = len(m)
-    rhs = k * (len(vs) - k) - sum(save(g, L, u) for u in vs)
+    save = np.diff(g.ptr)[vs] + 1 - np.diff(L.start)[vs]  # Save(u) = d(u) + 1 - |L(u)|
+    rhs = k * (len(vs) - k) - int(save.sum())
     return DensityAudit(lhs=lhs, rhs=rhs, holds=lhs >= rhs, matching_size=k)

@@ -1,4 +1,4 @@
-"""List assignments, vertex profiles, and the properness check.
+"""List assignments, the neighbor classes, and the properness check.
 
 A list assignment holds one nonempty list of colors per vertex, flat (see
 ListAssignment); every entry that takes a graph and lists checks that there
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Collection, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, degree, local_clique_number
+from .graph import Graph, GraphError
 
 Color = int
 Coloring = dict[int, Color]
@@ -75,65 +74,21 @@ def check_list_count(g: Graph, L: ListAssignment) -> None:
         raise GraphError(f"{len(L)} lists for a graph on {g.n} vertices")
 
 
-def gap(g: Graph, v: int) -> int:
-    """d(v) + 1 - omega(v): slack between greedy-sufficiency and the clique at v."""
-    return degree(g, v) + 1 - local_clique_number(g, v)
-
-
-def save(g: Graph, L: ListAssignment, v: int) -> int:
-    """d(v) + 1 - |L(v)|: deficit of the list below greedy-sufficiency."""
-    check_list_count(g, L)
-    return degree(g, v) + 1 - int(L.start[v + 1] - L.start[v])
-
-
 def neighbor_classes(size_u, size_v, gap_v, alpha, beta) -> np.ndarray:
     """The class of a neighbor u of v by list size, elementwise over the
-    broadcast arrays, as VertexProfile defines them: 0 subservient, 1 strongly
-    egalitarian, 2 weakly egalitarian, 3 lordlier.  Both cut-offs are compared
-    in Python ints over the exact ratios of the positive rationals alpha and
-    beta, so neither is rounded at any size."""
+    broadcast arrays, gap_v = d(v) + 1 - ω(v): 0 subservient (|L(u)| <
+    |L(v)|), 3 lordlier (|L(u)| >= (1 + alpha)|L(v)|), and of the rest 1
+    strongly egalitarian (|L(u)| < |L(v)| + beta gap_v) or 2 weakly
+    egalitarian.  Classes 1 and 2 are the egalitarian set whose non-edges the
+    pairs - trips bound's e1 counts; unlike the sigma-egalitarian heads that
+    savings_rows samples, it reads no sigma and holds no lordlier neighbor.
+    Both cut-offs are compared in Python ints over the exact ratios of the
+    positive rationals alpha and beta, so neither is rounded at any size."""
     a, b = alpha.as_integer_ratio()
     c, d = beta.as_integer_ratio()
     su, sv, gv = (np.asarray(x).astype(object) for x in (size_u, size_v, gap_v))
     conditions = [su < sv, su * b >= (a + b) * sv, su * d < sv * d + c * gv]
     return np.select(conditions, [0, 3, 1], 2)  # the first that holds, else weak
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Neighbor taxonomy of one vertex under a list assignment.
-
-    Neighbors are partitioned by list size relative to |L(v)|: strictly
-    smaller (subservient), at least (1+alpha)|L(v)| (lordlier), and of the
-    rest those below |L(v)| + beta*gap (strongly egalitarian) and the others
-    (weakly egalitarian).  `egalitarian`, the strong and weak ones, holds
-    the pairs - trips bound's e1; unlike the sigma-egalitarian heads that
-    savings_rows samples, it reads no sigma and holds no lordlier neighbor.
-    """
-
-    vertex: int
-    degree: int
-    gap: int
-    subservient: frozenset[int]
-    strong_egal: frozenset[int]
-    weak_egal: frozenset[int]
-    lordlier: frozenset[int]
-
-    @property
-    def egalitarian(self) -> frozenset[int]:
-        return self.strong_egal | self.weak_egal
-
-
-def profile(g: Graph, L: ListAssignment, v: int, alpha: Fraction, beta: Fraction) -> VertexProfile:
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    check_list_count(g, L)
-    gap_v = gap(g, v)
-    nbrs = g.nbr[g.ptr[v] : g.ptr[v + 1]]
-    sizes = np.diff(L.start)
-    code = neighbor_classes(sizes[nbrs], sizes[v], gap_v, alpha, beta)
-    classes = (frozenset(nbrs[code == c].tolist()) for c in range(4))  # in field order
-    return VertexProfile(v, len(nbrs), gap_v, *classes)
 
 
 def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:

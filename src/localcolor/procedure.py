@@ -465,8 +465,8 @@ def savings_rows(plan: EstimatePlan, act: np.ndarray, phi_left: np.ndarray) -> I
     color is matched to none of v's; pairs and trips sum C(k, 2) and C(k, 3)
     over v's colors, k the colored egalitarian neighbors whose color is
     matched to that one.  Egalitarian here means |L(u)| >= (1 - sigma)|L(v)|,
-    lordlier neighbors included, not VertexProfile.egalitarian, which the
-    pairs - trips bound reads.  unact(v) counts the non-activated neighbors
+    lordlier neighbors included, not neighbor_classes classes 1 and 2, which
+    the pairs - trips bound reads.  unact(v) counts the non-activated neighbors
     with strictly smaller lists: greedy completion colors them after v, so
     each one leaves v a color.
 

@@ -3,8 +3,9 @@
 Backtracking list-colorability and L-criticality, the constructive list
 coloring of K_n minus a matching under its list-size hypotheses, the
 triangle count with Rivin's bound, a plain edge walk that checks a
-coloring, and a branch and bound for the local clique number ω(v).  All are
-exact and meant for desk-scale instances; no command calls them.
+coloring, a branch and bound for the local clique number ω(v), the induced
+subgraph and the neighbor classes one neighbor at a time in Fractions.  All
+are exact and meant for desk-scale instances; no command calls them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from localcolor.graph import Graph, Matching, _check_vertex
+from localcolor.graph import Graph, Matching, _check_vertex, _vertex_set
 from localcolor.lists import Color, Coloring, ListAssignment, check_list_count, is_proper
 
 
@@ -53,13 +54,34 @@ def brute_force_L_colorable(g: Graph, L: ListAssignment) -> tuple[bool, Coloring
     return False, None
 
 
+def induced(g: Graph, vertices) -> Graph:
+    """g[vertices], relabelled 0..k-1 in ascending vertex order; an id outside
+    g is a GraphError."""
+    vs = _vertex_set(g, vertices)
+    index = {v: i for i, v in enumerate(vs)}
+    pairs = [(index[v], index[u]) for v in vs for u in g.adj[v] if u in index]
+    return Graph.from_edges(len(vs), pairs)
+
+
+def class_of(size_u, size_v, gap_v, alpha, beta):
+    """neighbor_classes for one neighbor, in Fractions: 0 subservient,
+    1 strongly egalitarian, 2 weakly egalitarian, 3 lordlier."""
+    if size_u < size_v:
+        return 0
+    if size_u >= (1 + alpha) * size_v:
+        return 3
+    if size_u < size_v + beta * gap_v:
+        return 1
+    return 2
+
+
 def is_L_critical(g: Graph, L: ListAssignment) -> bool:
     """Not L-colorable, but every vertex-deleted induced subgraph is."""
     if brute_force_L_colorable(g, L)[0]:
         return False
     for v in range(g.n):
         keep = [u for u in range(g.n) if u != v]
-        if not brute_force_L_colorable(g.subgraph(keep), tuple(L[u] for u in keep))[0]:
+        if not brute_force_L_colorable(induced(g, keep), tuple(L[u] for u in keep))[0]:
             return False
     return True
 

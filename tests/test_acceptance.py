@@ -17,6 +17,8 @@ import pytest
 from exact import (
     KnmInstance,
     brute_force_L_colorable,
+    class_of,
+    clique_search,
     color_knm,
     is_L_critical,
     rivin_triangle_bound,
@@ -35,7 +37,7 @@ from localcolor.extraction import extract_dense_subgraph
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import Graph, Matching, average_degree
 from localcolor.knm import density_audit
-from localcolor.lists import is_proper, make_lists, profile, uniform_lists
+from localcolor.lists import is_proper, make_lists, uniform_lists
 from localcolor.procedure import (
     TRIAL_CHUNK,
     PreconditionError,
@@ -232,18 +234,20 @@ def test_05_savings_lower_bounds(capsys):
         batch = stacked_batch(compile_lists(g, L), PARAMS, 40_000, 500 + idx)
         T = batch.aberrance.shape[1]
         for v in verts:
-            prof = profile(g, L, v, PARAMS.alpha, PARAMS.beta)
+            d = len(g.adj[v])
+            gap_v = d + 1 - clique_search(g, v)
+            code = [class_of(len(L[u]), len(L[v]), gap_v, PARAMS.alpha, PARAMS.beta)
+                    for u in sorted(g.adj[v])]
             ab_bound = aberrance_lower_bound(
-                k, PARAMS.alpha, PARAMS.beta, prof.gap, prof.degree,
-                len(prof.lordlier), len(prof.weak_egal),
+                k, PARAMS.alpha, PARAMS.beta, gap_v, d, code.count(3), code.count(2),
             )
             mean = batch.aberrance[v].mean()
             se = math.sqrt(batch.aberrance[v].var(ddof=1) / T)
             if mean < ab_bound - 3 * se:
                 failures.append((idx, v, "aberrance"))
-            egal = sorted(prof.egalitarian)
-            e1 = len(egal) * (len(egal) - 1) // 2 - g.subgraph(egal).edge_count() if egal else 0
-            e2 = prof.degree * (prof.degree - 1) // 2
+            egal = [u for u, c in zip(sorted(g.adj[v]), code) if c in (1, 2)]
+            e1 = sum(1 for u, w in itertools.combinations(egal, 2) if w not in g.adj[u])
+            e2 = d * (d - 1) // 2
             pt_bound = pairs_trips_lower_bound(k, PARAMS.alpha, len(L[v]), e1, e2)
             pt = batch.pairs[v] - batch.trips[v]
             mean = pt.mean()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import induced
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from scalar_reference import (
@@ -147,7 +148,7 @@ class TestSpliceProperty:
         assert is_naive_partial(g, ca, pc.phi, pc.uncolored)
         res = residual(g, ca, pc.phi, pc.uncolored)
         # brute-force any coloring of the residual; if found, splice must be proper
-        sub = g.subgraph(res.vertices)
+        sub = induced(g, res.vertices)
         back = {i: v for i, v in enumerate(res.vertices)}
         completion = {}
         ok = True

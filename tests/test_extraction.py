@@ -6,6 +6,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from exact import induced
 from localcolor.cli import main
 from localcolor.extraction import extract_dense_subgraph
 from localcolor.formats import emit_dimacs
@@ -70,7 +71,7 @@ class TestExtraction:
         G = nx.random_regular_graph(6, 14, seed=9)
         g = Graph.from_edges(14, G.edges())
         res = extract_dense_subgraph(g, ALPHA, EPS)
-        sub = g.subgraph(res.kept)
+        sub = induced(g, res.kept)
         res2 = extract_dense_subgraph(sub, ALPHA, EPS)
         assert res2.kept == tuple(range(sub.n))
 

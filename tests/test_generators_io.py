@@ -22,7 +22,7 @@ from localcolor.formats import (
 )
 from localcolor.cli import _params_of, _parser
 from localcolor.generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
-from localcolor.graph import Graph, local_clique_number
+from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
 from localcolor.procedure import ProcedureParams, default_rho
 
@@ -31,13 +31,13 @@ class TestGenerators:
     def test_c5_t1_is_c5(self):
         g = gen_c5_blowup(1)
         assert g.n == 5 and g.edge_count() == 5
-        assert max(local_clique_number(g, v) for v in range(g.n)) == 2
+        assert max(g.clique_numbers) == 2
 
     def test_c5_t2(self):
         g = gen_c5_blowup(2)
         assert g.n == 10
         assert all(len(g.adj[v]) == 5 for v in range(10))
-        assert max(local_clique_number(g, v) for v in range(g.n)) == 4
+        assert max(g.clique_numbers) == 4
         ok4, _ = brute_force_L_colorable(g, uniform_lists(10, 4))
         ok5, _ = brute_force_L_colorable(g, uniform_lists(10, 5))
         assert not ok4 and ok5  # chromatic number 5
@@ -46,7 +46,7 @@ class TestGenerators:
     def test_c5_closed_forms(self, t):
         g = gen_c5_blowup(t)
         assert all(len(g.adj[v]) == 3 * t - 1 for v in range(g.n))
-        assert max(local_clique_number(g, v) for v in range(g.n)) == 2 * t
+        assert max(g.clique_numbers) == 2 * t
 
     def test_complete_bipartite(self):
         g = gen_complete_bipartite(2, 4)

@@ -1,14 +1,13 @@
 import itertools
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import KnmInstance, clique_search, rivin_triangle_bound, triangle_count
+from exact import KnmInstance, clique_search, induced, rivin_triangle_bound, triangle_count
 from localcolor import graph as graph_module
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import (
@@ -17,11 +16,10 @@ from localcolor.graph import (
     Matching,
     average_degree,
     complement_edge_count,
-    degree,
-    local_clique_number,
     max_antimatching,
 )
-from localcolor.lists import gap, is_proper, profile, save, uniform_lists
+from localcolor.knm import density_audit
+from localcolor.lists import is_proper, uniform_lists
 
 
 def complete(n):
@@ -42,7 +40,7 @@ def petersen():
 
 
 def max_clique(g):
-    return max(local_clique_number(g, v) for v in range(g.n))
+    return max(g.clique_numbers)
 
 
 @st.composite
@@ -62,22 +60,14 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 2)])
 
-    def test_degree(self):
-        assert all(degree(complete(4), v) == 3 for v in range(4))
-        assert all(degree(edgeless(5), v) == 0 for v in range(5))
-        assert all(degree(cycle(5), v) == 2 for v in range(5))
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(GraphError):
-            degree(complete(3), 3)
-
     def test_edges_roundtrip(self):
         g = cycle(6)
         assert Graph.from_edges(6, g.edges()) == g
 
     def test_subgraph_relabels(self):
-        g = complete(5).subgraph([1, 3, 4])
+        g = induced(complete(5), [1, 3, 4])
         assert g.n == 3 and g.edge_count() == 3
+        assert induced(cycle(5), [4, 0, 2]) == Graph.from_edges(3, [(0, 2)])
 
     def test_average_degree_of_the_empty_graph_is_named(self):
         with pytest.raises(GraphError, match="average degree of the empty graph is undefined"):
@@ -156,15 +146,15 @@ class TestSortedCsr:
 
 class TestCliques:
     def test_complete(self):
-        assert all(local_clique_number(complete(4), v) == 4 for v in range(4))
+        assert complete(4).clique_numbers == (4, 4, 4, 4)
 
     def test_k4_minus_edge(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert local_clique_number(g, 2) == 3
+        assert g.clique_numbers[2] == 3
         assert max_clique(g) == 3
 
     def test_cycle_triangle_free(self):
-        assert all(local_clique_number(cycle(5), v) == 2 for v in range(5))
+        assert cycle(5).clique_numbers == (2,) * 5
 
     def test_petersen(self):
         assert max_clique(petersen()) == 2
@@ -181,7 +171,7 @@ class TestCliques:
                 if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                     best = max(best, r)
         assert max_clique(g) == best
-        assert all(local_clique_number(g, v) <= best for v in range(g.n))
+        assert all(w <= best for w in g.clique_numbers)
 
     @given(graphs(max_n=9))
     @settings(max_examples=80, deadline=None)
@@ -197,12 +187,12 @@ class TestCliques:
                 for sub in itertools.combinations(others, r)
                 if is_clique((v, *sub))
             )
-            assert local_clique_number(g, v) == best
+            assert g.clique_numbers[v] == best
 
     @pytest.mark.parametrize("t", [1, 2, 3, 5])
     def test_c5_blowup(self, t):
         g = gen_c5_blowup(t)
-        assert [local_clique_number(g, v) for v in range(g.n)] == [2 * t] * g.n
+        assert g.clique_numbers == (2 * t,) * g.n
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_complete_minus_a_perfect_matching(self, m):
@@ -210,7 +200,7 @@ class TestCliques:
         g = Graph.from_edges(
             n, [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + m]
         )
-        assert [local_clique_number(g, v) for v in range(n)] == [m] * n
+        assert g.clique_numbers == (m,) * n
 
     def test_no_recursion_limit(self):
         # 100 frames above this test's own depth; a search that recursed once
@@ -222,7 +212,7 @@ class TestCliques:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            assert local_clique_number(g, 0) == 300
+            assert g.clique_numbers[0] == 300
         finally:
             sys.setrecursionlimit(limit)
 
@@ -235,9 +225,7 @@ class TestCliquePass:
     @settings(max_examples=150, deadline=None)
     def test_every_vertex_against_the_search(self, n, p, seed):
         g = gen_gnp(n, p, seed)
-        assert [local_clique_number(g, v) for v in range(n)] == [
-            clique_search(g, v) for v in range(n)
-        ]
+        assert list(g.clique_numbers) == [clique_search(g, v) for v in range(n)]
 
     def test_one_pass_per_graph_object(self, monkeypatch):
         calls = []
@@ -249,13 +237,11 @@ class TestCliquePass:
 
         monkeypatch.setattr(graph_module, "_clique_pass", counted)
         g = gen_gnp(30, 1 / 2, 1)
-        L = uniform_lists(g.n, 5)
-        for v in range(g.n):
-            profile(g, L, v, Fraction(1, 50), Fraction(1, 50))
+        assert [g.clique_numbers[v] for v in range(g.n)] == list(g.clique_numbers)
         assert len(calls) == 1
         twin = Graph(g.n, g.ptr, g.nbr)
         assert twin == g
-        assert [gap(twin, v) for v in range(g.n)] == [gap(g, v) for v in range(g.n)]
+        assert twin.clique_numbers == g.clique_numbers
         assert len(calls) == 2
 
     def test_the_pass_does_not_hold_the_cliques(self):
@@ -402,16 +388,11 @@ class TestAntimatching:
 # the id `bad` (2-color lists wherever lists are needed).
 _L = uniform_lists(5, 2)
 _TAKES_A_VERTEX = {
-    "degree": lambda g, bad: degree(g, bad),
-    "local_clique_number": lambda g, bad: local_clique_number(g, bad),
     "has_edge_tail": lambda g, bad: g.has_edge(bad, 0),
     "has_edge_head": lambda g, bad: g.has_edge(0, bad),
-    "subgraph": lambda g, bad: g.subgraph([0, 1, bad]),
     "complement_edge_count": lambda g, bad: complement_edge_count(g, [0, bad]),
     "max_antimatching": lambda g, bad: max_antimatching(g, [bad, 2]),
-    "gap": lambda g, bad: gap(g, bad),
-    "save": lambda g, bad: save(g, _L, bad),
-    "profile": lambda g, bad: profile(g, _L, bad, Fraction(1, 50), Fraction(1, 50)),
+    "density_audit": lambda g, bad: density_audit(g, _L, [0, bad], Matching.of([])),
     "is_proper_key": lambda g, bad: is_proper(g, _L, {bad: 0, 0: 1}),
     "KnmInstance_matching": lambda g, bad: KnmInstance(
         g.n, Matching.of([(bad, 2)]), uniform_lists(g.n, g.n)

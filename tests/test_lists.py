@@ -5,25 +5,20 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import brute_force_L_colorable, is_L_critical, is_proper_walk
+from exact import brute_force_L_colorable, class_of, is_L_critical, is_proper_walk
+from localcolor import experiment
+from localcolor.bounds import aberrance_lower_bound, pairs_trips_lower_bound, unact_expectation
 from localcolor.experiment import run_estimate
 from localcolor.formats import lists_from_json
 from localcolor.graph import Graph, GraphError, Matching
 from localcolor.knm import density_audit
-from localcolor.lists import (
-    gap,
-    is_proper,
-    make_lists,
-    neighbor_classes,
-    profile,
-    save,
-    uniform_lists,
-)
+from localcolor.lists import is_proper, make_lists, neighbor_classes, uniform_lists
 from localcolor.procedure import ProcedureParams, compile_lists, pipeline_color
 
 
@@ -40,14 +35,13 @@ def path(n):
 
 
 class TestGapSave:
-    def test_gap(self):
-        assert gap(complete(4), 0) == 0
-        assert gap(cycle(5), 0) == 1
-
     def test_save(self):
-        g = cycle(5)
+        # Save(v) = d(v) + 1 - |L(v)| is 1 at every vertex, and the audit's
+        # right side with an empty antimatching is minus their sum
         L = uniform_lists(5, 2)
-        assert all(save(g, L, v) == 1 for v in range(5))
+        rhs = density_audit(cycle(5), L, range(5), Matching.of([])).rhs
+        assert rhs == -5 and type(rhs) is int
+        assert density_audit(cycle(5), L, [1, 3], Matching.of([(1, 3)])).rhs == 1 * 1 - 2
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -75,65 +69,30 @@ def test_lists_hold_about_one_int64_per_color():
 
 
 class TestProfile:
+    """One vertex's neighbor classes at the taxonomy's cut-offs, through
+    neighbor_classes: 0 subservient, 1 strongly egalitarian, 2 weakly
+    egalitarian, 3 lordlier."""
+
     A = Fraction(1, 50)
     B = Fraction(1, 50)
 
-    @pytest.mark.parametrize("alpha, beta", [(0, B), (-A, B), (A, 0), (A, -B)])
-    def test_alpha_or_beta_not_positive_is_named(self, alpha, beta):
-        with pytest.raises(ValueError, match="^alpha and beta must be positive$"):
-            profile(cycle(5), uniform_lists(5, 3), 0, Fraction(alpha), Fraction(beta))
-
     def test_equal_lists_strong_egal(self):
-        g = cycle(5)
-        L = uniform_lists(5, 3)
-        p = profile(g, L, 0, self.A, self.B)
-        assert p.strong_egal == frozenset({1, 4})
-        assert not p.subservient and not p.lordlier and not p.weak_egal
+        # C5 with 3-color lists: gap 1, so [3, 3 + 1/50) is strong
+        assert neighbor_classes(np.array([3, 3]), 3, 1, self.A, self.B).tolist() == [1, 1]
 
     def test_smaller_list_subservient(self):
-        g = path(2)
-        L = make_lists([list(range(10)), list(range(9))])
-        p = profile(g, L, 0, self.A, self.B)
-        assert p.subservient == frozenset({1})
+        assert neighbor_classes(np.array([9]), 10, 0, self.A, self.B).tolist() == [0]
 
     def test_weak_egal_boundary(self):
-        # center list 100, gap 50, beta=1/50: weak interval is [101, 102)
-        star = Graph.from_edges(52, [(0, i) for i in range(1, 52)])
-        rows = [list(range(100))] + [list(range(101))] + [list(range(100))] * 50
-        L = make_lists(rows)
-        assert gap(star, 0) == 50
-        p = profile(star, L, 0, self.A, self.B)
-        assert 1 in p.weak_egal
-        # one more color reaches (1 + alpha)|L(v)| and flips to lordlier
-        rows[1] = list(range(102))
-        p = profile(star, make_lists(rows), 0, self.A, self.B)
-        assert 1 in p.lordlier
+        # center list 100, gap 50, beta=1/50: weak interval is [101, 102); one
+        # more color reaches (1 + alpha)|L(v)| and flips to lordlier
+        sizes = np.array([100, 101, 102])
+        assert neighbor_classes(sizes, 100, 50, self.A, self.B).tolist() == [1, 2, 3]
 
     def test_empty_weak_interval_is_lordlier(self):
         # center list 50, gap 50: [51, 51) is empty, so 51 colors is lordlier
-        star = Graph.from_edges(52, [(0, i) for i in range(1, 52)])
-        rows = [list(range(50))] + [list(range(51))] + [list(range(50))] * 50
-        p = profile(star, make_lists(rows), 0, self.A, self.B)
-        assert 1 in p.lordlier and not p.weak_egal
-
-    def test_classes_partition(self):
-        g = cycle(5)
-        L = make_lists([[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]])
-        p = profile(g, L, 2, self.A, self.B)
-        classes = p.subservient | p.strong_egal | p.weak_egal | p.lordlier
-        assert classes == g.adj[2]
-
-
-def class_of(size_u, size_v, gap_v, alpha, beta):
-    """VertexProfile's classes for one neighbor, in Fractions: 0 subservient,
-    1 strongly egalitarian, 2 weakly egalitarian, 3 lordlier."""
-    if size_u < size_v:
-        return 0
-    if size_u >= (1 + alpha) * size_v:
-        return 3
-    if size_u < size_v + beta * gap_v:
-        return 1
-    return 2
+        sizes = np.array([50, 51])
+        assert neighbor_classes(sizes, 50, 50, self.A, self.B).tolist() == [1, 3]
 
 
 # positive rationals whose numerators and denominators pass 2^63
@@ -175,21 +134,32 @@ class TestNeighborClasses:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_profile_equals_the_fraction_rule(self, data):
+    def test_lower_bounds_equal_the_fraction_rule(self, data):
+        # every row of what estimate compares against, from class_of one
+        # neighbor at a time, networkx's ω and an explicit non-edge count
         n = data.draw(st.integers(1, 9))
         possible = list(itertools.combinations(range(n), 2))
         edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
         g = Graph.from_edges(n, edges)
         L = make_lists([range(data.draw(st.integers(1, 12))) for _ in range(n)])
-        alpha, beta = data.draw(RATIONALS), data.draw(RATIONALS)
+        params = ProcedureParams(alpha=data.draw(RATIONALS), beta=data.draw(RATIONALS))
+        h = nx.empty_graph(n)
+        h.add_edges_from(g.edges())
+        omega, want = nx.node_clique_number(h), []
         for v in range(n):
-            p = profile(g, L, v, alpha, beta)
-            classes = [set(), set(), set(), set()]
-            for u in g.adj[v]:
-                classes[class_of(len(L[u]), len(L[v]), gap(g, v), alpha, beta)].add(u)
-            assert [p.subservient, p.strong_egal, p.weak_egal, p.lordlier] == classes
-            assert p.egalitarian == classes[1] | classes[2]
-            assert (p.vertex, p.degree, p.gap) == (v, len(g.adj[v]), gap(g, v))
+            d, size = len(g.adj[v]), len(L[v])
+            gap_v = d + 1 - omega[v]
+            code = {u: class_of(len(L[u]), size, gap_v, params.alpha, params.beta) for u in g.adj[v]}
+            count = [list(code.values()).count(c) for c in range(4)]
+            egal = sorted(u for u, c in code.items() if c in (1, 2))
+            e1 = sum(1 for u, w in itertools.combinations(egal, 2) if w not in g.adj[u])
+            want.append((
+                aberrance_lower_bound(params.keep, params.alpha, params.beta, gap_v, d,
+                                      count[3], count[2]),
+                pairs_trips_lower_bound(params.keep, params.alpha, size, e1, d * (d - 1) // 2),
+                unact_expectation(params.rho, count[0]),
+            ))
+        assert experiment._lower_bounds(g, compile_lists(g, L), params) == want
 
 
 class TestBruteForce:
@@ -278,8 +248,6 @@ class TestCriticality:
 # Every entry that takes a graph and its lists, called on C5 with lists L.
 _TAKES_LISTS = {
     "is_proper": lambda g, L, tmp: is_proper(g, L, {}),
-    "save": lambda g, L, tmp: save(g, L, 0),
-    "profile": lambda g, L, tmp: profile(g, L, 0, Fraction(1, 50), Fraction(1, 50)),
     "density_audit": lambda g, L, tmp: density_audit(g, L, range(5), Matching.of([])),
     "compile_lists": lambda g, L, tmp: compile_lists(g, L),
     "pipeline_color": lambda g, L, tmp: pipeline_color(

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from localcolor import bounds, experiment, lists, procedure
+from localcolor import bounds, experiment, procedure
 from localcolor.generators import gen_c5_blowup, gen_gnp
 from localcolor.graph import Graph
 from localcolor.lists import make_lists, uniform_lists
@@ -660,28 +660,26 @@ class TestEstimateRows:
         assert peak / (g.n * TRIAL_CHUNK) <= 16
 
     def test_every_bound_is_known_before_the_first_draw(self, tmp_path, monkeypatch):
-        # run_estimate classes the neighbors without profile, and calls each
-        # bound evaluator once per vertex before draw_trials draws anything
+        # run_estimate calls each bound evaluator once per vertex before
+        # draw_trials draws anything
         g = gnm(30, 80, 5)
         L = make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)])
         calls = []
 
         def record(module, name):
-            fn = getattr(module, name, None)  # experiment need not hold profile
+            fn = getattr(module, name)
 
             def recorded(*args, **kwargs):
                 calls.append(name)
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, recorded, raising=False)
+            monkeypatch.setattr(module, name, recorded)
 
         names = ("aberrance_lower_bound", "pairs_trips_lower_bound", "unact_expectation")
-        for module, name in [(lists, "profile"), (experiment, "profile"),
-                             (procedure, "draw_trials"), *((bounds, b) for b in names)]:
+        for module, name in [(procedure, "draw_trials"), *((bounds, b) for b in names)]:
             record(module, name)
         run_estimate(g, L, ProcedureParams(), TRIAL_CHUNK + 1, 0, tmp_path, {})
         first = calls.index("draw_trials")
-        assert "profile" not in calls
         assert calls[first:] == ["draw_trials"] * 2
         assert sorted(calls[:first]) == sorted(names * g.n)
 
