@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .experiment import run_estimate
 from .extraction import extract_dense_subgraph
-from .formats import emit_dimacs, lists_from_json, lists_to_json, parse_dimacs
+from .formats import emit_dimacs, lists_from_text, lists_to_json, parse_dimacs
 from .generators import gen_c5_blowup, gen_complete_bipartite, gen_gnp
 from .graph import Graph, GraphError, max_antimatching
 from .knm import density_audit
@@ -58,7 +58,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_lists(path: str, g: Graph) -> ListAssignment:
-    L = _read(path, lambda text: lists_from_json(json.loads(text)))
+    L = _read(path, lists_from_text)
     if len(L) != g.n:
         raise argparse.ArgumentTypeError(
             f"{path} has {len(L)} lists, the graph has {g.n} vertices"
@@ -252,8 +252,18 @@ def cmd_color(args) -> int:
         "violations_per_round": list(report.violations_per_round),
         "coloring": [report.coloring[v] for v in range(g.n)] if report.succeeded else None,
     }
-    print(json.dumps(out, indent=2))
+    print(_indented(out))
     return 0 if report.succeeded else 1
+
+
+def _indented(out: dict) -> str:
+    """json.dumps(out, indent=2), byte for byte, each nonempty list of ints
+    written with one join."""
+    def value(v):
+        if isinstance(v, list) and v:
+            return "[\n    " + ",\n    ".join(map(int.__repr__, v)) + "\n  ]"
+        return json.dumps(v)
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(v)}" for k, v in out.items()) + "\n}"
 
 
 def cmd_estimate(args) -> int:

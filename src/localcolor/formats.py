@@ -10,11 +10,14 @@ lines, CRLF and any whitespace, and names the line of every error.  Both
 return equal graphs on every text the fast pass accepts.
 
 A lists file must be a JSON object whose "lists" array holds one array
-per vertex, and every color in it must be a JSON integer; only a file with
-an error is read row by row, to name it."""
+per vertex, and every color in it must be a JSON integer.  The exact text
+json.dumps gives such an object is read in numpy passes over blocks of
+rows, with no Python object per color; any other text goes to json.loads
+and `lists_from_json`, which reads a file row by row only to name its error."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -143,9 +146,10 @@ def _json_type(x) -> str:
 
 
 def lists_from_json(obj: object) -> ListAssignment:
-    """The lists of {"lists": [[color, ...], ...]}; every color is a JSON integer,
-    none repeated within a list.  Any other shape is named, with the vertex
-    of a row that is not an array."""
+    """The lists of {"lists": [[color, ...], ...]} as json.loads gives it; every
+    color is a JSON integer, none repeated within a list.  Any other shape is
+    named, with the vertex of a row that is not an array.  lists_from_text
+    hands it every text that json.dumps' shape does not fit."""
     if type(obj) is not dict:
         raise FormatError(f"bad lists object: expected a JSON object, got {_json_type(obj)}")
     if "lists" not in obj:
@@ -171,3 +175,69 @@ def lists_from_json(obj: object) -> ListAssignment:
                     raise FormatError(f"list of vertex {v} repeats color {c}")
                 seen.add(c)
     return make_lists(rows)  # which names a repeated color, then an empty list
+
+
+_LISTS_HEAD, _LISTS_TAIL = '{"lists": [', "]}"
+_TEXT_BLOCK = 1 << 18  # characters of whole rows read at once, so temporaries stay bounded
+# each byte's class in json.dumps' rows: 0 no byte of theirs, 1 a digit, then
+# - [ ] , and space; _FOLLOWS[0oab] holds when class b may follow class a
+_CLASS = np.zeros(256, np.uint8)
+_CLASS[np.frombuffer(b"0123456789-[], ", np.uint8)] = [1] * 10 + [2, 3, 4, 5, 6]
+_FOLLOWS = np.zeros(64, bool)
+_FOLLOWS[[0o11, 0o14, 0o15, 0o21, 0o31, 0o32, 0o45, 0o56, 0o61, 0o62, 0o63]] = True
+
+
+def lists_from_text(text: str) -> ListAssignment:
+    """lists_from_json(json.loads(text)), errors included, with no Python
+    object per color where the text has json.dumps' shape (_dumped_rows)."""
+    flat = _dumped_rows(text)
+    if flat is None:
+        return lists_from_json(json.loads(text))
+    return make_lists(flat[0], colors=flat[1])  # which names a repeated color
+
+
+def _dumped_rows(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's size and all colors in row order, int64, of an ASCII text
+    of exactly json.dumps' shape of {"lists": [[int, ...], ...]} with no
+    empty row and no color of over 18 digits, else None.  Per block of whole
+    rows, one numpy pass checks each byte's class against the next byte's
+    and that "], [" alone parts the rows, so none nests, then reads each
+    color from its digit run and each row's size from the runs before its "]"."""
+    if not (text.isascii() and text.startswith(_LISTS_HEAD) and text.endswith(_LISTS_TAIL)):
+        return None
+    # each row holds one "[", and the rows one color more than ","; counted
+    # first, so each block is read into place and none is kept to be joined
+    rows = text.count("[") - 1
+    sizes, colors = np.empty(rows, np.int64), np.empty(text.count(",") + 1 if rows else 0, np.int64)
+    r = c = 0  # the rows and colors read
+    at, end = len(_LISTS_HEAD), len(text) - len(_LISTS_TAIL)
+    while at < end:
+        cut = text.find("], [", at + _TEXT_BLOCK, end) + 1 or end  # just past a row's "]"
+        b = np.frombuffer(text[at:cut].encode(), np.uint8)
+        at = cut + 2  # past the ", " before the next row
+        cls = _CLASS.take(b)
+        pair = cls[:-1] << 3
+        pair |= cls[1:]
+        if not (b[0] == ord("[") and b[-1] == ord("]") and _FOLLOWS.take(pair).all()):
+            return None
+        opens, closes = np.flatnonzero(cls == 3), np.flatnonzero(cls == 4)
+        digit = cls == 1
+        runs = np.flatnonzero(digit[1:] != digit[:-1]) + 1  # each digit run's first and end
+        first, width = runs[::2], runs[1::2] - runs[::2]
+        widest = width.max(initial=1)
+        if not (
+            len(opens) == len(closes) and (opens < closes).all()
+            and (opens[1:] == closes[:-1] + 3).all()
+            and widest <= 18 and not ((b[first] == ord("0")) & (width > 1)).any()
+        ):
+            return None
+        sizes[r : r + len(closes)] = np.diff(np.searchsorted(first, closes), prepend=0)
+        value = colors[c : c + len(first)]
+        value[:] = b[first] - ord("0")
+        for k in range(1, widest):  # Horner's rule over the digits
+            more = np.flatnonzero(width > k)
+            value[more] *= 10
+            value[more] += b[first[more] + k] - ord("0")
+        np.negative(value, out=value, where=b[first - 1] == ord("-"))
+        r, c = r + len(closes), c + len(first)
+    return sizes, colors

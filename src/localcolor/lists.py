@@ -39,24 +39,30 @@ class ListAssignment:
         return isinstance(other, ListAssignment) and list(self) == list(other)
 
 
-def make_lists(rows: Sequence[Collection[Color]]) -> ListAssignment:
-    """The assignment of one collection of distinct int colors per vertex, as
+def make_lists(rows: Sequence[Collection[Color]], *,
+               colors: np.ndarray | None = None) -> ListAssignment:
+    """The assignment of one collection of distinct int colors per vertex or,
+    given the flat int64 `colors` in row order, of rows[v] of them to vertex v:
     one array sorted by (row, color) only if some row is not ascending.  A
     ValueError names the first row that repeats a color, else the first empty one."""
-    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    if colors is None:
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        try:
+            colors = np.fromiter(itertools.chain.from_iterable(rows), np.int64, sizes.sum())
+        except OverflowError:  # a color beyond int64
+            colors = np.fromiter(itertools.chain.from_iterable(rows), object, sizes.sum())
+    else:
+        sizes = np.asarray(rows, np.int64)
     start = np.concatenate(([0], np.cumsum(sizes)))
-    try:
-        colors = np.fromiter(itertools.chain.from_iterable(rows), np.int64, start[-1])
-    except OverflowError:  # a color beyond int64
-        colors = np.fromiter(itertools.chain.from_iterable(rows), object, start[-1])
-    owner = np.repeat(np.arange(len(rows)), sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     inside = owner[1:] == owner[:-1]
     if (colors[1:] <= colors[:-1])[inside].any():
-        colors = colors[np.lexsort((colors, owner))]  # owner is ascending already
+        given, colors = colors, colors[np.lexsort((colors, owner))]  # owner is ascending already
         same = np.flatnonzero((colors[1:] == colors[:-1]) & inside)
         if same.size:
             v = int(owner[same[0]])
-            c = next(c for i, c in enumerate(rows[v]) if c in rows[v][:i])  # in row order
+            row = given[start[v] : start[v + 1]].tolist()
+            c = next(c for i, c in enumerate(row) if c in row[:i])  # in row order
             raise ValueError(f"list of vertex {v} repeats color {c}")
     empty = np.flatnonzero(sizes == 0)
     if empty.size:

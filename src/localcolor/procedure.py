@@ -158,6 +158,20 @@ class CompiledInstance:
     zmap: np.ndarray  # the laid-out maps, in edge order
 
 
+def _reverse_edges(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Each directed edge's reverse, the edges numbered by (tail, head): the
+    order by (head, tail), which is one sort of the keys head * edges + edge,
+    since one head's edges are in tail order already.  Where those keys
+    would leave int64, an argsort of head * n + tail gives it."""
+    edges = len(tail)
+    if not 0 < n * edges < 2**63:
+        return np.argsort(head * n + tail)
+    key = head * edges
+    key += np.arange(edges)
+    key.sort()
+    return np.remainder(key, edges, out=key)
+
+
 def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     """The compiled instance of `L`: the identity correspondence made total.
 
@@ -188,8 +202,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
         key = np.repeat(np.arange(g.n) * colors, sizes)
         key += ranks
         where[key] = np.arange(len(ranks)) - np.repeat(start[:-1], sizes)
-    # edge k is the k-th by (tail, head), so the k-th by (head, tail) is its reverse
-    rev = np.argsort(head * g.n + tail)
+    rev = _reverse_edges(g.n, tail, head)
     big = sizes[head] >= width
     inst = CompiledInstance(L.colors, sizes, start, g.ptr, tail, head, big, rev, ranks, colors,
                             where, none, none)

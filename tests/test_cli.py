@@ -228,6 +228,31 @@ def test_colors_of_2_to_the_63_and_above(gnp40, capsys):
     }
 
 
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("edges, lists", [
+    ([], []),
+    ([(1, 2), (2, 3)], [[-5, 2**63], [7, -(2**63) - 1, 2**64], [2**64, -1]]),
+    ([(1, 2)], [[0, 1], [1, 2]]),
+])
+def test_color_writes_what_json_dumps_writes(tmp_path, monkeypatch, capsys, edges, lists, fails):
+    """`color` prints its report byte for byte as json.dumps(report, indent=2)
+    does: n = 0's empty coloring, colors at and past 2**63 and below 0, and
+    a failed run's null."""
+    monkeypatch.chdir(tmp_path)
+    lines = "".join(f"e {u} {v}\n" for u, v in edges)
+    (tmp_path / "g.col").write_text(f"p edge {len(lists)} {len(edges)}\n{lines}")
+    (tmp_path / "l.json").write_text(json.dumps({"lists": lists}))
+    if fails:
+        failed = procedure.PipelineReport(None, 20, tuple(range(20)))
+        monkeypatch.setattr("localcolor.cli.pipeline_color", lambda *args: failed)
+    capsys.readouterr()
+    rc = main(["color", "--graph", "g.col", "--lists", "l.json", "--seed", "1", "--rounds", "20"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert rc == fails and (report["coloring"] is None) == fails
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
 def test_audit_output_is_pinned(gnp40, capsys):
     capsys.readouterr()
     assert main(["audit", "--graph", "g.col", "--lists", "l.json"]) == 0

@@ -17,6 +17,7 @@ from localcolor.formats import (
     _parse_dimacs_lines,
     emit_dimacs,
     lists_from_json,
+    lists_from_text,
     lists_to_json,
     parse_dimacs,
 )
@@ -268,6 +269,141 @@ class TestDimacsWholeFile:
         with mock.patch("localcolor.formats._parse_dimacs_lines", side_effect=AssertionError):
             assert parse_dimacs(text) == g
             assert parse_dimacs(text.rstrip("\n")) == g
+
+
+# colors about the whole-text pass's limits: 18 digits, 19, and past int64
+EDGE_COLORS = [0, 9, 10, -1, 10**17, 10**18 - 1, -(10**18 - 1), 10**18, -(10**18),
+               2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64]
+# a block of one character, of a few rows, and the reader's own
+BLOCKS = [1, 6, 1 << 18]
+
+
+@st.composite
+def emitted_lists(draw, widest=2**65):
+    """json.dumps(lists_to_json(L)) of an assignment of up to 6 rows, its
+    colors no wider than `widest`."""
+    colors = st.one_of(st.integers(-30, 30), st.integers(-widest, widest),
+                       st.sampled_from([c for c in EDGE_COLORS if abs(c) <= widest]))
+    rows = draw(st.lists(st.lists(colors, min_size=1, max_size=5, unique=True), max_size=6))
+    return json.dumps(lists_to_json(make_lists(rows)))
+
+
+TEXT_BYTES = st.sampled_from([*'0123456789-[], {}":.eE+x\n', "\t", "\u00e9", "\ud800"])
+
+
+def _change_byte(draw, text):
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + draw(TEXT_BYTES) + text[i + 1 :]
+
+
+def _remove_byte(draw, text):
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1 :]
+
+
+def _insert_byte(draw, text):
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(TEXT_BYTES) + text[i:]
+
+
+def _replace_color(draw, text):
+    """One color replaced by `01`, `-`, `1.0`, `1e2`, `true`, `-0`, the JSON
+    string "\\ud800", a nested row or an empty one."""
+    found = list(re.finditer(r"-?[0-9]+", text))
+    if not found:
+        return text
+    m = draw(st.sampled_from(found))
+    new = draw(st.sampled_from(["01", "-", "1.0", "1e2", "true", "-0", '"\\ud800"', "[2]", "[]"]))
+    return text[: m.start()] + new + text[m.end() :]
+
+
+def _adjacent_colors(new):
+    """Two adjacent colors of a row, a and b, written as new(a, b)."""
+    def mutate(draw, text):
+        found = list(re.finditer(r"(-?[0-9]+), (-?[0-9]+)", text))
+        if not found:
+            return text
+        m = draw(st.sampled_from(found))
+        return text[: m.start()] + new(*m.groups()) + text[m.end() :]
+    return mutate
+
+
+def _replace_once(old, new):
+    return lambda draw, text: text.replace(old, new, 1)
+
+
+LIST_MUTATIONS = [
+    _change_byte, _remove_byte, _insert_byte, _replace_color,
+    _adjacent_colors(lambda a, b: f"{b}, {a}"),  # a descending row
+    _adjacent_colors(lambda a, b: f"{a}, {a}"),  # a repeated color
+    _replace_once("[", "[[], "),  # an empty first row
+    _replace_once("], [", "], 5, ["),  # a number between two rows
+    _replace_once("[[", "[5, ["),  # a number before the first row
+    _replace_once("]]}", "], 5]}"),  # and after the last
+    lambda draw, text: text.replace(", ", ",").replace(": ", ":"),  # no spaces
+]
+
+
+@st.composite
+def lists_texts(draw):
+    """An emitted lists text with up to two mutations, each a case the
+    whole-text pass must read as json.loads and lists_from_json do or hand
+    to them."""
+    text = draw(emitted_lists())
+    for mutate in draw(st.lists(st.sampled_from(LIST_MUTATIONS), max_size=2)):
+        text = mutate(draw, text)
+    return text
+
+
+def _lists_outcome(read, text):
+    try:
+        L = read(text)
+    except Exception as exc:  # FormatError, ValueError, or json's own error
+        return type(exc), str(exc)
+    return L.start.tolist(), L.colors.tolist(), L.colors.dtype
+
+
+def _through_json(text):
+    return lists_from_json(json.loads(text))
+
+
+class TestListsWholeText:
+    @given(lists_texts(), st.sampled_from(BLOCKS))
+    @example('{"lists": []}', 1)
+    @example('{"lists": [[-0, 5], [2, 1]]}', 1)
+    @example('{"lists": [[01]]}', 1 << 18)
+    @example('{"lists": [[-]]}', 1 << 18)
+    @example('{"lists": [[1.0]]}', 1 << 18)
+    @example('{"lists": [[1e2]]}', 1 << 18)
+    @example('{"lists": [[true]]}', 1 << 18)
+    @example('{"lists": [["\\ud800"]]}', 1 << 18)
+    @example('{"lists": [[1, "\ud800"]]}', 1 << 18)  # a lone surrogate in the text
+    @example('{"lists": [[1, "\u00e9"]]}', 1 << 18)
+    @example('{"lists": [[1,\t2]]}', 1 << 18)
+    @example('{"lists":[[1,2]]}', 1 << 18)
+    @example('{"lists": [[]]}', 1 << 18)
+    @example('{"lists": [[1], []]}', 1)
+    @example('{"lists": [[1, [2]]]}', 1 << 18)
+    @example('{"lists": [[1], [2], 3, [4]]}', 6)
+    @example('{"lists": [1, [2]]}', 1 << 18)
+    @example('{"lists": [[1], 2]}', 1 << 18)
+    @example('{"lists": [[1], [3, 2]]}', 1)
+    @example('{"lists": [[1], [2, 7, 2]]}', 1)
+    @example('{"lists": [[123456789012345678, 1234567890123456789]]}', 1 << 18)
+    @example('{"lists": [[1]]}\n', 1 << 18)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_loads(self, text, block):
+        with mock.patch("localcolor.formats._TEXT_BLOCK", block):
+            assert _lists_outcome(lists_from_text, text) == _lists_outcome(_through_json, text)
+
+    @given(emitted_lists(widest=10**18 - 1), st.sampled_from(BLOCKS))
+    @settings(max_examples=50, deadline=None)
+    def test_emitted_text_takes_the_whole_text_pass(self, text, block):
+        want = _lists_outcome(_through_json, text)
+        with (mock.patch("localcolor.formats._TEXT_BLOCK", block),
+              mock.patch("localcolor.formats.lists_from_json", side_effect=AssertionError)):
+            L = lists_from_text(text)
+        assert (L.start.tolist(), L.colors.tolist(), L.colors.dtype) == want
 
 
 class TestJsonRoundtrips:

@@ -15,7 +15,7 @@ from exact import brute_force_L_colorable, class_of, is_L_critical, is_proper_wa
 from localcolor import experiment
 from localcolor.bounds import aberrance_lower_bound, pairs_trips_lower_bound, unact_expectation
 from localcolor.experiment import run_estimate
-from localcolor.formats import lists_from_json
+from localcolor.formats import lists_from_json, lists_from_text
 from localcolor.graph import Graph, GraphError, Matching
 from localcolor.knm import density_audit
 from localcolor.lists import is_proper, make_lists, neighbor_classes, uniform_lists
@@ -65,6 +65,32 @@ def test_lists_hold_about_one_int64_per_color():
         tracemalloc.stop()
     cells = sum(map(len, rows))
     assert len(L) == len(rows) and L[0] == frozenset(rows[0])
+    assert held <= 16 * cells + 16 * len(rows)
+
+
+def test_text_reader_peaks_no_higher_than_json_loads():
+    """The whole-text reader of 20,000 JSON rows of 8-12 colors, out of order,
+    peaks under tracemalloc no higher than json.loads and lists_from_json on
+    the same text, and keeps what lists_from_json keeps: at most 16 B per
+    color and 16 B per row."""
+    rng = random.Random(0)
+    rows = [rng.sample(range(200), rng.randint(8, 12)) for _ in range(20_000)]
+    text = json.dumps({"lists": rows})
+
+    def traced(read):
+        tracemalloc.start()
+        try:
+            L = read(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return L, held, peak
+
+    L, held, peak = traced(lists_from_text)
+    want, _, json_peak = traced(lambda text: lists_from_json(json.loads(text)))
+    cells = sum(map(len, rows))
+    assert L.start.tolist() == want.start.tolist() and L.colors.tolist() == want.colors.tolist()
+    assert peak <= json_peak
     assert held <= 16 * cells + 16 * len(rows)
 
 

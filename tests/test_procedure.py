@@ -735,6 +735,23 @@ def _one_color_case():
     return g, make_lists([range(1), range(3), range(1), range(4), range(2), range(1), range(2)])
 
 
+@given(st.integers(3, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_reverse_edges_is_the_head_tail_argsort(n, chords):
+    """Both of _reverse_edges' branches order the edges by (head, tail): the
+    sort of packed keys, and the argsort it takes once n * edges reaches
+    2**63, reached here through a vertex count past that bound.  A cycle
+    gives every vertex an edge, so no key of that count leaves int64."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(u % n, v % n) for u, v in chords if u % n != v % n]
+    g = Graph.from_edges(n, pairs)
+    tail, head = np.repeat(np.arange(n), np.diff(g.ptr)), g.nbr
+    want = np.argsort(head * n + tail)
+    past = 2**63 // len(tail) + 1
+    assert np.array_equal(procedure._reverse_edges(n, tail, head), want)
+    assert np.array_equal(procedure._reverse_edges(past, tail, head), want)
+    assert np.array_equal(compile_lists(g, uniform_lists(n, 3)).rev, want)
+
+
 def test_draw_left_writes_the_uncolored_mask_into_the_draws():
     """Each chunk draw_left yields, its activations and phi_left, equals
     draw_trials then uncolored_trials on the same stream, chunk by chunk:
