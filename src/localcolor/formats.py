@@ -2,12 +2,12 @@
 
 `parse_dimacs` reads a text shaped like `emit_dimacs` output (the problem
 line first, then m lines `e u v` of one space and ASCII digits, each ended
-by a newline but perhaps the last) in one pass over the whole file: one
-regular expression and a newline count decide the shape, and all ends
-convert in one numpy call.  Any other text, and any text with an error,
-goes to the line loop `_parse_dimacs_lines`, which accepts comments, blank
-lines, CRLF and any whitespace, and names the line of every error.  Both
-return equal graphs on every text the fast pass accepts.
+by a newline but perhaps the last) in one pass over the whole file: string
+counts and one deletion of every digit decide the shape, with no pattern
+matched, and all ends convert in one numpy call.  Any other text, and any
+text with an error, goes to the line loop `_parse_dimacs_lines`, which
+accepts comments, blank lines, CRLF and any whitespace, and names the line
+of every error.  Both return equal graphs on every text the fast pass accepts.
 
 A lists file must be a JSON object whose "lists" array holds one array
 per vertex, and every color in it must be a JSON integer.  The exact text
@@ -41,8 +41,6 @@ def _field(x: str, lineno: int) -> int:
 
 
 _PROBLEM = re.compile(r"p edge (\d+) (\d+)", re.ASCII)
-# every line after the problem line in emit_dimacs output
-_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*", re.ASCII)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -54,18 +52,26 @@ def parse_dimacs(text: str) -> Graph:
 
     A text of the problem line and then exactly its m `e u v` lines, each
     field after a single space, is read in one pass; any other text, errors
-    included, line by line."""
+    included, line by line.  The pass takes an ASCII text of m lines after
+    the problem line, each opening with `e ` (counted before anything of
+    size m is built), that deleting every digit leaves as m lines `e  `, and
+    that fromstring reads as 2m numbers, so no field is empty."""
     problem, _, body = text.partition("\n")
     head = _PROBLEM.fullmatch(problem)
+    m = int(head[2]) if head else -1  # no count of newlines is -1
     if body and not body.endswith("\n"):
         body += "\n"
-    if head is None or not _EDGES.fullmatch(body) or body.count("\n") != int(head[2]):
+    # the problem line holds no newline, so every "\ne " opens an edge line
+    if not (text.isascii() and body.count("\n") == m and text.count("\ne ") == m
+            and body.encode().translate(None, b"0123456789") == b"e  \n" * m):
         return _parse_dimacs_lines(text)
     # fromstring saturates a field beyond int64 at 2**63 - 1, which from_edges'
     # range check rejects for every n a Graph holds; it rejects a larger n too
-    uv = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+    uv = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+    if len(uv) != 2 * m:  # a field of no digit
+        return _parse_dimacs_lines(text)
     try:
-        return Graph.from_edges(int(head[1]), uv)
+        return Graph.from_edges(int(head[1]), uv.reshape(m, 2) - 1)
     except GraphError:  # an end out of range, a loop or too many vertices
         return _parse_dimacs_lines(text)  # which names the line
 

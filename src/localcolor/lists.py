@@ -103,7 +103,8 @@ def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
 
     The colors are compared in the lists' dtype where they convert exactly,
     else as Python objects: every list entry with its vertex's color at
-    once, then both ends of every CSR edge at once."""
+    once, then both ends of every CSR edge at once, each vertex's color and
+    mark repeated by its list size or degree, so no index array is built."""
     check_list_count(g, L)
     for v in coloring:
         if not 0 <= v < g.n:  # before color[v] can alias it
@@ -114,8 +115,9 @@ def is_proper(g: Graph, L: ListAssignment, coloring: Coloring) -> bool:
         cast = np.array(list(coloring.values()), dtype=object)
     color, colored = np.zeros(g.n, dtype=cast.dtype), np.zeros(g.n, dtype=bool)
     color[vs], colored[vs] = cast, True
-    owner = np.repeat(np.arange(g.n), np.diff(L.start))
-    if np.count_nonzero((L.colors == color[owner]) & colored[owner]) != len(vs):
+    sizes, degrees = np.diff(L.start), np.diff(g.ptr)
+    held = (L.colors == np.repeat(color, sizes)) & np.repeat(colored, sizes)
+    if np.count_nonzero(held) != len(vs):
         return False  # a row holds each color once, so some color is not in its row
-    tail = np.repeat(np.arange(g.n), np.diff(g.ptr))
-    return not (colored[tail] & colored[g.nbr] & (color[tail] == color[g.nbr])).any()
+    clash = np.repeat(color, degrees) == color[g.nbr]
+    return not (clash & np.repeat(colored, degrees) & colored[g.nbr]).any()

@@ -35,11 +35,12 @@ lookup per (edge, trial) cell, its counts segment reductions over each
 tail's rows) gives `pipeline_color`'s savings check the uncolored set, unact
 and save_drop, and `greedy_complete` the colors each vertex loses to its
 kept neighbors; `pipeline_color` hands it one trial slice of at most SLICE
-(edge, trial) cells at a time.
+(edge, trial) cells at a time, and it reads the instance's cached arrays.
 `compile_lists` builds the arrays of a list assignment (the identity
-correspondence made total) straight from its flat sorted rows, laying out only
-the maps of zip edges (free colors at both ends), so on nested lists `color`
-holds no array with a cell per (edge, tail color).  `keep_table` holds one
+correspondence made total) straight from its flat sorted rows, counting the
+common colors of edges whose lists do not nest and laying out only the maps
+of zip edges (free colors at both ends), so on nested lists `color` holds no
+array with a cell per (edge, tail color).  `keep_table` holds one
 keep probability per vertex, its factors multiplied once over its big edges.
 `pipeline_color` takes lists, completes its trial with `greedy_complete`
 (from those removed colors, a loop over the edges between uncolored
@@ -55,6 +56,7 @@ import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -140,7 +142,7 @@ class CompiledInstance:
     other maps are the identity's and not stored: `lookup` finds the tail
     color's rank (ranks[start[v] + i]) in a dense (vertex, color rank) table
     `where`, kept when it has no more entries than there are cells, or in
-    the sorted (vertex, color rank) keys.
+    the sorted (vertex, color rank) keys.  settle_arrays is made when first read.
     """
 
     values: np.ndarray  # each entry's color: int64, or Python ints as objects
@@ -156,6 +158,21 @@ class CompiledInstance:
     where: np.ndarray | None  # where[v * colors + r]: the index of rank r in v's list, or -1
     zoff: np.ndarray  # each edge's offset in zmap, or -1 where its map is the identity's
     zmap: np.ndarray  # the laid-out maps, in edge order
+
+    @cached_property
+    def settle_arrays(self) -> tuple[np.ndarray, ...]:
+        """What settle_trials reads of the instance alone, made once: the
+        vertices with an edge (reduceat gives an empty segment its first
+        element, not 0), their edge offsets and degrees, the same of small
+        edges, their heads, then columns of each edge's tail key base, tail
+        offset and big, and each vertex's offset."""
+        ptr, tail, start = self.ptr, self.tail, self.start
+        small = np.flatnonzero(~self.big)
+        sp = np.searchsorted(small, ptr)  # the small edges' offsets by tail
+        has_edge, has_small = (np.flatnonzero(p[1:] > p[:-1]) for p in (ptr, sp))
+        return (has_edge, ptr[has_edge], np.diff(ptr)[has_edge, None], has_small, sp[has_small],
+                self.head[small], (tail * self.colors)[:, None], start[tail][:, None],
+                self.big[:, None], start[:-1])
 
 
 def _reverse_edges(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -178,12 +195,13 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     On every edge the common colors pair as identity, then each side's
     remaining colors zip in ascending order; only the maps of edges that zip
     are kept.  Colors are replaced by their rank among all colors, from one
-    sort of L's flat colors, so no color value bounds the input.  Each
-    edge's common colors are counted from packed membership rows of the
-    dense table, or by looking up each color of its smaller list; only an
-    edge with fewer common colors than either list has free colors at both
-    ends, and only its map is laid out, to zip it.  Nested lists (such as
-    deg+1 lists) and uniform lists have none.  A big edge's tail has no more
+    sort of L's flat colors, so no color value bounds the input.  Two lists
+    of the smallest colors (deg+1 and uniform lists) nest, so their edge's
+    common colors are the smaller list; the other edges' are counted from
+    packed membership rows of the dense table, or by looking up each color
+    of its smaller list.  Only an edge with fewer common colors than either
+    list has free colors at both ends, and only its map is laid out, to zip
+    it; with none the zip pass is skipped.  A big edge's tail has no more
     colors than its head, so each of its cells ends matched: `keep_table`
     relies on it.
     """
@@ -206,9 +224,13 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     big = sizes[head] >= width
     inst = CompiledInstance(L.colors, sizes, start, g.ptr, tail, head, big, rev, ranks, colors,
                             where, none, none)
-    # the colors each edge's tail shares with its head, counted on the edges up
-    up, common = np.flatnonzero(tail < head), np.zeros(len(tail), dtype=np.int64)
-    if where is not None:
+    # the colors each edge's tail shares with its head: a list whose last rank
+    # is its size - 1 holds the smallest colors, so two such nest; the other
+    # edges are counted on the edges up
+    nested = ranks[start[1:] - 1] == sizes - 1
+    common = np.minimum(width, sizes[head])
+    up = np.flatnonzero((tail < head) & ~(nested[tail] & nested[head]))
+    if len(up) and where is not None:
         member = np.packbits(where.reshape(g.n, colors) >= 0, axis=1)
         rows = max(1, SLICE // max(member.shape[1], 1))  # up-edges per block of SLICE bytes
         for b in range(0, len(up), rows):
@@ -216,7 +238,7 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
             shared = member[tail[e]]
             shared &= member[head[e]]
             common[e] = np.bitwise_count(shared, out=shared).sum(axis=1)
-    else:
+    elif len(up):
         # each color of the smaller list, looked up in the other
         small = np.where(big[up], up, rev[up])
         found = match_blocks(inst, small) >= 0
@@ -224,7 +246,9 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     common[rev[up]] = common[up]
     # the free colors of an edge with some at both ends zip in ascending order
     # with those of its reverse
-    z = np.flatnonzero((common < width) & (common < sizes[head]))
+    z, zoff = np.flatnonzero((common < width) & (common < sizes[head])), np.full(len(tail), -1)
+    if not len(z):  # nested and uniform lists: no map is laid out
+        return dataclasses.replace(inst, zoff=zoff)
     zmap = match_blocks(inst, z)
     free = np.flatnonzero(zmap < 0)
     nfree, zbase = width[z] - common[z], np.cumsum(width[z]) - width[z]
@@ -234,7 +258,6 @@ def compile_lists(g: Graph, L: ListAssignment) -> CompiledInstance:
     paired = free_rank < nfree[other]
     other = other[paired]
     zmap[free[paired]] = free[free_start[other] + free_rank[paired]] - zbase[other]
-    zoff = np.full(len(tail), -1)
     zoff[z] = zbase
     return dataclasses.replace(inst, zoff=zoff, zmap=zmap)
 
@@ -527,45 +550,43 @@ def settle_trials(
 
     One pass over the trials given: one lookup per (directed edge, trial)
     cell, and each count a segment reduction (`reduceat`) over the rows of
-    one tail, its edges, small edges or removed colors.  The caller bounds
-    the (edge, trial) temporaries by the trials it passes.
+    one tail, its edges, small edges or removed colors, its per-instance
+    arrays inst.settle_arrays.  The caller bounds the (edge, trial)
+    temporaries by the trials it passes.
     """
     n, trials = phi_idx.shape
-    tail, head, ptr, start = inst.tail, inst.head, inst.ptr, inst.start
-    # reduceat gives an empty segment its first element, not 0, so the edge
-    # counts reduce over the vertices with an edge (a small edge) only; every
-    # list is nonempty
-    small = np.flatnonzero(~inst.big)
-    sp = np.searchsorted(small, ptr)  # the small edges' offsets by tail
-    has_edge, has_small = (np.flatnonzero(p[1:] > p[:-1]) for p in (ptr, sp))
+    tail, head = inst.tail, inst.head
+    has_edge, edge_at, degree, has_small, small_at, small_head, key_base, tail_at, big, row_at = (
+        inst.settle_arrays)
     uncolored = heads >= act  # heads | ~act
     unact, save_drop = np.zeros((2, n, trials), dtype=np.int64)
-    removed = np.zeros((int(start[-1]), trials), dtype=bool)
+    removed = np.zeros((int(inst.start[-1]), trials), dtype=bool)
     phi = phi_idx.astype(np.int64)  # int32 plus back in place would wrap
     # per (edge, trial): the index in L(tail) matched to phi(head), or -1
-    key = inst.ranks.take(start[:-1, None] + phi).take(head, axis=0)
-    key += (tail * inst.colors)[:, None]
+    key = inst.ranks.take(row_at[:, None] + phi).take(head, axis=0)
+    key += key_base
     mu = lookup(inst, key, lambda: (inst.zoff.take(inst.rev)[:, None], phi.take(head, axis=0)))
+    del key  # so the (edge, trial) temporaries below reuse its memory
     # an activated head with a list at least as large, its color matched to the tail's
-    threat = mu == phi.take(tail, axis=0)
+    threat = mu == phi_idx.take(tail, axis=0)  # int32, half the bytes
     threat &= act.take(head, axis=0)
-    threat &= inst.big[:, None]
-    uncolored[has_edge] |= np.logical_or.reduceat(threat, ptr[has_edge], axis=0)
+    threat &= big
+    uncolored[has_edge] |= np.logical_or.reduceat(threat, edge_at, axis=0)
     # the colors of the tails that heads staying colored remove, as flat
     # (tail color, trial) cells of removed, in place in mu
     off = uncolored.take(head, axis=0)
     hit = (mu >= 0) > off  # matched, and the head not off
-    mu += start[tail][:, None]
+    mu += tail_at
     mu *= trials
     mu += np.arange(trials)
     removed.reshape(-1)[np.compress(hit.ravel(), mu)] = True
     # v's colored heads minus the distinct colors of v they remove
-    busy = np.add.reduceat(off, ptr[has_edge], axis=0)
-    save_drop[has_edge] = np.diff(ptr)[has_edge, None] - busy
-    save_drop -= np.add.reduceat(removed, start[:-1], axis=0)
+    busy = np.add.reduceat(off, edge_at, axis=0)
+    save_drop[has_edge] = degree - busy
+    save_drop -= np.add.reduceat(removed, row_at, axis=0)
     # the non-activated heads with strictly smaller lists
-    idle = ~act.take(head[small], axis=0)
-    unact[has_small] = np.add.reduceat(idle, sp[has_small], axis=0)
+    idle = ~act.take(small_head, axis=0)
+    unact[has_small] = np.add.reduceat(idle, small_at, axis=0)
     return uncolored, unact, save_drop, removed
 
 

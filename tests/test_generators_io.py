@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -240,9 +241,28 @@ class TestDimacsWholeFile:
     @example(f"p edge {2**63 - 1} 1\ne 1 99999999999999999999\n")
     @example(f"p edge {2**63} 1\ne 1 2\n")
     @example(f"p edge {10**23} 1\ne 1 2\n")
+    @example("p edge 5 2\ne5 1 2\ne 3 \n")  # its digits deleted, the emitted shape
+    @example("p edge 12 1\ne  12\n")  # a field of no digit
+    @example("p edge 3 1\ne 1 2 ")  # a trailing space
+    @example("p edge 3 1\ne \u0661 2\n")  # an Arabic-Indic one, which int() reads
+    @example("p edge 3 1\ne 1 2\ud800\n")  # a lone surrogate, which encode() rejects
+    @example("p edge 3 1\ne 01 2\n")
     @settings(max_examples=300, deadline=None)
     def test_equals_the_line_loop(self, text):
         assert _outcome(parse_dimacs, text) == _outcome(_parse_dimacs_lines, text)
+
+    def test_huge_edge_count_builds_nothing_of_its_size(self):
+        # the newline count refuses the pass before anything of size m is built
+        text, m = "p edge 3 1000000000000000\ne 1 2\n", 10**15
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"^line 1: the problem line declares {m} edges"):
+                parse_dimacs(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _outcome(parse_dimacs, text) == _outcome(_parse_dimacs_lines, text)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("field", [2**63, 99999999999999999999, -(2**64)])
     @pytest.mark.parametrize("n", [3, 2**63 - 1, 2**64])

@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -980,6 +981,48 @@ class TestCompileLists:
         assert (_match(inst)[np.repeat(inst.big, inst.sizes[inst.tail])] >= 0).all()
 
 
+@st.composite
+def nested_beside_other_lists(draw):
+    """A small graph whose lists are, on a random subset of its vertices, the
+    k smallest colors of the assignment (their last rank is k - 1), and on
+    the others drawn at random, or 3 of 6 colors, so that neighbors zip."""
+    n = draw(st.integers(1, 7))
+    possible = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(possible), unique=True)) if possible else [])
+    rows = [
+        draw(st.one_of(st.lists(st.integers(-3, 12), min_size=1, max_size=6, unique=True),
+                       st.permutations(range(6)).map(lambda p: p[:3])))
+        for _ in range(n)
+    ]
+    smallest = sorted(set(range(8)).union(*rows))
+    for v in range(n):
+        if draw(st.booleans()):
+            rows[v] = smallest[: draw(st.integers(1, 8))]
+    return g, make_lists(rows)
+
+
+class TestNestedLists:
+    @given(nested_beside_other_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_compiled_identity_made_total(self, case):
+        _compiled_fields_equal(compile_lists(*case), _made_total(*case))
+
+    @pytest.mark.parametrize("lists", ["deg+1", "uniform"])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_nested_lists_count_and_lay_out_nothing(self, monkeypatch, lists, dense):
+        # a star beside 20 isolated vertices makes the (vertex, color rank)
+        # table larger than the cells, so the sparse lookup would count
+        g = gen_gnp(60, 0.2, 5) if dense else Graph.from_edges(26, [(0, v) for v in range(1, 6)])
+        L = (make_lists([range(len(g.adj[v]) + 1) for v in range(g.n)]) if lists == "deg+1"
+             else uniform_lists(g.n, 6))
+        want = _made_total(g, L)
+        monkeypatch.setattr(procedure, "match_blocks", mock.Mock(side_effect=AssertionError))
+        inst = compile_lists(g, L)
+        assert (inst.where is not None) == dense
+        assert (inst.zoff == -1).all() and len(inst.zmap) == 0
+        _compiled_fields_equal(inst, want)
+
+
 def _cell_map(g: Graph, ca: CorrespondenceAssignment) -> list[int]:
     """Every cell's match read off the pairs themselves: for each directed
     edge (v, u) in CSR order and each color of v, the index in u's sorted
@@ -1283,6 +1326,24 @@ def test_pipeline_color_stops_at_the_first_good_slice(monkeypatch, table):
     # (the good trial's slice, the slices of its batch): the first of 8 trials'
     # two, the second of 16 trials' four, the last of 8's and of 5's 3 + 2
     assert placed == [(0, 2), (1, 4), (1, 2), (1, 2), None]
+
+
+def test_settle_arrays_are_built_once_per_call(monkeypatch):
+    """pipeline_color on C5[K12] with 35-color lists settles seed 3's 33 rounds
+    in 7 slices, and builds settle_trials' per-instance arrays on the first only."""
+    g, L = gen_c5_blowup(12), uniform_lists(60, 35)
+    settle, build = procedure.settle_trials, CompiledInstance.settle_arrays.func
+    slices, built = [], []
+
+    def settled(inst, *draws):
+        slices.append(draws[1].shape[1])
+        return settle(inst, *draws)
+
+    monkeypatch.setattr(procedure, "settle_trials", settled)
+    monkeypatch.setattr(CompiledInstance.settle_arrays, "func", lambda inst: built.append(inst) or build(inst))
+    report = pipeline_color(g, L, ProcedureParams(eps=Fraction(1, 20)), 200, rng_of(3))
+    assert report.rounds_used == 33 and slices == [1, 2, 4, 8, 8, 8, 11]
+    assert len(built) == 1
 
 
 class _CountingRng:
